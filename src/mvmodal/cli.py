@@ -14,12 +14,13 @@ from typing import Optional
 
 from .core import Signature, TruthDomain, is_modal_free, subformula_closure
 from .decision import (
+    DEFAULT_ENUM_CEILING,
+    ENUM_CEILING_VAR,
     Countermodel,
     EnumerationCeilingError,
     ProvedValid,
     ValidUpTo,
     decide,
-    default_ceiling,
 )
 from .duality import uniqueness_scan
 from .filtration import filter_model
@@ -212,6 +213,13 @@ def cmd_frame_check(args) -> int:
     return 1
 
 
+def _ceiling(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mvmodal",
@@ -240,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma")
     p.add_argument("--logic", default="mv-K")
     p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--ceiling", type=int, default=None,
-                   help=f"model budget (default MVK_ENUM_CEILING or "
-                        f"{default_ceiling()})")
+    p.add_argument("--ceiling", type=_ceiling, default=None,
+                   help=f"models examined over the whole search (default "
+                        f"{ENUM_CEILING_VAR} or {DEFAULT_ENUM_CEILING})")
     p.add_argument("sequent")
 
     p = add("check-proof", cmd_check_proof, help="check a proof script")
@@ -262,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="scan unary tables for modal duality")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--ceiling", type=int, default=None)
+    p.add_argument("--ceiling", type=_ceiling, default=None,
+                   help="models examined over the whole scan")
 
     p = add("translate", cmd_translate,
             help="insert necessity operators into a modal-free sequent")
@@ -285,13 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

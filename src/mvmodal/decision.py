@@ -40,7 +40,12 @@ class EnumerationCeilingError(Exception):
 
 def default_ceiling() -> int:
     raw = os.environ.get(ENUM_CEILING_VAR)
-    return int(raw) if raw else DEFAULT_ENUM_CEILING
+    if not raw:
+        return DEFAULT_ENUM_CEILING
+    if not raw.strip().isdigit():
+        raise ValueError(f"{ENUM_CEILING_VAR} must be a non-negative integer, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 class _Budget:
@@ -49,6 +54,13 @@ class _Budget:
     def __init__(self, ceiling: int):
         self.ceiling = ceiling
         self.examined = 0
+
+    @classmethod
+    def of(cls, ceiling: Union[int, _Budget, None]) -> _Budget:
+        """A fresh budget for a model count, or the given budget to share."""
+        if isinstance(ceiling, _Budget):
+            return ceiling
+        return cls(default_ceiling() if ceiling is None else ceiling)
 
     def spend(self) -> None:
         self.examined += 1
@@ -98,17 +110,21 @@ def _relations(world_count: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 def enumerate_models(variables: Iterable[str], n: int, world_count: int,
                      frame_class: FrameClass,
-                     ceiling: Optional[int] = None) -> Iterator[KripkeModel]:
+                     ceiling: Union[int, _Budget, None] = None
+                     ) -> Iterator[KripkeModel]:
     """Every model with exactly `world_count` worlds in the frame class.
 
     Relations are generated as all subsets of the world square and kept
     when the frame predicate passes; valuations range over all label
     assignments to (world, variable) pairs.  The order is deterministic.
+    Drawing more than `ceiling` models raises EnumerationCeilingError;
+    the searches in this package pass one budget to every call, so their
+    ceiling counts models over the whole search.
     """
     if world_count < 1:
         raise ValueError("world_count must be >= 1")
     variables = sorted(set(variables))
-    budget = _Budget(default_ceiling() if ceiling is None else ceiling)
+    budget = _Budget.of(ceiling)
     slots = [(u, p) for u in range(world_count) for p in variables]
     for edges in _relations(world_count):
         candidate = KripkeModel(world_count, edges)
@@ -123,14 +139,15 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
                         goal: Sequent, frame_class: FrameClass, bound: int,
                         ceiling: Optional[int] = None) -> Optional[Countermodel]:
     """First model (in enumeration order) satisfying the hypotheses and
-    refuting the goal at some world, searching world counts 1..bound."""
+    refuting the goal at some world, searching world counts 1..bound.
+
+    `ceiling` counts the models examined over all world counts.
+    """
     variables = sorted(sequent_variables((goal, *hypotheses)))
-    budget_ceiling = default_ceiling() if ceiling is None else ceiling
-    budget = _Budget(budget_ceiling)
+    budget = _Budget.of(ceiling)
     for world_count in range(1, bound + 1):
         for model in enumerate_models(variables, sig.n, world_count,
-                                      frame_class, ceiling=budget_ceiling):
-            budget.spend()
+                                      frame_class, ceiling=budget):
             cache: dict = {}
             if hypotheses and not model_satisfies(sig, model, hypotheses, cache):
                 continue

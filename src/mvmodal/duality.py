@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Optional, Union
 
 from .core import Apply, Box, Connective, Diamond, Var, make_signature
-from .decision import enumerate_models
+from .decision import _Budget, enumerate_models
 from .semantics import FrameClass, KripkeModel, evaluate
 
 UnaryTable = tuple[int, ...]
@@ -48,7 +48,7 @@ class DualityReport:
 
 
 def duality_holds(table: UnaryTable, n: int, bound: int,
-                  ceiling: Optional[int] = None) -> DualityReport:
+                  ceiling: Union[int, _Budget, None] = None) -> DualityReport:
     """Exhaustively test the two dual claims on all models up to `bound` worlds.
 
     One propositional variable suffices: the claims are value identities,
@@ -57,6 +57,7 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
     """
     if len(table) != n or any(not 1 <= v <= n for v in table):
         raise ValueError(f"not a unary table over 1..{n}: {table}")
+    budget = _Budget.of(ceiling)
     sig = make_signature(n, [negation_connective(table)])
     p = Var("p")
 
@@ -69,7 +70,7 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
     )
     for world_count in range(1, bound + 1):
         for model in enumerate_models(["p"], n, world_count, FrameClass.ANY,
-                                      ceiling=ceiling):
+                                      ceiling=budget):
             cache: dict = {}
             for world in model.worlds:
                 for side, plain, dual in claims:
@@ -84,9 +85,13 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
 
 def uniqueness_scan(n: int, bound: int,
                     ceiling: Optional[int] = None) -> tuple[UnaryTable, ...]:
-    """All n^n unary tables passing duality_holds at the given bound, in order."""
+    """All n^n unary tables passing duality_holds at the given bound, in order.
+
+    `ceiling` counts the models examined over the whole scan.
+    """
     if n > 6:
         raise ValueError(f"scan over {n}^{n} tables is above desk scale")
+    budget = _Budget.of(ceiling)
     survivors = [table for table in product(range(1, n + 1), repeat=n)
-                 if duality_holds(table, n, bound, ceiling)]
+                 if duality_holds(table, n, bound, budget)]
     return tuple(survivors)

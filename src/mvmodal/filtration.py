@@ -8,7 +8,7 @@ modal values so the filtered model stays inside the frame class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Optional
 
 from .core import (
@@ -40,12 +40,17 @@ class Filtered:
     representatives: tuple[int, ...]
     model: KripkeModel
     values: Mapping[tuple[int, Formula], int]
+    _class_index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_class_index",
+                           {w: idx for idx, members in enumerate(self.classes)
+                            for w in members})
 
     def class_of(self, world: int) -> int:
-        for idx, members in enumerate(self.classes):
-            if world in members:
-                return idx
-        raise ValueError(f"world {world} not in any class")
+        if world not in self._class_index:
+            raise ValueError(f"world {world} not in any class")
+        return self._class_index[world]
 
 
 def _validated_closure(phi: Iterable[Formula]) -> tuple[Formula, ...]:
@@ -56,49 +61,59 @@ def _validated_closure(phi: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(sorted(phi, key=formula_key))
 
 
-def equiv_classes(sig: Signature, model: KripkeModel,
-                  phi: Iterable[Formula]) -> tuple[tuple[int, ...], ...]:
-    """Partition of the worlds by agreement on every formula of phi."""
-    ordered = _validated_closure(phi)
+def _closure_values(sig: Signature, model: KripkeModel,
+                    ordered: tuple[Formula, ...]) -> dict[tuple[int, Formula], int]:
+    # The evaluation cache, once every (world, formula) pair has been asked.
     cache: dict = {}
+    for world in model.worlds:
+        for f in ordered:
+            evaluate(sig, model, world, f, cache)
+    return cache
+
+
+def _partition(model: KripkeModel, ordered: tuple[Formula, ...],
+               val: Mapping[tuple[int, Formula], int]) -> tuple[tuple[int, ...], ...]:
     groups: dict[tuple[int, ...], list[int]] = {}
     for world in model.worlds:
-        vector = tuple(evaluate(sig, model, world, f, cache) for f in ordered)
-        groups.setdefault(vector, []).append(world)
+        groups.setdefault(tuple(val[world, f] for f in ordered), []).append(world)
     return tuple(sorted((tuple(ws) for ws in groups.values()),
                         key=lambda ws: ws[0]))
 
 
-def _class_relation(sig: Signature, model: KripkeModel, logic: LogicId,
+def equiv_classes(sig: Signature, model: KripkeModel,
+                  phi: Iterable[Formula]) -> tuple[tuple[int, ...], ...]:
+    """Partition of the worlds by agreement on every formula of phi."""
+    ordered = _validated_closure(phi)
+    return _partition(model, ordered, _closure_values(sig, model, ordered))
+
+
+def _class_relation(model: KripkeModel, logic: LogicId,
                     phi: tuple[Formula, ...],
                     classes: tuple[tuple[int, ...], ...],
-                    reps: tuple[int, ...]) -> set[tuple[int, int]]:
+                    reps: tuple[int, ...],
+                    val: Mapping[tuple[int, Formula], int]) -> set[tuple[int, int]]:
     boxed = [f for f in phi if isinstance(f, Box)]
     diamonded = [f for f in phi if isinstance(f, Diamond)]
-    cache: dict = {}
-
-    def val(world: int, formula: Formula) -> int:
-        return evaluate(sig, model, world, formula, cache)
 
     def related(u: int, v: int) -> bool:
         if logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):
             raise AssertionError("projection logics handled separately")
         if logic is LogicId.MV_K4:
-            return (all(val(u, f) <= val(v, f) and val(u, f) <= val(v, f.sub)
+            return (all(val[u, f] <= val[v, f] and val[u, f] <= val[v, f.sub]
                         for f in boxed)
-                    and all(val(u, f) >= val(v, f) and val(u, f) >= val(v, f.sub)
+                    and all(val[u, f] >= val[v, f] and val[u, f] >= val[v, f.sub]
                             for f in diamonded))
         if logic is LogicId.MV_S4:
-            return (all(val(u, f) <= val(v, f) for f in boxed)
-                    and all(val(u, f) >= val(v, f) for f in diamonded))
+            return (all(val[u, f] <= val[v, f] for f in boxed)
+                    and all(val[u, f] >= val[v, f] for f in diamonded))
         if logic is LogicId.MV_B:
-            return (all(val(u, f) <= val(v, f.sub) and val(v, f) <= val(u, f.sub)
+            return (all(val[u, f] <= val[v, f.sub] and val[v, f] <= val[u, f.sub]
                         for f in boxed)
-                    and all(val(u, f) >= val(v, f.sub) and val(v, f) >= val(u, f.sub)
+                    and all(val[u, f] >= val[v, f.sub] and val[v, f] >= val[u, f.sub]
                             for f in diamonded))
         if logic is LogicId.MV_S5:
-            return (all(val(u, f) == val(v, f) for f in boxed)
-                    and all(val(u, f) == val(v, f) for f in diamonded))
+            return (all(val[u, f] == val[v, f] for f in boxed)
+                    and all(val[u, f] == val[v, f] for f in diamonded))
         raise ValueError(f"unknown logic {logic!r}")
 
     edges: set[tuple[int, int]] = set()
@@ -128,20 +143,16 @@ def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],
     ordered = _validated_closure(phi)
     if check_frame and not frame_check(model, logic.frame_class):
         raise ValueError(f"model is not in the {logic.frame_class.value} frame class")
-    classes = equiv_classes(sig, model, ordered)
+    val = _closure_values(sig, model, ordered)
+    classes = _partition(model, ordered, val)
     reps = tuple(members[0] if representative == "least" else members[-1]
                  for members in classes)
-    edges = _class_relation(sig, model, logic, ordered, classes, reps)
-    cache: dict = {}
-    vals = {}
-    for idx, rep in enumerate(reps):
-        for f in ordered:
-            if isinstance(f, Var):
-                vals[(idx, f.name)] = evaluate(sig, model, rep, f, cache)
-    filtered = KripkeModel(len(classes), edges, vals)
-    values = {(idx, f): evaluate(sig, model, rep, f, cache)
+    edges = _class_relation(model, logic, ordered, classes, reps, val)
+    values = {(idx, f): val[rep, f]
               for idx, rep in enumerate(reps) for f in ordered}
-    return Filtered(classes, reps, filtered, values)
+    vals = {(idx, f.name): k for (idx, f), k in values.items()
+            if isinstance(f, Var)}
+    return Filtered(classes, reps, KripkeModel(len(classes), edges, vals), values)
 
 
 @dataclass(frozen=True)

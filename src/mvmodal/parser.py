@@ -5,15 +5,17 @@ canonical (sorted sets, sequential step numbers), and parsing a rendered
 value gives the value back.
 
 Formula grammar: a variable, `conn(arg, ...)`, `Box f`, `Dia f`, or a
-parenthesized formula.  `Box`, `Dia` are reserved; in proof scripts the
-word `from` introduces premise references and cannot name a variable.
+parenthesized formula, nested at most MAX_FORMULA_DEPTH levels.  `Box`,
+`Dia` are reserved; in proof scripts the word `from` introduces premise
+references and cannot name a variable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Apply,
@@ -41,11 +43,13 @@ from .proofs import (
     LeftWeaken,
     LogicId,
     MultiShift,
+    RULES,
     Resolution,
     RightShift,
     RightWeaken,
     RuleBox,
     RuleDiamond,
+    SCHEME_FRAMES,
     Step,
     SuperMultiShift,
     rule_name,
@@ -172,12 +176,20 @@ class TokenStream:
 # Formulas and sequents
 # ---------------------------------------------------------------------------
 
+#: Deepest nesting of Box, Dia, connectives and parentheses in a formula.
+#: Evaluation and the other recursive passes over a formula this deep stay
+#: inside Python's default recursion limit in every subcommand.
+MAX_FORMULA_DEPTH = 100
 
-def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
+
+def _parse_formula(ts: TokenStream, sig: Signature, depth: int = 0) -> Formula:
     tok = ts.peek()
+    if depth > MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
+                         tok.span)
     if tok.kind == "lparen":
         ts.advance()
-        inner = _parse_formula(ts, sig)
+        inner = _parse_formula(ts, sig, depth + 1)
         ts.expect("rparen", "')'")
         return inner
     if tok.kind != "ident":
@@ -185,16 +197,16 @@ def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
                          expected="formula")
     ts.advance()
     if tok.text == "Box":
-        return Box(_parse_formula(ts, sig))
+        return Box(_parse_formula(ts, sig, depth + 1))
     if tok.text == "Dia":
-        return Diamond(_parse_formula(ts, sig))
+        return Diamond(_parse_formula(ts, sig, depth + 1))
     if ts.peek().kind == "lparen":
         ts.advance()
         args: list[Formula] = []
         if ts.peek().kind != "rparen":
-            args.append(_parse_formula(ts, sig))
+            args.append(_parse_formula(ts, sig, depth + 1))
             while ts.accept("comma"):
-                args.append(_parse_formula(ts, sig))
+                args.append(_parse_formula(ts, sig, depth + 1))
         ts.expect("rparen", "')'")
         conn = sig.connectives.get(tok.text)
         if conn is None:
@@ -458,9 +470,6 @@ def render_model(model: KripkeModel) -> str:
 # Proof scripts
 # ---------------------------------------------------------------------------
 
-_EXT_RE = re.compile(r"ext-(\d+)$")
-
-
 def _parse_rule_name(ts: TokenStream) -> tuple[str, SourceSpan]:
     tok = ts.expect("ident", "a rule name")
     parts = [tok.text]
@@ -486,67 +495,93 @@ def _parse_label_set(ts: TokenStream, n: int) -> frozenset[int]:
     return frozenset(labels)
 
 
+def _render_group(formula: Formula, labels: frozenset[int]) -> str:
+    return f"{render_formula(formula)} {{{' '.join(map(str, sorted(labels)))}}}"
+
+
 def _at_formula_start(ts: TokenStream) -> bool:
     tok = ts.peek()
     return (tok.kind == "lparen"
             or (tok.kind == "ident" and tok.text != "from"))
 
 
+def _label(ts: TokenStream) -> int:
+    return ts.expect_int("a label")
+
+
+def _parse_hypothesis(ts: TokenStream, sig: Signature) -> Hypothesis:
+    tok = ts.expect("int", "a hypothesis number")
+    if int(tok.text) < 1:
+        raise ParseError("hypothesis numbers start at 1", tok.span)
+    return Hypothesis(int(tok.text) - 1)
+
+
+def _parse_table_entry(ts: TokenStream, sig: Signature) -> AxiomTable:
+    conn = ts.expect("ident", "a connective name").text
+    entry = []
+    while ts.peek().kind == "int":
+        entry.append(int(ts.advance().text))
+    return AxiomTable(conn, tuple(entry))
+
+
+def _parse_groups(ts: TokenStream, sig: Signature) -> SuperMultiShift:
+    formulas, label_sets = [], []
+    while _at_formula_start(ts):
+        formulas.append(_parse_formula(ts, sig))
+        label_sets.append(_parse_label_set(ts, sig.n))
+    if not formulas:
+        raise ParseError("expected at least one formula group",
+                         ts.peek().span, expected="formula")
+    return SuperMultiShift(tuple(formulas), tuple(label_sets))
+
+
+def _parse_extension(scheme: int, ts: TokenStream, sig: Signature) -> ExtensionAxiom:
+    formula = _parse_formula(ts, sig)
+    return ExtensionAxiom(scheme, formula, 1 if scheme == 20 else _label(ts))
+
+
+#: Argument syntax per justification type: (parse, render).  Extension
+#: axioms are parsed per scheme, under the names ext-N.
+_ARGUMENTS: dict[type, tuple[Callable[..., Justification], Callable[..., str]]] = {
+    Hypothesis: (_parse_hypothesis, lambda j: str(j.index + 1)),
+    AxiomIdentity: (lambda ts, sig: AxiomIdentity(), lambda j: ""),
+    AxiomTable: (_parse_table_entry, lambda j: " ".join([j.conn, *map(str, j.entry)])),
+    RuleBox: (lambda ts, sig: RuleBox(), lambda j: ""),
+    RuleDiamond: (lambda ts, sig: RuleDiamond(), lambda j: ""),
+    LeftShift: (lambda ts, sig: LeftShift(_label(ts)), lambda j: str(j.label)),
+    RightShift: (lambda ts, sig: RightShift(_label(ts), _label(ts)),
+                 lambda j: f"{j.from_label} {j.to_label}"),
+    LeftWeaken: (lambda ts, sig: LeftWeaken(_parse_labelled(ts, sig)),
+                 lambda j: render_labelled(j.added)),
+    RightWeaken: (lambda ts, sig: RightWeaken(_parse_labelled(ts, sig)),
+                  lambda j: render_labelled(j.added)),
+    Cut: (lambda ts, sig: Cut(_parse_labelled(ts, sig)),
+          lambda j: render_labelled(j.cut)),
+    Resolution: (lambda ts, sig: Resolution(_parse_formula(ts, sig),
+                                            _label(ts), _label(ts)),
+                 lambda j: f"{render_formula(j.formula)} {j.first_label} "
+                           f"{j.second_label}"),
+    MultiShift: (lambda ts, sig: MultiShift(_parse_formula(ts, sig),
+                                            _parse_label_set(ts, sig.n)),
+                 lambda j: _render_group(j.formula, j.labels)),
+    SuperMultiShift: (_parse_groups,
+                      lambda j: " ".join(map(_render_group, j.formulas, j.label_sets))),
+    ExtensionAxiom: (_parse_extension, lambda j: render_formula(j.formula)
+                     + ("" if j.scheme == 20 else f" {j.label}")),
+}
+
+_PARSERS = {RULES[typ].name: parse for typ, (parse, _) in _ARGUMENTS.items()
+            if typ is not ExtensionAxiom}
+_PARSERS.update((f"{RULES[ExtensionAxiom].name}-{scheme}",
+                 partial(_parse_extension, scheme)) for scheme in SCHEME_FRAMES)
+
+
 def _parse_justification(ts: TokenStream, sig: Signature) -> Justification:
     name, span = _parse_rule_name(ts)
-    if name == "ax-id":
-        return AxiomIdentity()
-    if name == "ax-table":
-        conn = ts.expect("ident", "a connective name").text
-        entry = []
-        while ts.peek().kind == "int":
-            entry.append(int(ts.advance().text))
-        return AxiomTable(conn, tuple(entry))
-    if name == "r-box":
-        return RuleBox()
-    if name == "r-dia":
-        return RuleDiamond()
-    if name == "lshift":
-        return LeftShift(ts.expect_int("a label"))
-    if name == "rshift":
-        return RightShift(ts.expect_int("a label"), ts.expect_int("a label"))
-    if name == "lweak":
-        return LeftWeaken(_parse_labelled(ts, sig))
-    if name == "rweak":
-        return RightWeaken(_parse_labelled(ts, sig))
-    if name == "cut":
-        return Cut(_parse_labelled(ts, sig))
-    if name == "resolve":
-        formula = _parse_formula(ts, sig)
-        return Resolution(formula, ts.expect_int("a label"),
-                          ts.expect_int("a label"))
-    if name == "mshift":
-        formula = _parse_formula(ts, sig)
-        return MultiShift(formula, _parse_label_set(ts, sig.n))
-    if name == "smshift":
-        formulas = []
-        label_sets = []
-        while _at_formula_start(ts):
-            formulas.append(_parse_formula(ts, sig))
-            label_sets.append(_parse_label_set(ts, sig.n))
-        if not formulas:
-            raise ParseError("smshift needs at least one formula group", span)
-        return SuperMultiShift(tuple(formulas), tuple(label_sets))
-    if name == "hyp":
-        tok = ts.expect("int", "a hypothesis number")
-        index = int(tok.text)
-        if index < 1:
-            raise ParseError("hypothesis numbers start at 1", tok.span)
-        return Hypothesis(index - 1)
-    m = _EXT_RE.match(name)
-    if m:
-        scheme = int(m.group(1))
-        if not 20 <= scheme <= 28:
-            raise ParseError(f"unknown rule name {name!r}", span)
-        formula = _parse_formula(ts, sig)
-        label = ts.expect_int("a label") if scheme != 20 else 1
-        return ExtensionAxiom(scheme, formula, label)
-    raise ParseError(f"unknown rule name {name!r}", span)
+    parse = _PARSERS.get(name)
+    if parse is None:
+        raise ParseError(f"unknown rule name {name!r}", span)
+    return parse(ts, sig)
 
 
 def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
@@ -584,44 +619,13 @@ def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
     return Derivation(logic, tuple(hypotheses), tuple(steps))
 
 
-def _render_args(justification: Justification) -> str:
-    j = justification
-    if isinstance(j, AxiomTable):
-        return " ".join([j.conn, *map(str, j.entry)])
-    if isinstance(j, LeftShift):
-        return str(j.label)
-    if isinstance(j, RightShift):
-        return f"{j.from_label} {j.to_label}"
-    if isinstance(j, (LeftWeaken, RightWeaken)):
-        return render_labelled(j.added)
-    if isinstance(j, Cut):
-        return render_labelled(j.cut)
-    if isinstance(j, Resolution):
-        return f"{render_formula(j.formula)} {j.first_label} {j.second_label}"
-    if isinstance(j, MultiShift):
-        inner = " ".join(map(str, sorted(j.labels)))
-        return f"{render_formula(j.formula)} {{{inner}}}"
-    if isinstance(j, SuperMultiShift):
-        groups = []
-        for f, ks in zip(j.formulas, j.label_sets):
-            inner = " ".join(map(str, sorted(ks)))
-            groups.append(f"{render_formula(f)} {{{inner}}}")
-        return " ".join(groups)
-    if isinstance(j, Hypothesis):
-        return str(j.index + 1)
-    if isinstance(j, ExtensionAxiom):
-        if j.scheme == 20:
-            return render_formula(j.formula)
-        return f"{render_formula(j.formula)} {j.label}"
-    return ""
-
-
 def render_proof(derivation: Derivation) -> str:
     lines = []
     for pos, step in enumerate(derivation.steps, start=1):
         parts = [f"{pos}: {render_sequent(step.conclusion)} ;",
                  rule_name(step.justification)]
-        args = _render_args(step.justification)
+        _, render = _ARGUMENTS[type(step.justification)]
+        args = render(step.justification)
         if args:
             parts.append(args)
         if step.premises:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .core import (
     Apply,
@@ -218,28 +218,6 @@ Justification = Union[
     MultiShift, SuperMultiShift, ExtensionAxiom,
 ]
 
-RULE_NAMES: dict[type, str] = {
-    Hypothesis: "hyp",
-    AxiomIdentity: "ax-id",
-    AxiomTable: "ax-table",
-    RuleBox: "r-box",
-    RuleDiamond: "r-dia",
-    LeftShift: "lshift",
-    RightShift: "rshift",
-    LeftWeaken: "lweak",
-    RightWeaken: "rweak",
-    Cut: "cut",
-    Resolution: "resolve",
-    MultiShift: "mshift",
-    SuperMultiShift: "smshift",
-}
-
-
-def rule_name(justification: Justification) -> str:
-    if isinstance(justification, ExtensionAxiom):
-        return f"ext-{justification.scheme}"
-    return RULE_NAMES[type(justification)]
-
 
 @dataclass(frozen=True)
 class Step:
@@ -306,220 +284,168 @@ def _with_and_without(members: frozenset[LabelledFormula],
     return (members - {lf}, members)
 
 
-def _check_arity(premises, count: int) -> Optional[str]:
+def _arity_error(count: int, premises) -> Optional[str]:
     if len(premises) != count:
         return f"needs exactly {count} premise(s), cited {len(premises)}"
     return None
 
 
-def check_step(step: Step, premises: tuple[Sequent, ...],
-               hypotheses: tuple[Sequent, ...], logic: LogicId,
-               sig: Signature) -> Optional[str]:
-    """Verify one rule application; None when it is exact, else the reason."""
-    j = step.justification
-    n = sig.n
-    concl = step.conclusion
-    ante, succ = concl.ante_set, concl.succ_set
+def _check_hypothesis(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    if not 0 <= j.index < len(hyps):
+        return f"hypothesis index {j.index + 1} out of range (have {len(hyps)})"
+    if concl != hyps[j.index]:
+        return f"conclusion is not hypothesis {j.index + 1}"
+    return None
 
-    if isinstance(j, Hypothesis):
-        if err := _check_arity(premises, 0):
-            return err
-        if not 0 <= j.index < len(hypotheses):
-            return f"hypothesis index {j.index + 1} out of range (have {len(hypotheses)})"
-        if concl != hypotheses[j.index]:
-            return f"conclusion is not hypothesis {j.index + 1}"
+
+def _check_identity(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    if len(concl.ante_set) == 1 and concl.ante_set == concl.succ_set:
         return None
+    return "conclusion is not of the form (phi, k) -> (phi, k)"
 
-    if isinstance(j, AxiomIdentity):
-        if err := _check_arity(premises, 0):
-            return err
-        if len(ante) == 1 and ante == succ:
+
+def _check_table(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    conn = sig.connectives.get(j.conn)
+    if conn is None:
+        return f"unknown connective {j.conn!r}"
+    if len(j.entry) != conn.arity:
+        return f"entry has {len(j.entry)} labels, connective arity is {conn.arity}"
+    if any(not 1 <= k <= sig.n for k in j.entry):
+        return "entry label out of range"
+    if len(concl.succ_set) != 1:
+        return "succedent must be a single labelled formula"
+    (head,) = concl.succ_set
+    if not isinstance(head.formula, Apply) or head.formula.conn != j.conn:
+        return f"succedent formula is not an application of {j.conn!r}"
+    if head.label != conn.table[j.entry]:
+        return (f"table gives {j.conn}{j.entry} = {conn.table[j.entry]}, "
+                f"succedent label is {head.label}")
+    expected = frozenset(LabelledFormula(f, k)
+                         for f, k in zip(head.formula.args, j.entry))
+    if concl.ante_set != expected:
+        return "antecedent does not match the table entry arguments"
+    return None
+
+
+def _check_modal(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    (prem,) = prems
+    if len(prem.antecedent) != 1:
+        return "premise antecedent must be a single labelled formula"
+    (plf,) = prem.antecedent
+    if isinstance(j, RuleBox):
+        if plf.label == sig.n:
+            return f"side condition k != n violated (k = {plf.label})"
+        principal = LabelledFormula(Box(plf.formula), plf.label)
+    else:
+        if plf.label == 1:
+            return "side condition k != 1 violated (k = 1)"
+        principal = LabelledFormula(Diamond(plf.formula), plf.label)
+    if concl.succ_set:
+        return "conclusion succedent must be empty"
+    if principal not in concl.ante_set:
+        return "conclusion antecedent lacks the boxed/diamonded principal formula"
+    for gamma in _with_and_without(concl.ante_set, principal):
+        if prem.succ_set == gamma_cross(gamma, sig.n):
             return None
-        return "conclusion is not of the form (phi, k) -> (phi, k)"
+    return "premise succedent differs from the successor-exclusion set of the context"
 
-    if isinstance(j, AxiomTable):
-        if err := _check_arity(premises, 0):
-            return err
-        conn = sig.connectives.get(j.conn)
-        if conn is None:
-            return f"unknown connective {j.conn!r}"
-        if len(j.entry) != conn.arity:
-            return f"entry has {len(j.entry)} labels, connective arity is {conn.arity}"
-        if any(not 1 <= k <= n for k in j.entry):
-            return "entry label out of range"
-        if len(succ) != 1:
-            return "succedent must be a single labelled formula"
-        (head,) = succ
-        if not isinstance(head.formula, Apply) or head.formula.conn != j.conn:
-            return f"succedent formula is not an application of {j.conn!r}"
-        if head.label != conn.table[j.entry]:
-            return (f"table gives {j.conn}{j.entry} = {conn.table[j.entry]}, "
-                    f"succedent label is {head.label}")
-        expected = frozenset(LabelledFormula(f, k)
-                             for f, k in zip(head.formula.args, j.entry))
-        if ante != expected:
-            return "antecedent does not match the table entry arguments"
-        return None
 
-    if isinstance(j, (RuleBox, RuleDiamond)):
-        if err := _check_arity(premises, 1):
-            return err
-        prem = premises[0]
-        if len(prem.antecedent) != 1:
-            return "premise antecedent must be a single labelled formula"
-        (plf,) = prem.antecedent
-        if isinstance(j, RuleBox):
-            if plf.label == n:
-                return f"side condition k != n violated (k = {plf.label})"
-            principal = LabelledFormula(Box(plf.formula), plf.label)
-        else:
-            if plf.label == 1:
-                return "side condition k != 1 violated (k = 1)"
-            principal = LabelledFormula(Diamond(plf.formula), plf.label)
-        if succ:
-            return "conclusion succedent must be empty"
-        if principal not in ante:
-            return "conclusion antecedent lacks the boxed/diamonded principal formula"
-        for gamma in _with_and_without(ante, principal):
-            if prem.succ_set == gamma_cross(gamma, n):
+def _check_left_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    (prem,) = prems
+    shifted = complement_interval(j.label, j.label, sig.n)
+    for lf in prem.antecedent:
+        if lf.label != j.label:
+            continue
+        extra = frozenset(LabelledFormula(lf.formula, k) for k in shifted)
+        for gamma in _with_and_without(prem.ante_set, lf):
+            if concl.ante_set == gamma and concl.succ_set == prem.succ_set | extra:
                 return None
-        return "premise succedent differs from the successor-exclusion set of the context"
+    return (f"conclusion does not shift any antecedent formula with label "
+            f"{j.label} to the succedent complement")
 
-    if isinstance(j, LeftShift):
-        if err := _check_arity(premises, 1):
-            return err
-        prem = premises[0]
-        shifted = complement_interval(j.label, j.label, n)
-        for lf in prem.antecedent:
-            if lf.label != j.label:
-                continue
-            extra = frozenset(LabelledFormula(lf.formula, k) for k in shifted)
-            for gamma in _with_and_without(prem.ante_set, lf):
-                if ante == gamma and succ == prem.succ_set | extra:
-                    return None
-        return (f"conclusion does not shift any antecedent formula with label "
-                f"{j.label} to the succedent complement")
 
-    if isinstance(j, RightShift):
-        if err := _check_arity(premises, 1):
-            return err
-        if j.from_label == j.to_label:
-            return f"side condition k' != k'' violated (both {j.from_label})"
-        prem = premises[0]
-        for lf in prem.succedent:
-            if lf.label != j.from_label:
-                continue
-            moved = LabelledFormula(lf.formula, j.to_label)
-            for delta in _with_and_without(prem.succ_set, lf):
-                if ante == prem.ante_set | {moved} and succ == delta:
-                    return None
-        return (f"conclusion does not shift any succedent formula from label "
-                f"{j.from_label} to antecedent label {j.to_label}")
+def _check_right_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    if j.from_label == j.to_label:
+        return f"side condition k' != k'' violated (both {j.from_label})"
+    (prem,) = prems
+    for lf in prem.succedent:
+        if lf.label != j.from_label:
+            continue
+        moved = LabelledFormula(lf.formula, j.to_label)
+        for delta in _with_and_without(prem.succ_set, lf):
+            if concl.ante_set == prem.ante_set | {moved} and concl.succ_set == delta:
+                return None
+    return (f"conclusion does not shift any succedent formula from label "
+            f"{j.from_label} to antecedent label {j.to_label}")
 
-    if isinstance(j, (LeftWeaken, RightWeaken)):
-        if err := _check_arity(premises, 1):
-            return err
-        prem = premises[0]
-        if isinstance(j, LeftWeaken):
-            ok = ante == prem.ante_set | {j.added} and succ == prem.succ_set
-        else:
-            ok = ante == prem.ante_set and succ == prem.succ_set | {j.added}
-        return None if ok else "conclusion is not the premise plus the stated formula"
 
-    if isinstance(j, Cut):
-        if err := _check_arity(premises, 2):
-            return err
-        lf = j.cut
-        for left, right in (premises, premises[::-1]):
-            if lf not in left.succ_set or lf not in right.ante_set:
-                continue
-            for delta in _with_and_without(left.succ_set, lf):
-                for gamma in _with_and_without(right.ante_set, lf):
-                    if ante == left.ante_set | gamma and succ == delta | right.succ_set:
-                        return None
-        return "conclusion is not a cut of the premises on the stated formula"
-
-    if isinstance(j, Resolution):
-        if err := _check_arity(premises, 2):
-            return err
-        if j.first_label == j.second_label:
-            return f"side condition k' != k'' violated (both {j.first_label})"
-        lf1 = LabelledFormula(j.formula, j.first_label)
-        lf2 = LabelledFormula(j.formula, j.second_label)
-        for first, second in (premises, premises[::-1]):
-            if lf1 not in first.succ_set or lf2 not in second.succ_set:
-                continue
-            for d1 in _with_and_without(first.succ_set, lf1):
-                for d2 in _with_and_without(second.succ_set, lf2):
-                    if ante == first.ante_set | second.ante_set and succ == d1 | d2:
-                        return None
-        return "conclusion is not a resolution of the premises on the stated labels"
-
-    if isinstance(j, MultiShift):
-        labels = sorted(j.labels)
-        if any(not 1 <= k <= n for k in labels):
-            return "shift label out of range"
-        if err := _check_arity(premises, len(labels)):
-            return err
-        extra = frozenset(LabelledFormula(j.formula, k)
-                          for k in frozenset(range(1, n + 1)) - j.labels)
-        return _check_shift_union(concl, premises,
-                                  [(j.formula, k) for k in labels], extra)
-
-    if isinstance(j, SuperMultiShift):
-        if len(j.formulas) != len(j.label_sets):
-            return "formula list and label-set list differ in length"
-        if any(not 1 <= k <= n for ks in j.label_sets for k in ks):
-            return "shift label out of range"
-        tuples = list(product(*(sorted(ks) for ks in j.label_sets)))
-        if err := _check_arity(premises, len(tuples)):
-            return err
-        extra: set[LabelledFormula] = set()
-        for f, ks in zip(j.formulas, j.label_sets):
-            extra.update(LabelledFormula(f, k)
-                         for k in frozenset(range(1, n + 1)) - ks)
-        principal_rows = [list(zip(j.formulas, t)) for t in tuples]
-        return _check_shift_union_rows(concl, premises, principal_rows,
-                                       frozenset(extra))
-
-    if isinstance(j, ExtensionAxiom):
-        if err := _check_arity(premises, 0):
-            return err
-        if j.scheme not in logic.schemes:
-            return f"scheme {j.scheme} is not an axiom of {logic.value}"
-        try:
-            expected = instantiate_scheme(j.scheme, j.formula, j.label, n)
-        except ValueError as exc:
-            return str(exc)
-        if concl != expected:
-            return f"conclusion is not the scheme {j.scheme} instance"
+def _check_weaken(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    (prem,) = prems
+    ante, succ = prem.ante_set, prem.succ_set
+    if isinstance(j, LeftWeaken):
+        ante = ante | {j.added}
+    else:
+        succ = succ | {j.added}
+    if concl.ante_set == ante and concl.succ_set == succ:
         return None
-
-    return f"unknown justification {j!r}"
-
-
-def _check_shift_union(concl: Sequent, premises: tuple[Sequent, ...],
-                       principals: list[tuple[Formula, int]],
-                       extra: frozenset[LabelledFormula]) -> Optional[str]:
-    rows = [[p] for p in principals]
-    return _check_shift_union_rows(concl, premises, rows, extra)
+    return "conclusion is not the premise plus the stated formula"
 
 
-def _check_shift_union_rows(concl: Sequent, premises: tuple[Sequent, ...],
-                            principal_rows: list[list[tuple[Formula, int]]],
-                            extra: frozenset[LabelledFormula]) -> Optional[str]:
-    """Shared conclusion check for the two derived shift rules.
+def _check_cut(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    lf = j.cut
+    for left, right in (prems, prems[::-1]):
+        if lf not in left.succ_set or lf not in right.ante_set:
+            continue
+        for delta in _with_and_without(left.succ_set, lf):
+            for gamma in _with_and_without(right.ante_set, lf):
+                if (concl.ante_set == left.ante_set | gamma
+                        and concl.succ_set == delta | right.succ_set):
+                    return None
+    return "conclusion is not a cut of the premises on the stated formula"
 
-    Each premise must contain its row of principal formulas on the left;
-    the conclusion unions the remaining contexts (which may retain
-    principals, by set semantics) and adds the complement block on the
-    right.
+
+def _check_resolution(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    if j.first_label == j.second_label:
+        return f"side condition k' != k'' violated (both {j.first_label})"
+    lf1 = LabelledFormula(j.formula, j.first_label)
+    lf2 = LabelledFormula(j.formula, j.second_label)
+    for first, second in (prems, prems[::-1]):
+        if lf1 not in first.succ_set or lf2 not in second.succ_set:
+            continue
+        for d1 in _with_and_without(first.succ_set, lf1):
+            for d2 in _with_and_without(second.succ_set, lf2):
+                if (concl.ante_set == first.ante_set | second.ante_set
+                        and concl.succ_set == d1 | d2):
+                    return None
+    return "conclusion is not a resolution of the premises on the stated labels"
+
+
+def _check_multi_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    """The derived shift rules; mshift is smshift with one formula group.
+
+    There is one premise per choice of one label from each group, and it
+    must contain that row of principal formulas on the left.  The
+    conclusion unions the remaining contexts (which may retain
+    principals, by set semantics) and adds, on the right, each formula
+    at every label outside its group.
     """
-    union_min: set[LabelledFormula] = set()
-    union_succ: set[LabelledFormula] = set()
-    all_principals: set[LabelledFormula] = set()
-    for idx, (prem, row) in enumerate(zip(premises, principal_rows)):
-        row_lfs = frozenset(LabelledFormula(f, k) for f, k in row)
+    if isinstance(j, MultiShift):
+        formulas, label_sets = (j.formula,), (j.labels,)
+    else:
+        formulas, label_sets = j.formulas, j.label_sets
+    if len(formulas) != len(label_sets):
+        return "formula list and label-set list differ in length"
+    labels = frozenset(range(1, sig.n + 1))
+    if any(k not in labels for ks in label_sets for k in ks):
+        return "shift label out of range"
+    rows = list(product(*(sorted(ks) for ks in label_sets)))
+    if err := _arity_error(len(rows), prems):
+        return err
+    extra = frozenset(LabelledFormula(f, k)
+                      for f, ks in zip(formulas, label_sets) for k in labels - ks)
+    union_min, union_succ, all_principals = set(), set(), set()
+    for idx, (prem, row) in enumerate(zip(prems, rows)):
+        row_lfs = frozenset(map(LabelledFormula, formulas, row))
         missing = row_lfs - prem.ante_set
         if missing:
             lf = next(iter(missing))
@@ -535,6 +461,74 @@ def _check_shift_union_rows(concl: Sequent, premises: tuple[Sequent, ...],
     if not concl.ante_set <= union_min | all_principals:
         return "conclusion antecedent adds formulas not present in any premise context"
     return None
+
+
+def _check_extension(j, concl, prems, hyps, logic, sig) -> Optional[str]:
+    if j.scheme not in logic.schemes:
+        return f"scheme {j.scheme} is not an axiom of {logic.value}"
+    try:
+        expected = instantiate_scheme(j.scheme, j.formula, j.label, sig.n)
+    except ValueError as exc:
+        return str(exc)
+    if concl != expected:
+        return f"conclusion is not the scheme {j.scheme} instance"
+    return None
+
+
+class Rule(NamedTuple):
+    """A rule's script name, premise count and checker.
+
+    `premises` is None where the rule's own arguments fix the count, which
+    the checker then checks.  A checker takes (justification, conclusion,
+    premises, hypotheses, logic, signature) and returns None when the step
+    is exact, else the reason.
+    """
+
+    name: str
+    premises: Optional[int]
+    check: Callable[..., Optional[str]]
+
+
+#: Every justification type.  Extension axioms are named ext-N per scheme.
+RULES: dict[type, Rule] = {
+    Hypothesis: Rule("hyp", 0, _check_hypothesis),
+    AxiomIdentity: Rule("ax-id", 0, _check_identity),
+    AxiomTable: Rule("ax-table", 0, _check_table),
+    RuleBox: Rule("r-box", 1, _check_modal),
+    RuleDiamond: Rule("r-dia", 1, _check_modal),
+    LeftShift: Rule("lshift", 1, _check_left_shift),
+    RightShift: Rule("rshift", 1, _check_right_shift),
+    LeftWeaken: Rule("lweak", 1, _check_weaken),
+    RightWeaken: Rule("rweak", 1, _check_weaken),
+    Cut: Rule("cut", 2, _check_cut),
+    Resolution: Rule("resolve", 2, _check_resolution),
+    MultiShift: Rule("mshift", None, _check_multi_shift),
+    SuperMultiShift: Rule("smshift", None, _check_multi_shift),
+    ExtensionAxiom: Rule("ext", 0, _check_extension),
+}
+
+
+def rule_name(justification: Justification) -> str:
+    """The script name; the class name for a type outside RULES."""
+    rule = RULES.get(type(justification))
+    if rule is None:
+        return type(justification).__name__
+    if isinstance(justification, ExtensionAxiom):
+        return f"{rule.name}-{justification.scheme}"
+    return rule.name
+
+
+def check_step(step: Step, premises: tuple[Sequent, ...],
+               hypotheses: tuple[Sequent, ...], logic: LogicId,
+               sig: Signature) -> Optional[str]:
+    """Verify one rule application; None when it is exact, else the reason."""
+    j = step.justification
+    rule = RULES.get(type(j))
+    if rule is None:
+        return f"unknown justification {j!r}"
+    if rule.premises is not None and (err := _arity_error(rule.premises, premises)):
+        return err
+    return rule.check(j, step.conclusion, premises, hypotheses, logic, sig)
 
 
 def check_derivation(derivation: Derivation, sig: Signature) -> Optional[Violation]:

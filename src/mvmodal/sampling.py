@@ -11,6 +11,9 @@ from typing import Iterable, Sequence
 
 from .semantics import FrameClass, KripkeModel, frame_check
 
+#: Chance of each edge before the relation is closed into its class.
+EDGE_PROBABILITY = 0.4
+
 
 def _transitive_closure(edges: set[tuple[int, int]], worlds: range) -> None:
     changed = True
@@ -37,11 +40,10 @@ def _euclidean_closure(edges: set[tuple[int, int]], worlds: range) -> None:
 
 
 def random_relation(rng: random.Random, world_count: int,
-                    frame_class: FrameClass,
-                    edge_probability: float = 0.4) -> frozenset[tuple[int, int]]:
+                    frame_class: FrameClass) -> frozenset[tuple[int, int]]:
     worlds = range(world_count)
     edges = {(u, v) for u in worlds for v in worlds
-             if rng.random() < edge_probability}
+             if rng.random() < EDGE_PROBABILITY}
     if frame_class in (FrameClass.REFLEXIVE, FrameClass.PREORDER,
                        FrameClass.EQUIVALENCE):
         edges.update((u, u) for u in worlds)
@@ -60,11 +62,11 @@ def random_relation(rng: random.Random, world_count: int,
 
 
 def random_model(rng: random.Random, variables: Sequence[str], n: int,
-                 max_worlds: int, frame_class: FrameClass = FrameClass.ANY,
-                 edge_probability: float = 0.4) -> KripkeModel:
+                 max_worlds: int, frame_class: FrameClass = FrameClass.ANY
+                 ) -> KripkeModel:
     """A model with 1..max_worlds worlds inside the frame class."""
     world_count = rng.randint(1, max_worlds)
-    edges = random_relation(rng, world_count, frame_class, edge_probability)
+    edges = random_relation(rng, world_count, frame_class)
     vals = {(u, p): rng.randint(1, n)
             for u in range(world_count) for p in variables}
     model = KripkeModel(world_count, edges, vals)

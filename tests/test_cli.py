@@ -2,7 +2,12 @@ import pytest
 
 from mvmodal.cli import main
 from mvmodal.derivations import box_modus_ponens_lukasiewicz
-from mvmodal.parser import parse_model, parse_signature, render_proof
+from mvmodal.parser import (
+    MAX_FORMULA_DEPTH,
+    parse_model,
+    parse_signature,
+    render_proof,
+)
 
 LUK3 = """\
 domain 3
@@ -248,3 +253,97 @@ class TestUsage:
 
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestCeiling:
+    def test_neg_scan_ceiling_counts_the_whole_scan(self, capsys):
+        # the n=3, bound 2 scan draws 184 models over all its tables
+        code, out, _ = run(capsys, "neg-scan", "--n", "3", "--bound", "2",
+                           "--ceiling", "150")
+        assert code == 2 and out.strip() == "aborted: ceiling"
+        code, out, _ = run(capsys, "neg-scan", "--n", "3", "--bound", "2",
+                           "--ceiling", "184")
+        assert code == 0 and out.splitlines()[0] == "survivors 1"
+
+    @pytest.mark.parametrize("argv", [
+        ["neg-scan", "--n", "2", "--bound", "1"],
+        ["decide", "--sig", "SIG", "--bound", "1", "-> (p, 1)"],
+    ])
+    def test_malformed_environment_ceiling(self, ws, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MVK_ENUM_CEILING", "abc")
+        argv = [str(ws / "sig.mvk") if a == "SIG" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "MVK_ENUM_CEILING" in err
+
+    def test_environment_ceiling_does_not_break_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("MVK_ENUM_CEILING", "abc")
+        assert main(["decide", "--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["decide", "neg-scan"])
+    def test_negative_ceiling_rejected_at_parse_time(self, ws, capsys, command):
+        argv = {"decide": ["decide", "--sig", str(ws / "sig.mvk"), "--bound",
+                           "1", "--ceiling", "-1", "-> (p, 1)"],
+                "neg-scan": ["neg-scan", "--n", "2", "--bound", "1",
+                             "--ceiling", "-1"]}[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--ceiling" in err and "non-negative" in err
+
+
+def _nested(kind, depth):
+    """A formula `depth` levels deep: a Box chain, a connective chain,
+    parentheses, or Box and connective levels in turn."""
+    if kind == "box":
+        return "Box " * depth + "p"
+    if kind == "imp":
+        return "imp(p, " * depth + "p" + ")" * depth
+    if kind == "paren":
+        return "(" * depth + "p" + ")" * depth
+    outer = "".join("Box " if i % 2 else "imp(q, " for i in range(depth))
+    return outer + "p" + ")" * ((depth + 1) // 2)
+
+
+class TestFormulaDepth:
+    COMMANDS = ["eval", "sat", "decide", "check-proof", "filter", "translate"]
+
+    def argv(self, ws, command, formula):
+        sig, model = str(ws / "sig.mvk"), str(ws / "model.mvk")
+        (ws / "phi.mvk").write_text(formula + "\n")
+        (ws / "seq.mvk").write_text(f"({formula}, 1) -> ({formula}, 2)\n")
+        (ws / "proof.mvk").write_text(
+            f"1: ({formula}, 2) -> ({formula}, 2) ; ax-id\n"
+            f"2: ({formula}, 2) -> ({formula}, 2), (p, 1) ; rweak (p, 1) from 1\n")
+        return {"eval": ["eval", "--sig", sig, "--model", model, "--world", "0",
+                         formula],
+                "sat": ["sat", "--sig", sig, "--model", model,
+                        f"({formula}, 1) -> (p, 2)"],
+                "decide": ["decide", "--sig", sig, "--bound", "1",
+                           f"({formula}, 1) ->"],
+                "check-proof": ["check-proof", "--sig", sig,
+                                str(ws / "proof.mvk")],
+                "filter": ["filter", "--sig", sig, "--model", model,
+                           "--phi", str(ws / "phi.mvk")],
+                "translate": ["translate", "--sig", sig, "--optimized",
+                              str(ws / "seq.mvk")]}[command]
+
+    def kinds(self, command):
+        if command == "translate":  # modal-free input only
+            return ["imp", "paren"]
+        return ["box", "imp", "paren", "mixed"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_runs_at_the_limit(self, ws, capsys, command):
+        for kind in self.kinds(command):
+            code, out, err = run(capsys, *self.argv(
+                ws, command, _nested(kind, MAX_FORMULA_DEPTH)))
+            assert code in (0, 1) and out and not err, (kind, err)
+
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH + 1, 1000])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_deeper_formulas_are_input_errors(self, ws, capsys, command, depth):
+        for kind in self.kinds(command):
+            code, out, err = run(capsys, *self.argv(ws, command,
+                                                    _nested(kind, depth)))
+            assert code == 2 and out == "", kind
+            assert f"nested deeper than {MAX_FORMULA_DEPTH}" in err, kind

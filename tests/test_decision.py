@@ -157,6 +157,14 @@ class TestDecide:
         with pytest.raises(EnumerationCeilingError):
             decide(luk3, (), goal, LogicId.MV_T, 2, ceiling=3)
 
+    def test_ceiling_counts_each_model_once(self, luk3):
+        # mv-T up to 2 worlds: 1 x 3 + 4 x 9 = 39 models for one variable
+        goal = Sequent([lf(Box(p), 3)], [lf(p, 3)])
+        assert decide(luk3, (), goal, LogicId.MV_T, 2, ceiling=39) == ValidUpTo(2)
+        with pytest.raises(EnumerationCeilingError) as caught:
+            decide(luk3, (), goal, LogicId.MV_T, 2, ceiling=38)
+        assert caught.value.examined == 38
+
 
 class TestSearchByFrameClass:
     def test_euclidean_scheme_needs_euclidean_frames(self, luk3):

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import rand_formula
 from mvmodal.core import Apply, Box, Diamond, Var
+from mvmodal.decision import EnumerationCeilingError
 from mvmodal.duality import duality_holds, reversal_negation, uniqueness_scan
 from mvmodal.sampling import random_model
 from mvmodal.semantics import evaluate
@@ -63,6 +64,13 @@ class TestUniquenessScan:
 
     def test_zero_bound_keeps_everything(self):
         assert len(uniqueness_scan(3, 0)) == 27
+
+    def test_ceiling_counts_models_over_the_whole_scan(self):
+        # 184 models in all; no single table or world count reaches 150
+        assert uniqueness_scan(3, 2, ceiling=184) == (reversal_negation(3),)
+        with pytest.raises(EnumerationCeilingError) as caught:
+            uniqueness_scan(3, 2, ceiling=150)
+        assert caught.value.examined == 150
 
     def test_single_world_forces_endpoints(self):
         # dead-end worlds already pin the images of the extreme labels

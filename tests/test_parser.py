@@ -240,6 +240,33 @@ class TestRoundTrip:
         assert parse_proof(render_proof(d), luk3, LogicId.MV_D) == d
         assert check_derivation(d, luk3) is None
 
+    def test_every_rule_round_trips(self, luk3):
+        from mvmodal.proofs import (
+            RULES, AxiomIdentity, AxiomTable, Cut, Derivation, ExtensionAxiom,
+            Hypothesis, LeftShift, LeftWeaken, MultiShift, Resolution,
+            RightShift, RightWeaken, RuleBox, RuleDiamond, Step,
+            SuperMultiShift, rule_name)
+
+        instances = [
+            Hypothesis(1), AxiomIdentity(), AxiomTable("imp", (1, 3)),
+            RuleBox(), RuleDiamond(), LeftShift(2), RightShift(3, 1),
+            LeftWeaken(LabelledFormula(Box(p), 2)),
+            RightWeaken(LabelledFormula(Diamond(q), 1)),
+            Cut(LabelledFormula(Apply("imp", (p, q)), 3)),
+            Resolution(Box(p), 1, 3), MultiShift(q, {1, 3}),
+            SuperMultiShift((p, Diamond(q)), ({2}, {1, 3})),
+            ExtensionAxiom(20, Box(q)), ExtensionAxiom(28, p, 2),
+        ]
+        by_type = {type(j): j for j in instances}
+        hyps = (Sequent([LabelledFormula(p, 1)], []),) * 2
+        for rule_type, rule in RULES.items():
+            # a rule added to the table without syntax fails here
+            j = by_type[rule_type]
+            assert rule_name(j).startswith(rule.name)
+            step = Step(Sequent([LabelledFormula(p, 1)], []), j)
+            d = Derivation(LogicId.MV_S5, hyps, (step,))
+            assert parse_proof(render_proof(d), luk3, LogicId.MV_S5, hyps) == d
+
     def test_random_formulas(self, luk3_neg):
         rng = random.Random(21)
         for _ in range(300):

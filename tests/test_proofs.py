@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from itertools import islice
 
 import pytest
@@ -31,6 +32,7 @@ from mvmodal.proofs import (
     RuleBox,
     Step,
     SuperMultiShift,
+    Violation,
     check_derivation,
     instantiate_scheme,
 )
@@ -325,6 +327,23 @@ class TestHypothesesAndSchemes:
         d = Derivation(LogicId.MV_K, (), (step,))
         v = check_derivation(d, luk3)
         assert v is not None and "earlier step" in v.reason
+
+
+class TestUnknownJustification:
+    @dataclass(frozen=True)
+    class Oracle:
+        pass
+
+    def test_reported_as_a_violation(self, luk3):
+        step = Step(Sequent([lf(p, 1)], [lf(p, 1)]), self.Oracle())
+        d = Derivation(LogicId.MV_K, (), (step,))
+        assert check_derivation(d, luk3) == Violation(
+            1, "Oracle", "unknown justification TestUnknownJustification.Oracle()")
+
+    def test_bad_premise_reference_names_the_type(self, luk3):
+        step = Step(Sequent([lf(p, 1)], [lf(p, 1)]), self.Oracle(), (0,))
+        v = check_derivation(Derivation(LogicId.MV_K, (), (step,)), luk3)
+        assert (v.step, v.rule) == (1, "Oracle") and "earlier step" in v.reason
 
 
 class TestFixtures:
