@@ -18,6 +18,7 @@ from .core import (
     TruthDomain,
     Var,
     apply_connective,
+    closure_order,
     complement_interval,
     down_set,
     gamma_cross,
@@ -78,6 +79,7 @@ from .semantics import (
     KripkeModel,
     evaluate,
     frame_check,
+    label_vectors,
     model_satisfies,
     satisfies_labelled,
     satisfies_sequent,

@@ -7,7 +7,7 @@ values here are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Iterable, Mapping, Union
 
@@ -102,9 +102,31 @@ def make_signature(n: int, connectives: Iterable[Connective] = ()) -> Signature:
 # ---------------------------------------------------------------------------
 
 
+def _seal(node, *parts) -> None:
+    # Hash once, from the class and the children's stored hashes, so a
+    # dict or set lookup never walks the tree.
+    object.__setattr__(node, "_hash", hash((type(node).__name__, *parts)))
+
+
+def _stored_hash(node) -> int:
+    return node._hash
+
+
+def _rebuild(node):
+    # Unpickling goes through __init__, so the hash is taken afresh in
+    # the receiving process, whose string hashes may differ.
+    return type(node), tuple(getattr(node, f.name) for f in fields(node))
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
+
+    def __post_init__(self):
+        _seal(self, self.name)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuild
 
 
 @dataclass(frozen=True)
@@ -114,16 +136,32 @@ class Apply:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+        _seal(self, self.conn, self.args)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuild
 
 
 @dataclass(frozen=True)
 class Box:
     sub: "Formula"
 
+    def __post_init__(self):
+        _seal(self, self.sub)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuild
+
 
 @dataclass(frozen=True)
 class Diamond:
     sub: "Formula"
+
+    def __post_init__(self):
+        _seal(self, self.sub)
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuild
 
 
 Formula = Union[Var, Apply, Box, Diamond]
@@ -142,41 +180,33 @@ def formula_key(formula: Formula):
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def closure_order(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
+    """Every formula and subformula once, each after its subformulas."""
+    order: list[Formula] = []
+    done: set[Formula] = set()
+    stack = list(formulas)
+    while stack:
+        f = stack[-1]
+        if f not in done:
+            subs = (f.args if isinstance(f, Apply)
+                    else (f.sub,) if isinstance(f, (Box, Diamond)) else ())
+            pending = [a for a in subs if a not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            done.add(f)
+            order.append(f)
+        stack.pop()
+    return tuple(order)
+
+
 def variables_of(formula: Formula) -> frozenset[str]:
     """All propositional variable names occurring in the formula."""
-    if isinstance(formula, Var):
-        return frozenset({formula.name})
-    if isinstance(formula, Apply):
-        out: frozenset[str] = frozenset()
-        for a in formula.args:
-            out |= variables_of(a)
-        return out
-    return variables_of(formula.sub)
+    return frozenset(f.name for f in closure_order((formula,)) if isinstance(f, Var))
 
 
 def is_modal_free(formula: Formula) -> bool:
-    if isinstance(formula, Var):
-        return True
-    if isinstance(formula, Apply):
-        return all(is_modal_free(a) for a in formula.args)
-    return False
-
-
-def validate_formula(formula: Formula, sig: Signature) -> None:
-    """Check connective names and arities against the signature."""
-    if isinstance(formula, Var):
-        return
-    if isinstance(formula, Apply):
-        conn = sig.connective(formula.conn)
-        if len(formula.args) != conn.arity:
-            raise ValueError(
-                f"connective {formula.conn!r} expects {conn.arity} arguments, "
-                f"got {len(formula.args)}"
-            )
-        for a in formula.args:
-            validate_formula(a, sig)
-        return
-    validate_formula(formula.sub, sig)
+    return not any(isinstance(f, (Box, Diamond)) for f in closure_order((formula,)))
 
 
 @dataclass(frozen=True)
@@ -227,10 +257,8 @@ class Sequent:
         return frozenset(lf.formula for lf in self.antecedent + self.succedent)
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for f in self.formulas():
-            out |= variables_of(f)
-        return out
+        return frozenset(f.name for f in closure_order(self.formulas())
+                         if isinstance(f, Var))
 
 
 def sequent_variables(sequents: Iterable[Sequent]) -> frozenset[str]:
@@ -293,18 +321,7 @@ def gamma_cross(gamma: Iterable[LabelledFormula], n: int) -> frozenset[LabelledF
 
 def subformula_closure(formulas: Iterable[Formula]) -> frozenset[Formula]:
     """Smallest superset closed under taking immediate subformulas."""
-    seen: set[Formula] = set()
-    stack = list(formulas)
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        if isinstance(f, Apply):
-            stack.extend(f.args)
-        elif isinstance(f, (Box, Diamond)):
-            stack.append(f.sub)
-    return frozenset(seen)
+    return frozenset(closure_order(formulas))
 
 
 def apply_connective(sig: Signature, name: str, args: tuple[int, ...]) -> int:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import Sequent, Signature, sequent_variables, subformula_closure
+from .core import Sequent, Signature, closure_order, sequent_variables
 from .proofs import LogicId
 from .semantics import (
     FrameClass,
     KripkeModel,
     frame_check,
+    label_vectors,
     model_satisfies,
     satisfies_sequent,
 )
@@ -94,10 +95,8 @@ def filtration_bound(hypotheses: Iterable[Sequent], goal: Sequent, n: int) -> in
     labels on the closure, so no filtration has more classes than there
     are vectors.
     """
-    formulas = set(goal.formulas())
-    for s in hypotheses:
-        formulas |= s.formulas()
-    return n ** len(subformula_closure(formulas))
+    return n ** len(closure_order(f for s in (goal, *hypotheses)
+                                  for f in s.formulas()))
 
 
 def _relations(world_count: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -144,11 +143,12 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     `ceiling` counts the models examined over all world counts.
     """
     variables = sorted(sequent_variables((goal, *hypotheses)))
+    order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
     budget = _Budget.of(ceiling)
     for world_count in range(1, bound + 1):
         for model in enumerate_models(variables, sig.n, world_count,
                                       frame_class, ceiling=budget):
-            cache: dict = {}
+            cache = label_vectors(sig, model, order)
             if hypotheses and not model_satisfies(sig, model, hypotheses, cache):
                 continue
             for world in model.worlds:

@@ -12,11 +12,18 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from .core import Apply, Box, Connective, Diamond, Var, make_signature
+from .core import Apply, Box, Connective, Diamond, Var, closure_order, make_signature
 from .decision import _Budget, enumerate_models
-from .semantics import FrameClass, KripkeModel, evaluate
+from .semantics import FrameClass, KripkeModel, label_vectors
 
 UnaryTable = tuple[int, ...]
+
+
+_P, _NEG_P = Var("p"), Apply("neg", (Var("p"),))
+#: (side, plain, dual) for the two claims, and their closure bottom-up.
+_CLAIMS = (("diamond", Diamond(_P), Apply("neg", (Box(_NEG_P),))),
+           ("box", Box(_P), Apply("neg", (Diamond(_NEG_P),))))
+_CLAIMS_ORDER = closure_order(f for _, plain, dual in _CLAIMS for f in (plain, dual))
 
 
 def reversal_negation(n: int) -> UnaryTable:
@@ -53,29 +60,23 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
 
     One propositional variable suffices: the claims are value identities,
     so any refutation shows up already on a single-variable model.  With
-    bound 0 no model is checked and every table passes vacuously.
+    bound 0 no model is checked and every table passes vacuously; a
+    negative bound is a ValueError.
     """
     if len(table) != n or any(not 1 <= v <= n for v in table):
         raise ValueError(f"not a unary table over 1..{n}: {table}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     budget = _Budget.of(ceiling)
     sig = make_signature(n, [negation_connective(table)])
-    p = Var("p")
-
-    def neg(f):
-        return Apply("neg", (f,))
-
-    claims = (
-        ("diamond", Diamond(p), neg(Box(neg(p)))),
-        ("box", Box(p), neg(Diamond(neg(p)))),
-    )
     for world_count in range(1, bound + 1):
         for model in enumerate_models(["p"], n, world_count, FrameClass.ANY,
                                       ceiling=budget):
-            cache: dict = {}
+            val = label_vectors(sig, model, _CLAIMS_ORDER)
             for world in model.worlds:
-                for side, plain, dual in claims:
-                    left = evaluate(sig, model, world, plain, cache)
-                    right = evaluate(sig, model, world, dual, cache)
+                for side, plain, dual in _CLAIMS:
+                    left = val[plain][world]
+                    right = val[dual][world]
                     if left != right:
                         # The sequent (plain, left) -> (dual, left) fails here.
                         return DualityReport(False,

@@ -17,11 +17,11 @@ from .core import (
     Formula,
     Signature,
     Var,
+    closure_order,
     formula_key,
-    subformula_closure,
 )
 from .proofs import LogicId
-from .semantics import FrameClass, KripkeModel, evaluate, frame_check
+from .semantics import Cache, FrameClass, KripkeModel, frame_check, label_vectors
 
 Representative = Literal["least", "greatest"]
 
@@ -53,29 +53,22 @@ class Filtered:
         return self._class_index[world]
 
 
-def _validated_closure(phi: Iterable[Formula]) -> tuple[Formula, ...]:
+def _validated_closure(phi: Iterable[Formula]
+                       ) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
+    # phi in canonical order, and bottom-up for label_vectors
     phi = frozenset(phi)
-    if subformula_closure(phi) != phi:
-        missing = sorted(subformula_closure(phi) - phi, key=formula_key)
+    order = closure_order(phi)
+    if len(order) != len(phi):
+        missing = sorted(set(order) - phi, key=formula_key)
         raise ValueError(f"formula set is not subformula-closed; missing {missing[0]}")
-    return tuple(sorted(phi, key=formula_key))
-
-
-def _closure_values(sig: Signature, model: KripkeModel,
-                    ordered: tuple[Formula, ...]) -> dict[tuple[int, Formula], int]:
-    # The evaluation cache, once every (world, formula) pair has been asked.
-    cache: dict = {}
-    for world in model.worlds:
-        for f in ordered:
-            evaluate(sig, model, world, f, cache)
-    return cache
+    return tuple(sorted(phi, key=formula_key)), order
 
 
 def _partition(model: KripkeModel, ordered: tuple[Formula, ...],
-               val: Mapping[tuple[int, Formula], int]) -> tuple[tuple[int, ...], ...]:
+               val: Cache) -> tuple[tuple[int, ...], ...]:
     groups: dict[tuple[int, ...], list[int]] = {}
     for world in model.worlds:
-        groups.setdefault(tuple(val[world, f] for f in ordered), []).append(world)
+        groups.setdefault(tuple(val[f][world] for f in ordered), []).append(world)
     return tuple(sorted((tuple(ws) for ws in groups.values()),
                         key=lambda ws: ws[0]))
 
@@ -83,15 +76,15 @@ def _partition(model: KripkeModel, ordered: tuple[Formula, ...],
 def equiv_classes(sig: Signature, model: KripkeModel,
                   phi: Iterable[Formula]) -> tuple[tuple[int, ...], ...]:
     """Partition of the worlds by agreement on every formula of phi."""
-    ordered = _validated_closure(phi)
-    return _partition(model, ordered, _closure_values(sig, model, ordered))
+    ordered, order = _validated_closure(phi)
+    return _partition(model, ordered, label_vectors(sig, model, order))
 
 
 def _class_relation(model: KripkeModel, logic: LogicId,
                     phi: tuple[Formula, ...],
                     classes: tuple[tuple[int, ...], ...],
                     reps: tuple[int, ...],
-                    val: Mapping[tuple[int, Formula], int]) -> set[tuple[int, int]]:
+                    val: Cache) -> set[tuple[int, int]]:
     boxed = [f for f in phi if isinstance(f, Box)]
     diamonded = [f for f in phi if isinstance(f, Diamond)]
 
@@ -99,21 +92,21 @@ def _class_relation(model: KripkeModel, logic: LogicId,
         if logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):
             raise AssertionError("projection logics handled separately")
         if logic is LogicId.MV_K4:
-            return (all(val[u, f] <= val[v, f] and val[u, f] <= val[v, f.sub]
+            return (all(val[f][u] <= val[f][v] and val[f][u] <= val[f.sub][v]
                         for f in boxed)
-                    and all(val[u, f] >= val[v, f] and val[u, f] >= val[v, f.sub]
+                    and all(val[f][u] >= val[f][v] and val[f][u] >= val[f.sub][v]
                             for f in diamonded))
         if logic is LogicId.MV_S4:
-            return (all(val[u, f] <= val[v, f] for f in boxed)
-                    and all(val[u, f] >= val[v, f] for f in diamonded))
+            return (all(val[f][u] <= val[f][v] for f in boxed)
+                    and all(val[f][u] >= val[f][v] for f in diamonded))
         if logic is LogicId.MV_B:
-            return (all(val[u, f] <= val[v, f.sub] and val[v, f] <= val[u, f.sub]
+            return (all(val[f][u] <= val[f.sub][v] and val[f][v] <= val[f.sub][u]
                         for f in boxed)
-                    and all(val[u, f] >= val[v, f.sub] and val[v, f] >= val[u, f.sub]
+                    and all(val[f][u] >= val[f.sub][v] and val[f][v] >= val[f.sub][u]
                             for f in diamonded))
         if logic is LogicId.MV_S5:
-            return (all(val[u, f] == val[v, f] for f in boxed)
-                    and all(val[u, f] == val[v, f] for f in diamonded))
+            return (all(val[f][u] == val[f][v] for f in boxed)
+                    and all(val[f][u] == val[f][v] for f in diamonded))
         raise ValueError(f"unknown logic {logic!r}")
 
     edges: set[tuple[int, int]] = set()
@@ -140,15 +133,15 @@ def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],
     check_frame for diagnostic uses).  Class valuations copy the value of
     each variable of phi at any member; other variables default to 1.
     """
-    ordered = _validated_closure(phi)
+    ordered, order = _validated_closure(phi)
     if check_frame and not frame_check(model, logic.frame_class):
         raise ValueError(f"model is not in the {logic.frame_class.value} frame class")
-    val = _closure_values(sig, model, ordered)
+    val = label_vectors(sig, model, order)
     classes = _partition(model, ordered, val)
     reps = tuple(members[0] if representative == "least" else members[-1]
                  for members in classes)
     edges = _class_relation(model, logic, ordered, classes, reps, val)
-    values = {(idx, f): val[rep, f]
+    values = {(idx, f): val[f][rep]
               for idx, rep in enumerate(reps) for f in ordered}
     vals = {(idx, f.name): k for (idx, f), k in values.items()
             if isinstance(f, Var)}
@@ -180,19 +173,17 @@ def verify_filtration(sig: Signature, model: KripkeModel, phi: Iterable[Formula]
 
     Failures are reported as data, with the offending worlds and values.
     """
-    ordered = _validated_closure(phi)
+    ordered, order = _validated_closure(phi)
     if filtered is None:
         filtered = filter_model(sig, model, ordered, logic)
-    cache_orig: dict = {}
-    cache_filt: dict = {}
+    before = label_vectors(sig, model, order)
+    after = label_vectors(sig, filtered.model, order)
     mismatches = []
     for world in model.worlds:
         cls = filtered.class_of(world)
         for f in ordered:
-            original = evaluate(sig, model, world, f, cache_orig)
-            after = evaluate(sig, filtered.model, cls, f, cache_filt)
-            if original != after:
-                mismatches.append((world, f, original, after))
+            if before[f][world] != after[f][cls]:
+                mismatches.append((world, f, before[f][world], after[f][cls]))
     frame_ok = frame_check(filtered.model, logic.frame_class)
     return FiltrationReport(frame_ok and not mismatches, frame_ok,
                             logic.frame_class, tuple(mismatches))

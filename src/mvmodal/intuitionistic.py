@@ -23,10 +23,9 @@ from .core import (
     Sequent,
     Signature,
     Var,
-    apply_connective,
     is_modal_free,
 )
-from .semantics import Cache, FrameClass, KripkeModel, evaluate, frame_check
+from .semantics import Cache, FrameClass, KripkeModel, _label, evaluate, frame_check
 
 
 def is_mvil_interpretation(model: KripkeModel) -> bool:
@@ -39,31 +38,13 @@ def is_mvil_interpretation(model: KripkeModel) -> bool:
 
 def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
               cache: Optional[Cache] = None) -> int:
-    """Intuitionistic value of a modal-free formula at a world."""
-    if not is_modal_free(formula):
-        raise ValueError("intuitionistic formulas admit no modal connectives")
-    return _eval_mvil(sig, model, world, formula, {} if cache is None else cache)
+    """Intuitionistic value of a modal-free formula at a world.
 
-
-def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
-               cache: Cache) -> int:
-    key = (world, formula)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(formula, Var):
-        out = model.value(world, formula.name)
-    else:
-        succ = model.successors(world)
-        if not succ:
-            raise ValueError(f"world {world} has no successors; "
-                             "interpretation is not reflexive")
-        out = min(apply_connective(
-            sig, formula.conn,
-            tuple(_eval_mvil(sig, model, v, a, cache) for a in formula.args))
-            for v in succ)
-    cache[key] = out
-    return out
+    As evaluate, by label vectors in label_vectors' intuitionistic mode,
+    so a compound formula raises ValueError ("not reflexive") when any
+    world of the model has no successor, whether or not it is reached.
+    """
+    return _label(sig, model, world, formula, cache, True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .core import (
     Sequent,
     Signature,
     Var,
-    apply_connective,
+    closure_order,
 )
 
 
@@ -34,6 +34,11 @@ class FrameClass(enum.Enum):
     EUCLIDEAN = "euclidean"
     PREORDER = "preorder"
     EQUIVALENCE = "equivalence"
+
+
+def _check_world(model: KripkeModel, world: int) -> None:
+    if not 0 <= world < model.world_count:
+        raise ValueError(f"unknown world {world}")
 
 
 @dataclass(frozen=True, init=False)
@@ -80,14 +85,12 @@ class KripkeModel:
 
     def successors(self, world: int) -> frozenset[int]:
         """The set of worlds reachable from `world` in one step."""
-        if not 0 <= world < self.world_count:
-            raise ValueError(f"unknown world {world}")
+        _check_world(self, world)
         return self._succ[world]
 
     def value(self, world: int, variable: str) -> int:
         """Valuation lookup; unvalued variables default to label 1."""
-        if not 0 <= world < self.world_count:
-            raise ValueError(f"unknown world {world}")
+        _check_world(self, world)
         return self._val_map.get((world, variable), 1)
 
     def variables(self) -> tuple[str, ...]:
@@ -98,42 +101,80 @@ class KripkeModel:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-Cache = dict[tuple[int, Formula], int]
+#: Label vectors by formula: entry w of a vector is the label at world w.
+Cache = dict[Formula, list[int]]
 
 
-def _eval(sig: Signature, model: KripkeModel, world: int, formula: Formula,
-          cache: Cache) -> int:
-    key = (world, formula)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(formula, Var):
-        out = model.value(world, formula.name)
-    elif isinstance(formula, Apply):
-        args = tuple(_eval(sig, model, world, a, cache) for a in formula.args)
-        out = apply_connective(sig, formula.conn, args)
-    elif isinstance(formula, Box):
-        succ = model.successors(world)
-        out = min((_eval(sig, model, v, formula.sub, cache) for v in succ),
-                  default=sig.n)
-    elif isinstance(formula, Diamond):
-        succ = model.successors(world)
-        out = max((_eval(sig, model, v, formula.sub, cache) for v in succ),
-                  default=1)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    cache[key] = out
-    return out
+def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
+                  cache: Optional[Cache] = None,
+                  intuitionistic: bool = False) -> Cache:
+    """Add the label vector of each formula of `order` to `cache`; return it.
+
+    `order` lists every formula after its subformulas (closure_order).
+    A variable reads the valuation, a connective its table at each world,
+    and Box and Dia take the minimum and maximum over the successors.
+    In the intuitionistic mode a connective's value is the minimum over
+    the successors of its table value there; Box and Dia are rejected,
+    and so is a connective on a model with a world without successors.
+    """
+    vectors: Cache = {} if cache is None else cache
+    succ = model._succ
+    worlds = range(len(succ))
+    for f in order:
+        if f in vectors:
+            continue
+        if isinstance(f, Var):
+            name, val_map = f.name, model._val_map
+            vec = [val_map.get((w, name), 1) for w in worlds]
+        elif isinstance(f, Apply):
+            conn = sig.connective(f.conn)
+            if len(f.args) != conn.arity:
+                raise ValueError(f"connective {f.conn!r} expects {conn.arity} "
+                                 f"arguments, got {len(f.args)}")
+            rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * len(succ)
+            vec = list(map(conn.table.__getitem__, rows))
+            if intuitionistic:
+                for w, s in enumerate(succ):
+                    if not s:
+                        raise ValueError(f"world {w} has no successors; "
+                                         "interpretation is not reflexive")
+                vec = [min(map(vec.__getitem__, s)) for s in succ]
+        elif intuitionistic and isinstance(f, (Box, Diamond)):
+            raise ValueError("intuitionistic formulas admit no modal connectives")
+        elif isinstance(f, Box):
+            sub = vectors[f.sub].__getitem__
+            vec = [min(map(sub, s), default=sig.n) for s in succ]
+        elif isinstance(f, Diamond):
+            sub = vectors[f.sub].__getitem__
+            vec = [max(map(sub, s), default=1) for s in succ]
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        vectors[f] = vec
+    return vectors
+
+
+def _label(sig: Signature, model: KripkeModel, world: int, formula: Formula,
+           cache: Optional[Cache], intuitionistic: bool) -> int:
+    _check_world(model, world)
+    if cache is None:
+        cache = {}
+    vec = cache.get(formula)
+    if vec is None:
+        vec = label_vectors(sig, model, closure_order((formula,)), cache,
+                            intuitionistic)[formula]
+    return vec[world]
 
 
 def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula,
              cache: Optional[Cache] = None) -> int:
     """The label of `formula` at `world`.
 
-    A cache keyed by (world, formula) may be shared across queries on the
-    same model; a fresh one is used per call otherwise.
+    Evaluation computes the label vector of every subformula over all
+    worlds (label_vectors).  A cache of label vectors may be shared
+    across queries on the same model; a fresh one is used per call
+    otherwise.
     """
-    return _eval(sig, model, world, formula, {} if cache is None else cache)
+    return _label(sig, model, world, formula, cache, False)
 
 
 def satisfies_labelled(sig: Signature, model: KripkeModel, world: int,
@@ -145,6 +186,7 @@ def satisfies_labelled(sig: Signature, model: KripkeModel, world: int,
 def satisfies_sequent(sig: Signature, model: KripkeModel, world: int,
                       sequent: Sequent, cache: Optional[Cache] = None) -> bool:
     """True iff satisfying every antecedent member forces some succedent member."""
+    _check_world(model, world)
     if cache is None:
         cache = {}
     if not all(satisfies_labelled(sig, model, world, lf, cache)

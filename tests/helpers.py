@@ -14,8 +14,63 @@ from mvmodal.core import (
     Sequent,
     Signature,
     Var,
+    apply_connective,
 )
 from mvmodal.proofs import Derivation, Step
+from mvmodal.semantics import KripkeModel
+
+# ---------------------------------------------------------------------------
+# Oracles: the recursive evaluators that label_vectors replaced, kept
+# verbatim.  Each reads only what evaluation at `world` reaches.
+# ---------------------------------------------------------------------------
+
+Cache = dict[tuple[int, Formula], int]
+
+
+def _eval(sig: Signature, model: KripkeModel, world: int, formula: Formula,
+          cache: Cache) -> int:
+    key = (world, formula)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(formula, Var):
+        out = model.value(world, formula.name)
+    elif isinstance(formula, Apply):
+        args = tuple(_eval(sig, model, world, a, cache) for a in formula.args)
+        out = apply_connective(sig, formula.conn, args)
+    elif isinstance(formula, Box):
+        succ = model.successors(world)
+        out = min((_eval(sig, model, v, formula.sub, cache) for v in succ),
+                  default=sig.n)
+    elif isinstance(formula, Diamond):
+        succ = model.successors(world)
+        out = max((_eval(sig, model, v, formula.sub, cache) for v in succ),
+                  default=1)
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    cache[key] = out
+    return out
+
+
+def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
+               cache: Cache) -> int:
+    key = (world, formula)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(formula, Var):
+        out = model.value(world, formula.name)
+    else:
+        succ = model.successors(world)
+        if not succ:
+            raise ValueError(f"world {world} has no successors; "
+                             "interpretation is not reflexive")
+        out = min(apply_connective(
+            sig, formula.conn,
+            tuple(_eval_mvil(sig, model, v, a, cache) for a in formula.args))
+            for v in succ)
+    cache[key] = out
+    return out
 
 
 def rand_formula(rng: random.Random, sig: Signature, variables: list[str],

@@ -192,6 +192,11 @@ class TestNegScan:
         assert code == 0
         assert out.splitlines() == ["survivors 1", "table 2 1"]
 
+    def test_negative_bound_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "neg-scan", "--n", "3", "--bound", "-1")
+        assert code == 2 and out == ""
+        assert "bound" in err
+
 
 class TestTranslate:
     def test_plain(self, ws, capsys):

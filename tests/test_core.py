@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from mvmodal.core import (
     Sequent,
     Var,
     apply_connective,
+    closure_order,
     complement_interval,
     down_set,
     gamma_cross,
@@ -150,6 +152,47 @@ class TestSubformulaClosure:
             assert subformula_closure(closed) == closed
             assert closed >= frozenset(fs)
             assert subformula_closure(set(list(fs)[:1])) <= closed
+
+
+class TestClosureOrder:
+    def test_each_subformula_once_after_its_subformulas(self):
+        rng = random.Random(4)
+        sig = lukasiewicz_signature(3, negation=True)
+        from helpers import rand_formula
+
+        def subs(f):
+            if isinstance(f, Apply):
+                return f.args
+            return (f.sub,) if isinstance(f, (Box, Diamond)) else ()
+
+        def walk(f, out):
+            out.add(f)
+            for a in subs(f):
+                walk(a, out)
+            return out
+
+        for _ in range(200):
+            fs = [rand_formula(rng, sig, ["p", "q"], 4) for _ in range(3)]
+            order = closure_order(fs)
+            position = {f: i for i, f in enumerate(order)}
+            assert len(position) == len(order)
+            assert set(order) == set().union(*(walk(f, set()) for f in fs))
+            assert all(position[a] < position[f] for f in order for a in subs(f))
+
+    def test_empty(self):
+        assert closure_order(()) == ()
+
+
+class TestFormulaHash:
+    def test_box_and_diamond_of_one_formula_differ(self):
+        assert hash(Box(p)) != hash(Diamond(p))
+        assert hash(Box(p)) == hash(Box(Var("p")))
+
+    def test_pickle_rebuilds_through_init(self):
+        f = Box(Apply("imp", (p, Diamond(q))))
+        assert f.__reduce__() == (Box, (f.sub,))
+        restored = pickle.loads(pickle.dumps(f))
+        assert restored == f and hash(restored) == hash(f)
 
 
 class TestApplyConnective:

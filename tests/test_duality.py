@@ -48,6 +48,12 @@ class TestDualityHolds:
     def test_zero_bound_is_vacuous(self):
         assert duality_holds((1, 1), 2, 0).holds
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="bound"):
+            duality_holds(reversal_negation(3), 3, -1)
+        with pytest.raises(ValueError, match="bound"):
+            uniqueness_scan(3, -1)
+
     def test_malformed_table(self):
         with pytest.raises(ValueError):
             duality_holds((1, 2, 9), 3, 1)

@@ -1,0 +1,166 @@
+"""The bottom-up evaluator against the recursive oracles, and its edges.
+
+The oracles in helpers.py are the recursive evaluators that
+label_vectors replaced.  The property tests draw models of every frame
+class from mvmodal.sampling and formulas over a signature with a
+constant (0-ary connective).
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import _eval, _eval_mvil
+from mvmodal.core import (
+    Apply,
+    Box,
+    Connective,
+    Diamond,
+    LabelledFormula,
+    Sequent,
+    Var,
+    is_modal_free,
+    lukasiewicz_implication,
+    make_signature,
+    reversal_connective,
+    subformula_closure,
+    variables_of,
+)
+from mvmodal.intuitionistic import eval_mvil
+from mvmodal.sampling import random_model
+from mvmodal.semantics import (
+    FrameClass,
+    KripkeModel,
+    evaluate,
+    model_satisfies,
+    satisfies_sequent,
+)
+
+SIG = make_signature(3, [lukasiewicz_implication(3), reversal_connective(3),
+                         Connective("half", 0, {(): 2})])
+P = Var("p")
+
+_leaves = st.sampled_from([P, Var("q"), Apply("half", ())])
+
+
+def _compound(children, modal=True):
+    ops = [st.builds(lambda a, b: Apply("imp", (a, b)), children, children),
+           st.builds(lambda a: Apply("neg", (a,)), children)]
+    if modal:
+        ops += [st.builds(Box, children), st.builds(Diamond, children)]
+    return st.one_of(ops)
+
+
+formulas = st.recursive(_leaves, _compound, max_leaves=10)
+modal_free = st.recursive(_leaves, lambda c: _compound(c, modal=False),
+                          max_leaves=10)
+labelled = st.builds(LabelledFormula, formulas, st.integers(1, 3))
+sequents = st.builds(Sequent, st.lists(labelled, max_size=3),
+                     st.lists(labelled, max_size=3))
+
+
+@st.composite
+def models(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_model(rng, ["p", "q"], 3, 4, draw(st.sampled_from(FrameClass)))
+
+
+def _oracle_satisfies(model, world, sequent, cache):
+    def holds(lf):
+        return _eval(SIG, model, world, lf.formula, cache) == lf.label
+    return (not all(map(holds, sequent.antecedent))
+            or any(map(holds, sequent.succedent)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.lists(formulas, min_size=1, max_size=4))
+def test_evaluate_matches_the_recursive_oracle(model, fs):
+    cache, oracle = {}, {}
+    for f in fs:
+        for world in model.worlds:
+            assert (evaluate(SIG, model, world, f, cache)
+                    == _eval(SIG, model, world, f, oracle))
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.lists(sequents, min_size=1, max_size=3))
+def test_satisfies_sequent_matches_the_oracle(model, seqs):
+    cache, oracle = {}, {}
+    expected = [_oracle_satisfies(model, world, s, oracle)
+                for s in seqs for world in model.worlds]
+    assert [satisfies_sequent(SIG, model, world, s, cache)
+            for s in seqs for world in model.worlds] == expected
+    assert model_satisfies(SIG, model, seqs) == all(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), modal_free)
+def test_eval_mvil_matches_the_oracle(model, f):
+    if isinstance(f, Var) or all(model.successors(w) for w in model.worlds):
+        cache, oracle = {}, {}
+        for world in model.worlds:
+            assert (eval_mvil(SIG, model, world, f, cache)
+                    == _eval_mvil(SIG, model, world, f, oracle))
+    else:
+        with pytest.raises(ValueError, match="not reflexive"):
+            eval_mvil(SIG, model, 0, f)
+
+
+class TestCache:
+    def test_cache_holds_label_vectors(self):
+        m = KripkeModel(3, {(0, 1), (0, 2)}, {(1, "p"): 2, (2, "p"): 3})
+        cache = {}
+        assert evaluate(SIG, m, 0, Box(P), cache) == 2
+        assert cache == {P: [1, 2, 3], Box(P): [2, 3, 3]}
+
+    def test_evaluate_reads_the_cache_first(self):
+        m = KripkeModel(3, {(0, 1), (0, 2)}, {(1, "p"): 2, (2, "p"): 3})
+        assert evaluate(SIG, m, 0, Box(P), {Box(P): [1, 1, 1]}) == 1
+
+
+M2 = KripkeModel(2, {(0, 0), (0, 1), (1, 1)}, {(1, "p"): 3})
+
+
+@pytest.mark.parametrize("world", [-1, 2])
+@pytest.mark.parametrize("call", [
+    lambda w: evaluate(SIG, M2, w, Box(P)),
+    lambda w: evaluate(SIG, M2, w, P, {P: [1, 3]}),
+    lambda w: eval_mvil(SIG, M2, w, Apply("neg", (P,))),
+    lambda w: satisfies_sequent(SIG, M2, w, Sequent([LabelledFormula(P, 1)])),
+    lambda w: satisfies_sequent(SIG, M2, w, Sequent()),
+], ids=["evaluate", "evaluate-cached", "eval_mvil", "satisfies_sequent",
+        "empty-sequent"])
+def test_world_outside_the_model(call, world):
+    with pytest.raises(ValueError, match="unknown world"):
+        call(world)
+
+
+def test_eval_mvil_needs_a_successor_at_every_world():
+    # world 1 is a dead end that world 0 never reaches
+    m = KripkeModel(2, {(0, 0)})
+    assert eval_mvil(SIG, m, 1, P) == 1
+    with pytest.raises(ValueError, match="world 1 has no successors; "
+                                         "interpretation is not reflexive"):
+        eval_mvil(SIG, m, 0, Apply("neg", (P,)))
+
+
+DEPTH = 3000
+
+
+@pytest.mark.parametrize("kind", ["box", "imp"])
+def test_chains_built_in_code(kind):
+    f = P
+    for _ in range(DEPTH):
+        f = Box(f) if kind == "box" else Apply("imp", (P, f))
+    m = KripkeModel(1, {(0, 0)}, {(0, "p"): 2})
+    assert hash(f) == hash(f)
+    assert len(subformula_closure({f})) == DEPTH + 1
+    assert variables_of(f) == {"p"}
+    assert is_modal_free(f) == (kind == "imp")
+    # Box p keeps p's label on a reflexive point; imp(2, x) is 3 for x >= 2
+    expected = 2 if kind == "box" else 3
+    assert evaluate(SIG, m, 0, f) == expected
+    if kind == "imp":
+        assert eval_mvil(SIG, m, 0, f) == expected
