@@ -5,6 +5,10 @@ frame class with up to `bound` worlds.  Once the bound reaches the
 filtration bound n^|closure|, absence of a countermodel settles validity
 outright: any countermodel filters down to one of at most that many
 worlds, so the bounded search is complete.
+
+The search builds only relations of the frame class, generated per
+class as enumerate_models describes; the frame properties themselves
+are defined once, in semantics.frame_predicate.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Sequent, Signature, closure_order, sequent_variables
 from .proofs import LogicId
@@ -20,6 +24,7 @@ from .semantics import (
     FrameClass,
     KripkeModel,
     frame_check,
+    frame_predicate,
     label_vectors,
     model_satisfies,
     satisfies_sequent,
@@ -99,12 +104,45 @@ def filtration_bound(hypotheses: Iterable[Sequent], goal: Sequent, n: int) -> in
                                   for f in s.formulas()))
 
 
-def _relations(world_count: int) -> Iterator[frozenset[tuple[int, int]]]:
-    # TODO: generate frame-class members directly instead of filtering
-    # the full powerset; fine at desk scale, wasteful beyond 4 worlds.
-    pairs = [(u, v) for u in range(world_count) for v in range(world_count)]
-    for mask in range(1 << len(pairs)):
-        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+def _relations(world_count: int, frame_class: FrameClass
+               ) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every relation on `world_count` worlds in the frame class, lazily."""
+    if frame_class is FrameClass.ANY:
+        pairs = [(u, v) for u in range(world_count) for v in range(world_count)]
+        for mask in range(1 << len(pairs)):
+            yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        return
+    if frame_class is FrameClass.SERIAL:
+        members = product(range(1, 1 << world_count), repeat=world_count)
+    else:
+        members = _extensions(world_count, frame_predicate(frame_class))
+    worlds = range(world_count)
+    for rows in members:
+        yield frozenset((u, v) for u, r in enumerate(rows) for v in worlds
+                        if r >> v & 1)
+
+
+def _extensions(world_count: int, holds: Callable[[Sequence[int]], bool]
+                ) -> Iterator[tuple[int, ...]]:
+    """Successor rows of every relation on `world_count` worlds passing `holds`.
+
+    Valid only for a class closed under restriction to the first worlds,
+    so that every member restricts to a member on one world fewer: each
+    such member is extended by the new world's in-column, out-row and
+    loop, and an extension is kept when `holds` passes.  Depth-first, so
+    memory stays O(world_count^2) however many members there are.
+    """
+    if world_count == 0:
+        yield ()
+        return
+    new = world_count - 1
+    for rows in _extensions(new, holds):
+        for col in range(1 << new):
+            grown = tuple(r | (col >> u & 1) << new for u, r in enumerate(rows))
+            for out in range(1 << world_count):
+                candidate = (*grown, out)
+                if holds(candidate):
+                    yield candidate
 
 
 def enumerate_models(variables: Iterable[str], n: int, world_count: int,
@@ -113,9 +151,17 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
                      ) -> Iterator[KripkeModel]:
     """Every model with exactly `world_count` worlds in the frame class.
 
-    Relations are generated as all subsets of the world square and kept
-    when the frame predicate passes; valuations range over all label
-    assignments to (world, variable) pairs.  The order is deterministic.
+    Relations come from a generator per class, and nothing outside the
+    class is built.  ANY runs through every subset of the world square
+    in the order of its bitmask over the pairs (u, v), u major.  SERIAL
+    is the product of the non-empty successor rows, world 0's slowest.
+    The other six classes are universal properties, closed under
+    restriction to the first k worlds, so each member on w worlds is a
+    member on w - 1 worlds extended by the last world's in-column,
+    out-row and loop: these are generated depth-first by world and kept
+    when the class's frame predicate (semantics.frame_predicate) holds.
+    Valuations range over all label assignments to (world, variable)
+    pairs for each relation.  The order is deterministic.
     Drawing more than `ceiling` models raises EnumerationCeilingError;
     the searches in this package pass one budget to every call, so their
     ceiling counts models over the whole search.
@@ -125,10 +171,7 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
     variables = sorted(set(variables))
     budget = _Budget.of(ceiling)
     slots = [(u, p) for u in range(world_count) for p in variables]
-    for edges in _relations(world_count):
-        candidate = KripkeModel(world_count, edges)
-        if not frame_check(candidate, frame_class):
-            continue
+    for edges in _relations(world_count, frame_class):
         for labels in product(range(1, n + 1), repeat=len(slots)):
             budget.spend()
             yield KripkeModel(world_count, edges, dict(zip(slots, labels)))

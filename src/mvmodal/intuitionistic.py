@@ -23,6 +23,7 @@ from .core import (
     Sequent,
     Signature,
     Var,
+    closure_order,
     is_modal_free,
 )
 from .semantics import Cache, FrameClass, KripkeModel, _label, evaluate, frame_check
@@ -82,12 +83,17 @@ def godel_translate_optimized(formula: Formula, sig: Signature) -> Formula:
 
 
 def _translate(formula: Formula, sig: Optional[Signature]) -> Formula:
-    if isinstance(formula, Var):
-        return Box(formula)
-    body = Apply(formula.conn, tuple(_translate(a, sig) for a in formula.args))
-    if sig is not None and monotone_connective(sig.connective(formula.conn)):
-        return body
-    return Box(body)
+    out: dict[Formula, Formula] = {}
+    for f in closure_order((formula,)):
+        if isinstance(f, Var):
+            out[f] = Box(f)
+            continue
+        body = Apply(f.conn, tuple(out[a] for a in f.args))
+        if sig is not None and monotone_connective(sig.connective(f.conn)):
+            out[f] = body
+        else:
+            out[f] = Box(body)
+    return out[formula]
 
 
 def translate_labelled(lf: LabelledFormula, sig: Optional[Signature] = None

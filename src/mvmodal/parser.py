@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .core import (
     Apply,
@@ -281,15 +281,32 @@ def parse_sequents(text: str, sig: Signature) -> tuple[Sequent, ...]:
 
 
 def render_formula(formula: Formula) -> str:
-    if isinstance(formula, Var):
-        return formula.name
-    if isinstance(formula, Apply):
-        return f"{formula.conn}({', '.join(render_formula(a) for a in formula.args)})"
-    if isinstance(formula, Box):
-        return f"Box {render_formula(formula.sub)}"
-    if isinstance(formula, Diamond):
-        return f"Dia {render_formula(formula.sub)}"
-    raise TypeError(f"not a formula: {formula!r}")
+    # An explicit stack, not recursion: formulas built in code may nest
+    # deeper than the interpreter's recursion limit.
+    pieces: list[str] = []
+    stack: list[Union[Formula, str]] = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):
+            pieces.append(f)
+        elif isinstance(f, Var):
+            pieces.append(f.name)
+        elif isinstance(f, Apply):
+            pieces.append(f"{f.conn}(")
+            stack.append(")")
+            for i, a in enumerate(reversed(f.args)):
+                if i:
+                    stack.append(", ")
+                stack.append(a)
+        elif isinstance(f, Box):
+            pieces.append("Box ")
+            stack.append(f.sub)
+        elif isinstance(f, Diamond):
+            pieces.append("Dia ")
+            stack.append(f.sub)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(pieces)
 
 
 def render_labelled(lf: LabelledFormula) -> str:

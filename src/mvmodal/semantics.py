@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
     Apply,
@@ -213,30 +213,61 @@ def model_satisfies(sig: Signature, model: KripkeModel,
 # ---------------------------------------------------------------------------
 
 
+def successor_rows(model: KripkeModel) -> tuple[int, ...]:
+    """Bitmask successor rows: bit v of row u is set iff (u, v) is an edge."""
+    return tuple(sum(1 << v for v in s) for s in model._succ)
+
+
+def _members(row: int) -> Iterator[int]:
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _serial(rows: Sequence[int]) -> bool:
+    return all(rows)
+
+
+def _reflexive(rows: Sequence[int]) -> bool:
+    return all(r >> u & 1 for u, r in enumerate(rows))
+
+
+def _transitive(rows: Sequence[int]) -> bool:
+    # every successor's successors are successors
+    return all(rows[v] | r == r for r in rows for v in _members(r))
+
+
+def _symmetric(rows: Sequence[int]) -> bool:
+    return all(rows[v] >> u & 1 for u, r in enumerate(rows) for v in _members(r))
+
+
+def _euclidean(rows: Sequence[int]) -> bool:
+    # any two successors of a world see each other
+    return all(r | rows[v] == rows[v] for r in rows for v in _members(r))
+
+
+#: One predicate per frame class, on successor rows (successor_rows).
+_FRAME_PREDICATES: dict[FrameClass, Callable[[Sequence[int]], bool]] = {
+    FrameClass.ANY: lambda rows: True,
+    FrameClass.SERIAL: _serial,
+    FrameClass.REFLEXIVE: _reflexive,
+    FrameClass.TRANSITIVE: _transitive,
+    FrameClass.SYMMETRIC: _symmetric,
+    FrameClass.EUCLIDEAN: _euclidean,
+    FrameClass.PREORDER: lambda rows: _reflexive(rows) and _transitive(rows),
+    FrameClass.EQUIVALENCE: lambda rows: _reflexive(rows) and _euclidean(rows),
+}
+
+
+def frame_predicate(frame_class: FrameClass) -> Callable[[Sequence[int]], bool]:
+    """The frame property of the class, as a test on successor rows."""
+    try:
+        return _FRAME_PREDICATES[frame_class]
+    except KeyError:
+        raise ValueError(f"unknown frame class {frame_class!r}") from None
+
+
 def frame_check(model: KripkeModel, frame_class: FrameClass) -> bool:
-    """Direct quantifier evaluation of the frame property over the worlds."""
-    edges = model.edges
-    worlds = model.worlds
-    if frame_class is FrameClass.ANY:
-        return True
-    if frame_class is FrameClass.SERIAL:
-        return all(model.successors(u) for u in worlds)
-    if frame_class is FrameClass.REFLEXIVE:
-        return all((u, u) in edges for u in worlds)
-    if frame_class is FrameClass.TRANSITIVE:
-        return all((u, w) in edges
-                   for (u, v) in edges for w in model.successors(v))
-    if frame_class is FrameClass.SYMMETRIC:
-        return all((v, u) in edges for (u, v) in edges)
-    if frame_class is FrameClass.EUCLIDEAN:
-        return all((v, w) in edges
-                   for u in worlds
-                   for v in model.successors(u)
-                   for w in model.successors(u))
-    if frame_class is FrameClass.PREORDER:
-        return (frame_check(model, FrameClass.REFLEXIVE)
-                and frame_check(model, FrameClass.TRANSITIVE))
-    if frame_class is FrameClass.EQUIVALENCE:
-        return (frame_check(model, FrameClass.REFLEXIVE)
-                and frame_check(model, FrameClass.EUCLIDEAN))
-    raise ValueError(f"unknown frame class {frame_class!r}")
+    """Whether the model's relation has the frame property of the class."""
+    return frame_predicate(frame_class)(successor_rows(model))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterator
 
 from mvmodal.core import (
@@ -15,9 +16,16 @@ from mvmodal.core import (
     Signature,
     Var,
     apply_connective,
+    closure_order,
 )
+from mvmodal.decision import Countermodel, ProvedValid, ValidUpTo, filtration_bound
 from mvmodal.proofs import Derivation, Step
-from mvmodal.semantics import KripkeModel
+from mvmodal.semantics import (
+    FrameClass,
+    KripkeModel,
+    model_satisfies,
+    satisfies_sequent,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles: the recursive evaluators that label_vectors replaced, kept
@@ -71,6 +79,78 @@ def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
             for v in succ)
     cache[key] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the powerset filter that the frame-class generators replaced,
+# `_relations` and `frame_check` kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def _relations(world_count: int) -> Iterator[frozenset[tuple[int, int]]]:
+    pairs = [(u, v) for u in range(world_count) for v in range(world_count)]
+    for mask in range(1 << len(pairs)):
+        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def frame_check(model: KripkeModel, frame_class: FrameClass) -> bool:
+    """Direct quantifier evaluation of the frame property over the worlds."""
+    edges = model.edges
+    worlds = model.worlds
+    if frame_class is FrameClass.ANY:
+        return True
+    if frame_class is FrameClass.SERIAL:
+        return all(model.successors(u) for u in worlds)
+    if frame_class is FrameClass.REFLEXIVE:
+        return all((u, u) in edges for u in worlds)
+    if frame_class is FrameClass.TRANSITIVE:
+        return all((u, w) in edges
+                   for (u, v) in edges for w in model.successors(v))
+    if frame_class is FrameClass.SYMMETRIC:
+        return all((v, u) in edges for (u, v) in edges)
+    if frame_class is FrameClass.EUCLIDEAN:
+        return all((v, w) in edges
+                   for u in worlds
+                   for v in model.successors(u)
+                   for w in model.successors(u))
+    if frame_class is FrameClass.PREORDER:
+        return (frame_check(model, FrameClass.REFLEXIVE)
+                and frame_check(model, FrameClass.TRANSITIVE))
+    if frame_class is FrameClass.EQUIVALENCE:
+        return (frame_check(model, FrameClass.REFLEXIVE)
+                and frame_check(model, FrameClass.EUCLIDEAN))
+    raise ValueError(f"unknown frame class {frame_class!r}")
+
+
+def oracle_relations(world_count: int, frame_class: FrameClass
+                     ) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every subset of the world square that passes the oracle frame_check."""
+    for edges in _relations(world_count):
+        candidate = KripkeModel(world_count, edges)
+        if not frame_check(candidate, frame_class):
+            continue
+        yield edges
+
+
+def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
+                  goal: Sequent, frame_class: FrameClass, bound: int):
+    """decide's outcome over the oracle relations, first countermodel first."""
+    variables = sorted({f.name for s in (goal, *hypotheses)
+                        for f in closure_order(s.formulas())
+                        if isinstance(f, Var)})
+    for world_count in range(1, bound + 1):
+        slots = [(u, p) for u in range(world_count) for p in variables]
+        for edges in oracle_relations(world_count, frame_class):
+            for labels in product(range(1, sig.n + 1), repeat=len(slots)):
+                model = KripkeModel(world_count, edges, dict(zip(slots, labels)))
+                if hypotheses and not model_satisfies(sig, model, hypotheses):
+                    continue
+                for world in model.worlds:
+                    if not satisfies_sequent(sig, model, world, goal):
+                        return Countermodel(model, world)
+    if bound >= filtration_bound(hypotheses, goal, sig.n):
+        return ProvedValid(bound)
+    return ValidUpTo(bound)
 
 
 def rand_formula(rng: random.Random, sig: Signature, variables: list[str],

@@ -28,7 +28,8 @@ from mvmodal.core import (
     subformula_closure,
     variables_of,
 )
-from mvmodal.intuitionistic import eval_mvil
+from mvmodal.intuitionistic import eval_mvil, godel_translate, godel_translate_optimized
+from mvmodal.parser import render_formula
 from mvmodal.sampling import random_model
 from mvmodal.semantics import (
     FrameClass,
@@ -164,3 +165,21 @@ def test_chains_built_in_code(kind):
     assert evaluate(SIG, m, 0, f) == expected
     if kind == "imp":
         assert eval_mvil(SIG, m, 0, f) == expected
+
+
+def test_translation_and_rendering_of_chains_built_in_code():
+    # compared by hash and rendering: dataclass == still recurses
+    imp_chain, box_chain, translated = P, P, Box(P)
+    for _ in range(DEPTH):
+        imp_chain = Apply("imp", (P, imp_chain))
+        box_chain = Box(box_chain)
+        translated = Box(Apply("imp", (Box(P), translated)))
+    assert hash(godel_translate(imp_chain)) == hash(translated)
+    assert render_formula(godel_translate(imp_chain)) == render_formula(translated)
+    # Lukasiewicz implication is antitone in its first argument: no box skipped
+    optimized = godel_translate_optimized(imp_chain, SIG)
+    assert render_formula(optimized) == render_formula(translated)
+    assert render_formula(imp_chain) == "imp(p, " * DEPTH + "p" + ")" * DEPTH
+    assert render_formula(box_chain) == "Box " * DEPTH + "p"
+    with pytest.raises(ValueError, match="modal-free"):
+        godel_translate(box_chain)
