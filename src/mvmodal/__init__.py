@@ -81,6 +81,7 @@ from .semantics import (
     frame_check,
     label_vectors,
     model_satisfies,
+    refuting_worlds,
     satisfies_labelled,
     satisfies_sequent,
 )

@@ -37,13 +37,7 @@ from .parser import (
     render_sequent,
 )
 from .proofs import LogicId, check_derivation
-from .semantics import (
-    FrameClass,
-    evaluate,
-    frame_check,
-    model_satisfies,
-    satisfies_sequent,
-)
+from .semantics import FrameClass, evaluate, frame_check, refuting_worlds
 
 
 class UsageError(Exception):
@@ -100,20 +94,13 @@ def cmd_sat(args) -> int:
     sig = _signature(args)
     model = parse_model(_read(args.model), sig)
     sequent = parse_sequent(args.sequent, sig)
-    if args.world is not None:
-        if not 0 <= args.world < model.world_count:
-            raise UsageError(f"world {args.world} not in the model")
-        if satisfies_sequent(sig, model, args.world, sequent):
-            print("satisfied")
-            return 0
-        print("unsatisfied")
-        print(f"world {args.world}")
-        return 1
-    if model_satisfies(sig, model, sequent):
+    if args.world is not None and not 0 <= args.world < model.world_count:
+        raise UsageError(f"world {args.world} not in the model")
+    witness = next((w for w in refuting_worlds(sig, model, sequent)
+                    if args.world in (None, w)), None)
+    if witness is None:
         print("satisfied")
         return 0
-    witness = next(w for w in model.worlds
-                   if not satisfies_sequent(sig, model, w, sequent))
     print("unsatisfied")
     print(f"world {witness}")
     return 1

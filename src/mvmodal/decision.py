@@ -4,7 +4,8 @@ A sequent is searched for countermodels over every model of the logic's
 frame class with up to `bound` worlds.  Once the bound reaches the
 filtration bound n^|closure|, absence of a countermodel settles validity
 outright: any countermodel filters down to one of at most that many
-worlds, so the bounded search is complete.
+worlds, so the bounded search is complete, and decide searches no
+further than that.
 
 The search builds only relations of the frame class, generated per
 class as enumerate_models describes; the frame properties themselves
@@ -27,6 +28,7 @@ from .semantics import (
     frame_predicate,
     label_vectors,
     model_satisfies,
+    refuting_worlds,
     satisfies_sequent,
 )
 
@@ -183,7 +185,9 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     """First model (in enumeration order) satisfying the hypotheses and
     refuting the goal at some world, searching world counts 1..bound.
 
-    `ceiling` counts the models examined over all world counts.
+    `ceiling` counts the models examined over all world counts.  Each
+    model's label vectors are computed once, over the whole closure, and
+    both the hypotheses and the goal are read off them.
     """
     variables = sorted(sequent_variables((goal, *hypotheses)))
     order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
@@ -194,11 +198,11 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
             cache = label_vectors(sig, model, order)
             if hypotheses and not model_satisfies(sig, model, hypotheses, cache):
                 continue
-            for world in model.worlds:
-                if not satisfies_sequent(sig, model, world, goal, cache):
-                    _verify_countermodel(sig, model, world, hypotheses, goal,
-                                         frame_class)
-                    return Countermodel(model, world)
+            world = next(refuting_worlds(sig, model, goal, cache), None)
+            if world is not None:
+                _verify_countermodel(sig, model, world, hypotheses, goal,
+                                     frame_class)
+                return Countermodel(model, world)
     return None
 
 
@@ -220,16 +224,21 @@ def decide(sig: Signature, hypotheses: Iterable[Sequent], goal: Sequent,
     """Search the logic's frame class up to `bound` worlds.
 
     Returns the first countermodel found, ValidUpTo(bound) when none
-    exists within the bound, or ProvedValid when the bound already covers
-    the filtration bound.
+    exists within the bound, or ProvedValid(bound) when the bound covers
+    the filtration bound.  Any countermodel filters down to one of at
+    most that many worlds in the same frame class, so the search stops
+    at min(bound, filtration_bound): the first countermodel and the
+    verdict are those of the full search, and the ceiling counts only
+    the models actually examined.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     hypotheses = tuple(hypotheses)
+    complete = filtration_bound(hypotheses, goal, sig.n)
     found = search_countermodel(sig, hypotheses, goal, logic.frame_class,
-                                bound, ceiling)
+                                min(bound, complete), ceiling)
     if found is not None:
         return found
-    if bound >= filtration_bound(hypotheses, goal, sig.n):
+    if bound >= complete:
         return ProvedValid(bound)
     return ValidUpTo(bound)

@@ -3,21 +3,25 @@
 An intuitionistic interpretation is a preordered model whose variable
 valuation grows along the accessibility relation.  Compound formulas are
 evaluated as the infimum, over the successors, of the connective applied
-to the arguments there; reflexivity keeps that set nonempty.
+to the arguments there; reflexivity keeps that set nonempty.  That is
+the modal value of the formula with a necessity operator in front of
+every connective, which is how eval_mvil computes it.
 
 Translating a modal-free formula by inserting a necessity operator in
-front of every subformula turns intuitionistic evaluation into plain
-modal evaluation on the same preordered model.
+front of every subformula, variables included, turns intuitionistic
+evaluation on the hat model into plain modal evaluation on the original
+preordered model.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     Apply,
     Box,
     Connective,
+    Diamond,
     Formula,
     LabelledFormula,
     Sequent,
@@ -26,7 +30,14 @@ from .core import (
     closure_order,
     is_modal_free,
 )
-from .semantics import Cache, FrameClass, KripkeModel, _label, evaluate, frame_check
+from .semantics import (
+    Cache,
+    FrameClass,
+    KripkeModel,
+    _check_world,
+    evaluate,
+    frame_check,
+)
 
 
 def is_mvil_interpretation(model: KripkeModel) -> bool:
@@ -41,11 +52,23 @@ def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
               cache: Optional[Cache] = None) -> int:
     """Intuitionistic value of a modal-free formula at a world.
 
-    As evaluate, by label vectors in label_vectors' intuitionistic mode,
-    so a compound formula raises ValueError ("not reflexive") when any
-    world of the model has no successor, whether or not it is reached.
+    evaluate on the embedding, with Box in front of every connective and
+    the variables left bare.  The formula's closure is checked first, in
+    closure order: Box or Dia raises ValueError ("no modal"), and so does
+    a connective when any world of the model has no successor, whether
+    or not it is reached ("not reflexive").  Embedded formulas are cache keys of their own, so
+    one `cache` may serve both evaluate and eval_mvil.
     """
-    return _label(sig, model, world, formula, cache, True)
+    _check_world(model, world)
+    dead_ends = [w for w in model.worlds if not model.successors(w)]
+    for f in closure_order((formula,)):
+        if isinstance(f, (Box, Diamond)):
+            raise ValueError("intuitionistic formulas admit no modal connectives")
+        if isinstance(f, Apply) and dead_ends:
+            raise ValueError(f"world {dead_ends[0]} has no successors; "
+                             "interpretation is not reflexive")
+    embedded = _boxed(formula, lambda f: isinstance(f, Var))
+    return evaluate(sig, model, world, embedded, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -72,27 +95,25 @@ def godel_translate(formula: Formula) -> Formula:
     """Insert a necessity operator before every subformula."""
     if not is_modal_free(formula):
         raise ValueError("translation applies to modal-free formulas")
-    return _translate(formula, None)
+    return _boxed(formula, lambda f: False)
 
 
 def godel_translate_optimized(formula: Formula, sig: Signature) -> Formula:
     """As godel_translate, but skips the outer box on monotone connectives."""
     if not is_modal_free(formula):
         raise ValueError("translation applies to modal-free formulas")
-    return _translate(formula, sig)
+    return _boxed(formula, lambda f: isinstance(f, Apply) and
+                  monotone_connective(sig.connective(f.conn)))
 
 
-def _translate(formula: Formula, sig: Optional[Signature]) -> Formula:
+def _boxed(formula: Formula, unboxed: Callable[[Formula], bool]) -> Formula:
+    """`formula` with a necessity operator before each subformula for
+    which `unboxed` is false, folded bottom-up over closure_order."""
     out: dict[Formula, Formula] = {}
     for f in closure_order((formula,)):
-        if isinstance(f, Var):
-            out[f] = Box(f)
-            continue
-        body = Apply(f.conn, tuple(out[a] for a in f.args))
-        if sig is not None and monotone_connective(sig.connective(f.conn)):
-            out[f] = body
-        else:
-            out[f] = Box(body)
+        body = (f if isinstance(f, Var)
+                else Apply(f.conn, tuple(out[a] for a in f.args)))
+        out[f] = body if unboxed(f) else Box(body)
     return out[formula]
 
 
@@ -106,11 +127,6 @@ def translate_labelled(lf: LabelledFormula, sig: Optional[Signature] = None
 def translate_sequent(sequent: Sequent, sig: Optional[Signature] = None) -> Sequent:
     return Sequent([translate_labelled(lf, sig) for lf in sequent.antecedent],
                    [translate_labelled(lf, sig) for lf in sequent.succedent])
-
-
-def translate_sequents(sequents, sig: Optional[Signature] = None
-                       ) -> tuple[Sequent, ...]:
-    return tuple(translate_sequent(s, sig) for s in sequents)
 
 
 # ---------------------------------------------------------------------------

@@ -7,58 +7,52 @@ class; valuations are uniform over the labels.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .semantics import FrameClass, KripkeModel, frame_check
+from .semantics import FrameClass, KripkeModel, _members, frame_check
 
 #: Chance of each edge before the relation is closed into its class.
 EDGE_PROBABILITY = 0.4
 
 
-def _transitive_closure(edges: set[tuple[int, int]], worlds: range) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(edges):
-            for w in worlds:
-                if (v, w) in edges and (u, w) not in edges:
-                    edges.add((u, w))
-                    changed = True
-
-
-def _euclidean_closure(edges: set[tuple[int, int]], worlds: range) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for u in worlds:
-            succ = [v for v in worlds if (u, v) in edges]
-            for v in succ:
-                for w in succ:
-                    if (v, w) not in edges:
-                        edges.add((v, w))
-                        changed = True
-
-
 def random_relation(rng: random.Random, world_count: int,
                     frame_class: FrameClass) -> frozenset[tuple[int, int]]:
+    """Edge-wise draws, closed into the class on bitmask successor rows.
+
+    Reflexive loops, then the transpose for symmetry, then Warshall's
+    transitive closure, or the euclidean fixpoint (every successor of a
+    world sees all of that world's successors); a serial frame gives
+    each dead end one random successor.
+    """
     worlds = range(world_count)
-    edges = {(u, v) for u in worlds for v in worlds
-             if rng.random() < EDGE_PROBABILITY}
+    rows = [sum(1 << v for v in worlds if rng.random() < EDGE_PROBABILITY)
+            for _ in worlds]
     if frame_class in (FrameClass.REFLEXIVE, FrameClass.PREORDER,
                        FrameClass.EQUIVALENCE):
-        edges.update((u, u) for u in worlds)
+        rows = [r | 1 << u for u, r in enumerate(rows)]
     if frame_class in (FrameClass.SYMMETRIC, FrameClass.EQUIVALENCE):
-        edges.update((v, u) for u, v in list(edges))
+        rows = [r | sum(1 << v for v in worlds if rows[v] >> u & 1)
+                for u, r in enumerate(rows)]
     if frame_class in (FrameClass.TRANSITIVE, FrameClass.PREORDER,
                        FrameClass.EQUIVALENCE):
-        _transitive_closure(edges, worlds)
+        for k in worlds:
+            for u in worlds:
+                if rows[u] >> k & 1:
+                    rows[u] |= rows[k]
     if frame_class is FrameClass.EUCLIDEAN:
-        _euclidean_closure(edges, worlds)
+        changed = True
+        while changed:
+            changed = False
+            for r in list(rows):
+                for v in _members(r):
+                    if rows[v] | r != rows[v]:
+                        rows[v] |= r
+                        changed = True
     if frame_class is FrameClass.SERIAL:
         for u in worlds:
-            if not any(x == u for x, _ in edges):
-                edges.add((u, rng.randrange(world_count)))
-    return frozenset(edges)
+            if not rows[u]:
+                rows[u] = 1 << rng.randrange(world_count)
+    return frozenset((u, v) for u, r in enumerate(rows) for v in _members(r))
 
 
 def random_model(rng: random.Random, variables: Sequence[str], n: int,
@@ -73,11 +67,3 @@ def random_model(rng: random.Random, variables: Sequence[str], n: int,
     if not frame_check(model, frame_class):
         raise AssertionError(f"sampled model left the {frame_class.value} class")
     return model
-
-
-def random_models(seed: int, count: int, variables: Sequence[str], n: int,
-                  max_worlds: int, frame_class: FrameClass = FrameClass.ANY
-                  ) -> Iterable[KripkeModel]:
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield random_model(rng, variables, n, max_worlds, frame_class)

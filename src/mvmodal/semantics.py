@@ -106,16 +106,14 @@ Cache = dict[Formula, list[int]]
 
 
 def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
-                  cache: Optional[Cache] = None,
-                  intuitionistic: bool = False) -> Cache:
+                  cache: Optional[Cache] = None) -> Cache:
     """Add the label vector of each formula of `order` to `cache`; return it.
 
     `order` lists every formula after its subformulas (closure_order).
     A variable reads the valuation, a connective its table at each world,
     and Box and Dia take the minimum and maximum over the successors.
-    In the intuitionistic mode a connective's value is the minimum over
-    the successors of its table value there; Box and Dia are rejected,
-    and so is a connective on a model with a world without successors.
+    This is the package's only evaluator: the intuitionistic semantics
+    is this one on the formula's embedding (intuitionistic.eval_mvil).
     """
     vectors: Cache = {} if cache is None else cache
     succ = model._succ
@@ -133,14 +131,6 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
                                  f"arguments, got {len(f.args)}")
             rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * len(succ)
             vec = list(map(conn.table.__getitem__, rows))
-            if intuitionistic:
-                for w, s in enumerate(succ):
-                    if not s:
-                        raise ValueError(f"world {w} has no successors; "
-                                         "interpretation is not reflexive")
-                vec = [min(map(vec.__getitem__, s)) for s in succ]
-        elif intuitionistic and isinstance(f, (Box, Diamond)):
-            raise ValueError("intuitionistic formulas admit no modal connectives")
         elif isinstance(f, Box):
             sub = vectors[f.sub].__getitem__
             vec = [min(map(sub, s), default=sig.n) for s in succ]
@@ -153,18 +143,6 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     return vectors
 
 
-def _label(sig: Signature, model: KripkeModel, world: int, formula: Formula,
-           cache: Optional[Cache], intuitionistic: bool) -> int:
-    _check_world(model, world)
-    if cache is None:
-        cache = {}
-    vec = cache.get(formula)
-    if vec is None:
-        vec = label_vectors(sig, model, closure_order((formula,)), cache,
-                            intuitionistic)[formula]
-    return vec[world]
-
-
 def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula,
              cache: Optional[Cache] = None) -> int:
     """The label of `formula` at `world`.
@@ -174,7 +152,11 @@ def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula,
     across queries on the same model; a fresh one is used per call
     otherwise.
     """
-    return _label(sig, model, world, formula, cache, False)
+    _check_world(model, world)
+    vectors = {} if cache is None else cache
+    if formula not in vectors:
+        label_vectors(sig, model, closure_order((formula,)), vectors)
+    return vectors[formula][world]
 
 
 def satisfies_labelled(sig: Signature, model: KripkeModel, world: int,
@@ -183,17 +165,31 @@ def satisfies_labelled(sig: Signature, model: KripkeModel, world: int,
     return evaluate(sig, model, world, lf.formula, cache) == lf.label
 
 
+def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
+                    cache: Optional[Cache] = None) -> Iterator[int]:
+    """The worlds, in order, where every antecedent member holds and no
+    succedent member does.
+
+    The label vectors of the sequent's formulas are computed (or read
+    from `cache`) first; the worlds are then read off them lazily.
+    """
+    vectors = {} if cache is None else cache
+    missing = [lf.formula for lf in sequent.antecedent + sequent.succedent
+               if lf.formula not in vectors]
+    if missing:
+        label_vectors(sig, model, closure_order(missing), vectors)
+    ante = [(vectors[lf.formula], lf.label) for lf in sequent.antecedent]
+    succ = [(vectors[lf.formula], lf.label) for lf in sequent.succedent]
+    return (w for w in model.worlds
+            if all(vec[w] == k for vec, k in ante)
+            and not any(vec[w] == k for vec, k in succ))
+
+
 def satisfies_sequent(sig: Signature, model: KripkeModel, world: int,
                       sequent: Sequent, cache: Optional[Cache] = None) -> bool:
     """True iff satisfying every antecedent member forces some succedent member."""
     _check_world(model, world)
-    if cache is None:
-        cache = {}
-    if not all(satisfies_labelled(sig, model, world, lf, cache)
-               for lf in sequent.antecedent):
-        return True
-    return any(satisfies_labelled(sig, model, world, lf, cache)
-               for lf in sequent.succedent)
+    return world not in refuting_worlds(sig, model, sequent, cache)
 
 
 def model_satisfies(sig: Signature, model: KripkeModel,
@@ -202,10 +198,9 @@ def model_satisfies(sig: Signature, model: KripkeModel,
     """Conjunction of sequent satisfaction over every world of the model."""
     if isinstance(sequents, Sequent):
         sequents = (sequents,)
-    if cache is None:
-        cache = {}
-    return all(satisfies_sequent(sig, model, world, s, cache)
-               for s in sequents for world in model.worlds)
+    cache = {} if cache is None else cache
+    return all(next(refuting_worlds(sig, model, s, cache), None) is None
+               for s in sequents)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from mvmodal.core import (
 )
 from mvmodal.decision import Countermodel, ProvedValid, ValidUpTo, filtration_bound
 from mvmodal.proofs import Derivation, Step
+from mvmodal.sampling import EDGE_PROBABILITY
 from mvmodal.semantics import (
     FrameClass,
     KripkeModel,
@@ -151,6 +152,58 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
     if bound >= filtration_bound(hypotheses, goal, sig.n):
         return ProvedValid(bound)
     return ValidUpTo(bound)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the set-based sampler that the bitmask rows replaced,
+# `random_relation` and its two closures kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def _transitive_closure(edges: set[tuple[int, int]], worlds: range) -> None:
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(edges):
+            for w in worlds:
+                if (v, w) in edges and (u, w) not in edges:
+                    edges.add((u, w))
+                    changed = True
+
+
+def _euclidean_closure(edges: set[tuple[int, int]], worlds: range) -> None:
+    changed = True
+    while changed:
+        changed = False
+        for u in worlds:
+            succ = [v for v in worlds if (u, v) in edges]
+            for v in succ:
+                for w in succ:
+                    if (v, w) not in edges:
+                        edges.add((v, w))
+                        changed = True
+
+
+def random_relation(rng: random.Random, world_count: int,
+                    frame_class: FrameClass) -> frozenset[tuple[int, int]]:
+    worlds = range(world_count)
+    edges = {(u, v) for u in worlds for v in worlds
+             if rng.random() < EDGE_PROBABILITY}
+    if frame_class in (FrameClass.REFLEXIVE, FrameClass.PREORDER,
+                       FrameClass.EQUIVALENCE):
+        edges.update((u, u) for u in worlds)
+    if frame_class in (FrameClass.SYMMETRIC, FrameClass.EQUIVALENCE):
+        edges.update((v, u) for u, v in list(edges))
+    if frame_class in (FrameClass.TRANSITIVE, FrameClass.PREORDER,
+                       FrameClass.EQUIVALENCE):
+        _transitive_closure(edges, worlds)
+    if frame_class is FrameClass.EUCLIDEAN:
+        _euclidean_closure(edges, worlds)
+    if frame_class is FrameClass.SERIAL:
+        for u in worlds:
+            if not any(x == u for x, _ in edges):
+                edges.add((u, rng.randrange(world_count)))
+    return frozenset(edges)
 
 
 def rand_formula(rng: random.Random, sig: Signature, variables: list[str],

@@ -100,6 +100,17 @@ class TestDecide:
                            "(p, 2) -> (p, 2)")
         assert code == 0 and out.strip() == "valid"
 
+    def test_search_stops_at_the_filtration_bound(self, tmp_path, capsys):
+        # two values and one variable: 2 worlds settle validity, so bound 5
+        # examines 68 models and stays under the ceiling
+        (tmp_path / "sig.mvk").write_text(
+            "domain 2\nconn imp 2\n"
+            "imp 1 1 = 2\nimp 1 2 = 2\nimp 2 1 = 1\nimp 2 2 = 2\n")
+        code, out, _ = run(capsys, "decide", "--sig", str(tmp_path / "sig.mvk"),
+                           "--logic", "mv-K", "--bound", "5", "--ceiling", "100",
+                           "(p, 1) -> (p, 1)")
+        assert code == 0 and out.strip() == "valid"
+
     def test_ceiling_aborts(self, ws, capsys):
         # a valid goal makes the search exhaust its model budget
         code, out, _ = run(capsys, "decide", "--sig", str(ws / "sig.mvk"),

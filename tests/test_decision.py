@@ -7,6 +7,7 @@ from mvmodal.core import (
     LabelledFormula,
     Sequent,
     Var,
+    lukasiewicz_signature,
     subformula_closure,
     up_set,
 )
@@ -126,6 +127,13 @@ class TestDecide:
         assert filtration_bound((), goal, 2) == 2
         out = decide(bare2, (), goal, LogicId.MV_K, 2)
         assert out == ProvedValid(2)
+
+    def test_search_stops_at_the_filtration_bound(self):
+        # any countermodel filters down to 2^1 worlds: the 68 models up to
+        # 2 worlds settle it, and the ceiling of 100 is never reached
+        sig = lukasiewicz_signature(2)
+        goal = Sequent([lf(p, 1)], [lf(p, 1)])
+        assert decide(sig, (), goal, LogicId.MV_K, 5, ceiling=100) == ProvedValid(5)
 
     def test_hypotheses_constrain_the_search(self, bare2):
         # globally p is 2, so -> (p, 2) has no countermodel; the bound

@@ -1,14 +1,18 @@
-"""The frame-class generators against the powerset filter they replaced."""
+"""The frame-class generators against the powerset filter they replaced,
+and the sampler against the set-based one."""
 
+import random
 import time
 
 import pytest
 from helpers import frame_check as oracle_frame_check
 from helpers import oracle_decide, oracle_relations
+from helpers import random_relation as oracle_random_relation
 
 from mvmodal.core import Var, lukasiewicz_signature
 from mvmodal.decision import Countermodel, _relations, decide, enumerate_models
 from mvmodal.proofs import LogicId, instantiate_scheme
+from mvmodal.sampling import random_relation
 from mvmodal.semantics import FrameClass, KripkeModel, frame_check
 
 # Relations on 4 worlds per class: 2^16, 15^4, 2^12, OEIS A006905, 2^10,
@@ -76,3 +80,14 @@ def test_decide_agrees_with_the_oracle_search(logic):
         if logic is LogicId.MV_K or not isinstance(out, Countermodel):
             # ANY keeps the mask order, so even the countermodel is the same
             assert out == expected
+
+
+@pytest.mark.parametrize("frame_class", list(FrameClass))
+def test_sampler_draws_the_oracle_relation(frame_class):
+    # same relation from the same draws: the generators end in one state
+    for seed in range(100):
+        for world_count in range(1, 13):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            assert (random_relation(rng, world_count, frame_class)
+                    == oracle_random_relation(oracle_rng, world_count, frame_class))
+            assert rng.getstate() == oracle_rng.getstate()

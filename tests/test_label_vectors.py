@@ -36,6 +36,7 @@ from mvmodal.semantics import (
     KripkeModel,
     evaluate,
     model_satisfies,
+    refuting_worlds,
     satisfies_sequent,
 )
 
@@ -94,6 +95,9 @@ def test_satisfies_sequent_matches_the_oracle(model, seqs):
     assert [satisfies_sequent(SIG, model, world, s, cache)
             for s in seqs for world in model.worlds] == expected
     assert model_satisfies(SIG, model, seqs) == all(expected)
+    assert [list(refuting_worlds(SIG, model, s, cache)) for s in seqs] == [
+        [w for w in model.worlds if not _oracle_satisfies(model, w, s, oracle)]
+        for s in seqs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,6 +123,20 @@ class TestCache:
     def test_evaluate_reads_the_cache_first(self):
         m = KripkeModel(3, {(0, 1), (0, 2)}, {(1, "p"): 2, (2, "p"): 3})
         assert evaluate(SIG, m, 0, Box(P), {Box(P): [1, 1, 1]}) == 1
+
+    @pytest.mark.parametrize("mvil_first", [False, True])
+    def test_evaluate_and_eval_mvil_share_a_cache(self, mvil_first):
+        # imp(p, q) is imp(1, 1) = 3 at world 0, but world 0 also sees
+        # world 1, where imp(3, 1) = 1, so its intuitionistic value is 1
+        m = KripkeModel(2, {(0, 0), (0, 1), (1, 1)},
+                        {(1, "p"): 3, (0, "q"): 1, (1, "q"): 1})
+        f, cache = Apply("imp", (P, Var("q"))), {}
+        calls = [lambda: evaluate(SIG, m, 0, f, cache),
+                 lambda: eval_mvil(SIG, m, 0, f, cache)]
+        for call in calls[::-1] if mvil_first else calls:
+            call()
+        assert evaluate(SIG, m, 0, f, cache) == 3
+        assert eval_mvil(SIG, m, 0, f, cache) == 1
 
 
 M2 = KripkeModel(2, {(0, 0), (0, 1), (1, 1)}, {(1, "p"): 3})
