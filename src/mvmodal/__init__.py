@@ -54,6 +54,7 @@ from .parser import (
     ParseError,
     SourceSpan,
     parse_formula,
+    parse_formulas,
     parse_model,
     parse_proof,
     parse_sequent,

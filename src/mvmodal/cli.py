@@ -28,6 +28,7 @@ from .intuitionistic import translate_sequent
 from .parser import (
     ParseError,
     parse_formula,
+    parse_formulas,
     parse_model,
     parse_proof,
     parse_sequent,
@@ -148,11 +149,7 @@ def cmd_filter(args) -> int:
     sig = _signature(args)
     model = parse_model(_read(args.model), sig)
     logic = _logic(args.logic)
-    phi = set()
-    for line in _read(args.phi).splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            phi.add(parse_formula(stripped, sig))
+    phi = parse_formulas(_read(args.phi), sig)
     try:
         filtered = filter_model(sig, model, subformula_closure(phi), logic)
     except ValueError as exc:
@@ -180,7 +177,7 @@ def cmd_neg_scan(args) -> int:
 
 def cmd_translate(args) -> int:
     sig = _signature(args)
-    sequent = parse_sequent(_read(args.sequent).strip(), sig)
+    sequent = parse_sequent(_read(args.sequent), sig)
     if not all(is_modal_free(lf.formula)
                for lf in sequent.antecedent + sequent.succedent):
         raise UsageError("input sequent must be modal-free")

@@ -80,48 +80,42 @@ def equiv_classes(sig: Signature, model: KripkeModel,
     return _partition(model, ordered, label_vectors(sig, model, order))
 
 
+#: The comparisons that relate class u to class v in the logics whose
+#: filtration compares modal values.  Each (swap, sub) asks, for every
+#: Box formula f of the set, val[f][a] <= val[g][b], where (a, b) is
+#: (v, u) if swap else (u, v) and g is f.sub if sub else f.  Dia
+#: formulas ask the same with the order reversed.  mv-K, mv-D and mv-T
+#: project the original relation instead.
+_COMPARISONS: dict[LogicId, tuple[tuple[bool, bool], ...]] = {
+    LogicId.MV_K4: ((False, False), (False, True)),
+    LogicId.MV_S4: ((False, False),),
+    LogicId.MV_B: ((False, True), (True, True)),
+    LogicId.MV_S5: ((False, False), (True, False)),
+}
+
+
 def _class_relation(model: KripkeModel, logic: LogicId,
                     phi: tuple[Formula, ...],
                     classes: tuple[tuple[int, ...], ...],
                     reps: tuple[int, ...],
                     val: Cache) -> set[tuple[int, int]]:
-    boxed = [f for f in phi if isinstance(f, Box)]
-    diamonded = [f for f in phi if isinstance(f, Diamond)]
+    if logic not in _COMPARISONS:
+        class_of = {w: i for i, members in enumerate(classes) for w in members}
+        return {(class_of[u], class_of[v]) for u, v in model.edges}
+    checks = [(val[f], val[f.sub] if sub else val[f], swap, isinstance(f, Box))
+              for f in phi if isinstance(f, (Box, Diamond))
+              for swap, sub in _COMPARISONS[logic]]
 
     def related(u: int, v: int) -> bool:
-        if logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):
-            raise AssertionError("projection logics handled separately")
-        if logic is LogicId.MV_K4:
-            return (all(val[f][u] <= val[f][v] and val[f][u] <= val[f.sub][v]
-                        for f in boxed)
-                    and all(val[f][u] >= val[f][v] and val[f][u] >= val[f.sub][v]
-                            for f in diamonded))
-        if logic is LogicId.MV_S4:
-            return (all(val[f][u] <= val[f][v] for f in boxed)
-                    and all(val[f][u] >= val[f][v] for f in diamonded))
-        if logic is LogicId.MV_B:
-            return (all(val[f][u] <= val[f.sub][v] and val[f][v] <= val[f.sub][u]
-                        for f in boxed)
-                    and all(val[f][u] >= val[f.sub][v] and val[f][v] >= val[f.sub][u]
-                            for f in diamonded))
-        if logic is LogicId.MV_S5:
-            return (all(val[f][u] == val[f][v] for f in boxed)
-                    and all(val[f][u] == val[f][v] for f in diamonded))
-        raise ValueError(f"unknown logic {logic!r}")
+        for left, right, swap, box in checks:
+            a, b = (v, u) if swap else (u, v)
+            x, y = (left[a], right[b]) if box else (right[b], left[a])
+            if x > y:
+                return False
+        return True
 
-    edges: set[tuple[int, int]] = set()
-    if logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):
-        for i, members_i in enumerate(classes):
-            for j, members_j in enumerate(classes):
-                if any(v in model.successors(u)
-                       for u in members_i for v in members_j):
-                    edges.add((i, j))
-    else:
-        for i, u in enumerate(reps):
-            for j, v in enumerate(reps):
-                if related(u, v):
-                    edges.add((i, j))
-    return edges
+    return {(i, j) for i, u in enumerate(reps) for j, v in enumerate(reps)
+            if related(u, v)}
 
 
 def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],

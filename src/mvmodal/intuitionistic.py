@@ -53,22 +53,25 @@ def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
     """Intuitionistic value of a modal-free formula at a world.
 
     evaluate on the embedding, with Box in front of every connective and
-    the variables left bare.  The formula's closure is checked first, in
-    closure order: Box or Dia raises ValueError ("no modal"), and so does
-    a connective when any world of the model has no successor, whether
-    or not it is reached ("not reflexive").  Embedded formulas are cache keys of their own, so
-    one `cache` may serve both evaluate and eval_mvil.
+    the variables left bare.  One fold over the closure, in closure order,
+    checks each subformula and builds its embedding: Box or Dia raises
+    ValueError ("no modal"), and so does a connective when any world of
+    the model has no successor, whether or not it is reached ("not
+    reflexive").  Embedded formulas are cache keys of their own, so one
+    `cache` may serve both evaluate and eval_mvil.
     """
     _check_world(model, world)
     dead_ends = [w for w in model.worlds if not model.successors(w)]
-    for f in closure_order((formula,)):
+
+    def bare(f: Formula) -> bool:
         if isinstance(f, (Box, Diamond)):
             raise ValueError("intuitionistic formulas admit no modal connectives")
         if isinstance(f, Apply) and dead_ends:
             raise ValueError(f"world {dead_ends[0]} has no successors; "
                              "interpretation is not reflexive")
-    embedded = _boxed(formula, lambda f: isinstance(f, Var))
-    return evaluate(sig, model, world, embedded, cache)
+        return isinstance(f, Var)
+
+    return evaluate(sig, model, world, _boxed(formula, bare), cache)
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +111,15 @@ def godel_translate_optimized(formula: Formula, sig: Signature) -> Formula:
 
 def _boxed(formula: Formula, unboxed: Callable[[Formula], bool]) -> Formula:
     """`formula` with a necessity operator before each subformula for
-    which `unboxed` is false, folded bottom-up over closure_order."""
+    which `unboxed` is false, folded bottom-up over closure_order.
+    `unboxed` sees each subformula before its embedding is built, so it
+    may reject one by raising."""
     out: dict[Formula, Formula] = {}
     for f in closure_order((formula,)):
+        keep_bare = unboxed(f)
         body = (f if isinstance(f, Var)
                 else Apply(f.conn, tuple(out[a] for a in f.args)))
-        out[f] = body if unboxed(f) else Box(body)
+        out[f] = body if keep_bare else Box(body)
     return out[formula]
 
 

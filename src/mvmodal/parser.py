@@ -8,6 +8,10 @@ Formula grammar: a variable, `conn(arg, ...)`, `Box f`, `Dia f`, or a
 parenthesized formula, nested at most MAX_FORMULA_DEPTH levels.  `Box`,
 `Dia` are reserved; in proof scripts the word `from` introduces premise
 references and cannot name a variable.
+
+A token keeps only its offset into the text; a ParseError computes the
+1-based line and column from it.  Every file format is a sequence of
+statements, one per non-blank line, read by TokenStream.statements.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
     Apply,
@@ -77,53 +81,41 @@ class ParseError(Exception):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Whitespace and comments before a token are part of its match; `bad`
+# catches any other character and `eof` the end of the text.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[^\S\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<arrow>->)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<punct>[(){},;:=\-])
+    (?:[^\S\n]+|\#[^\n]*)*
+    (?:(?P<newline>\n) | (?P<arrow>->) | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<lparen>\() | (?P<rparen>\)) | (?P<lbrace>\{) | (?P<rbrace>\})
+      | (?P<comma>,) | (?P<semi>;) | (?P<colon>:) | (?P<equals>=) | (?P<minus>-)
+      | (?P<eof>\Z) | (?P<bad>.))
 """, re.VERBOSE)
 
-_PUNCT_KINDS = {"(": "lparen", ")": "rparen", "{": "lbrace", "}": "rbrace",
-                ",": "comma", ";": "semi", ":": "colon", "=": "equals",
-                "-": "minus"}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    span: SourceSpan
+    offset: int
+    source: str
+
+    @property
+    def span(self) -> SourceSpan:
+        line_start = self.source.rfind("\n", 0, self.offset) + 1
+        return SourceSpan(self.source.count("\n", 0, self.offset) + 1,
+                          self.offset - line_start + 1, self.offset)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, newlines included, ending with one eof token."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(line, pos - line_start + 1, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        span = SourceSpan(line, pos - line_start + 1, pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        pos = m.end()
-        if kind == "newline":
-            tokens.append(Token("newline", value, span))
-            line += 1
-            line_start = pos
-            continue
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "punct":
-            tokens.append(Token(_PUNCT_KINDS[value], value, span))
-        else:
-            tokens.append(Token(kind, value, span))
-    tokens.append(Token("eof", "", SourceSpan(line, pos - line_start + 1, pos)))
+        tokens.append(Token(kind, m[kind], m.start(kind), text))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", tokens[-1].span)
+        if kind == "eof":
+            break
     return tokens
 
 
@@ -155,8 +147,24 @@ class TokenStream:
                              tok.span, expected=what)
         return self.advance()
 
-    def expect_int(self, what: str) -> int:
-        return int(self.expect("int", what).text)
+    def expect_int(self, what: str, low: int = 0, high: Optional[int] = None,
+                   message: str = "") -> int:
+        """An integer in low..high (no upper limit when high is None).
+
+        Out of range, `message` is formatted with the integer, low and high.
+        """
+        tok = self.expect("int", what)
+        value = int(tok.text)
+        if value < low or (high is not None and value > high):
+            raise ParseError(message.format(value, low, high), tok.span)
+        return value
+
+    def comma_list(self, read: Callable[..., object], *args) -> list:
+        """read(self, *args), then once more after each comma."""
+        items = [read(self, *args)]
+        while self.accept("comma"):
+            items.append(read(self, *args))
+        return items
 
     def skip_newlines(self) -> None:
         while self.accept("newline"):
@@ -170,6 +178,35 @@ class TokenStream:
             self.advance()
             return
         raise ParseError(f"unexpected {tok.text!r} at end of statement", tok.span)
+
+    def header(self, keyword: str, noun: str, what: str, low: int,
+               too_small: str) -> int:
+        """The integer of the `keyword N` statement that opens a file."""
+        self.skip_newlines()
+        tok = self.expect("ident", f"'{keyword}'")
+        if tok.text != keyword:
+            raise ParseError(f"{noun} must start with a {keyword} declaration",
+                             tok.span, expected=keyword)
+        value = self.expect_int(what, low, None, too_small)
+        self.end_statement()
+        return value
+
+    def statements(self) -> Iterator[Token]:
+        """Each statement's first token, skipping blank lines.
+
+        The caller reads the statement; the stream then checks its end.
+        """
+        while True:
+            self.skip_newlines()
+            tok = self.peek()
+            if tok.kind == "eof":
+                return
+            yield tok
+            self.end_statement()
+
+
+def _label(ts: TokenStream, n: int, what: str = "a label") -> int:
+    return ts.expect_int(what, 1, n, "label {} out of {}..{}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +237,9 @@ def _parse_formula(ts: TokenStream, sig: Signature, depth: int = 0) -> Formula:
         return Box(_parse_formula(ts, sig, depth + 1))
     if tok.text == "Dia":
         return Diamond(_parse_formula(ts, sig, depth + 1))
-    if ts.peek().kind == "lparen":
-        ts.advance()
-        args: list[Formula] = []
-        if ts.peek().kind != "rparen":
-            args.append(_parse_formula(ts, sig, depth + 1))
-            while ts.accept("comma"):
-                args.append(_parse_formula(ts, sig, depth + 1))
+    if ts.accept("lparen"):
+        args = ([] if ts.peek().kind == "rparen"
+                else ts.comma_list(_parse_formula, sig, depth + 1))
         ts.expect("rparen", "')'")
         conn = sig.connectives.get(tok.text)
         if conn is None:
@@ -226,27 +259,21 @@ def _parse_labelled(ts: TokenStream, sig: Signature) -> LabelledFormula:
     ts.expect("lparen", "'('")
     formula = _parse_formula(ts, sig)
     ts.expect("comma", "','")
-    tok = ts.expect("int", "a label")
-    label = int(tok.text)
-    if not 1 <= label <= sig.n:
-        raise ParseError(f"label {label} out of 1..{sig.n}", tok.span)
+    label = _label(ts, sig.n)
     ts.expect("rparen", "')'")
     return LabelledFormula(formula, label)
 
 
+def _parse_side(ts: TokenStream, sig: Signature) -> list[LabelledFormula]:
+    if ts.peek().kind != "lparen":
+        return []
+    return ts.comma_list(_parse_labelled, sig)
+
+
 def _parse_sequent(ts: TokenStream, sig: Signature) -> Sequent:
-    ante: list[LabelledFormula] = []
-    if ts.peek().kind == "lparen":
-        ante.append(_parse_labelled(ts, sig))
-        while ts.accept("comma"):
-            ante.append(_parse_labelled(ts, sig))
+    antecedent = _parse_side(ts, sig)
     ts.expect("arrow", "'->'")
-    succ: list[LabelledFormula] = []
-    if ts.peek().kind == "lparen":
-        succ.append(_parse_labelled(ts, sig))
-        while ts.accept("comma"):
-            succ.append(_parse_labelled(ts, sig))
-    return Sequent(ante, succ)
+    return Sequent(antecedent, _parse_side(ts, sig))
 
 
 def _single(text: str, parse, sig: Signature):
@@ -264,6 +291,12 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     return _single(text, _parse_formula, sig)
 
 
+def parse_formulas(text: str, sig: Signature) -> tuple[Formula, ...]:
+    """One formula per non-empty line."""
+    ts = TokenStream(tokenize(text))
+    return tuple(_parse_formula(ts, sig) for _ in ts.statements())
+
+
 def parse_sequent(text: str, sig: Signature) -> Sequent:
     return _single(text, _parse_sequent, sig)
 
@@ -271,13 +304,7 @@ def parse_sequent(text: str, sig: Signature) -> Sequent:
 def parse_sequents(text: str, sig: Signature) -> tuple[Sequent, ...]:
     """One sequent per non-empty line."""
     ts = TokenStream(tokenize(text))
-    out = []
-    ts.skip_newlines()
-    while ts.peek().kind != "eof":
-        out.append(_parse_sequent(ts, sig))
-        ts.end_statement()
-        ts.skip_newlines()
-    return tuple(out)
+    return tuple(_parse_sequent(ts, sig) for _ in ts.statements())
 
 
 def render_formula(formula: Formula) -> str:
@@ -336,24 +363,11 @@ def render_sequents(sequents: Iterable[Sequent]) -> str:
 
 def parse_signature(text: str) -> Signature:
     ts = TokenStream(tokenize(text))
-    ts.skip_newlines()
-    tok = ts.expect("ident", "'domain'")
-    if tok.text != "domain":
-        raise ParseError("signature must start with a domain declaration",
-                         tok.span, expected="domain")
-    ntok = ts.expect("int", "the domain size")
-    n = int(ntok.text)
-    if n < 2:
-        raise ParseError(f"domain needs at least 2 values, got {n}", ntok.span)
-    ts.end_statement()
-
-    declared: dict[str, tuple[int, Token]] = {}
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
-    while True:
-        ts.skip_newlines()
-        tok = ts.peek()
-        if tok.kind == "eof":
-            break
+    n = ts.header("domain", "signature", "the domain size", 2,
+                  "domain needs at least 2 values, got {}")
+    # name -> (arity, name token, table)
+    declared: dict[str, tuple[int, Token, dict[tuple[int, ...], int]]] = {}
+    for _ in ts.statements():
         name_tok = ts.expect("ident", "'conn' or a table row")
         if name_tok.text == "conn":
             ctok = ts.expect("ident", "a connective name")
@@ -363,37 +377,22 @@ def parse_signature(text: str) -> Signature:
             if ctok.text in declared:
                 raise ParseError(f"duplicate connective name {ctok.text!r}",
                                  ctok.span)
-            arity = ts.expect_int("an arity")
-            declared[ctok.text] = (arity, ctok)
-            tables[ctok.text] = {}
-            ts.end_statement()
+            declared[ctok.text] = (ts.expect_int("an arity"), ctok, {})
             continue
         if name_tok.text not in declared:
             raise ParseError(f"table row for undeclared connective "
                              f"{name_tok.text!r}", name_tok.span)
-        arity, _ = declared[name_tok.text]
-        entry = []
-        for _ in range(arity):
-            ktok = ts.expect("int", "an argument label")
-            k = int(ktok.text)
-            if not 1 <= k <= n:
-                raise ParseError(f"label {k} out of 1..{n}", ktok.span)
-            entry.append(k)
+        arity, _, table = declared[name_tok.text]
+        key = tuple(_label(ts, n, "an argument label") for _ in range(arity))
         ts.expect("equals", "'='")
-        otok = ts.expect("int", "the table value")
-        out = int(otok.text)
-        if not 1 <= out <= n:
-            raise ParseError(f"label {out} out of 1..{n}", otok.span)
-        key = tuple(entry)
-        if key in tables[name_tok.text]:
+        out = _label(ts, n, "the table value")
+        if key in table:
             raise ParseError(f"duplicate table row for {name_tok.text!r}",
                              name_tok.span)
-        tables[name_tok.text][key] = out
-        ts.end_statement()
+        table[key] = out
 
     connectives = []
-    for name, (arity, ctok) in declared.items():
-        table = tables[name]
+    for name, (arity, ctok, table) in declared.items():
         if len(table) != n ** arity:
             missing = next(e for e in all_entries(n, arity) if e not in table)
             raise ParseError(
@@ -422,47 +421,26 @@ def render_signature(sig: Signature) -> str:
 
 def parse_model(text: str, sig: Signature) -> KripkeModel:
     ts = TokenStream(tokenize(text))
-    ts.skip_newlines()
-    tok = ts.expect("ident", "'worlds'")
-    if tok.text != "worlds":
-        raise ParseError("model must start with a worlds declaration", tok.span,
-                         expected="worlds")
-    wtok = ts.expect("int", "the world count")
-    world_count = int(wtok.text)
-    if world_count < 1:
-        raise ParseError("a model needs at least one world", wtok.span)
-    ts.end_statement()
+    world_count = ts.header("worlds", "model", "the world count", 1,
+                            "a model needs at least one world")
 
-    def world_index(what: str) -> int:
-        tok = ts.expect("int", what)
-        u = int(tok.text)
-        if not 0 <= u < world_count:
-            raise ParseError(f"{what} references undeclared world {u} "
-                             f"(have 0..{world_count - 1})", tok.span)
-        return u
+    def world(what: str) -> int:
+        return ts.expect_int(what, 0, world_count - 1,
+                             what + " references undeclared world {} (have {}..{})")
 
     edges = set()
     vals: dict[tuple[int, str], int] = {}
-    while True:
-        ts.skip_newlines()
-        tok = ts.peek()
-        if tok.kind == "eof":
-            break
+    for _ in ts.statements():
         key = ts.expect("ident", "'edge' or 'val'")
         if key.text == "edge":
-            u = world_index("edge source")
-            v = world_index("edge target")
-            edges.add((u, v))
+            edges.add((world("edge source"), world("edge target")))
         elif key.text == "val":
-            u = world_index("valuation world")
+            u = world("valuation world")
             vtok = ts.expect("ident", "a variable name")
             if vtok.text in RESERVED_NAMES:
                 raise ParseError(f"variable name {vtok.text!r} is reserved",
                                  vtok.span)
-            ktok = ts.expect("int", "a label")
-            k = int(ktok.text)
-            if not 1 <= k <= sig.n:
-                raise ParseError(f"label {k} out of 1..{sig.n}", ktok.span)
+            k = _label(ts, sig.n)
             if (u, vtok.text) in vals:
                 raise ParseError(f"duplicate valuation for {vtok.text!r} "
                                  f"at world {u}", vtok.span)
@@ -470,7 +448,6 @@ def parse_model(text: str, sig: Signature) -> KripkeModel:
         else:
             raise ParseError(f"expected 'edge' or 'val', found {key.text!r}",
                              key.span)
-        ts.end_statement()
     return KripkeModel(world_count, edges, vals)
 
 
@@ -487,7 +464,7 @@ def render_model(model: KripkeModel) -> str:
 # Proof scripts
 # ---------------------------------------------------------------------------
 
-def _parse_rule_name(ts: TokenStream) -> tuple[str, SourceSpan]:
+def _parse_rule_name(ts: TokenStream) -> tuple[str, Token]:
     tok = ts.expect("ident", "a rule name")
     parts = [tok.text]
     while ts.accept("minus"):
@@ -496,18 +473,14 @@ def _parse_rule_name(ts: TokenStream) -> tuple[str, SourceSpan]:
             raise ParseError("malformed rule name", part.span)
         ts.advance()
         parts.append(part.text)
-    return "-".join(parts), tok.span
+    return "-".join(parts), tok
 
 
 def _parse_label_set(ts: TokenStream, n: int) -> frozenset[int]:
     ts.expect("lbrace", "'{'")
     labels = set()
     while ts.peek().kind == "int":
-        tok = ts.advance()
-        k = int(tok.text)
-        if not 1 <= k <= n:
-            raise ParseError(f"label {k} out of 1..{n}", tok.span)
-        labels.add(k)
+        labels.add(_label(ts, n))
     ts.expect("rbrace", "'}'")
     return frozenset(labels)
 
@@ -522,15 +495,14 @@ def _at_formula_start(ts: TokenStream) -> bool:
             or (tok.kind == "ident" and tok.text != "from"))
 
 
-def _label(ts: TokenStream) -> int:
+def _any_label(ts: TokenStream) -> int:
+    # range-checked by the rule, not by the parser
     return ts.expect_int("a label")
 
 
 def _parse_hypothesis(ts: TokenStream, sig: Signature) -> Hypothesis:
-    tok = ts.expect("int", "a hypothesis number")
-    if int(tok.text) < 1:
-        raise ParseError("hypothesis numbers start at 1", tok.span)
-    return Hypothesis(int(tok.text) - 1)
+    return Hypothesis(ts.expect_int("a hypothesis number", 1, None,
+                                    "hypothesis numbers start at 1") - 1)
 
 
 def _parse_table_entry(ts: TokenStream, sig: Signature) -> AxiomTable:
@@ -554,7 +526,7 @@ def _parse_groups(ts: TokenStream, sig: Signature) -> SuperMultiShift:
 
 def _parse_extension(scheme: int, ts: TokenStream, sig: Signature) -> ExtensionAxiom:
     formula = _parse_formula(ts, sig)
-    return ExtensionAxiom(scheme, formula, 1 if scheme == 20 else _label(ts))
+    return ExtensionAxiom(scheme, formula, 1 if scheme == 20 else _any_label(ts))
 
 
 #: Argument syntax per justification type: (parse, render).  Extension
@@ -565,8 +537,8 @@ _ARGUMENTS: dict[type, tuple[Callable[..., Justification], Callable[..., str]]] 
     AxiomTable: (_parse_table_entry, lambda j: " ".join([j.conn, *map(str, j.entry)])),
     RuleBox: (lambda ts, sig: RuleBox(), lambda j: ""),
     RuleDiamond: (lambda ts, sig: RuleDiamond(), lambda j: ""),
-    LeftShift: (lambda ts, sig: LeftShift(_label(ts)), lambda j: str(j.label)),
-    RightShift: (lambda ts, sig: RightShift(_label(ts), _label(ts)),
+    LeftShift: (lambda ts, sig: LeftShift(_any_label(ts)), lambda j: str(j.label)),
+    RightShift: (lambda ts, sig: RightShift(_any_label(ts), _any_label(ts)),
                  lambda j: f"{j.from_label} {j.to_label}"),
     LeftWeaken: (lambda ts, sig: LeftWeaken(_parse_labelled(ts, sig)),
                  lambda j: render_labelled(j.added)),
@@ -575,7 +547,7 @@ _ARGUMENTS: dict[type, tuple[Callable[..., Justification], Callable[..., str]]] 
     Cut: (lambda ts, sig: Cut(_parse_labelled(ts, sig)),
           lambda j: render_labelled(j.cut)),
     Resolution: (lambda ts, sig: Resolution(_parse_formula(ts, sig),
-                                            _label(ts), _label(ts)),
+                                            _any_label(ts), _any_label(ts)),
                  lambda j: f"{render_formula(j.formula)} {j.first_label} "
                            f"{j.second_label}"),
     MultiShift: (lambda ts, sig: MultiShift(_parse_formula(ts, sig),
@@ -594,10 +566,10 @@ _PARSERS.update((f"{RULES[ExtensionAxiom].name}-{scheme}",
 
 
 def _parse_justification(ts: TokenStream, sig: Signature) -> Justification:
-    name, span = _parse_rule_name(ts)
+    name, tok = _parse_rule_name(ts)
     parse = _PARSERS.get(name)
     if parse is None:
-        raise ParseError(f"unknown rule name {name!r}", span)
+        raise ParseError(f"unknown rule name {name!r}", tok.span)
     return parse(ts, sig)
 
 
@@ -607,10 +579,15 @@ def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
     ts = TokenStream(tokenize(text))
     steps: list[Step] = []
     positions: dict[int, int] = {}
-    while True:
-        ts.skip_newlines()
-        if ts.peek().kind == "eof":
-            break
+
+    def premise(ts: TokenStream) -> int:
+        tok = ts.expect("int", "a premise step number")
+        if int(tok.text) not in positions:
+            raise ParseError(f"premise reference {int(tok.text)} does not name "
+                             "an earlier step", tok.span)
+        return positions[int(tok.text)]
+
+    for _ in ts.statements():
         idx_tok = ts.expect("int", "a step number")
         idx = int(idx_tok.text)
         if idx in positions:
@@ -619,18 +596,7 @@ def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
         sequent = _parse_sequent(ts, sig)
         ts.expect("semi", "';'")
         justification = _parse_justification(ts, sig)
-        premises = []
-        if ts.accept("ident", "from"):
-            while True:
-                ref_tok = ts.expect("int", "a premise step number")
-                ref = int(ref_tok.text)
-                if ref not in positions:
-                    raise ParseError(f"premise reference {ref} does not name "
-                                     "an earlier step", ref_tok.span)
-                premises.append(positions[ref])
-                if not ts.accept("comma"):
-                    break
-        ts.end_statement()
+        premises = ts.comma_list(premise) if ts.accept("ident", "from") else ()
         positions[idx] = len(steps)
         steps.append(Step(sequent, justification, tuple(premises)))
     return Derivation(logic, tuple(hypotheses), tuple(steps))

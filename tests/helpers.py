@@ -19,7 +19,7 @@ from mvmodal.core import (
     closure_order,
 )
 from mvmodal.decision import Countermodel, ProvedValid, ValidUpTo, filtration_bound
-from mvmodal.proofs import Derivation, Step
+from mvmodal.proofs import Derivation, LogicId, Step
 from mvmodal.sampling import EDGE_PROBABILITY
 from mvmodal.semantics import (
     FrameClass,
@@ -152,6 +152,57 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
     if bound >= filtration_bound(hypotheses, goal, sig.n):
         return ProvedValid(bound)
     return ValidUpTo(bound)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the filtration's class relation before the projection and the
+# comparison table replaced it, `_class_relation` kept verbatim but for
+# its name.
+# ---------------------------------------------------------------------------
+
+
+def class_relation(model: KripkeModel, logic: LogicId,
+                   phi: tuple[Formula, ...],
+                   classes: tuple[tuple[int, ...], ...],
+                   reps: tuple[int, ...],
+                   val: dict[Formula, tuple[int, ...]]) -> set[tuple[int, int]]:
+    boxed = [f for f in phi if isinstance(f, Box)]
+    diamonded = [f for f in phi if isinstance(f, Diamond)]
+
+    def related(u: int, v: int) -> bool:
+        if logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):
+            raise AssertionError("projection logics handled separately")
+        if logic is LogicId.MV_K4:
+            return (all(val[f][u] <= val[f][v] and val[f][u] <= val[f.sub][v]
+                        for f in boxed)
+                    and all(val[f][u] >= val[f][v] and val[f][u] >= val[f.sub][v]
+                            for f in diamonded))
+        if logic is LogicId.MV_S4:
+            return (all(val[f][u] <= val[f][v] for f in boxed)
+                    and all(val[f][u] >= val[f][v] for f in diamonded))
+        if logic is LogicId.MV_B:
+            return (all(val[f][u] <= val[f.sub][v] and val[f][v] <= val[f.sub][u]
+                        for f in boxed)
+                    and all(val[f][u] >= val[f.sub][v] and val[f][v] >= val[f.sub][u]
+                            for f in diamonded))
+        if logic is LogicId.MV_S5:
+            return (all(val[f][u] == val[f][v] for f in boxed)
+                    and all(val[f][u] == val[f][v] for f in diamonded))
+        raise ValueError(f"unknown logic {logic!r}")
+
+    edges: set[tuple[int, int]] = set()
+    if logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):
+        for i, members_i in enumerate(classes):
+            for j, members_j in enumerate(classes):
+                if any(v in model.successors(u)
+                       for u in members_i for v in members_j):
+                    edges.add((i, j))
+    else:
+        for i, u in enumerate(reps):
+            for j, v in enumerate(reps):
+                if related(u, v):
+                    edges.add((i, j))
+    return edges
 
 
 # ---------------------------------------------------------------------------

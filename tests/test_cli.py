@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mvmodal.cli import main
@@ -192,6 +197,32 @@ class TestFilter:
         assert code == 2 and "frame class" in err
 
 
+    def test_phi_file_takes_comments_and_blank_lines(self, ws, capsys):
+        (ws / "m.mvk").write_text("worlds 2\nedge 0 1\nval 1 p 3\n")
+        (ws / "phi.mvk").write_text("# formulas\nBox p  # boxed\n\n\tp\r\n")
+        code, out, err = run(capsys, "filter", "--sig", str(ws / "sig.mvk"),
+                             "--model", str(ws / "m.mvk"),
+                             "--phi", str(ws / "phi.mvk"))
+        assert code == 0 and not err
+        assert out.splitlines()[:3] == ["filtered", "class 0: 0", "class 1: 1"]
+
+    def test_phi_error_names_its_line(self, ws, capsys):
+        (ws / "phi.mvk").write_text("p\n# comment\nBox p\n\nimp(p q)\n")
+        code, out, err = run(capsys, "filter", "--sig", str(ws / "sig.mvk"),
+                             "--model", str(ws / "model.mvk"),
+                             "--phi", str(ws / "phi.mvk"))
+        assert code == 2 and out == ""
+        assert err == "error: line 5, column 7: expected ')', found 'q'\n"
+
+    def test_two_formulas_on_one_line_are_an_error(self, ws, capsys):
+        (ws / "phi.mvk").write_text("p\nBox p q\n")
+        code, out, err = run(capsys, "filter", "--sig", str(ws / "sig.mvk"),
+                             "--model", str(ws / "model.mvk"),
+                             "--phi", str(ws / "phi.mvk"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2, column 7: unexpected 'q'")
+
+
 class TestNegScan:
     def test_three_values(self, capsys):
         code, out, _ = run(capsys, "neg-scan", "--n", "3", "--bound", "2")
@@ -235,6 +266,14 @@ class TestTranslate:
         assert code == 2 and "modal-free" in err
 
 
+    def test_error_position_counts_leading_lines(self, ws, capsys):
+        (ws / "seq.mvk").write_text("\n\n  (p 1) ->")
+        code, out, err = run(capsys, "translate", "--sig", str(ws / "sig.mvk"),
+                             str(ws / "seq.mvk"))
+        assert code == 2 and out == ""
+        assert err == "error: line 3, column 6: expected ',', found '1'\n"
+
+
 class TestFrameCheck:
     def test_yes(self, ws, capsys):
         (ws / "m.mvk").write_text("worlds 2\nedge 0 0\nedge 1 1\n")
@@ -269,6 +308,22 @@ class TestUsage:
 
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+    def test_python_m_mvmodal(self, ws):
+        # a malformed model file: exit 2 and one error line, no traceback
+        (ws / "bad.mvk").write_text("worlds 2\nedge 0 1\nval 0 p 9\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvmodal", "eval", "--sig", str(ws / "sig.mvk"),
+             "--model", str(ws / "bad.mvk"), "--world", "0", "p"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: line 3, column 9: label 9 out of 1..3\n"
+        assert "Traceback" not in proc.stderr
 
 
 class TestCeiling:

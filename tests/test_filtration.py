@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from mvmodal.core import Apply, Box, Diamond, Var, subformula_closure
+from helpers import class_relation, rand_formula
+from mvmodal.core import (
+    Apply,
+    Box,
+    Diamond,
+    Var,
+    closure_order,
+    formula_key,
+    subformula_closure,
+)
 from mvmodal.filtration import (
     equiv_classes,
     filter_model,
@@ -10,7 +19,13 @@ from mvmodal.filtration import (
 )
 from mvmodal.proofs import LogicId
 from mvmodal.sampling import random_model
-from mvmodal.semantics import FrameClass, KripkeModel, evaluate, frame_check
+from mvmodal.semantics import (
+    FrameClass,
+    KripkeModel,
+    evaluate,
+    frame_check,
+    label_vectors,
+)
 
 p = Var("p")
 q = Var("q")
@@ -80,6 +95,25 @@ class TestFilterModel:
                 for (u, v) in m.edges:
                     assert ((filtered.class_of(u), filtered.class_of(v))
                             in filtered.model.edges)
+
+    def test_class_relation_matches_the_oracle(self, luk3):
+        # every logic, both representatives, formula sets beyond PHI
+        rng = random.Random(38)
+        nontrivial = 0
+        for logic in LogicId:
+            for _ in range(30):
+                m = random_model(rng, ["p", "q"], 3, 6, logic.frame_class)
+                phi = subformula_closure(
+                    {rand_formula(rng, luk3, ["p", "q"], 3) for _ in range(3)})
+                val = label_vectors(luk3, m, closure_order(phi))
+                ordered = tuple(sorted(phi, key=formula_key))
+                for representative in ("least", "greatest"):
+                    filtered = filter_model(luk3, m, phi, logic, representative)
+                    assert filtered.model.edges == class_relation(
+                        m, logic, ordered, filtered.classes,
+                        filtered.representatives, val), (logic, representative)
+                    nontrivial += 0 < len(filtered.model.edges) < len(filtered.classes) ** 2
+        assert nontrivial > 100
 
     def test_serial_input_gives_serial_output(self, luk3):
         rng = random.Random(33)

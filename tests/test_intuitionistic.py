@@ -81,6 +81,17 @@ class TestEvalMvil:
             eval_mvil(luk3, m, 0, Box(p))
 
 
+    def test_first_offender_in_closure_order_names_the_error(self, luk3):
+        # world 1 is a dead end; subformulas come before their parents
+        m = KripkeModel(2, {(0, 0)})
+        with pytest.raises(ValueError, match="world 1 has no successors"):
+            eval_mvil(luk3, m, 0, Box(Apply("imp", (p, q))))
+        with pytest.raises(ValueError, match="no modal"):
+            eval_mvil(luk3, m, 0, Apply("imp", (Box(p), q)))
+        with pytest.raises(ValueError, match="no modal"):
+            eval_mvil(luk3, m, 0, Box(p))
+
+
 class TestMonotoneConnective:
     def test_min_and_max_are_monotone(self):
         assert monotone_connective(min_connective(3))
