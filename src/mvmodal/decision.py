@@ -164,6 +164,9 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
     when the class's frame predicate (semantics.frame_predicate) holds.
     Valuations range over all label assignments to (world, variable)
     pairs for each relation.  The order is deterministic.
+    Each relation is validated once, by the KripkeModel built for its
+    first valuation; the models of its later valuations share that
+    model's edge set and successor sets (KripkeModel._revalued).
     Drawing more than `ceiling` models raises EnumerationCeilingError;
     the searches in this package pass one budget to every call, so their
     ceiling counts models over the whole search.
@@ -174,9 +177,14 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
     budget = _Budget.of(ceiling)
     slots = [(u, p) for u in range(world_count) for p in variables]
     for edges in _relations(world_count, frame_class):
+        model = None
         for labels in product(range(1, n + 1), repeat=len(slots)):
             budget.spend()
-            yield KripkeModel(world_count, edges, dict(zip(slots, labels)))
+            # slots are u-major over sorted variables: vals is sorted
+            vals = tuple(zip(slots, labels))
+            model = (KripkeModel(world_count, edges, vals) if model is None
+                     else model._revalued(vals))
+            yield model
 
 
 def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],

@@ -152,9 +152,14 @@ class TokenStream:
         """An integer in low..high (no upper limit when high is None).
 
         Out of range, `message` is formatted with the integer, low and high.
+        Every integer of every format is read here.
         """
         tok = self.expect("int", what)
-        value = int(tok.text)
+        try:
+            value = int(tok.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"integer of {len(tok.text)} digits is too long",
+                             tok.span) from None
         if value < low or (high is not None and value > high):
             raise ParseError(message.format(value, low, high), tok.span)
         return value
@@ -509,7 +514,7 @@ def _parse_table_entry(ts: TokenStream, sig: Signature) -> AxiomTable:
     conn = ts.expect("ident", "a connective name").text
     entry = []
     while ts.peek().kind == "int":
-        entry.append(int(ts.advance().text))
+        entry.append(ts.expect_int("a table entry"))
     return AxiomTable(conn, tuple(entry))
 
 
@@ -581,15 +586,16 @@ def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
     positions: dict[int, int] = {}
 
     def premise(ts: TokenStream) -> int:
-        tok = ts.expect("int", "a premise step number")
-        if int(tok.text) not in positions:
-            raise ParseError(f"premise reference {int(tok.text)} does not name "
+        tok = ts.peek()
+        ref = ts.expect_int("a premise step number")
+        if ref not in positions:
+            raise ParseError(f"premise reference {ref} does not name "
                              "an earlier step", tok.span)
-        return positions[int(tok.text)]
+        return positions[ref]
 
     for _ in ts.statements():
-        idx_tok = ts.expect("int", "a step number")
-        idx = int(idx_tok.text)
+        idx_tok = ts.peek()
+        idx = ts.expect_int("a step number")
         if idx in positions:
             raise ParseError(f"duplicate step number {idx}", idx_tok.span)
         ts.expect("colon", "':'")

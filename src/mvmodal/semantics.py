@@ -48,6 +48,12 @@ class KripkeModel:
     The valuation maps (world, variable) pairs to labels; variables with
     no explicit entry take label 1 everywhere, so the valuation is total.
     Models are immutable after construction.
+
+    The constructor validates the edges and the valuation.  The private
+    `_revalued` gives the same frame another valuation without checks:
+    the frame was checked when this model was built, and its one caller,
+    decision.enumerate_models, builds every valuation in range and in
+    sorted order.
     """
 
     world_count: int
@@ -78,6 +84,18 @@ class KripkeModel:
             succ[u].add(v)
         object.__setattr__(self, "_succ", tuple(frozenset(s) for s in succ))
         object.__setattr__(self, "_val_map", val_map)
+
+    def _revalued(self, vals: tuple[tuple[tuple[int, str], int], ...]
+                  ) -> KripkeModel:
+        """This model's frame with `vals` as its valuation, unchecked.
+
+        `vals` must be sorted, with worlds in range and labels >= 1: the
+        model equals KripkeModel(world_count, edges, vals) field for
+        field, and shares this one's edge set and successor sets.
+        """
+        model = object.__new__(KripkeModel)
+        model.__dict__.update(self.__dict__, vals=vals, _val_map=dict(vals))
+        return model
 
     @property
     def worlds(self) -> range:

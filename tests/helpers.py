@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, Union
 
+from mvmodal import decision
 from mvmodal.core import (
     Apply,
     Box,
@@ -134,14 +135,19 @@ def oracle_relations(world_count: int, frame_class: FrameClass
 
 
 def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
-                  goal: Sequent, frame_class: FrameClass, bound: int):
-    """decide's outcome over the oracle relations, first countermodel first."""
+                  goal: Sequent, frame_class: FrameClass, bound: int,
+                  relations=oracle_relations):
+    """decide's outcome over the oracle relations, first countermodel first.
+
+    Over `relations=decision._relations` it searches the models decide
+    searches, in the same order, each built and checked in full.
+    """
     variables = sorted({f.name for s in (goal, *hypotheses)
                         for f in closure_order(s.formulas())
                         if isinstance(f, Var)})
     for world_count in range(1, bound + 1):
         slots = [(u, p) for u in range(world_count) for p in variables]
-        for edges in oracle_relations(world_count, frame_class):
+        for edges in relations(world_count, frame_class):
             for labels in product(range(1, sig.n + 1), repeat=len(slots)):
                 model = KripkeModel(world_count, edges, dict(zip(slots, labels)))
                 if hypotheses and not model_satisfies(sig, model, hypotheses):
@@ -152,6 +158,28 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
     if bound >= filtration_bound(hypotheses, goal, sig.n):
         return ProvedValid(bound)
     return ValidUpTo(bound)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: enumerate_models before each relation's later valuations
+# reused its validated model, kept verbatim but for its name and the
+# module of _Budget and _relations.
+# ---------------------------------------------------------------------------
+
+
+def oracle_models(variables: Iterable[str], n: int, world_count: int,
+                  frame_class: FrameClass,
+                  ceiling: Union[int, decision._Budget, None] = None
+                  ) -> Iterator[KripkeModel]:
+    if world_count < 1:
+        raise ValueError("world_count must be >= 1")
+    variables = sorted(set(variables))
+    budget = decision._Budget.of(ceiling)
+    slots = [(u, p) for u in range(world_count) for p in variables]
+    for edges in decision._relations(world_count, frame_class):
+        for labels in product(range(1, n + 1), repeat=len(slots)):
+            budget.spend()
+            yield KripkeModel(world_count, edges, dict(zip(slots, labels)))
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,22 @@ class TestUsage:
         assert proc.stderr == "error: line 3, column 9: label 9 out of 1..3\n"
         assert "Traceback" not in proc.stderr
 
+    def test_integer_past_the_digit_limit(self, ws):
+        # one error line with its position, not the interpreter's message
+        (ws / "big.mvk").write_text("worlds 2\nedge 0 " + "1" * 5000 + "\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvmodal", "frame-check",
+             "--model", str(ws / "big.mvk"), "serial"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: line 2, column 8: "
+                               "integer of 5000 digits is too long\n")
+        assert "Traceback" not in proc.stderr
+
 
 class TestCeiling:
     def test_neg_scan_ceiling_counts_the_whole_scan(self, capsys):

@@ -1,5 +1,11 @@
-import pytest
+import random
+from itertools import groupby, zip_longest
+from operator import attrgetter
 
+import pytest
+from helpers import oracle_decide, oracle_models
+
+from mvmodal import decision
 from mvmodal.core import (
     Apply,
     Box,
@@ -16,12 +22,13 @@ from mvmodal.decision import (
     EnumerationCeilingError,
     ProvedValid,
     ValidUpTo,
+    _relations,
     decide,
     enumerate_models,
     filtration_bound,
     search_countermodel,
 )
-from mvmodal.proofs import LogicId
+from mvmodal.proofs import LogicId, instantiate_scheme
 from mvmodal.semantics import FrameClass, frame_check, satisfies_sequent
 
 p = Var("p")
@@ -184,3 +191,129 @@ class TestSearchByFrameClass:
         assert found is not None
         assert not frame_check(found.model, FrameClass.EUCLIDEAN)
         assert not satisfies_sequent(luk3, found.model, found.world, goal)
+
+
+def _observed(model):
+    """Everything a caller can read off a model."""
+    worlds = model.worlds
+    names = model.variables()
+    return (model, hash(model), model.world_count, model.edges, model.vals,
+            names, [model.successors(w) for w in worlds],
+            [model.value(w, p) for w in worlds for p in (*names, "unvalued")])
+
+
+class TestModelsOfOneRelation:
+    """enumerate_models against helpers.oracle_models, which builds every
+    model in full.
+
+    Models are compared a relation at a time, after all of the relation's
+    models are drawn, so a later valuation that shares an earlier model's
+    valuation would show.
+    """
+
+    # n = 3 with two variables at three worlds would draw 894,000 models
+    # (about 30 s); n = 2 covers two variables there.
+    @pytest.mark.parametrize("frame_class", list(FrameClass))
+    @pytest.mark.parametrize("world_count", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_same_models_as_the_oracle(self, frame_class, world_count, n):
+        for variables in ([], ["p"], ["q", "p"]):
+            if (n, world_count, len(variables)) == (3, 3, 2):
+                continue
+            by_relation = attrgetter("edges")
+            ours = groupby(enumerate_models(variables, n, world_count,
+                                            frame_class), by_relation)
+            theirs = groupby(oracle_models(variables, n, world_count,
+                                           frame_class), by_relation)
+            for mine, oracle in zip_longest(ours, theirs):
+                assert mine is not None and oracle is not None
+                assert mine[0] == oracle[0]
+                mine, oracle = list(mine[1]), list(oracle[1])
+                assert len(mine) == n ** (world_count * len(variables))
+                assert list(map(_observed, mine)) == list(map(_observed, oracle))
+
+    def test_one_construction_per_relation(self, monkeypatch):
+        built = []
+        real = decision.KripkeModel
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(decision, "KripkeModel", counting)
+        models = list(enumerate_models(["p"], 3, 2, FrameClass.ANY))
+        assert (len(built), len(models)) == (16, 144)
+        for frame_class in FrameClass:
+            for world_count in (1, 2, 3):
+                built.clear()
+                count = sum(1 for _ in enumerate_models(["p"], 2, world_count,
+                                                        frame_class))
+                relations = list(_relations(world_count, frame_class))
+                assert len(built) == len(relations)
+                assert count == len(relations) * 2 ** world_count
+
+    def test_ceiling_stops_inside_a_relation(self):
+        # 9 valuations per relation: the 12th model is the second relation's third
+        models = enumerate_models(["p"], 3, 2, FrameClass.ANY, ceiling=11)
+        drawn = [next(models) for _ in range(11)]
+        with pytest.raises(EnumerationCeilingError) as caught:
+            next(models)
+        assert caught.value.examined == 11
+        assert drawn == list(oracle_models(["p"], 3, 2, FrameClass.ANY))[:11]
+
+
+class TestWitnessesPinned:
+    """decide against a search over the same relations in the same order,
+    with every model built and checked in full."""
+
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_outcomes_match_the_full_construction(self, logic):
+        # each scheme instance as a goal, alone and under a seeded scheme
+        # instance as hypothesis: witnesses of one to three worlds
+        sig = lukasiewicz_signature(2)
+        rng = random.Random(7)
+        seen = set()
+        for scheme in range(20, 29):
+            goal = instantiate_scheme(scheme, p, 2, 2)
+            sigma = (instantiate_scheme(rng.randrange(20, 29), p,
+                                        rng.randint(1, 2), 2),)
+            for hypotheses in ((), sigma):
+                for bound in (1, 2, 3):
+                    out = decide(sig, hypotheses, goal, logic, bound)
+                    expected = oracle_decide(sig, hypotheses, goal,
+                                             logic.frame_class, bound,
+                                             relations=_relations)
+                    assert type(out) is type(expected), (scheme, hypotheses, bound)
+                    assert out == expected, (scheme, hypotheses, bound)
+                    if isinstance(out, Countermodel):
+                        assert out.model.vals == expected.model.vals
+                        assert out.world == expected.world
+                        seen.add(out.model.world_count)
+        if logic is not LogicId.MV_S5:
+            assert 2 in seen
+
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_ceiling_boundary_of_a_valid_query(self, luk3, logic):
+        # valid in every logic; each world count is searched in full
+        goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
+        frame_class = logic.frame_class
+        count = sum(1 for w in (1, 2)
+                    for _ in oracle_models(["p"], 3, w, frame_class))
+        assert decide(luk3, (), goal, logic, 2, ceiling=count) == ValidUpTo(2)
+        with pytest.raises(EnumerationCeilingError) as caught:
+            decide(luk3, (), goal, logic, 2, ceiling=count - 1)
+        assert caught.value.examined == count - 1
+
+    def test_ceiling_boundary_of_a_refuted_query(self, luk3):
+        # no one-world model refutes the goal: the witness lies inside the
+        # two-world relations, after every one-world model
+        goal = Sequent([lf(Box(p), 2)], [lf(p, 2), lf(p, 3)])
+        out = decide(luk3, (), goal, LogicId.MV_K, 2)
+        assert out.model.world_count == 2
+        models = [m for w in (1, 2)
+                  for m in oracle_models(["p"], 3, w, FrameClass.ANY)]
+        drawn = models.index(out.model) + 1
+        assert decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=drawn) == out
+        with pytest.raises(EnumerationCeilingError) as caught:
+            decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=drawn - 1)
+        assert caught.value.examined == drawn - 1

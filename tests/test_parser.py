@@ -502,6 +502,39 @@ class TestErrorSpans:
         assert "line 1" in str(info.value)
         assert "column" in str(info.value)
 
+    # Python reads at most 4,300 digits into an int; every integer token
+    # is read through one reader that turns the excess into a ParseError.
+    # parse_formula and parse_formulas read no integers.
+    BIG = "9" * 5000
+    LONG_INTEGERS = [
+        ("domain", "domain " + BIG + "\n", "signature", 1, 8),
+        ("arity", "domain 2\nconn f " + BIG + "\n", "signature", 2, 8),
+        ("label", "(p, " + BIG + ") ->", "sequent", 1, 5),
+        ("label", "-> (p, 1)\n(p, " + BIG + ") ->\n", "sequents", 2, 5),
+        ("worlds", "worlds " + BIG + "\n", "model", 1, 8),
+        ("label", "worlds 1\nval 0 p " + BIG + "\n", "model", 2, 9),
+        ("step", BIG + ": -> (p, 1) ; ax-id\n", "proof", 1, 1),
+        ("table-entry", "1: -> (p, 1) ; ax-table imp " + BIG + "\n",
+         "proof", 1, 29),
+        ("premise", "1: -> (p, 1) ; ax-id\n2: -> (p, 1) ; cut (p, 1) from 1, "
+         + BIG + "\n", "proof", 2, 35),
+        ("rule-label", "1: -> (p, 1) ; lshift " + BIG + "\n", "proof", 1, 23),
+    ]
+
+    @pytest.mark.parametrize("text, kind, line, column",
+                             [case[1:] for case in LONG_INTEGERS],
+                             ids=[f"{case[2]}-{case[0]}" for case in LONG_INTEGERS])
+    def test_integer_past_the_digit_limit(self, luk3, text, kind, line, column):
+        parsers = {"signature": parse_signature,
+                   "sequent": partial(parse_sequent, sig=luk3),
+                   "sequents": partial(parse_sequents, sig=luk3),
+                   "model": partial(parse_model, sig=luk3),
+                   "proof": partial(parse_proof, sig=luk3)}
+        with pytest.raises(ParseError) as info:
+            parsers[kind](text)
+        assert (info.value.span.line, info.value.span.column) == (line, column)
+        assert info.value.message == "integer of 5000 digits is too long"
+
     def test_random_text_parses_or_raises_parse_error(self, luk3_neg):
         rng = random.Random(41)
         parsers = [parse_signature] + [
