@@ -68,6 +68,13 @@ class SourceSpan:
     offset: int
 
 
+def _quote(text: str) -> str:
+    """A token's text for an error message: quoted, and cut after 32 characters."""
+    if len(text) <= 32:
+        return repr(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
+
+
 class ParseError(Exception):
     def __init__(self, message: str, span: SourceSpan,
                  expected: Optional[str] = None):
@@ -113,7 +120,8 @@ def tokenize(text: str) -> list[Token]:
         kind = m.lastgroup
         tokens.append(Token(kind, m[kind], m.start(kind), text))
         if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", tokens[-1].span)
+            raise ParseError(f"unexpected character {_quote(m[kind])}",
+                             tokens[-1].span)
         if kind == "eof":
             break
     return tokens
@@ -142,7 +150,7 @@ class TokenStream:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}" if tok.text
+            raise ParseError(f"expected {what}, found {_quote(tok.text)}" if tok.text
                              else f"expected {what}, found end of input",
                              tok.span, expected=what)
         return self.advance()
@@ -182,17 +190,24 @@ class TokenStream:
         if tok.kind == "newline":
             self.advance()
             return
-        raise ParseError(f"unexpected {tok.text!r} at end of statement", tok.span)
+        raise ParseError(f"unexpected {_quote(tok.text)} at end of statement",
+                         tok.span)
 
     def header(self, keyword: str, noun: str, what: str, low: int,
-               too_small: str) -> int:
-        """The integer of the `keyword N` statement that opens a file."""
+               too_small: str, high: Optional[int] = None) -> int:
+        """The integer of the `keyword N` statement that opens a file.
+
+        Above `high` it is an error, raised before the caller allocates.
+        """
         self.skip_newlines()
         tok = self.expect("ident", f"'{keyword}'")
         if tok.text != keyword:
             raise ParseError(f"{noun} must start with a {keyword} declaration",
                              tok.span, expected=keyword)
+        int_tok = self.peek()
         value = self.expect_int(what, low, None, too_small)
+        if high is not None and value > high:
+            raise ParseError(f"{what} is above the limit of {high}", int_tok.span)
         self.end_statement()
         return value
 
@@ -223,6 +238,9 @@ def _label(ts: TokenStream, n: int, what: str = "a label") -> int:
 #: inside Python's default recursion limit in every subcommand.
 MAX_FORMULA_DEPTH = 100
 
+#: Most worlds a model file may declare; a model allocates per world.
+MAX_WORLDS = 100_000
+
 
 def _parse_formula(ts: TokenStream, sig: Signature, depth: int = 0) -> Formula:
     tok = ts.peek()
@@ -235,7 +253,7 @@ def _parse_formula(ts: TokenStream, sig: Signature, depth: int = 0) -> Formula:
         ts.expect("rparen", "')'")
         return inner
     if tok.kind != "ident":
-        raise ParseError(f"expected a formula, found {tok.text!r}", tok.span,
+        raise ParseError(f"expected a formula, found {_quote(tok.text)}", tok.span,
                          expected="formula")
     ts.advance()
     if tok.text == "Box":
@@ -248,14 +266,14 @@ def _parse_formula(ts: TokenStream, sig: Signature, depth: int = 0) -> Formula:
         ts.expect("rparen", "')'")
         conn = sig.connectives.get(tok.text)
         if conn is None:
-            raise ParseError(f"unknown connective {tok.text!r}", tok.span)
+            raise ParseError(f"unknown connective {_quote(tok.text)}", tok.span)
         if len(args) != conn.arity:
             raise ParseError(
-                f"connective {tok.text!r} expects {conn.arity} arguments, "
+                f"connective {_quote(tok.text)} expects {conn.arity} arguments, "
                 f"got {len(args)}", tok.span)
         return Apply(tok.text, tuple(args))
     if tok.text in sig.connectives:
-        raise ParseError(f"connective {tok.text!r} needs an argument list",
+        raise ParseError(f"connective {_quote(tok.text)} needs an argument list",
                          tok.span)
     return Var(tok.text)
 
@@ -288,7 +306,7 @@ def _single(text: str, parse, sig: Signature):
     ts.skip_newlines()
     tok = ts.peek()
     if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing {tok.text!r}", tok.span)
+        raise ParseError(f"unexpected trailing {_quote(tok.text)}", tok.span)
     return out
 
 
@@ -374,25 +392,28 @@ def parse_signature(text: str) -> Signature:
     declared: dict[str, tuple[int, Token, dict[tuple[int, ...], int]]] = {}
     for _ in ts.statements():
         name_tok = ts.expect("ident", "'conn' or a table row")
-        if name_tok.text == "conn":
+        # once a connective named `conn` is declared, `conn` followed by
+        # anything but a name starts one of its table rows
+        if name_tok.text == "conn" and ("conn" not in declared
+                                        or ts.peek().kind == "ident"):
             ctok = ts.expect("ident", "a connective name")
             if ctok.text in RESERVED_NAMES:
-                raise ParseError(f"connective name {ctok.text!r} is reserved",
+                raise ParseError(f"connective name {_quote(ctok.text)} is reserved",
                                  ctok.span)
             if ctok.text in declared:
-                raise ParseError(f"duplicate connective name {ctok.text!r}",
+                raise ParseError(f"duplicate connective name {_quote(ctok.text)}",
                                  ctok.span)
             declared[ctok.text] = (ts.expect_int("an arity"), ctok, {})
             continue
         if name_tok.text not in declared:
             raise ParseError(f"table row for undeclared connective "
-                             f"{name_tok.text!r}", name_tok.span)
+                             f"{_quote(name_tok.text)}", name_tok.span)
         arity, _, table = declared[name_tok.text]
         key = tuple(_label(ts, n, "an argument label") for _ in range(arity))
         ts.expect("equals", "'='")
         out = _label(ts, n, "the table value")
         if key in table:
-            raise ParseError(f"duplicate table row for {name_tok.text!r}",
+            raise ParseError(f"duplicate table row for {_quote(name_tok.text)}",
                              name_tok.span)
         table[key] = out
 
@@ -401,7 +422,7 @@ def parse_signature(text: str) -> Signature:
         if len(table) != n ** arity:
             missing = next(e for e in all_entries(n, arity) if e not in table)
             raise ParseError(
-                f"connective {name!r}: missing table entry for "
+                f"connective {_quote(name)}: missing table entry for "
                 f"{' '.join(map(str, missing)) or '()'}", ctok.span)
         connectives.append(Connective(name, arity, table))
     return make_signature(n, connectives)
@@ -427,7 +448,7 @@ def render_signature(sig: Signature) -> str:
 def parse_model(text: str, sig: Signature) -> KripkeModel:
     ts = TokenStream(tokenize(text))
     world_count = ts.header("worlds", "model", "the world count", 1,
-                            "a model needs at least one world")
+                            "a model needs at least one world", MAX_WORLDS)
 
     def world(what: str) -> int:
         return ts.expect_int(what, 0, world_count - 1,
@@ -443,15 +464,15 @@ def parse_model(text: str, sig: Signature) -> KripkeModel:
             u = world("valuation world")
             vtok = ts.expect("ident", "a variable name")
             if vtok.text in RESERVED_NAMES:
-                raise ParseError(f"variable name {vtok.text!r} is reserved",
+                raise ParseError(f"variable name {_quote(vtok.text)} is reserved",
                                  vtok.span)
             k = _label(ts, sig.n)
             if (u, vtok.text) in vals:
-                raise ParseError(f"duplicate valuation for {vtok.text!r} "
+                raise ParseError(f"duplicate valuation for {_quote(vtok.text)} "
                                  f"at world {u}", vtok.span)
             vals[(u, vtok.text)] = k
         else:
-            raise ParseError(f"expected 'edge' or 'val', found {key.text!r}",
+            raise ParseError(f"expected 'edge' or 'val', found {_quote(key.text)}",
                              key.span)
     return KripkeModel(world_count, edges, vals)
 
@@ -574,7 +595,7 @@ def _parse_justification(ts: TokenStream, sig: Signature) -> Justification:
     name, tok = _parse_rule_name(ts)
     parse = _PARSERS.get(name)
     if parse is None:
-        raise ParseError(f"unknown rule name {name!r}", tok.span)
+        raise ParseError(f"unknown rule name {_quote(name)}", tok.span)
     return parse(ts, sig)
 
 

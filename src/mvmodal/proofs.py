@@ -8,7 +8,8 @@ exact shape of every rule application; it never searches.
 Since sequent sides are sets, a rule's side formula may coincide with a
 formula already present in the surrounding context.  Where the rule
 notation leaves that context ambiguous (the context may or may not
-retain the principal formula), the checker accepts every reading.
+retain the principal formula), the checker accepts every reading, by
+checking that each side lies between the sides of the two extreme readings.
 """
 
 from __future__ import annotations
@@ -46,45 +47,40 @@ class LogicId(enum.Enum):
 
     @property
     def schemes(self) -> frozenset[int]:
-        return _LOGIC_SCHEMES[self]
+        return _LOGICS[self][0]
 
     @property
     def frame_class(self) -> FrameClass:
-        return _LOGIC_FRAMES[self]
+        return _LOGICS[self][1]
 
 
-_LOGIC_SCHEMES = {
-    LogicId.MV_K: frozenset(),
-    LogicId.MV_D: frozenset({20}),
-    LogicId.MV_T: frozenset({21, 22}),
-    LogicId.MV_K4: frozenset({23, 24}),
-    LogicId.MV_S4: frozenset({21, 22, 23, 24}),
-    LogicId.MV_B: frozenset({25, 26}),
-    LogicId.MV_S5: frozenset({21, 22, 27, 28}),
+#: Each logic's extension schemes and frame class.
+_LOGICS = {
+    LogicId.MV_K: (frozenset(), FrameClass.ANY),
+    LogicId.MV_D: (frozenset({20}), FrameClass.SERIAL),
+    LogicId.MV_T: (frozenset({21, 22}), FrameClass.REFLEXIVE),
+    LogicId.MV_K4: (frozenset({23, 24}), FrameClass.TRANSITIVE),
+    LogicId.MV_S4: (frozenset({21, 22, 23, 24}), FrameClass.PREORDER),
+    LogicId.MV_B: (frozenset({25, 26}), FrameClass.SYMMETRIC),
+    LogicId.MV_S5: (frozenset({21, 22, 27, 28}), FrameClass.EQUIVALENCE),
 }
 
-_LOGIC_FRAMES = {
-    LogicId.MV_K: FrameClass.ANY,
-    LogicId.MV_D: FrameClass.SERIAL,
-    LogicId.MV_T: FrameClass.REFLEXIVE,
-    LogicId.MV_K4: FrameClass.TRANSITIVE,
-    LogicId.MV_S4: FrameClass.PREORDER,
-    LogicId.MV_B: FrameClass.SYMMETRIC,
-    LogicId.MV_S5: FrameClass.EQUIVALENCE,
+#: Each extension scheme's frame class and its (left, right) formulas for
+#: phi, instantiated as (left, k) -> up-set of (right, k); scheme 20 takes k = n.
+_SCHEMES: dict[int, tuple[FrameClass, Callable[[Formula], tuple[Formula, Formula]]]] = {
+    20: (FrameClass.SERIAL, lambda f: (Box(f), Diamond(f))),
+    21: (FrameClass.REFLEXIVE, lambda f: (Box(f), f)),
+    22: (FrameClass.REFLEXIVE, lambda f: (f, Diamond(f))),
+    23: (FrameClass.TRANSITIVE, lambda f: (Box(f), Box(Box(f)))),
+    24: (FrameClass.TRANSITIVE, lambda f: (Diamond(Diamond(f)), Diamond(f))),
+    25: (FrameClass.SYMMETRIC, lambda f: (f, Box(Diamond(f)))),
+    26: (FrameClass.SYMMETRIC, lambda f: (Diamond(Box(f)), f)),
+    27: (FrameClass.EUCLIDEAN, lambda f: (Diamond(f), Box(Diamond(f)))),
+    28: (FrameClass.EUCLIDEAN, lambda f: (Diamond(Box(f)), Box(f))),
 }
 
 #: Frame class each extension scheme is sound for on its own.
-SCHEME_FRAMES = {
-    20: FrameClass.SERIAL,
-    21: FrameClass.REFLEXIVE,
-    22: FrameClass.REFLEXIVE,
-    23: FrameClass.TRANSITIVE,
-    24: FrameClass.TRANSITIVE,
-    25: FrameClass.SYMMETRIC,
-    26: FrameClass.SYMMETRIC,
-    27: FrameClass.EUCLIDEAN,
-    28: FrameClass.EUCLIDEAN,
-}
+SCHEME_FRAMES = {scheme: frames for scheme, (frames, _) in _SCHEMES.items()}
 
 
 def instantiate_scheme(scheme: int, formula: Formula, label: int, n: int) -> Sequent:
@@ -93,23 +89,12 @@ def instantiate_scheme(scheme: int, formula: Formula, label: int, n: int) -> Seq
     Scheme 20 ignores the label argument.
     """
     if scheme == 20:
-        return Sequent([LabelledFormula(Box(formula), n)],
-                       [LabelledFormula(Diamond(formula), n)])
-    if not 1 <= label <= n:
+        label = n
+    elif not 1 <= label <= n:
         raise ValueError(f"label {label} out of 1..{n}")
-    shapes = {
-        21: (Box(formula), formula),
-        22: (formula, Diamond(formula)),
-        23: (Box(formula), Box(Box(formula))),
-        24: (Diamond(Diamond(formula)), Diamond(formula)),
-        25: (formula, Box(Diamond(formula))),
-        26: (Diamond(Box(formula)), formula),
-        27: (Diamond(formula), Box(Diamond(formula))),
-        28: (Diamond(Box(formula)), Box(formula)),
-    }
-    if scheme not in shapes:
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown extension scheme {scheme}")
-    left, right = shapes[scheme]
+    left, right = _SCHEMES[scheme][1](formula)
     return Sequent([LabelledFormula(left, label)],
                    up_set(LabelledFormula(right, label), n))
 
@@ -278,10 +263,11 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 
-def _with_and_without(members: frozenset[LabelledFormula],
-                      lf: LabelledFormula) -> tuple[frozenset[LabelledFormula], ...]:
-    # Both readings of "context, lf": the context may also contain lf itself.
-    return (members - {lf}, members)
+# "Context, lf" has two readings: the context may also hold lf itself.  Each
+# reading of each context in a conclusion side drops or keeps its own
+# distinct principal, so the readings give exactly the sides between the
+# union without the principals and the full union: the checkers test those
+# bounds.  r-box and r-dia test the premise against both readings' value.
 
 
 def _arity_error(count: int, premises) -> Optional[str]:
@@ -344,9 +330,9 @@ def _check_modal(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         return "conclusion succedent must be empty"
     if principal not in concl.ante_set:
         return "conclusion antecedent lacks the boxed/diamonded principal formula"
-    for gamma in _with_and_without(concl.ante_set, principal):
-        if prem.succ_set == gamma_cross(gamma, sig.n):
-            return None
+    if prem.succ_set in (gamma_cross(concl.ante_set - {principal}, sig.n),
+                         gamma_cross(concl.ante_set, sig.n)):
+        return None
     return "premise succedent differs from the successor-exclusion set of the context"
 
 
@@ -354,12 +340,10 @@ def _check_left_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     (prem,) = prems
     shifted = complement_interval(j.label, j.label, sig.n)
     for lf in prem.antecedent:
-        if lf.label != j.label:
-            continue
         extra = frozenset(LabelledFormula(lf.formula, k) for k in shifted)
-        for gamma in _with_and_without(prem.ante_set, lf):
-            if concl.ante_set == gamma and concl.succ_set == prem.succ_set | extra:
-                return None
+        if (lf.label == j.label and concl.succ_set == prem.succ_set | extra
+                and prem.ante_set - {lf} <= concl.ante_set <= prem.ante_set):
+            return None
     return (f"conclusion does not shift any antecedent formula with label "
             f"{j.label} to the succedent complement")
 
@@ -369,12 +353,10 @@ def _check_right_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         return f"side condition k' != k'' violated (both {j.from_label})"
     (prem,) = prems
     for lf in prem.succedent:
-        if lf.label != j.from_label:
-            continue
         moved = LabelledFormula(lf.formula, j.to_label)
-        for delta in _with_and_without(prem.succ_set, lf):
-            if concl.ante_set == prem.ante_set | {moved} and concl.succ_set == delta:
-                return None
+        if (lf.label == j.from_label and concl.ante_set == prem.ante_set | {moved}
+                and prem.succ_set - {lf} <= concl.succ_set <= prem.succ_set):
+            return None
     return (f"conclusion does not shift any succedent formula from label "
             f"{j.from_label} to antecedent label {j.to_label}")
 
@@ -394,13 +376,12 @@ def _check_weaken(j, concl, prems, hyps, logic, sig) -> Optional[str]:
 def _check_cut(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     lf = j.cut
     for left, right in (prems, prems[::-1]):
-        if lf not in left.succ_set or lf not in right.ante_set:
-            continue
-        for delta in _with_and_without(left.succ_set, lf):
-            for gamma in _with_and_without(right.ante_set, lf):
-                if (concl.ante_set == left.ante_set | gamma
-                        and concl.succ_set == delta | right.succ_set):
-                    return None
+        ante = left.ante_set | right.ante_set
+        succ = left.succ_set | right.succ_set
+        if (lf in left.succ_set and lf in right.ante_set
+                and left.ante_set | (right.ante_set - {lf}) <= concl.ante_set <= ante
+                and (left.succ_set - {lf}) | right.succ_set <= concl.succ_set <= succ):
+            return None
     return "conclusion is not a cut of the premises on the stated formula"
 
 
@@ -410,13 +391,11 @@ def _check_resolution(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     lf1 = LabelledFormula(j.formula, j.first_label)
     lf2 = LabelledFormula(j.formula, j.second_label)
     for first, second in (prems, prems[::-1]):
-        if lf1 not in first.succ_set or lf2 not in second.succ_set:
-            continue
-        for d1 in _with_and_without(first.succ_set, lf1):
-            for d2 in _with_and_without(second.succ_set, lf2):
-                if (concl.ante_set == first.ante_set | second.ante_set
-                        and concl.succ_set == d1 | d2):
-                    return None
+        low = (first.succ_set - {lf1}) | (second.succ_set - {lf2})
+        if (lf1 in first.succ_set and lf2 in second.succ_set
+                and concl.ante_set == first.ante_set | second.ante_set
+                and low <= concl.succ_set <= first.succ_set | second.succ_set):
+            return None
     return "conclusion is not a resolution of the premises on the stated labels"
 
 

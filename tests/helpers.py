@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Union
+
+from hypothesis import strategies as st
 
 from mvmodal import decision
 from mvmodal.core import (
@@ -132,6 +135,37 @@ def oracle_relations(world_count: int, frame_class: FrameClass
         if not frame_check(candidate, frame_class):
             continue
         yield edges
+
+
+@lru_cache(maxsize=None)
+def _class_relations(world_count: int, frame_class: FrameClass
+                     ) -> list[frozenset[tuple[int, int]]]:
+    # fewest edges first, so a drawn relation shrinks toward the smallest
+    return sorted(oracle_relations(world_count, frame_class),
+                  key=lambda edges: (len(edges), sorted(edges)))
+
+
+def class_models(frame_class: FrameClass) -> st.SearchStrategy[KripkeModel]:
+    """Hypothesis strategy: models of the frame class on 1 to 3 worlds, with
+    p and q valued in 1..3 at every world.
+
+    Shrinks toward fewer worlds, fewer edges and label 1.
+    """
+    @st.composite
+    def models(draw):
+        world_count = draw(st.integers(1, 3))
+        edges = draw(st.sampled_from(_class_relations(world_count, frame_class)))
+        slots = list(product(range(world_count), ("p", "q")))
+        labels = draw(st.lists(st.integers(1, 3), min_size=len(slots),
+                               max_size=len(slots)))
+        return KripkeModel(world_count, edges, dict(zip(slots, labels)))
+    return models()
+
+
+def logic_models() -> st.SearchStrategy[tuple[LogicId, KripkeModel]]:
+    """Hypothesis strategy: a logic and a model of its frame class."""
+    return st.sampled_from(list(LogicId)).flatmap(
+        lambda logic: st.tuples(st.just(logic), class_models(logic.frame_class)))
 
 
 def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],

@@ -9,6 +9,7 @@ from mvmodal.cli import main
 from mvmodal.derivations import box_modus_ponens_lukasiewicz
 from mvmodal.parser import (
     MAX_FORMULA_DEPTH,
+    MAX_WORLDS,
     parse_model,
     parse_signature,
     render_proof,
@@ -339,6 +340,22 @@ class TestUsage:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("error: line 2, column 8: "
                                "integer of 5000 digits is too long\n")
+        assert "Traceback" not in proc.stderr
+
+    def test_world_count_above_the_limit(self, ws):
+        # rejected at the header: no per-world allocation, one error line
+        (ws / "huge.mvk").write_text(f"worlds {MAX_WORLDS + 1}\nedge 0 1\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvmodal", "frame-check",
+             "--model", str(ws / "huge.mvk"), "serial"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: line 1, column 8: the world count is "
+                               f"above the limit of {MAX_WORLDS}\n")
         assert "Traceback" not in proc.stderr
 
 

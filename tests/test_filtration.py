@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import class_relation, rand_formula
+from helpers import class_relation, logic_models, rand_formula
 from mvmodal.core import (
     Apply,
     Box,
@@ -10,6 +12,7 @@ from mvmodal.core import (
     Var,
     closure_order,
     formula_key,
+    lukasiewicz_signature,
     subformula_closure,
 )
 from mvmodal.filtration import (
@@ -172,3 +175,23 @@ class TestVerify:
                 assert (not report.frame_ok) or report.value_mismatches
                 assert str(report)
         assert failures > 0
+
+
+LUK3 = lukasiewicz_signature(3)
+FORMULAS = st.recursive(
+    st.sampled_from([p, q]),
+    lambda sub: st.one_of(sub.map(Box), sub.map(Diamond),
+                          st.tuples(sub, sub).map(lambda ab: Apply("imp", ab))),
+    max_leaves=5)
+CLOSED_SETS = st.lists(FORMULAS, min_size=1, max_size=3).map(subformula_closure)
+
+
+class TestFiltrationProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(logic_models(), CLOSED_SETS)
+    def test_values_preserved_with_either_representative(self, logic_model, phi):
+        logic, model = logic_model
+        for representative in ("least", "greatest"):
+            filtered = filter_model(LUK3, model, phi, logic, representative)
+            report = verify_filtration(LUK3, model, phi, logic, filtered)
+            assert report.ok, (representative, str(report))

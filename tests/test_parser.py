@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -23,6 +24,7 @@ from mvmodal.core import (
     reversal_connective,
 )
 from mvmodal.parser import (
+    MAX_WORLDS,
     ParseError,
     SourceSpan,
     parse_formula,
@@ -108,6 +110,20 @@ class TestSignatureFormat:
         with pytest.raises(ParseError, match="duplicate connective"):
             parse_signature(text)
 
+    def test_rows_of_a_connective_named_conn(self):
+        sig = parse_signature("domain 2\nconn conn 1\nconn 1 = 2\nconn 2 = 1\n"
+                              "conn f 0\nf = 2\n")
+        assert sig.connectives["conn"].table == {(1,): 2, (2,): 1}
+        assert sig.connectives["f"].table == {(): 2}
+
+    def test_malformed_conn_lines_keep_their_messages(self):
+        with pytest.raises(ParseError) as info:
+            parse_signature("domain 2\nconn 1 = 2\n")
+        assert info.value.message == "expected a connective name, found '1'"
+        with pytest.raises(ParseError) as info:
+            parse_signature("domain 2\nconn conn 1\nconn 1\n")
+        assert info.value.message == "expected '=', found '\\n'"
+
     def test_comments_and_blank_lines(self):
         text = "# a comment\ndomain 2\n\nconn t 0  # nullary\nt = 2\n"
         sig = parse_signature(text)
@@ -181,6 +197,19 @@ class TestModelFormat:
     def test_zero_worlds(self, luk3):
         with pytest.raises(ParseError, match="at least one world"):
             parse_model("worlds 0\n", luk3)
+
+    def test_world_count_above_the_limit(self, luk3):
+        # rejected at the header, before the model allocates per world
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_model(f"worlds {MAX_WORLDS + 1}\nedge 0 1\n", luk3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert str(info.value) == (f"line 1, column 8: the world count is above "
+                                   f"the limit of {MAX_WORLDS}")
 
 
 class TestProofFormat:
@@ -338,8 +367,7 @@ NAMES = st.one_of(
 # a variable is no connective name, and `from` opens a proof step's premises
 VARIABLES = NAMES.filter(
     lambda s: s not in RESERVED_NAMES | set(SIG.connectives) | {"from"})
-# a connective named `conn` does not round-trip, see below
-CONNECTIVE_NAMES = NAMES.filter(lambda s: s not in RESERVED_NAMES | {"conn"})
+CONNECTIVE_NAMES = NAMES.filter(lambda s: s not in RESERVED_NAMES)
 LABELS = st.integers(1, SIG.n)
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -435,8 +463,6 @@ class TestRoundTripProperties:
     def test_proof_scripts(self, d):
         assert parse_proof(render_proof(d), SIG, d.logic, d.hypotheses) == d
 
-    @pytest.mark.xfail(strict=True, raises=ParseError,
-                       reason="a table row of `conn` reads as a declaration")
     def test_connective_named_conn(self):
         sig = make_signature(2, [Connective("conn", 1, {(1,): 2, (2,): 1})])
         assert parse_signature(render_signature(sig)) == sig
@@ -534,6 +560,28 @@ class TestErrorSpans:
             parsers[kind](text)
         assert (info.value.span.line, info.value.span.column) == (line, column)
         assert info.value.message == "integer of 5000 digits is too long"
+
+    # An error quotes at most 32 characters of a token, then its length.
+    LONG_TOKENS = [
+        ("formula-integer", "9" * 5000, "formula"),
+        ("formula-trailing", "p " + "x" * 5000, "formula"),
+        ("signature-row", "domain 2\n" + "f" * 5000 + " 1 = 2\n", "signature"),
+        ("model-keyword", "worlds 1\n" + "x" * 5000 + "\n", "model"),
+        ("model-world", "worlds 1\nedge " + "x" * 5000 + "\n", "model"),
+        ("proof-rule", "1: -> (p, 1) ; " + "r" * 5000 + "\n", "proof"),
+    ]
+
+    @pytest.mark.parametrize("text, kind", [case[1:] for case in LONG_TOKENS],
+                             ids=[case[0] for case in LONG_TOKENS])
+    def test_long_tokens_are_cut_in_messages(self, luk3, text, kind):
+        parsers = {"signature": parse_signature,
+                   "formula": partial(parse_formula, sig=luk3),
+                   "model": partial(parse_model, sig=luk3),
+                   "proof": partial(parse_proof, sig=luk3)}
+        with pytest.raises(ParseError) as info:
+            parsers[kind](text)
+        assert len(str(info.value)) < 200
+        assert "... (5000 characters)" in info.value.message
 
     def test_random_text_parses_or_raises_parse_error(self, luk3_neg):
         rng = random.Random(41)

@@ -3,8 +3,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import label_mutations, premise_drop_mutations
+from conftest import standard_fixtures
+from helpers import class_models, label_mutations, logic_models, premise_drop_mutations
 from mvmodal.core import (
     Apply,
     Box,
@@ -13,6 +16,9 @@ from mvmodal.core import (
     Sequent,
     Var,
     gamma_cross,
+    lukasiewicz_implication,
+    make_signature,
+    reversal_connective,
     up_set,
 )
 from mvmodal.proofs import (
@@ -30,14 +36,16 @@ from mvmodal.proofs import (
     RightShift,
     RightWeaken,
     RuleBox,
+    RuleDiamond,
     Step,
     SuperMultiShift,
     Violation,
     check_derivation,
+    check_step,
     instantiate_scheme,
 )
 from mvmodal.sampling import random_model
-from mvmodal.semantics import model_satisfies, satisfies_sequent
+from mvmodal.semantics import FrameClass, model_satisfies, satisfies_sequent
 
 p = Var("p")
 q = Var("q")
@@ -418,3 +426,107 @@ class TestFixtures:
                 for u in m.worlds:
                     assert satisfies_sequent(sig, m, u, goal), (name, u)
             assert accepted == 100, name
+
+
+# ---------------------------------------------------------------------------
+# Step soundness: every step the checker accepts holds on every model of
+# the logic's frame class that satisfies the hypotheses
+# ---------------------------------------------------------------------------
+
+SIG_NEG = make_signature(3, [lukasiewicz_implication(3), reversal_connective(3)])
+# the rules whose context may or may not retain the principal formula
+TWO_READINGS = (RuleBox, RuleDiamond, LeftShift, RightShift, Cut, Resolution)
+
+
+def accepted_near_misses(step, premises, hypotheses=(), logic=LogicId.MV_K):
+    """The conclusions, the step's own or one labelled formula off it on one
+    side, that the checker accepts for the step's rule and premises."""
+    c = step.conclusion
+    formulas = {x.formula for s in (c, *premises) for x in s.antecedent + s.succedent}
+    toggles = [lf(f, k) for f in formulas for k in range(1, SIG_NEG.n + 1)]
+    for concl in [c] + [Sequent(c.ante_set ^ {t}, c.succ_set) for t in toggles] + [
+            Sequent(c.ante_set, c.succ_set ^ {t}) for t in toggles]:
+        moved = Step(concl, step.justification, step.premises)
+        if check_step(moved, premises, hypotheses, logic, SIG_NEG) is None:
+            yield concl
+
+
+def _accepted():
+    """(hypotheses, accepted conclusions) for the stock derivations, and one
+    entry per logic with the instances of its extension schemes."""
+    stock = []
+    for _, _, d in standard_fixtures(SIG_NEG):
+        assert check_derivation(d, SIG_NEG) is None
+        accepted = []
+        for step in d.steps:
+            premises = tuple(d.steps[ref].conclusion for ref in step.premises)
+            if isinstance(step.justification, TWO_READINGS):
+                accepted += accepted_near_misses(step, premises, d.hypotheses, d.logic)
+            else:
+                accepted.append(step.conclusion)
+        stock.append((d.hypotheses, accepted))
+    schemes = {logic: ((), [instantiate_scheme(scheme, f, k, SIG_NEG.n)
+                            for scheme in sorted(logic.schemes)
+                            for f in (p, Box(q)) for k in (1, 2, 3)])
+               for logic in LogicId}
+    return stock, schemes
+
+
+STOCK_ACCEPTED, SCHEME_INSTANCES = _accepted()
+# contexts share formulas with the principals, and Box p with Dia p gives
+# the modal rules a nonempty successor-exclusion set
+CONTEXTS = st.frozensets(st.builds(LabelledFormula, st.sampled_from(
+    [p, q, Box(p), Diamond(p)]), st.integers(1, 3)), max_size=2)
+
+
+@st.composite
+def planted_steps(draw):
+    """(step, premises): a two-readings rule applied to drawn premises, its
+    conclusion the reading without the principals."""
+    g1, d1, g2, d2 = (draw(CONTEXTS) for _ in range(4))
+    f = draw(st.sampled_from([p, q]))
+    k1, k2 = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    rule = draw(st.sampled_from(TWO_READINGS))
+    if rule is Resolution:
+        premises = (Sequent(g1, d1 | {lf(f, k1)}), Sequent(g2, d2 | {lf(f, k2)}))
+        return Step(Sequent(g1 | g2, d1 | d2), Resolution(f, k1, k2), (0, 1)), premises
+    if rule is Cut:
+        premises = (Sequent(g1, d1 | {lf(f, k1)}), Sequent(g2 | {lf(f, k1)}, d2))
+        return Step(Sequent(g1 | g2, d1 | d2), Cut(lf(f, k1)), (0, 1)), premises
+    if rule is RightShift:
+        premise = Sequent(g1, d1 | {lf(f, k1)})
+        return Step(Sequent(g1 | {lf(f, k2)}, d1), RightShift(k1, k2), (0,)), (premise,)
+    if rule is LeftShift:
+        premise = Sequent(g1 | {lf(f, k1)}, d1)
+        shifted = {lf(f, k) for k in range(1, 4) if k != k1}
+        return Step(Sequent(g1, d1 | shifted), LeftShift(k1), (0,)), (premise,)
+    # k1 may break the side condition (r-box needs k != n, r-dia k != 1)
+    premise = Sequent([lf(f, k1)], gamma_cross(g1, 3))
+    principal = lf((Box if rule is RuleBox else Diamond)(f), k1)
+    return Step(Sequent(g1 | {principal}, []), rule(), (0,)), (premise,)
+
+
+class TestStepSoundness:
+    def test_near_misses_keep_or_drop_a_principal(self):
+        own = {s.conclusion for _, _, d in standard_fixtures(SIG_NEG) for s in d.steps}
+        assert sum(c not in own for _, cs in STOCK_ACCEPTED for c in cs) > 100
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(logic_models())
+    def test_accepted_steps_hold(self, logic_model):
+        logic, model = logic_model
+        for hypotheses, conclusions in STOCK_ACCEPTED + [SCHEME_INSTANCES[logic]]:
+            if hypotheses and not model_satisfies(SIG_NEG, model, hypotheses):
+                continue
+            cache = {}
+            for concl in conclusions:
+                assert model_satisfies(SIG_NEG, model, concl, cache), concl
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(class_models(FrameClass.ANY), planted_steps())
+    def test_two_readings_rules_are_locally_sound(self, model, planted):
+        # premises that hold at every world force every accepted conclusion
+        step, premises = planted
+        assume(model_satisfies(SIG_NEG, model, premises))
+        for concl in accepted_near_misses(step, premises):
+            assert model_satisfies(SIG_NEG, model, concl), concl
