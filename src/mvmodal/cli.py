@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional
 
 from .core import Signature, TruthDomain, is_modal_free, subformula_closure
@@ -270,8 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built on the first call to main and reused: parsing leaves no state in
+# the parser, and building it costs about as much as a small query.
+_shared_parser = cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

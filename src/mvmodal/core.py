@@ -167,17 +167,42 @@ class Diamond:
 Formula = Union[Var, Apply, Box, Diamond]
 
 
-def formula_key(formula: Formula):
-    """A total structural order on formulas, for canonical rendering."""
-    if isinstance(formula, Var):
-        return (0, formula.name)
-    if isinstance(formula, Apply):
-        return (1, formula.conn, tuple(formula_key(a) for a in formula.args))
-    if isinstance(formula, Box):
-        return (2, formula_key(formula.sub))
-    if isinstance(formula, Diamond):
-        return (3, formula_key(formula.sub))
-    raise TypeError(f"not a formula: {formula!r}")
+#: Closes an Apply's arguments in formula_key; below every tag, so an
+#: argument list that is a prefix of another orders first.
+_END = -1
+_CLOSE_ARGS = object()  # marks on formula_key's stack where _END goes
+
+
+def formula_key(formula: Formula) -> tuple:
+    """A total structural order on formulas, for canonical rendering.
+
+    The key is the preorder token tuple: a tag (0 Var, 1 Apply, 2 Box,
+    3 Dia), then the name or connective, the operands' tokens, and _END
+    after an Apply's arguments.  The encoding is prefix-free, so flat
+    keys order formulas as the nested keys (tag, name-or-connective,
+    operand keys) do, and neither building nor comparing one recurses.
+    """
+    tokens: list = []
+    stack: list = [formula]
+    while stack:
+        f = stack.pop()
+        if f is _CLOSE_ARGS:
+            tokens.append(_END)
+        elif isinstance(f, Var):
+            tokens += (0, f.name)
+        elif isinstance(f, Apply):
+            tokens += (1, f.conn)
+            stack.append(_CLOSE_ARGS)
+            stack.extend(reversed(f.args))
+        elif isinstance(f, Box):
+            tokens.append(2)
+            stack.append(f.sub)
+        elif isinstance(f, Diamond):
+            tokens.append(3)
+            stack.append(f.sub)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return tuple(tokens)
 
 
 def closure_order(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
@@ -259,13 +284,6 @@ class Sequent:
     def variables(self) -> frozenset[str]:
         return frozenset(f.name for f in closure_order(self.formulas())
                          if isinstance(f, Var))
-
-
-def sequent_variables(sequents: Iterable[Sequent]) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for s in sequents:
-        out |= s.variables()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,27 @@ further than that.
 The search builds only relations of the frame class, generated per
 class as enumerate_models describes; the frame properties themselves
 are defined once, in semantics.frame_predicate.
+
+Box and Dia read only a world's successors, so a world's labels are the
+same in a model and in any disjoint union that contains it.  The search
+therefore evaluates the valuations of one relation together: a block of
+consecutive valuations (in enumerate_models' order) is one stacked
+frame, copy i of the relation carrying valuation i, and one pass of the
+evaluator labels every copy.  Copies keep the valuation order and worlds
+keep their order within a copy, so the first countermodel read off the
+blocks is the first in enumeration order, and the ceiling still counts
+models one by one.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Sequent, Signature, closure_order, sequent_variables
+from .core import Sequent, Signature, Var, closure_order
 from .proofs import LogicId
 from .semantics import (
     FrameClass,
@@ -34,6 +45,10 @@ from .semantics import (
 
 ENUM_CEILING_VAR = "MVK_ENUM_CEILING"
 DEFAULT_ENUM_CEILING = 10_000_000
+
+#: Worlds per stacked frame at most; a relation's later valuations go
+#: into further blocks, so memory stays bounded however many there are.
+BLOCK_WORLDS = 4096
 
 
 class EnumerationCeilingError(Exception):
@@ -70,10 +85,11 @@ class _Budget:
             return ceiling
         return cls(default_ceiling() if ceiling is None else ceiling)
 
-    def spend(self) -> None:
-        self.examined += 1
+    def spend(self, count: int = 1) -> None:
+        """Count `count` more models; past the ceiling, stop at it."""
+        self.examined += count
         if self.examined > self.ceiling:
-            raise EnumerationCeilingError(self.ceiling, self.examined - 1)
+            raise EnumerationCeilingError(self.ceiling, self.ceiling)
 
 
 @dataclass(frozen=True)
@@ -147,6 +163,18 @@ def _extensions(world_count: int, holds: Callable[[Sequence[int]], bool]
                     yield candidate
 
 
+def _valuations(variables: Sequence[str], n: int, world_count: int
+                ) -> tuple[list[tuple[int, str]], Iterator[tuple[int, ...]]]:
+    """The slots (world, variable) and every labelling of them, in order.
+
+    Slots are u-major over the sorted `variables`, so zipping a labelling
+    with the slots gives a sorted valuation; labellings come in
+    itertools.product order.
+    """
+    slots = [(u, p) for u in range(world_count) for p in variables]
+    return slots, product(range(1, n + 1), repeat=len(slots))
+
+
 def enumerate_models(variables: Iterable[str], n: int, world_count: int,
                      frame_class: FrameClass,
                      ceiling: Union[int, _Budget, None] = None
@@ -175,12 +203,11 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
         raise ValueError("world_count must be >= 1")
     variables = sorted(set(variables))
     budget = _Budget.of(ceiling)
-    slots = [(u, p) for u in range(world_count) for p in variables]
     for edges in _relations(world_count, frame_class):
         model = None
-        for labels in product(range(1, n + 1), repeat=len(slots)):
+        slots, labellings = _valuations(variables, n, world_count)
+        for labels in labellings:
             budget.spend()
-            # slots are u-major over sorted variables: vals is sorted
             vals = tuple(zip(slots, labels))
             model = (KripkeModel(world_count, edges, vals) if model is None
                      else model._revalued(vals))
@@ -193,24 +220,64 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     """First model (in enumeration order) satisfying the hypotheses and
     refuting the goal at some world, searching world counts 1..bound.
 
-    `ceiling` counts the models examined over all world counts.  Each
-    model's label vectors are computed once, over the whole closure, and
-    both the hypotheses and the goal are read off them.
+    Models come in enumerate_models' order: relation by relation, and
+    for each relation its valuations in blocks of at most BLOCK_WORLDS
+    worlds.  A block is the relation's frame stacked once per valuation
+    (KripkeModel._stacked), with each variable's label vector seeded
+    from the block's valuations; its label vectors are computed once,
+    over the whole closure.  A copy is rejected when a hypothesis fails
+    at one of its worlds, and the first goal-refuting world of a copy
+    not rejected gives the countermodel.  `ceiling` counts the models
+    examined over all world counts: every copy up to the countermodel's,
+    or the whole block.
     """
-    variables = sorted(sequent_variables((goal, *hypotheses)))
     order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
+    atoms = sorted((f for f in order if isinstance(f, Var)),
+                   key=attrgetter("name"))
+    variables = [f.name for f in atoms]
     budget = _Budget.of(ceiling)
     for world_count in range(1, bound + 1):
-        for model in enumerate_models(variables, sig.n, world_count,
-                                      frame_class, ceiling=budget):
-            cache = label_vectors(sig, model, order)
-            if hypotheses and not model_satisfies(sig, model, hypotheses, cache):
-                continue
-            world = next(refuting_worlds(sig, model, goal, cache), None)
-            if world is not None:
+        per_block = max(1, BLOCK_WORLDS // world_count)
+        shifted: dict = {}
+        for edges in _relations(world_count, frame_class):
+            base = KripkeModel(world_count, edges)
+            slots, labellings = _valuations(variables, sig.n, world_count)
+            while block := list(islice(labellings, per_block)):
+                found = _first_refuting_copy(sig, base._stacked(len(block), shifted),
+                                             block, atoms, order, hypotheses, goal)
+                if found is None:
+                    budget.spend(len(block))
+                    continue
+                copy, world = found
+                budget.spend(copy + 1)
+                model = KripkeModel(world_count, edges, zip(slots, block[copy]))
                 _verify_countermodel(sig, model, world, hypotheses, goal,
                                      frame_class)
                 return Countermodel(model, world)
+    return None
+
+
+def _first_refuting_copy(sig: Signature, stacked: KripkeModel,
+                         block: list[tuple[int, ...]], atoms: list[Var],
+                         order: Sequence, hypotheses: tuple[Sequent, ...],
+                         goal: Sequent) -> Optional[tuple[int, int]]:
+    """(copy, world) of the first world of `stacked` refuting the goal in
+    a copy that satisfies the hypotheses, or None.
+
+    Copy i of `stacked` carries the labelling block[i], whose slots are
+    u-major over `atoms` (_valuations).
+    """
+    world_count = stacked.world_count // len(block)
+    labels = list(chain.from_iterable(block))
+    stride = len(atoms)
+    cache = {atom: labels[j::stride] for j, atom in enumerate(atoms)}
+    label_vectors(sig, stacked, order, cache)
+    rejected = {w // world_count for h in hypotheses
+                for w in refuting_worlds(sig, stacked, h, cache)}
+    for w in refuting_worlds(sig, stacked, goal, cache):
+        copy, world = divmod(w, world_count)
+        if copy not in rejected:
+            return copy, world
     return None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -53,7 +54,8 @@ class KripkeModel:
     `_revalued` gives the same frame another valuation without checks:
     the frame was checked when this model was built, and its one caller,
     decision.enumerate_models, builds every valuation in range and in
-    sorted order.
+    sorted order.  The private `_stacked` builds disjoint copies of the
+    frame for the search, which evaluates one valuation per copy.
     """
 
     world_count: int
@@ -97,6 +99,33 @@ class KripkeModel:
         model.__dict__.update(self.__dict__, vals=vals, _val_map=dict(vals))
         return model
 
+    def _stacked(self, copies: int,
+                 shifted: dict[frozenset[int], list[frozenset[int]]]
+                 ) -> KripkeModel:
+        """The disjoint union of `copies` copies of this frame, unchecked.
+
+        Copy i holds worlds i*w .. i*w + w - 1, where w is this model's
+        world count, and world i*w + u sees what u sees, shifted by i*w.
+        Only the world count and the successor sets are set: the edge set
+        and the valuation are empty, so a caller must seed the label
+        vector of every variable it evaluates (label_vectors' cache).
+        `shifted` maps a successor set to its shifts by 0, w, 2w, ...;
+        one map serves every frame on w worlds.
+        """
+        w = self.world_count
+        rows = []
+        for s in self._succ:
+            shifts = shifted.get(s)
+            if shifts is None or len(shifts) < copies:
+                shifts = shifted[s] = [frozenset(v + i * w for v in s)
+                                       for i in range(copies)]
+            rows.append(shifts)
+        model = object.__new__(KripkeModel)
+        model.__dict__.update(
+            world_count=copies * w, edges=frozenset(), vals=(), _val_map={},
+            _succ=tuple(chain.from_iterable(islice(zip(*rows), copies))))
+        return model
+
     @property
     def worlds(self) -> range:
         return range(self.world_count)
@@ -136,6 +165,7 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     vectors: Cache = {} if cache is None else cache
     succ = model._succ
     worlds = range(len(succ))
+    n = sig.n
     for f in order:
         if f in vectors:
             continue
@@ -151,7 +181,7 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
             vec = list(map(conn.table.__getitem__, rows))
         elif isinstance(f, Box):
             sub = vectors[f.sub].__getitem__
-            vec = [min(map(sub, s), default=sig.n) for s in succ]
+            vec = [min(map(sub, s), default=n) for s in succ]
         elif isinstance(f, Diamond):
             sub = vectors[f.sub].__getitem__
             vec = [max(map(sub, s), default=1) for s in succ]

@@ -87,6 +87,25 @@ def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the nested formula key that the flat token key replaced, kept
+# verbatim but for its name.
+# ---------------------------------------------------------------------------
+
+
+def formula_key(formula: Formula):
+    """A total structural order on formulas, for canonical rendering."""
+    if isinstance(formula, Var):
+        return (0, formula.name)
+    if isinstance(formula, Apply):
+        return (1, formula.conn, tuple(formula_key(a) for a in formula.args))
+    if isinstance(formula, Box):
+        return (2, formula_key(formula.sub))
+    if isinstance(formula, Diamond):
+        return (3, formula_key(formula.sub))
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the powerset filter that the frame-class generators replaced,
 # `_relations` and `frame_check` kept verbatim.
 # ---------------------------------------------------------------------------

@@ -45,6 +45,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_one_parser_serves_successive_calls(ws, capsys):
+    # the parser is built once per process: an error or a help request
+    # must leave nothing behind for the next call
+    sig = str(ws / "sig.mvk")
+    assert run(capsys, "eval", "--sig", sig, "--model", str(ws / "model.mvk"),
+               "--world", "0", "Box p")[:2] == (0, "3\n")
+    code, out, err = run(capsys, "eval", "--sig", sig, "--world", "x", "p")
+    assert code == 2 and out == "" and "usage:" in err
+    assert run(capsys, "decide", "--sig", sig, "--logic", "mv-T", "--bound",
+               "2", "(Box p, 3) -> (p, 3)")[:2] == (0, "valid-up-to 2\n")
+    code, out, _ = run(capsys, "neg-scan", "--n", "2", "--bound", "2")
+    assert code == 0 and out.splitlines() == ["survivors 1", "table 2 1"]
+    helps = [run(capsys, "--help") for _ in range(2)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: mvmodal")
+
+
 class TestEval:
     def test_box_at_dead_end(self, ws, capsys):
         code, out, _ = run(capsys, "eval", "--sig", str(ws / "sig.mvk"),

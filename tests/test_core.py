@@ -15,6 +15,7 @@ from mvmodal.core import (
     closure_order,
     complement_interval,
     down_set,
+    formula_key,
     gamma_cross,
     interval,
     lukasiewicz_signature,
@@ -193,6 +194,33 @@ class TestFormulaHash:
         assert f.__reduce__() == (Box, (f.sub,))
         restored = pickle.loads(pickle.dumps(f))
         assert restored == f and hash(restored) == hash(f)
+
+
+class TestFormulaKey:
+    def test_orders_as_the_nested_key(self):
+        from helpers import formula_key as nested_key
+        from helpers import rand_formula
+
+        rng = random.Random(9)
+        sig = make_signature(3, [
+            *lukasiewicz_signature(3, negation=True).connectives.values(),
+            Connective("top", 0, {(): 3})])
+        fs = [rand_formula(rng, sig, ["p", "q", "r"], rng.randint(0, 4))
+              for _ in range(300)]
+        # argument lists that are prefixes of one another, and constants
+        fs += [Apply("f", ()), Apply("f", (p,)), Apply("f", (p, q)),
+               Apply("f", (q,)), Apply("f", (p, p, q)), Apply("g", (p,)),
+               Box(Apply("f", (p,))), Box(Apply("f", (p, q))), Var("pq")]
+        rng.shuffle(fs)
+        assert sorted(fs, key=formula_key) == sorted(fs, key=nested_key)
+        for f, g in zip(fs, fs[1:]):
+            assert ((formula_key(f) < formula_key(g))
+                    == (nested_key(f) < nested_key(g)))
+            assert ((formula_key(f) == formula_key(g)) == (f == g))
+
+    def test_rejects_a_non_formula_operand(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            formula_key(Box("p"))
 
 
 class TestApplyConnective:

@@ -9,11 +9,14 @@ from mvmodal import decision
 from mvmodal.core import (
     Apply,
     Box,
+    Connective,
     Diamond,
     LabelledFormula,
     Sequent,
     Var,
+    lukasiewicz_implication,
     lukasiewicz_signature,
+    make_signature,
     subformula_closure,
     up_set,
 )
@@ -262,29 +265,67 @@ class TestModelsOfOneRelation:
         assert drawn == list(oracle_models(["p"], 3, 2, FrameClass.ANY))[:11]
 
 
+def _stacked_search_cases(rng):
+    """(signature, goal, hypothesis, bound): scheme instances over 0, 1
+    and 2 variables for n = 2 and 3, each with a seeded hypothesis.
+
+    A 0-ary connective c stands in for variables.  Each goal is refuted
+    in some logics, by witnesses of one to three worlds, and valid in the
+    others.  Bounds are 3 worlds, or 2 where the oracle would build
+    thousands of models for a valid goal at 3.
+    """
+    c = Apply("c", ())
+    operands = {0: Diamond(c), 1: Apply("imp", (c, p)),
+                2: Apply("imp", (Box(p), q)), 3: Apply("imp", (p, Diamond(q)))}
+    cases = [(2, 0, 23, 2, 3), (2, 0, 22, 2, 3), (3, 0, 26, 3, 3),
+             (2, 1, 23, 2, 3), (2, 1, 25, 2, 3), (3, 1, 24, 3, 2),
+             (3, 1, 22, 3, 2), (2, 2, 27, 2, 3), (2, 3, 21, 2, 2),
+             (3, 3, 23, 3, 2), (3, 2, 21, 2, 2)]
+    for n, operand, scheme, label, bound in cases:
+        sig = make_signature(n, [lukasiewicz_implication(n),
+                                 Connective("c", 0, {(): 2})])
+        sigma = instantiate_scheme(rng.randrange(20, 29), operands[operand],
+                                   rng.randint(1, n), n)
+        yield (sig, instantiate_scheme(scheme, operands[operand], label, n),
+               sigma, bound)
+
+
 class TestWitnessesPinned:
     """decide against a search over the same relations in the same order,
-    with every model built and checked in full."""
+    with every model built and checked in full.
+
+    The search evaluates a relation's valuations in stacked blocks of at
+    most decision.BLOCK_WORLDS worlds; the cases below run both with the
+    default and with blocks split small, so that one relation's models
+    span several blocks.
+    """
 
     @pytest.mark.parametrize("logic", list(LogicId))
-    def test_outcomes_match_the_full_construction(self, logic):
+    def test_outcomes_match_the_full_construction(self, logic, monkeypatch):
         # each scheme instance as a goal, alone and under a seeded scheme
         # instance as hypothesis: witnesses of one to three worlds
         sig = lukasiewicz_signature(2)
         rng = random.Random(7)
         seen = set()
+        cases = []
         for scheme in range(20, 29):
             goal = instantiate_scheme(scheme, p, 2, 2)
-            sigma = (instantiate_scheme(rng.randrange(20, 29), p,
-                                        rng.randint(1, 2), 2),)
-            for hypotheses in ((), sigma):
-                for bound in (1, 2, 3):
+            sigma = instantiate_scheme(rng.randrange(20, 29), p,
+                                       rng.randint(1, 2), 2)
+            cases += [(sig, goal, sigma, bound) for bound in (1, 2, 3)]
+        cases += _stacked_search_cases(rng)
+        default = decision.BLOCK_WORLDS
+        for sig, goal, sigma, bound in cases:
+            for hypotheses in ((), (sigma,)):
+                expected = oracle_decide(sig, hypotheses, goal,
+                                         logic.frame_class, bound,
+                                         relations=_relations)
+                for block_worlds in (default, 5):
+                    monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+                    case = (goal, hypotheses, bound, block_worlds)
                     out = decide(sig, hypotheses, goal, logic, bound)
-                    expected = oracle_decide(sig, hypotheses, goal,
-                                             logic.frame_class, bound,
-                                             relations=_relations)
-                    assert type(out) is type(expected), (scheme, hypotheses, bound)
-                    assert out == expected, (scheme, hypotheses, bound)
+                    assert type(out) is type(expected), case
+                    assert out == expected, case
                     if isinstance(out, Countermodel):
                         assert out.model.vals == expected.model.vals
                         assert out.world == expected.world
@@ -293,27 +334,56 @@ class TestWitnessesPinned:
             assert 2 in seen
 
     @pytest.mark.parametrize("logic", list(LogicId))
-    def test_ceiling_boundary_of_a_valid_query(self, luk3, logic):
-        # valid in every logic; each world count is searched in full
+    def test_ceiling_boundary_of_a_valid_query(self, luk3, logic, monkeypatch):
+        # valid in every logic; each world count is searched in full.
+        # Blocks of 5 worlds split every relation on 2 worlds (9
+        # valuations) into blocks of 2 copies, so count - 1 falls inside
+        # a block in both runs.
         goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
         frame_class = logic.frame_class
         count = sum(1 for w in (1, 2)
                     for _ in oracle_models(["p"], 3, w, frame_class))
-        assert decide(luk3, (), goal, logic, 2, ceiling=count) == ValidUpTo(2)
-        with pytest.raises(EnumerationCeilingError) as caught:
-            decide(luk3, (), goal, logic, 2, ceiling=count - 1)
-        assert caught.value.examined == count - 1
+        for block_worlds in (decision.BLOCK_WORLDS, 5):
+            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+            assert decide(luk3, (), goal, logic, 2, ceiling=count) == ValidUpTo(2)
+            with pytest.raises(EnumerationCeilingError) as caught:
+                decide(luk3, (), goal, logic, 2, ceiling=count - 1)
+            assert caught.value.examined == count - 1
 
-    def test_ceiling_boundary_of_a_refuted_query(self, luk3):
+    def test_stacked_frames_stay_within_the_block_cap(self, luk3, monkeypatch):
+        # 3^6 = 729 valuations of three variables on 2 worlds per relation
+        worlds = []
+        real = decision.label_vectors
+
+        def recording(sig, model, *args):
+            worlds.append(model.world_count)
+            return real(sig, model, *args)
+
+        monkeypatch.setattr(decision, "label_vectors", recording)
+        monkeypatch.setattr(decision, "BLOCK_WORLDS", 100)
+        r = Var("r")
+        goal = Sequent([lf(Box(p), 3), lf(q, 2), lf(r, 1)], [lf(p, 3)])
+        assert search_countermodel(luk3, (), goal, FrameClass.REFLEXIVE,
+                                   2) is None
+        # the 27 one-world models in one block, then each of the 4
+        # reflexive relations on 2 worlds in blocks of 50 copies: 14 full
+        # blocks and one of the 29 valuations left
+        assert worlds == [27] + ([100] * 14 + [58]) * 4
+
+    def test_ceiling_boundary_of_a_refuted_query(self, luk3, monkeypatch):
         # no one-world model refutes the goal: the witness lies inside the
-        # two-world relations, after every one-world model
+        # two-world relations, after every one-world model, and inside
+        # its block, so every ceiling below it aborts mid-block
         goal = Sequent([lf(Box(p), 2)], [lf(p, 2), lf(p, 3)])
         out = decide(luk3, (), goal, LogicId.MV_K, 2)
         assert out.model.world_count == 2
         models = [m for w in (1, 2)
                   for m in oracle_models(["p"], 3, w, FrameClass.ANY)]
         drawn = models.index(out.model) + 1
-        assert decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=drawn) == out
-        with pytest.raises(EnumerationCeilingError) as caught:
-            decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=drawn - 1)
-        assert caught.value.examined == drawn - 1
+        for block_worlds in (decision.BLOCK_WORLDS, 5):
+            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+            assert decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=drawn) == out
+            for ceiling in (drawn - 1, drawn - 2):
+                with pytest.raises(EnumerationCeilingError) as caught:
+                    decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
+                assert caught.value.examined == ceiling

@@ -29,7 +29,7 @@ from mvmodal.core import (
     variables_of,
 )
 from mvmodal.intuitionistic import eval_mvil, godel_translate, godel_translate_optimized
-from mvmodal.parser import render_formula
+from mvmodal.parser import render_formula, render_sequent
 from mvmodal.sampling import random_model
 from mvmodal.semantics import (
     FrameClass,
@@ -201,3 +201,18 @@ def test_translation_and_rendering_of_chains_built_in_code():
     assert render_formula(box_chain) == "Box " * DEPTH + "p"
     with pytest.raises(ValueError, match="modal-free"):
         godel_translate(box_chain)
+
+
+def test_sequent_of_chains_sharing_all_but_the_last_level():
+    # sorting the side compares two keys that agree for 2,999 levels
+    ends_in_p, ends_in_q = P, Var("q")
+    for _ in range(DEPTH):
+        ends_in_p = Apply("imp", (P, ends_in_p))
+        ends_in_q = Apply("imp", (P, ends_in_q))
+    sequent = Sequent([LabelledFormula(ends_in_q, 2),
+                       LabelledFormula(ends_in_p, 2)], [])
+    first, second = (lf.formula for lf in sequent.antecedent)
+    assert first is ends_in_p and second is ends_in_q
+    chain = "imp(p, " * DEPTH + "{}" + ")" * DEPTH
+    assert render_sequent(sequent) == (f"({chain.format('p')}, 2), "
+                                       f"({chain.format('q')}, 2) ->")
