@@ -16,7 +16,12 @@ same in a model and in any disjoint union that contains it.  The search
 therefore evaluates the valuations of one relation together: a block of
 consecutive valuations (in enumerate_models' order) is one stacked
 frame, copy i of the relation carrying valuation i, and one pass of the
-evaluator labels every copy.  Copies keep the valuation order and worlds
+evaluator labels every copy.  The stacked frame keeps only the
+relation's own successor sets: copy i of world u sees copy i of u's
+successors, so the evaluator takes Box and Dia of all copies of u at
+once, elementwise over the columns of copies of those successors.  The
+sequent checks then filter the block's worlds member by member
+(semantics.refuting_worlds).  Copies keep the valuation order and worlds
 keep their order within a copy, so the first countermodel read off the
 blocks is the first in enumeration order, and the ceiling still counts
 models one by one.
@@ -238,13 +243,12 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     budget = _Budget.of(ceiling)
     for world_count in range(1, bound + 1):
         per_block = max(1, BLOCK_WORLDS // world_count)
-        shifted: dict = {}
         for edges in _relations(world_count, frame_class):
             base = KripkeModel(world_count, edges)
             slots, labellings = _valuations(variables, sig.n, world_count)
             while block := list(islice(labellings, per_block)):
-                found = _first_refuting_copy(sig, base._stacked(len(block), shifted),
-                                             block, atoms, order, hypotheses, goal)
+                found = _first_refuting_copy(sig, base._stacked(len(block)), block,
+                                             atoms, order, hypotheses, goal)
                 if found is None:
                     budget.spend(len(block))
                     continue

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from .core import Apply, Box, Connective, Diamond, Var, closure_order, make_signature
+from .core import (
+    Apply,
+    Box,
+    Connective,
+    Diamond,
+    Signature,
+    TruthDomain,
+    Var,
+    closure_order,
+)
 from .decision import _Budget, enumerate_models
 from .semantics import FrameClass, KripkeModel, label_vectors
 
@@ -63,12 +72,15 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
     bound 0 no model is checked and every table passes vacuously; a
     negative bound is a ValueError.
     """
-    if len(table) != n or any(not 1 <= v <= n for v in table):
-        raise ValueError(f"not a unary table over 1..{n}: {table}")
+    domain = TruthDomain(n)
+    try:
+        # Signature checks the table: n entries, each image in 1..n
+        sig = Signature(domain, {"neg": negation_connective(table)})
+    except ValueError:
+        raise ValueError(f"not a unary table over 1..{n}: {table}") from None
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     budget = _Budget.of(ceiling)
-    sig = make_signature(n, [negation_connective(table)])
     for world_count in range(1, bound + 1):
         for model in enumerate_models(["p"], n, world_count, FrameClass.ANY,
                                       ceiling=budget):

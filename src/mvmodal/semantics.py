@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -54,8 +54,10 @@ class KripkeModel:
     `_revalued` gives the same frame another valuation without checks:
     the frame was checked when this model was built, and its one caller,
     decision.enumerate_models, builds every valuation in range and in
-    sorted order.  The private `_stacked` builds disjoint copies of the
-    frame for the search, which evaluates one valuation per copy.
+    sorted order.  The private `_stacked` stands for disjoint copies of
+    the frame, which the search evaluates one valuation per copy: it
+    keeps this frame's successor sets, which label_vectors reads as the
+    period of the stack, and a larger world count.
     """
 
     world_count: int
@@ -99,31 +101,22 @@ class KripkeModel:
         model.__dict__.update(self.__dict__, vals=vals, _val_map=dict(vals))
         return model
 
-    def _stacked(self, copies: int,
-                 shifted: dict[frozenset[int], list[frozenset[int]]]
-                 ) -> KripkeModel:
+    def _stacked(self, copies: int) -> KripkeModel:
         """The disjoint union of `copies` copies of this frame, unchecked.
 
         Copy i holds worlds i*w .. i*w + w - 1, where w is this model's
-        world count, and world i*w + u sees what u sees, shifted by i*w.
-        Only the world count and the successor sets are set: the edge set
-        and the valuation are empty, so a caller must seed the label
-        vector of every variable it evaluates (label_vectors' cache).
-        `shifted` maps a successor set to its shifts by 0, w, 2w, ...;
-        one map serves every frame on w worlds.
+        world count, and world i*w + u sees i*w + v for each v that u
+        sees.  The result carries only what label_vectors reads: the
+        world count copies*w and this frame's own w successor sets, from
+        which label_vectors folds each world's column of copies at once.
+        The edge set and the valuation are empty, so a caller must seed
+        the label vector of every variable it evaluates (label_vectors'
+        cache).  Nothing outside the evaluator reads a stacked model:
+        `successors` and the frame predicates see only the first copy.
         """
-        w = self.world_count
-        rows = []
-        for s in self._succ:
-            shifts = shifted.get(s)
-            if shifts is None or len(shifts) < copies:
-                shifts = shifted[s] = [frozenset(v + i * w for v in s)
-                                       for i in range(copies)]
-            rows.append(shifts)
         model = object.__new__(KripkeModel)
-        model.__dict__.update(
-            world_count=copies * w, edges=frozenset(), vals=(), _val_map={},
-            _succ=tuple(chain.from_iterable(islice(zip(*rows), copies))))
+        model.__dict__.update(self.__dict__, world_count=copies * self.world_count,
+                              edges=frozenset(), vals=(), _val_map={})
         return model
 
     @property
@@ -161,10 +154,18 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     and Box and Dia take the minimum and maximum over the successors.
     This is the package's only evaluator: the intuitionistic semantics
     is this one on the formula's embedding (intuitionistic.eval_mvil).
+
+    A stacked model (KripkeModel._stacked) has more worlds than successor
+    sets: world i*w + u is copy i of world u, with w the number of sets.
+    There Box and Dia fold whole columns, the labels of every copy of a
+    world at once (_fold_columns); a model of one copy is folded world
+    by world, which is faster for a single copy.
     """
     vectors: Cache = {} if cache is None else cache
     succ = model._succ
-    worlds = range(len(succ))
+    world_count = model.world_count
+    worlds = range(world_count)
+    stacked = world_count > len(succ)
     n = sig.n
     for f in order:
         if f in vectors:
@@ -177,18 +178,39 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
             if len(f.args) != conn.arity:
                 raise ValueError(f"connective {f.conn!r} expects {conn.arity} "
                                  f"arguments, got {len(f.args)}")
-            rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * len(succ)
+            rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * world_count
             vec = list(map(conn.table.__getitem__, rows))
-        elif isinstance(f, Box):
-            sub = vectors[f.sub].__getitem__
-            vec = [min(map(sub, s), default=n) for s in succ]
-        elif isinstance(f, Diamond):
-            sub = vectors[f.sub].__getitem__
-            vec = [max(map(sub, s), default=1) for s in succ]
+        elif isinstance(f, (Box, Diamond)):
+            pick, default = (min, n) if isinstance(f, Box) else (max, 1)
+            if stacked:
+                vec = _fold_columns(pick, default, vectors[f.sub], succ, world_count)
+            else:
+                sub = vectors[f.sub].__getitem__
+                vec = [pick(map(sub, s), default=default) for s in succ]
         else:
             raise TypeError(f"not a formula: {f!r}")
         vectors[f] = vec
     return vectors
+
+
+def _fold_columns(pick: Callable[..., int], default: int, sub: list[int],
+                  succ: Sequence[frozenset[int]], world_count: int) -> list[int]:
+    """`pick` (min or max) of `sub` over the successors on a stacked frame.
+
+    The labels of every copy of world u form the column vec[u::w], and
+    copy i of u sees copy i of each successor v, so the column is `pick`
+    taken elementwise over the columns sub[v::w].  A world without
+    successors keeps `default`; with one, its column is copied.
+    """
+    period = len(succ)
+    vec = [default] * world_count
+    for u, s in enumerate(succ):
+        if len(s) == 1:
+            (v,) = s
+            vec[u::period] = sub[v::period]
+        elif s:
+            vec[u::period] = map(pick, *[sub[v::period] for v in s])
+    return vec
 
 
 def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula,
@@ -219,18 +241,24 @@ def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
     succedent member does.
 
     The label vectors of the sequent's formulas are computed (or read
-    from `cache`) first; the worlds are then read off them lazily.
+    from `cache`) first.  The worlds are then filtered member by member:
+    an antecedent member keeps the worlds where it takes its label, a
+    succedent member those where it does not.  The test comes from the
+    member's side, since one labelled formula may stand on both.
     """
     vectors = {} if cache is None else cache
     missing = [lf.formula for lf in sequent.antecedent + sequent.succedent
                if lf.formula not in vectors]
     if missing:
         label_vectors(sig, model, closure_order(missing), vectors)
-    ante = [(vectors[lf.formula], lf.label) for lf in sequent.antecedent]
-    succ = [(vectors[lf.formula], lf.label) for lf in sequent.succedent]
-    return (w for w in model.worlds
-            if all(vec[w] == k for vec, k in ante)
-            and not any(vec[w] == k for vec, k in succ))
+    members = [(vectors[lf.formula], lf.label.__eq__) for lf in sequent.antecedent]
+    members += [(vectors[lf.formula], lf.label.__ne__) for lf in sequent.succedent]
+    worlds: Sequence[int] = model.worlds
+    for vec, keep in members:
+        worlds = list(compress(worlds, map(keep, map(vec.__getitem__, worlds))))
+        if not worlds:
+            break
+    return iter(worlds)
 
 
 def satisfies_sequent(sig: Signature, model: KripkeModel, world: int,

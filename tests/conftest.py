@@ -1,9 +1,18 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI (GitHub Actions sets CI) replays the same examples on every run and
+# prints a reproduction blob for any failure; local runs draw fresh ones.
+settings.register_profile("ci", derandomize=True, database=None,
+                          deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 from mvmodal.core import (
     LabelledFormula,

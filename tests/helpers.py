@@ -28,6 +28,7 @@ from mvmodal.sampling import EDGE_PROBABILITY
 from mvmodal.semantics import (
     FrameClass,
     KripkeModel,
+    label_vectors,
     model_satisfies,
     satisfies_sequent,
 )
@@ -84,6 +85,26 @@ def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
             for v in succ)
     cache[key] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracle: refuting_worlds before it filtered the worlds member by member,
+# kept verbatim.  It tests every world against every member.
+# ---------------------------------------------------------------------------
+
+
+def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
+                    cache=None) -> Iterator[int]:
+    vectors = {} if cache is None else cache
+    missing = [lf.formula for lf in sequent.antecedent + sequent.succedent
+               if lf.formula not in vectors]
+    if missing:
+        label_vectors(sig, model, closure_order(missing), vectors)
+    ante = [(vectors[lf.formula], lf.label) for lf in sequent.antecedent]
+    succ = [(vectors[lf.formula], lf.label) for lf in sequent.succedent]
+    return (w for w in model.worlds
+            if all(vec[w] == k for vec, k in ante)
+            and not any(vec[w] == k for vec, k in succ))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import rand_formula
-from mvmodal.core import Apply, Box, Diamond, Var
+from mvmodal.core import Apply, Box, Diamond, Signature, Var
 from mvmodal.decision import EnumerationCeilingError
 from mvmodal.duality import duality_holds, reversal_negation, uniqueness_scan
 from mvmodal.sampling import random_model
@@ -57,6 +57,24 @@ class TestDualityHolds:
     def test_malformed_table(self):
         with pytest.raises(ValueError):
             duality_holds((1, 2, 9), 3, 1)
+
+    @pytest.mark.parametrize("table", [(1, 2, 9), (0, 2, 3), (3, 2), (3, 2, 1, 1)])
+    def test_malformed_table_is_named_before_the_bound(self, table):
+        for bound in (1, -1):
+            with pytest.raises(ValueError, match=r"not a unary table over 1\.\.3: "):
+                duality_holds(table, 3, bound)
+
+    def test_one_signature_per_table(self, monkeypatch):
+        built = []
+        real = Signature.__post_init__
+
+        def counting(sig):
+            built.append(sig)
+            real(sig)
+
+        monkeypatch.setattr(Signature, "__post_init__", counting)
+        assert uniqueness_scan(3, 1) == (reversal_negation(3),)
+        assert len(built) == 27
 
 
 class TestUniquenessScan:

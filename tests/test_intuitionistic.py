@@ -3,12 +3,14 @@ import random
 import pytest
 
 from helpers import rand_formula
+from mvmodal import intuitionistic, semantics
 from mvmodal.core import (
     Apply,
     Box,
     LabelledFormula,
     Sequent,
     Var,
+    closure_order,
     lukasiewicz_implication,
     make_signature,
     max_connective,
@@ -90,6 +92,40 @@ class TestEvalMvil:
             eval_mvil(luk3, m, 0, Apply("imp", (Box(p), q)))
         with pytest.raises(ValueError, match="no modal"):
             eval_mvil(luk3, m, 0, Box(p))
+
+    def test_one_cache_walks_each_formula_once(self, luk3, monkeypatch):
+        walks = []
+
+        def counting(formulas):
+            walks.append(None)
+            return closure_order(formulas)
+
+        monkeypatch.setattr(intuitionistic, "closure_order", counting)
+        monkeypatch.setattr(semantics, "closure_order", counting)
+        m = KripkeModel(3, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)},
+                        {(1, "p"): 2, (2, "q"): 3})
+        f = Apply("imp", (p, q))
+        cache = {}
+        labels = [eval_mvil(luk3, m, 0, f, cache)]
+        per_formula = len(walks)
+        labels += [eval_mvil(luk3, m, w, f, cache) for w in (1, 2, 0)]
+        assert len(walks) == per_formula
+        # a new formula is walked once more, however often it is asked
+        for w in m.worlds:
+            eval_mvil(luk3, m, w, Apply("imp", (f, p)), cache)
+        assert len(walks) == 2 * per_formula
+        # without a cache every call walks again
+        walks.clear()
+        assert labels == [eval_mvil(luk3, m, w, f) for w in (0, 1, 2, 0)]
+        assert len(walks) == 4 * per_formula
+
+    def test_a_failed_call_leaves_nothing_in_the_cache(self, luk3):
+        m = KripkeModel(2, {(0, 0)})
+        cache = {}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="world 1 has no successors"):
+                eval_mvil(luk3, m, 0, Apply("imp", (p, q)), cache)
+        assert cache == {}
 
 
 class TestMonotoneConnective:

@@ -1,9 +1,10 @@
 """The bottom-up evaluator against the recursive oracles, and its edges.
 
 The oracles in helpers.py are the recursive evaluators that
-label_vectors replaced.  The property tests draw models of every frame
-class from mvmodal.sampling and formulas over a signature with a
-constant (0-ary connective).
+label_vectors replaced, and the per-world refuting_worlds that the
+member-by-member filter replaced.  The property tests draw models of
+every frame class, single or stacked (KripkeModel._stacked), and
+formulas over a signature with a constant (0-ary connective).
 """
 
 import random
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _eval, _eval_mvil
+import helpers
+from helpers import _eval, _eval_mvil, class_models
 from mvmodal.core import (
     Apply,
     Box,
@@ -21,6 +23,7 @@ from mvmodal.core import (
     LabelledFormula,
     Sequent,
     Var,
+    closure_order,
     is_modal_free,
     lukasiewicz_implication,
     make_signature,
@@ -35,6 +38,7 @@ from mvmodal.semantics import (
     FrameClass,
     KripkeModel,
     evaluate,
+    label_vectors,
     model_satisfies,
     refuting_worlds,
     satisfies_sequent,
@@ -111,6 +115,113 @@ def test_eval_mvil_matches_the_oracle(model, f):
     else:
         with pytest.raises(ValueError, match="not reflexive"):
             eval_mvil(SIG, model, 0, f)
+
+
+# ---------------------------------------------------------------------------
+# Stacked models and the member-by-member filter
+# ---------------------------------------------------------------------------
+
+#: The copy counts drawn: one copy keeps the per-world fold.
+COPIES = [1, 2, 5]
+
+
+@st.composite
+def stacks(draw):
+    """A frame of any class stacked 1, 2 or 5 times, and the model each
+    copy stands for: the frame with its own valuation of p and q."""
+    base = draw(st.sampled_from(FrameClass).flatmap(class_models))
+    slots = [(u, name) for u in base.worlds for name in ("p", "q")]
+    labels = st.lists(st.integers(1, 3), min_size=len(slots), max_size=len(slots))
+    copies = draw(st.sampled_from(COPIES))
+    members = [base] + [KripkeModel(base.world_count, base.edges,
+                                    dict(zip(slots, draw(labels))))
+                        for _ in range(copies - 1)]
+    return base._stacked(copies), members
+
+
+def _seeded(members):
+    """The stack's variable vectors, copy by copy, as the search seeds them."""
+    return {Var(name): [m.value(u, name) for m in members for u in m.worlds]
+            for name in ("p", "q")}
+
+
+def _assert_copies_match_the_oracle(stacked, members, fs):
+    order = closure_order(fs)
+    vectors = label_vectors(SIG, stacked, order, _seeded(members))
+    w = members[0].world_count
+    for i, member in enumerate(members):
+        oracle = {}
+        for f in order:
+            assert vectors[f][i * w:(i + 1) * w] == [
+                _eval(SIG, member, u, f, oracle) for u in member.worlds], (i, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(), st.lists(formulas, min_size=1, max_size=4))
+def test_stacked_copies_match_the_recursive_oracle(stack, fs):
+    _assert_copies_match_the_oracle(*stack, fs)
+
+
+@pytest.mark.parametrize("copies", COPIES)
+def test_stacked_worlds_with_no_one_and_two_successors(copies):
+    # world 0 sees 1 and 2, world 1 sees only 2, world 2 is a dead end
+    base = KripkeModel(3, {(0, 1), (0, 2), (1, 2)})
+    rng = random.Random(copies)
+    members = [KripkeModel(3, base.edges, {(u, name): rng.randint(1, 3)
+                                           for u in range(3) for name in "pq"})
+               for _ in range(copies)]
+    q = Var("q")
+    fs = [Box(P), Diamond(P), Box(Diamond(q)), Diamond(Box(Apply("imp", (P, q)))),
+          Box(Apply("half", ())), Diamond(Apply("neg", (Diamond(q),)))]
+    _assert_copies_match_the_oracle(base._stacked(copies), members, fs)
+
+
+@st.composite
+def sequent_shapes(draw):
+    """A drawn sequent, the same with one side emptied, or with one
+    labelled formula on both sides."""
+    sequent = draw(sequents)
+    shape = draw(st.sampled_from(["drawn", "no antecedent", "no succedent",
+                                  "both sides"]))
+    if shape == "no antecedent":
+        return Sequent([], sequent.succedent)
+    if shape == "no succedent":
+        return Sequent(sequent.antecedent, [])
+    if shape == "both sides":
+        shared = draw(labelled)
+        return Sequent([*sequent.antecedent, shared], [*sequent.succedent, shared])
+    return sequent
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FrameClass).flatmap(class_models),
+       st.lists(sequent_shapes(), min_size=1, max_size=3))
+def test_refuting_worlds_matches_the_per_world_oracle(model, seqs):
+    cache, oracle = {}, {}
+    for s in seqs:
+        assert (list(refuting_worlds(SIG, model, s, cache))
+                == list(helpers.refuting_worlds(SIG, model, s, oracle)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(), st.lists(sequent_shapes(), min_size=1, max_size=3))
+def test_refuting_worlds_on_stacked_models(stack, seqs):
+    stacked, members = stack
+    cache, oracle = _seeded(members), _seeded(members)
+    for s in seqs:
+        assert (list(refuting_worlds(SIG, stacked, s, cache))
+                == list(helpers.refuting_worlds(SIG, stacked, s, oracle)))
+
+
+def test_a_member_on_both_sides_refutes_nowhere():
+    # (p, 1) in the antecedent keeps the worlds where p is 1, and the
+    # same member in the succedent drops exactly those
+    shared = LabelledFormula(P, 1)
+    m = KripkeModel(3, (), {(1, "p"): 2})
+    assert list(refuting_worlds(SIG, m, Sequent([shared], []))) == [0, 2]
+    assert list(refuting_worlds(SIG, m, Sequent([], [shared]))) == [1]
+    assert list(refuting_worlds(SIG, m, Sequent([shared], [shared]))) == []
+    assert list(refuting_worlds(SIG, m, Sequent())) == [0, 1, 2]
 
 
 class TestCache:
