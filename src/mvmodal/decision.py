@@ -8,23 +8,26 @@ worlds, so the bounded search is complete, and decide searches no
 further than that.
 
 The search builds only relations of the frame class, generated per
-class as enumerate_models describes; the frame properties themselves
-are defined once, in semantics.frame_predicate.
+class as enumerate_models describes and carried as bitmask successor
+rows (semantics.successor_rows); the frame properties themselves are
+defined once, in semantics.frame_predicate.  Edge sets are built from
+the rows (semantics.edge_set) only for a model that is returned.
 
 Box and Dia read only a world's successors, so a world's labels are the
 same in a model and in any disjoint union that contains it.  The search
 therefore evaluates the valuations of one relation together: a block of
 consecutive valuations (in enumerate_models' order) is one stacked
-frame, copy i of the relation carrying valuation i, and one pass of the
-evaluator labels every copy.  The stacked frame keeps only the
-relation's own successor sets: copy i of world u sees copy i of u's
-successors, so the evaluator takes Box and Dia of all copies of u at
-once, elementwise over the columns of copies of those successors.  The
-sequent checks then filter the block's worlds member by member
-(semantics.refuting_worlds).  Copies keep the valuation order and worlds
-keep their order within a copy, so the first countermodel read off the
-blocks is the first in enumeration order, and the ceiling still counts
-models one by one.
+frame (semantics.stacked_frame), copy i of the relation carrying
+valuation i, and one pass of the evaluator labels every copy.  The
+stacked frame keeps only the relation's own successor sets: copy i of
+world u sees copy i of u's successors, so the evaluator takes Box and
+Dia of all copies of u at once, elementwise over the columns of copies
+of those successors.  The sequent checks then filter the block's worlds
+member by member (semantics.refuting_worlds).  Copies keep the
+valuation order and worlds keep their order within a copy, so the first
+countermodel read off the blocks is the first in enumeration order, and
+the ceiling still counts models one by one.  The negation-duality scan
+(duality.duality_holds) walks the same blocks (_blocks).
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ from .proofs import LogicId
 from .semantics import (
     FrameClass,
     KripkeModel,
+    edge_set,
     frame_check,
     frame_predicate,
     label_vectors,
     model_satisfies,
     refuting_worlds,
     satisfies_sequent,
+    stacked_frame,
 )
 
 ENUM_CEILING_VAR = "MVK_ENUM_CEILING"
@@ -128,21 +133,19 @@ def filtration_bound(hypotheses: Iterable[Sequent], goal: Sequent, n: int) -> in
 
 
 def _relations(world_count: int, frame_class: FrameClass
-               ) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every relation on `world_count` worlds in the frame class, lazily."""
+               ) -> Iterator[tuple[int, ...]]:
+    """Successor rows of every relation on `world_count` worlds in the
+    frame class, lazily."""
     if frame_class is FrameClass.ANY:
-        pairs = [(u, v) for u in range(world_count) for v in range(world_count)]
-        for mask in range(1 << len(pairs)):
-            yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        return
-    if frame_class is FrameClass.SERIAL:
-        members = product(range(1, 1 << world_count), repeat=world_count)
+        # row u of mask m is bits u*w .. u*w + w - 1: pairs (u, v), u major
+        full = (1 << world_count) - 1
+        shifts = range(0, world_count * world_count, world_count)
+        for mask in range(1 << world_count * world_count):
+            yield tuple(mask >> shift & full for shift in shifts)
+    elif frame_class is FrameClass.SERIAL:
+        yield from product(range(1, 1 << world_count), repeat=world_count)
     else:
-        members = _extensions(world_count, frame_predicate(frame_class))
-    worlds = range(world_count)
-    for rows in members:
-        yield frozenset((u, v) for u, r in enumerate(rows) for v in worlds
-                        if r >> v & 1)
+        yield from _extensions(world_count, frame_predicate(frame_class))
 
 
 def _extensions(world_count: int, holds: Callable[[Sequence[int]], bool]
@@ -180,6 +183,26 @@ def _valuations(variables: Sequence[str], n: int, world_count: int
     return slots, product(range(1, n + 1), repeat=len(slots))
 
 
+def _blocks(atoms: Sequence[Var], n: int, world_count: int,
+            frame_class: FrameClass) -> Iterator[tuple]:
+    """Each relation's valuations in blocks of at most BLOCK_WORLDS worlds.
+
+    Yields (rows, slots, block, stacked, cache) per block: the relation's
+    successor rows, the slots of _valuations over the sorted `atoms`, the
+    block's labellings in order, the frame stacked once per labelling
+    (stacked_frame), and a label-vector cache seeded with each atom's
+    vector over the stacked worlds.  Copy i carries block[i].
+    """
+    per_block = max(1, BLOCK_WORLDS // world_count)
+    stride = len(atoms)
+    for rows in _relations(world_count, frame_class):
+        slots, labellings = _valuations([a.name for a in atoms], n, world_count)
+        while block := list(islice(labellings, per_block)):
+            labels = list(chain.from_iterable(block))
+            cache = {atom: labels[j::stride] for j, atom in enumerate(atoms)}
+            yield rows, slots, block, stacked_frame(rows, len(block)), cache
+
+
 def enumerate_models(variables: Iterable[str], n: int, world_count: int,
                      frame_class: FrameClass,
                      ceiling: Union[int, _Budget, None] = None
@@ -196,27 +219,21 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
     out-row and loop: these are generated depth-first by world and kept
     when the class's frame predicate (semantics.frame_predicate) holds.
     Valuations range over all label assignments to (world, variable)
-    pairs for each relation.  The order is deterministic.
-    Each relation is validated once, by the KripkeModel built for its
-    first valuation; the models of its later valuations share that
-    model's edge set and successor sets (KripkeModel._revalued).
-    Drawing more than `ceiling` models raises EnumerationCeilingError;
-    the searches in this package pass one budget to every call, so their
-    ceiling counts models over the whole search.
+    pairs for each relation.  The order is deterministic, and it is the
+    order in which the searches of this package walk the models.  Every
+    model is built, and validated, by the KripkeModel constructor.
+    Drawing more than `ceiling` models raises EnumerationCeilingError.
     """
     if world_count < 1:
         raise ValueError("world_count must be >= 1")
     variables = sorted(set(variables))
     budget = _Budget.of(ceiling)
-    for edges in _relations(world_count, frame_class):
-        model = None
+    for rows in _relations(world_count, frame_class):
+        edges = edge_set(rows)
         slots, labellings = _valuations(variables, n, world_count)
         for labels in labellings:
             budget.spend()
-            vals = tuple(zip(slots, labels))
-            model = (KripkeModel(world_count, edges, vals) if model is None
-                     else model._revalued(vals))
-            yield model
+            yield KripkeModel(world_count, edges, zip(slots, labels))
 
 
 def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
@@ -225,63 +242,34 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     """First model (in enumeration order) satisfying the hypotheses and
     refuting the goal at some world, searching world counts 1..bound.
 
-    Models come in enumerate_models' order: relation by relation, and
-    for each relation its valuations in blocks of at most BLOCK_WORLDS
-    worlds.  A block is the relation's frame stacked once per valuation
-    (KripkeModel._stacked), with each variable's label vector seeded
-    from the block's valuations; its label vectors are computed once,
-    over the whole closure.  A copy is rejected when a hypothesis fails
-    at one of its worlds, and the first goal-refuting world of a copy
-    not rejected gives the countermodel.  `ceiling` counts the models
-    examined over all world counts: every copy up to the countermodel's,
-    or the whole block.
+    Models come in enumerate_models' order, a block of one relation's
+    valuations at a time (_blocks).  A block's label vectors are computed
+    once, over the whole closure.  A copy is rejected when a hypothesis
+    fails at one of its worlds, and the first goal-refuting world of a
+    copy not rejected gives the countermodel.  `ceiling` counts the
+    models examined over all world counts: every copy up to the
+    countermodel's, or the whole block.
     """
     order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
     atoms = sorted((f for f in order if isinstance(f, Var)),
                    key=attrgetter("name"))
-    variables = [f.name for f in atoms]
     budget = _Budget.of(ceiling)
     for world_count in range(1, bound + 1):
-        per_block = max(1, BLOCK_WORLDS // world_count)
-        for edges in _relations(world_count, frame_class):
-            base = KripkeModel(world_count, edges)
-            slots, labellings = _valuations(variables, sig.n, world_count)
-            while block := list(islice(labellings, per_block)):
-                found = _first_refuting_copy(sig, base._stacked(len(block)), block,
-                                             atoms, order, hypotheses, goal)
-                if found is None:
-                    budget.spend(len(block))
-                    continue
-                copy, world = found
-                budget.spend(copy + 1)
-                model = KripkeModel(world_count, edges, zip(slots, block[copy]))
-                _verify_countermodel(sig, model, world, hypotheses, goal,
-                                     frame_class)
-                return Countermodel(model, world)
-    return None
-
-
-def _first_refuting_copy(sig: Signature, stacked: KripkeModel,
-                         block: list[tuple[int, ...]], atoms: list[Var],
-                         order: Sequence, hypotheses: tuple[Sequent, ...],
-                         goal: Sequent) -> Optional[tuple[int, int]]:
-    """(copy, world) of the first world of `stacked` refuting the goal in
-    a copy that satisfies the hypotheses, or None.
-
-    Copy i of `stacked` carries the labelling block[i], whose slots are
-    u-major over `atoms` (_valuations).
-    """
-    world_count = stacked.world_count // len(block)
-    labels = list(chain.from_iterable(block))
-    stride = len(atoms)
-    cache = {atom: labels[j::stride] for j, atom in enumerate(atoms)}
-    label_vectors(sig, stacked, order, cache)
-    rejected = {w // world_count for h in hypotheses
-                for w in refuting_worlds(sig, stacked, h, cache)}
-    for w in refuting_worlds(sig, stacked, goal, cache):
-        copy, world = divmod(w, world_count)
-        if copy not in rejected:
-            return copy, world
+        for rows, slots, block, stacked, cache in _blocks(atoms, sig.n, world_count,
+                                                          frame_class):
+            label_vectors(sig, stacked, order, cache)
+            rejected = {w // world_count for h in hypotheses
+                        for w in refuting_worlds(sig, stacked, h, cache)}
+            found = next((w for w in refuting_worlds(sig, stacked, goal, cache)
+                          if w // world_count not in rejected), None)
+            if found is None:
+                budget.spend(len(block))
+                continue
+            copy, world = divmod(found, world_count)
+            budget.spend(copy + 1)
+            model = KripkeModel(world_count, edge_set(rows), zip(slots, block[copy]))
+            _verify_countermodel(sig, model, world, hypotheses, goal, frame_class)
+            return Countermodel(model, world)
     return None
 
 

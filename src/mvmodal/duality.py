@@ -3,7 +3,9 @@
 A candidate negation is a unary table, stored as a tuple whose entry at
 position k-1 is the image of label k.  The scan refutes bad candidates
 with small concrete models and keeps exactly those under which
-neg-Box-neg behaves as Dia and neg-Dia-neg behaves as Box.
+neg-Box-neg behaves as Dia and neg-Dia-neg behaves as Box.  It walks
+the models in the blocks of the countermodel search (decision._blocks),
+one relation's valuations stacked per block.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .core import (
     Var,
     closure_order,
 )
-from .decision import _Budget, enumerate_models
-from .semantics import FrameClass, KripkeModel, label_vectors
+from .decision import _blocks, _Budget
+from .semantics import FrameClass, KripkeModel, edge_set, label_vectors
 
 UnaryTable = tuple[int, ...]
 
@@ -71,6 +73,11 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
     so any refutation shows up already on a single-variable model.  With
     bound 0 no model is checked and every table passes vacuously; a
     negative bound is a ValueError.
+
+    Models come in enumerate_models' order, a block at a time: the first
+    world, copy by copy, where a claim fails gives the witness, the
+    diamond claim before the box claim at a world.  `ceiling` counts the
+    models up to the witness's, or every model of the scan.
     """
     domain = TruthDomain(n)
     try:
@@ -82,17 +89,22 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
         raise ValueError(f"bound must be >= 0, got {bound}")
     budget = _Budget.of(ceiling)
     for world_count in range(1, bound + 1):
-        for model in enumerate_models(["p"], n, world_count, FrameClass.ANY,
-                                      ceiling=budget):
-            val = label_vectors(sig, model, _CLAIMS_ORDER)
-            for world in model.worlds:
-                for side, plain, dual in _CLAIMS:
-                    left = val[plain][world]
-                    right = val[dual][world]
-                    if left != right:
-                        # The sequent (plain, left) -> (dual, left) fails here.
-                        return DualityReport(False,
-                                             DualityWitness(model, world, left, side))
+        for rows, slots, block, stacked, cache in _blocks([_P], n, world_count,
+                                                          FrameClass.ANY):
+            val = label_vectors(sig, stacked, _CLAIMS_ORDER, cache)
+            claims = [(side, val[plain], val[dual]) for side, plain, dual in _CLAIMS]
+            broken = next(((w, side, left[w]) for w in stacked.worlds
+                           for side, left, right in claims if left[w] != right[w]),
+                          None)
+            if broken is None:
+                budget.spend(len(block))
+                continue
+            w, side, label = broken
+            copy, world = divmod(w, world_count)
+            budget.spend(copy + 1)
+            model = KripkeModel(world_count, edge_set(rows), zip(slots, block[copy]))
+            # The sequent (plain, label) -> (dual, label) fails here.
+            return DualityReport(False, DualityWitness(model, world, label, side))
     return DualityReport(True)
 
 

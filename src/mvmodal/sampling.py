@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .semantics import FrameClass, KripkeModel, _members, frame_check
+from .semantics import FrameClass, KripkeModel, _members, edge_set, frame_check
 
 #: Chance of each edge before the relation is closed into its class.
 EDGE_PROBABILITY = 0.4
@@ -52,7 +52,7 @@ def random_relation(rng: random.Random, world_count: int,
         for u in worlds:
             if not rows[u]:
                 rows[u] = 1 << rng.randrange(world_count)
-    return frozenset((u, v) for u, r in enumerate(rows) for v in _members(r))
+    return edge_set(rows)
 
 
 def random_model(rng: random.Random, variables: Sequence[str], n: int,

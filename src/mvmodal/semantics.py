@@ -50,14 +50,9 @@ class KripkeModel:
     no explicit entry take label 1 everywhere, so the valuation is total.
     Models are immutable after construction.
 
-    The constructor validates the edges and the valuation.  The private
-    `_revalued` gives the same frame another valuation without checks:
-    the frame was checked when this model was built, and its one caller,
-    decision.enumerate_models, builds every valuation in range and in
-    sorted order.  The private `_stacked` stands for disjoint copies of
-    the frame, which the search evaluates one valuation per copy: it
-    keeps this frame's successor sets, which label_vectors reads as the
-    period of the stack, and a larger world count.
+    The constructor validates the edges and the valuation.  The one
+    model built without it is a stacked frame (stacked_frame), which
+    only the evaluator reads.
     """
 
     world_count: int
@@ -89,36 +84,6 @@ class KripkeModel:
         object.__setattr__(self, "_succ", tuple(frozenset(s) for s in succ))
         object.__setattr__(self, "_val_map", val_map)
 
-    def _revalued(self, vals: tuple[tuple[tuple[int, str], int], ...]
-                  ) -> KripkeModel:
-        """This model's frame with `vals` as its valuation, unchecked.
-
-        `vals` must be sorted, with worlds in range and labels >= 1: the
-        model equals KripkeModel(world_count, edges, vals) field for
-        field, and shares this one's edge set and successor sets.
-        """
-        model = object.__new__(KripkeModel)
-        model.__dict__.update(self.__dict__, vals=vals, _val_map=dict(vals))
-        return model
-
-    def _stacked(self, copies: int) -> KripkeModel:
-        """The disjoint union of `copies` copies of this frame, unchecked.
-
-        Copy i holds worlds i*w .. i*w + w - 1, where w is this model's
-        world count, and world i*w + u sees i*w + v for each v that u
-        sees.  The result carries only what label_vectors reads: the
-        world count copies*w and this frame's own w successor sets, from
-        which label_vectors folds each world's column of copies at once.
-        The edge set and the valuation are empty, so a caller must seed
-        the label vector of every variable it evaluates (label_vectors'
-        cache).  Nothing outside the evaluator reads a stacked model:
-        `successors` and the frame predicates see only the first copy.
-        """
-        model = object.__new__(KripkeModel)
-        model.__dict__.update(self.__dict__, world_count=copies * self.world_count,
-                              edges=frozenset(), vals=(), _val_map={})
-        return model
-
     @property
     def worlds(self) -> range:
         return range(self.world_count)
@@ -135,6 +100,27 @@ class KripkeModel:
 
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted({p for (_, p) in self._val_map}))
+
+
+def stacked_frame(rows: Sequence[int], copies: int) -> KripkeModel:
+    """The disjoint union of `copies` copies of the frame with successor
+    rows `rows` (successor_rows), unchecked.
+
+    Copy i holds worlds i*w .. i*w + w - 1, where w is len(rows), and
+    world i*w + u sees i*w + v for each v that u sees.  The result
+    carries only what label_vectors reads: the world count copies*w and
+    the frame's own w successor sets, from which label_vectors folds each
+    world's column of copies at once.  The edge set and the valuation are
+    empty, so a caller must seed the label vector of every variable it
+    evaluates (label_vectors' cache).  Nothing outside the evaluator
+    reads a stacked frame: `successors` and the frame predicates see only
+    the first copy.
+    """
+    model = object.__new__(KripkeModel)
+    model.__dict__.update(world_count=copies * len(rows), edges=frozenset(),
+                          vals=(), _val_map={},
+                          _succ=tuple(frozenset(_members(r)) for r in rows))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +141,7 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     This is the package's only evaluator: the intuitionistic semantics
     is this one on the formula's embedding (intuitionistic.eval_mvil).
 
-    A stacked model (KripkeModel._stacked) has more worlds than successor
+    A stacked frame (stacked_frame) has more worlds than successor
     sets: world i*w + u is copy i of world u, with w the number of sets.
     There Box and Dia fold whole columns, the labels of every copy of a
     world at once (_fold_columns); a model of one copy is folded world
@@ -287,6 +273,11 @@ def model_satisfies(sig: Signature, model: KripkeModel,
 def successor_rows(model: KripkeModel) -> tuple[int, ...]:
     """Bitmask successor rows: bit v of row u is set iff (u, v) is an edge."""
     return tuple(sum(1 << v for v in s) for s in model._succ)
+
+
+def edge_set(rows: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The edges of bitmask successor rows: the inverse of successor_rows."""
+    return frozenset((u, v) for u, r in enumerate(rows) for v in _members(r))
 
 
 def _members(row: int) -> Iterator[int]:

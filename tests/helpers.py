@@ -18,11 +18,20 @@ from mvmodal.core import (
     LabelledFormula,
     Sequent,
     Signature,
+    TruthDomain,
     Var,
     apply_connective,
     closure_order,
 )
 from mvmodal.decision import Countermodel, ProvedValid, ValidUpTo, filtration_bound
+from mvmodal.duality import (
+    _CLAIMS,
+    _CLAIMS_ORDER,
+    DualityReport,
+    DualityWitness,
+    UnaryTable,
+    negation_connective,
+)
 from mvmodal.proofs import Derivation, LogicId, Step
 from mvmodal.sampling import EDGE_PROBABILITY
 from mvmodal.semantics import (
@@ -167,6 +176,13 @@ def frame_check(model: KripkeModel, frame_class: FrameClass) -> bool:
     raise ValueError(f"unknown frame class {frame_class!r}")
 
 
+def edges_of(rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The edge set of decision._relations' successor rows, by a
+    comprehension of its own rather than semantics.edge_set."""
+    worlds = range(len(rows))
+    return frozenset((u, v) for u in worlds for v in worlds if rows[u] >> v & 1)
+
+
 def oracle_relations(world_count: int, frame_class: FrameClass
                      ) -> Iterator[frozenset[tuple[int, int]]]:
     """Every subset of the world square that passes the oracle frame_check."""
@@ -214,7 +230,8 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
     """decide's outcome over the oracle relations, first countermodel first.
 
     Over `relations=decision._relations` it searches the models decide
-    searches, in the same order, each built and checked in full.
+    searches, in the same order, each built and checked in full; that
+    generator's successor rows become edges by edges_of.
     """
     variables = sorted({f.name for s in (goal, *hypotheses)
                         for f in closure_order(s.formulas())
@@ -222,6 +239,8 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
     for world_count in range(1, bound + 1):
         slots = [(u, p) for u in range(world_count) for p in variables]
         for edges in relations(world_count, frame_class):
+            if not isinstance(edges, frozenset):
+                edges = edges_of(edges)
             for labels in product(range(1, sig.n + 1), repeat=len(slots)):
                 model = KripkeModel(world_count, edges, dict(zip(slots, labels)))
                 if hypotheses and not model_satisfies(sig, model, hypotheses):
@@ -236,8 +255,8 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
 
 # ---------------------------------------------------------------------------
 # Oracle: enumerate_models before each relation's later valuations
-# reused its validated model, kept verbatim but for its name and the
-# module of _Budget and _relations.
+# reused its validated model, kept verbatim but for its name, the
+# module of _Budget and _relations, and the edges of _relations' rows.
 # ---------------------------------------------------------------------------
 
 
@@ -250,10 +269,45 @@ def oracle_models(variables: Iterable[str], n: int, world_count: int,
     variables = sorted(set(variables))
     budget = decision._Budget.of(ceiling)
     slots = [(u, p) for u in range(world_count) for p in variables]
-    for edges in decision._relations(world_count, frame_class):
+    for rows in decision._relations(world_count, frame_class):
+        edges = edges_of(rows)
         for labels in product(range(1, n + 1), repeat=len(slots)):
             budget.spend()
             yield KripkeModel(world_count, edges, dict(zip(slots, labels)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: duality_holds before it walked the search's stacked blocks,
+# its model-by-model loop kept verbatim but for its name and its models,
+# drawn from oracle_models.
+# ---------------------------------------------------------------------------
+
+
+def oracle_duality_holds(table: UnaryTable, n: int, bound: int,
+                         ceiling: Union[int, decision._Budget, None] = None
+                         ) -> DualityReport:
+    domain = TruthDomain(n)
+    try:
+        # Signature checks the table: n entries, each image in 1..n
+        sig = Signature(domain, {"neg": negation_connective(table)})
+    except ValueError:
+        raise ValueError(f"not a unary table over 1..{n}: {table}") from None
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    budget = decision._Budget.of(ceiling)
+    for world_count in range(1, bound + 1):
+        for model in oracle_models(["p"], n, world_count, FrameClass.ANY,
+                                   ceiling=budget):
+            val = label_vectors(sig, model, _CLAIMS_ORDER)
+            for world in model.worlds:
+                for side, plain, dual in _CLAIMS:
+                    left = val[plain][world]
+                    right = val[dual][world]
+                    if left != right:
+                        # The sequent (plain, left) -> (dual, left) fails here.
+                        return DualityReport(False,
+                                             DualityWitness(model, world, left, side))
+    return DualityReport(True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
-from helpers import rand_formula
+from helpers import oracle_duality_holds, rand_formula
+from mvmodal import decision
 from mvmodal.core import Apply, Box, Diamond, Signature, Var
 from mvmodal.decision import EnumerationCeilingError
 from mvmodal.duality import duality_holds, reversal_negation, uniqueness_scan
@@ -75,6 +77,31 @@ class TestDualityHolds:
         monkeypatch.setattr(Signature, "__post_init__", counting)
         assert uniqueness_scan(3, 1) == (reversal_negation(3),)
         assert len(built) == 27
+
+
+class TestAgainstTheModelByModelScan:
+    """duality_holds against helpers.oracle_duality_holds, which builds
+    every model in full and checks it world by world.
+
+    The scan walks the search's stacked blocks of at most
+    decision.BLOCK_WORLDS worlds; every table runs both with the default
+    and with blocks split small, so that one relation's models span
+    several blocks.
+    """
+
+    @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2)])
+    def test_reports_and_counts_match_the_oracle(self, n, bound, monkeypatch):
+        for block_worlds in (decision.BLOCK_WORLDS, 5):
+            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+            ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
+            for table in product(range(1, n + 1), repeat=n):
+                case = (table, block_worlds)
+                report = duality_holds(table, n, bound, ours)
+                expected = oracle_duality_holds(table, n, bound, theirs)
+                assert report == expected, case
+                if not expected.holds:
+                    assert report.witness.model.vals == expected.witness.model.vals
+                assert ours.examined == theirs.examined, case
 
 
 class TestUniquenessScan:

@@ -1,19 +1,30 @@
 """The frame-class generators against the powerset filter they replaced,
-and the sampler against the set-based one."""
+the sampler against the set-based one, and the two relation formats.
+
+decision._relations yields successor rows; the tests read them as edges
+through helpers.edges_of, not semantics.edge_set."""
 
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import class_models, edges_of, oracle_decide, oracle_relations
 from helpers import frame_check as oracle_frame_check
-from helpers import oracle_decide, oracle_relations
 from helpers import random_relation as oracle_random_relation
 
 from mvmodal.core import Var, lukasiewicz_signature
 from mvmodal.decision import Countermodel, _relations, decide, enumerate_models
 from mvmodal.proofs import LogicId, instantiate_scheme
 from mvmodal.sampling import random_relation
-from mvmodal.semantics import FrameClass, KripkeModel, frame_check
+from mvmodal.semantics import (
+    FrameClass,
+    KripkeModel,
+    edge_set,
+    frame_check,
+    successor_rows,
+)
 
 # Relations on 4 worlds per class: 2^16, 15^4, 2^12, OEIS A006905, 2^10,
 # euclidean, OEIS A000798, and the Bell number OEIS A000110.
@@ -32,23 +43,24 @@ COUNTS_AT_4 = {
 @pytest.mark.parametrize("frame_class", list(FrameClass))
 @pytest.mark.parametrize("world_count", [1, 2, 3])
 def test_generator_yields_the_filtered_set(frame_class, world_count):
-    first = list(_relations(world_count, frame_class))
-    assert first == list(_relations(world_count, frame_class))
+    first = list(map(edges_of, _relations(world_count, frame_class)))
+    assert first == list(map(edges_of, _relations(world_count, frame_class)))
     assert len(set(first)) == len(first)
     assert set(first) == set(oracle_relations(world_count, frame_class))
 
 
 def test_any_keeps_the_mask_order():
-    assert list(_relations(3, FrameClass.ANY)) == list(oracle_relations(3, FrameClass.ANY))
+    assert (list(map(edges_of, _relations(3, FrameClass.ANY)))
+            == list(oracle_relations(3, FrameClass.ANY)))
 
 
 @pytest.mark.parametrize("frame_class", list(FrameClass))
 def test_counts_at_four_worlds(frame_class):
     count = 0
-    for edges in _relations(4, frame_class):
+    for rows in _relations(4, frame_class):
         count += 1
         if frame_class is not FrameClass.ANY:
-            assert frame_check(KripkeModel(4, edges), frame_class)
+            assert frame_check(KripkeModel(4, edges_of(rows)), frame_class)
     assert count == COUNTS_AT_4[frame_class]
 
 
@@ -57,6 +69,12 @@ def test_frame_check_agrees_with_the_oracle(frame_class):
     for edges in oracle_relations(3, FrameClass.ANY):
         model = KripkeModel(3, edges)
         assert frame_check(model, frame_class) == oracle_frame_check(model, frame_class)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FrameClass).flatmap(class_models))
+def test_edge_set_inverts_successor_rows(model):
+    assert edge_set(successor_rows(model)) == model.edges
 
 
 @pytest.mark.parametrize("frame_class", list(FrameClass))

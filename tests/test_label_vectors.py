@@ -3,7 +3,7 @@
 The oracles in helpers.py are the recursive evaluators that
 label_vectors replaced, and the per-world refuting_worlds that the
 member-by-member filter replaced.  The property tests draw models of
-every frame class, single or stacked (KripkeModel._stacked), and
+every frame class, single or stacked (stacked_frame), and
 formulas over a signature with a constant (0-ary connective).
 """
 
@@ -42,6 +42,8 @@ from mvmodal.semantics import (
     model_satisfies,
     refuting_worlds,
     satisfies_sequent,
+    stacked_frame,
+    successor_rows,
 )
 
 SIG = make_signature(3, [lukasiewicz_implication(3), reversal_connective(3),
@@ -136,7 +138,7 @@ def stacks(draw):
     members = [base] + [KripkeModel(base.world_count, base.edges,
                                     dict(zip(slots, draw(labels))))
                         for _ in range(copies - 1)]
-    return base._stacked(copies), members
+    return stacked_frame(successor_rows(base), copies), members
 
 
 def _seeded(members):
@@ -173,7 +175,8 @@ def test_stacked_worlds_with_no_one_and_two_successors(copies):
     q = Var("q")
     fs = [Box(P), Diamond(P), Box(Diamond(q)), Diamond(Box(Apply("imp", (P, q)))),
           Box(Apply("half", ())), Diamond(Apply("neg", (Diamond(q),)))]
-    _assert_copies_match_the_oracle(base._stacked(copies), members, fs)
+    _assert_copies_match_the_oracle(stacked_frame(successor_rows(base), copies),
+                                    members, fs)
 
 
 @st.composite
