@@ -199,7 +199,7 @@ def cmd_frame_check(args) -> int:
 
 
 def _ceiling(text: str) -> int:
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)

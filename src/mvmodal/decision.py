@@ -28,13 +28,40 @@ valuation order and worlds keep their order within a copy, so the first
 countermodel read off the blocks is the first in enumeration order, and
 the ceiling still counts models one by one.  The negation-duality scan
 (duality.duality_holds) walks the same blocks (_blocks).
+
+From three worlds up the search first walks rooted frames only.  Box and
+Dia at a world read only its successors, so the submodel generated by a
+world u (the worlds u reaches, with the relation and valuation
+restricted to them) gives every formula at every one of its worlds the
+label it has in the whole model.  So if a model refutes the goal at u
+and satisfies the global hypotheses at every world, the submodel
+generated by u refutes the goal at u and satisfies the hypotheses at
+every world too.  All seven frame classes are closed under generated
+submodels (Blackburn, de Rijke & Venema, Modal Logic, 2001, section
+2.1), so that submodel is in the logic's class.  If w is the fewest
+worlds of any countermodel, the submodel generated by its refuting world
+therefore has all w worlds: relabelled so that the refuting world is 0,
+it is a countermodel on a frame where world 0 reaches every world,
+refuting at 0.  Relabelling the worlds other than 0 carries it onto any
+frame isomorphic to it by a map fixing 0, with the valuation carried
+along.  So, once no world count below w has a countermodel, world count
+w has one if and only if some valuation of one frame per isomorphism
+class fixing 0 among the rooted frames (_rooted_relations) refutes the
+goal at world 0.  The rooted pass decides that, testing the goal at
+world 0 of each copy only and the hypotheses at every world.  When it
+finds a countermodel, the exhaustive pass over every relation runs at
+that same world count and returns its first countermodel, so the
+witness is the first in enumeration order, as without the rooted pass.
+One and two worlds are searched exhaustively only: there the rooted
+frames are too large a share of all frames to pay for a second pass.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from functools import lru_cache
+from itertools import chain, islice, permutations, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -48,6 +75,7 @@ from .semantics import (
     frame_predicate,
     label_vectors,
     model_satisfies,
+    refuting_among,
     refuting_worlds,
     satisfies_sequent,
     stacked_frame,
@@ -59,6 +87,9 @@ DEFAULT_ENUM_CEILING = 10_000_000
 #: Worlds per stacked frame at most; a relation's later valuations go
 #: into further blocks, so memory stays bounded however many there are.
 BLOCK_WORLDS = 4096
+
+#: World counts from this one up are searched over rooted frames first.
+_ROOTED_FROM = 3
 
 
 class EnumerationCeilingError(Exception):
@@ -75,7 +106,7 @@ def default_ceiling() -> int:
     raw = os.environ.get(ENUM_CEILING_VAR)
     if not raw:
         return DEFAULT_ENUM_CEILING
-    if not raw.strip().isdigit():
+    if not raw.strip().isdecimal():
         raise ValueError(f"{ENUM_CEILING_VAR} must be a non-negative integer, "
                          f"got {raw!r}")
     return int(raw)
@@ -171,6 +202,49 @@ def _extensions(world_count: int, holds: Callable[[Sequence[int]], bool]
                     yield candidate
 
 
+def _rooted_relations(world_count: int, frame_class: FrameClass
+                      ) -> Iterator[tuple[int, ...]]:
+    """Successor rows of one relation per isomorphism class fixing world 0
+    among the class's relations on `world_count` worlds in which world 0
+    reaches every world, lazily, in _relations' order.
+
+    Each kept relation's rows are the lexicographic minimum over the
+    relabellings of the worlds other than 0.  The relations of the class
+    are filtered: reachability first, as it is the cheaper test.
+    """
+    full = (1 << world_count) - 1
+    relabellings = _relabellings(world_count)
+    for rows in _relations(world_count, frame_class):
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            for u, row in enumerate(rows):
+                if frontier >> u & 1:
+                    reached |= row
+            frontier = reached & ~seen
+            seen |= reached
+        if seen == full and not any(
+                tuple(map(image.__getitem__, map(rows.__getitem__, source))) < rows
+                for image, source in relabellings):
+            yield rows
+
+
+@lru_cache(maxsize=None)
+def _relabellings(world_count: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each permutation of the worlds fixing 0, but the identity, as
+    (image, source): image[row] is the row with bit u moved to bit
+    perm[u], and source[perm[u]] is u, so the relabelled rows are
+    image[rows[source[v]]] for each world v in order."""
+    out = []
+    for rest in islice(permutations(range(1, world_count)), 1, None):
+        perm = (0, *rest)
+        image = tuple(sum(1 << perm[u] for u in range(world_count) if row >> u & 1)
+                      for row in range(1 << world_count))
+        source = tuple(sorted(range(world_count), key=perm.__getitem__))
+        out.append((image, source))
+    return tuple(out)
+
+
 def _valuations(variables: Sequence[str], n: int, world_count: int
                 ) -> tuple[list[tuple[int, str]], Iterator[tuple[int, ...]]]:
     """The slots (world, variable) and every labelling of them, in order.
@@ -184,9 +258,13 @@ def _valuations(variables: Sequence[str], n: int, world_count: int
 
 
 def _blocks(atoms: Sequence[Var], n: int, world_count: int,
-            frame_class: FrameClass) -> Iterator[tuple]:
+            frame_class: FrameClass,
+            relations: Callable[[int, FrameClass], Iterable[tuple[int, ...]]]
+            = _relations) -> Iterator[tuple]:
     """Each relation's valuations in blocks of at most BLOCK_WORLDS worlds.
 
+    The relations are those `relations` yields for the world count and
+    class: _relations, or _rooted_relations for the rooted pass.
     Yields (rows, slots, block, stacked, cache) per block: the relation's
     successor rows, the slots of _valuations over the sorted `atoms`, the
     block's labellings in order, the frame stacked once per labelling
@@ -195,7 +273,7 @@ def _blocks(atoms: Sequence[Var], n: int, world_count: int,
     """
     per_block = max(1, BLOCK_WORLDS // world_count)
     stride = len(atoms)
-    for rows in _relations(world_count, frame_class):
+    for rows in relations(world_count, frame_class):
         slots, labellings = _valuations([a.name for a in atoms], n, world_count)
         while block := list(islice(labellings, per_block)):
             labels = list(chain.from_iterable(block))
@@ -246,21 +324,29 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     valuations at a time (_blocks).  A block's label vectors are computed
     once, over the whole closure.  A copy is rejected when a hypothesis
     fails at one of its worlds, and the first goal-refuting world of a
-    copy not rejected gives the countermodel.  `ceiling` counts the
-    models examined over all world counts: every copy up to the
-    countermodel's, or the whole block.
+    copy not rejected gives the countermodel.  From _ROOTED_FROM worlds
+    up, each world count is first searched over the rooted frames alone,
+    with the goal tested at world 0 of each copy (see the module
+    docstring); only when that pass finds a countermodel are all the
+    relations on that many worlds searched, for the first countermodel
+    in enumeration order.  `ceiling` counts the models examined over
+    all world counts and both passes: every copy up to a countermodel's,
+    or the whole block.
     """
     order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
     atoms = sorted((f for f in order if isinstance(f, Var)),
                    key=attrgetter("name"))
     budget = _Budget.of(ceiling)
-    for world_count in range(1, bound + 1):
-        for rows, slots, block, stacked, cache in _blocks(atoms, sig.n, world_count,
-                                                          frame_class):
+
+    def first(world_count: int, rooted: bool) -> Optional[Countermodel]:
+        for rows, slots, block, stacked, cache in _blocks(
+                atoms, sig.n, world_count, frame_class,
+                _rooted_relations if rooted else _relations):
             label_vectors(sig, stacked, order, cache)
             rejected = {w // world_count for h in hypotheses
                         for w in refuting_worlds(sig, stacked, h, cache)}
-            found = next((w for w in refuting_worlds(sig, stacked, goal, cache)
+            worlds = range(0, stacked.world_count, world_count if rooted else 1)
+            found = next((w for w in refuting_among(cache, goal, worlds)
                           if w // world_count not in rejected), None)
             if found is None:
                 budget.spend(len(block))
@@ -270,6 +356,18 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
             model = KripkeModel(world_count, edge_set(rows), zip(slots, block[copy]))
             _verify_countermodel(sig, model, world, hypotheses, goal, frame_class)
             return Countermodel(model, world)
+        return None
+
+    for world_count in range(1, bound + 1):
+        rooted = world_count >= _ROOTED_FROM
+        if rooted and first(world_count, rooted=True) is None:
+            continue
+        found = first(world_count, rooted=False)
+        if found is not None:
+            return found
+        if rooted:
+            raise AssertionError(f"a rooted countermodel on {world_count} "
+                                 "worlds, but none in the exhaustive order")
     return None
 
 

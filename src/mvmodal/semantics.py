@@ -237,9 +237,18 @@ def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
                if lf.formula not in vectors]
     if missing:
         label_vectors(sig, model, closure_order(missing), vectors)
+    return refuting_among(vectors, sequent, model.worlds)
+
+
+def refuting_among(vectors: Cache, sequent: Sequent, worlds: Sequence[int]
+                   ) -> Iterator[int]:
+    """The worlds of `worlds`, in order, where the sequent fails, read off
+    `vectors`, which must hold the label vector of each of its formulas.
+
+    This is refuting_worlds' filter over a chosen sequence of worlds.
+    """
     members = [(vectors[lf.formula], lf.label.__eq__) for lf in sequent.antecedent]
     members += [(vectors[lf.formula], lf.label.__ne__) for lf in sequent.succedent]
-    worlds: Sequence[int] = model.worlds
     for vec, keep in members:
         worlds = list(compress(worlds, map(keep, map(vec.__getitem__, worlds))))
         if not worlds:

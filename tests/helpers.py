@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Union
 
 from hypothesis import strategies as st
@@ -191,6 +191,62 @@ def oracle_relations(world_count: int, frame_class: FrameClass
         if not frame_check(candidate, frame_class):
             continue
         yield edges
+
+
+# ---------------------------------------------------------------------------
+# Brute force: the relations on which world 0 reaches every world, up to
+# isomorphism fixing world 0, by relabelling the oracle's edge sets.
+# ---------------------------------------------------------------------------
+
+
+def relabellings(world_count: int) -> list[tuple[int, ...]]:
+    """Every permutation of the worlds that fixes world 0; perm[u] is u's
+    new name."""
+    return [(0, *rest) for rest in permutations(range(1, world_count))]
+
+
+def relabel(edges: frozenset[tuple[int, int]], perm: tuple[int, ...]
+            ) -> frozenset[tuple[int, int]]:
+    return frozenset((perm[u], perm[v]) for u, v in edges)
+
+
+def reaches_all(edges: frozenset[tuple[int, int]], world_count: int) -> bool:
+    """World 0 reaches every world along the edges."""
+    seen, todo = {0}, [0]
+    while todo:
+        u = todo.pop()
+        for x, v in edges:
+            if x == u and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == world_count
+
+
+def rooted_key(edges: frozenset[tuple[int, int]], world_count: int) -> tuple:
+    """The least sorted edge list over the relabellings fixing 0: two edge
+    sets share it iff one relabels onto the other fixing 0."""
+    return min(tuple(sorted(relabel(edges, perm)))
+               for perm in relabellings(world_count))
+
+
+@lru_cache(maxsize=None)
+def _rooted_any(world_count: int) -> dict[tuple, frozenset[tuple[int, int]]]:
+    classes: dict[tuple, frozenset[tuple[int, int]]] = {}
+    for edges in _relations(world_count):
+        if reaches_all(edges, world_count):
+            classes.setdefault(rooted_key(edges, world_count), edges)
+    return classes
+
+
+def rooted_classes(world_count: int, frame_class: FrameClass
+                   ) -> dict[tuple, frozenset[tuple[int, int]]]:
+    """The isomorphism classes fixing 0 of the frame class's relations on
+    which world 0 reaches every world, by rooted_key, each with its first
+    member in the powerset order.  A frame class is closed under
+    isomorphism, so each class is tested by the oracle frame_check on
+    that member alone."""
+    return {key: edges for key, edges in _rooted_any(world_count).items()
+            if frame_check(KripkeModel(world_count, edges), frame_class)}
 
 
 @lru_cache(maxsize=None)

@@ -411,6 +411,30 @@ class TestCeiling:
         assert code == 2 and out == ""
         assert "--ceiling" in err and "non-negative" in err
 
+    # '²' is a digit to str.isdigit but no decimal int() reads
+    @pytest.mark.parametrize("command", ["decide", "neg-scan"])
+    def test_superscript_ceiling_rejected_at_parse_time(self, ws, capsys, command):
+        argv = {"decide": ["decide", "--sig", str(ws / "sig.mvk"), "--bound",
+                           "1", "--ceiling", "²", "-> (p, 1)"],
+                "neg-scan": ["neg-scan", "--n", "2", "--bound", "1",
+                             "--ceiling", "²"]}[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert ("argument --ceiling: expected a non-negative integer, "
+                "got '²'") in err
+
+    @pytest.mark.parametrize("argv", [
+        ["neg-scan", "--n", "2", "--bound", "1"],
+        ["decide", "--sig", "SIG", "--bound", "1", "-> (p, 1)"],
+    ])
+    def test_superscript_environment_ceiling(self, ws, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MVK_ENUM_CEILING", "²")
+        argv = [str(ws / "sig.mvk") if a == "SIG" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: MVK_ENUM_CEILING must be a non-negative "
+                       "integer, got '²'\n")
+
 
 def _nested(kind, depth):
     """A formula `depth` levels deep: a Box chain, a connective chain,

@@ -3,7 +3,7 @@ from itertools import groupby, zip_longest
 from operator import attrgetter
 
 import pytest
-from helpers import oracle_decide, oracle_models
+from helpers import oracle_decide, oracle_models, rooted_classes
 
 from mvmodal import decision
 from mvmodal.core import (
@@ -31,6 +31,7 @@ from mvmodal.decision import (
     filtration_bound,
     search_countermodel,
 )
+from mvmodal.parser import parse_sequent
 from mvmodal.proofs import LogicId, instantiate_scheme
 from mvmodal.semantics import FrameClass, frame_check, satisfies_sequent
 
@@ -377,3 +378,132 @@ class TestWitnessesPinned:
                 with pytest.raises(EnumerationCeilingError) as caught:
                     decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
                 assert caught.value.examined == ceiling
+
+
+# (logic, goal, hypothesis): goals over p at n = 2 whose first
+# countermodel, under the hypothesis if any, has exactly three worlds.
+# Each goal and hypothesis is a helpers.rand_sequent draw (depth 3 and 2)
+# from a seeded scan over random.Random(seed), seeds 0 to 39.
+THREE_WORLD_CASES = [
+    (LogicId.MV_K, "(Dia p, 1) -> (imp(Box Dia p, Box Box p), 2), (Dia Dia Box p, 1)",
+     None),
+    (LogicId.MV_D, "-> (imp(p, Box Box p), 2), (Box p, 1)", None),
+    (LogicId.MV_T, "(Dia Box Box p, 1) -> (Dia Dia Box p, 1)", None),
+    (LogicId.MV_S4, "(Dia Dia Box p, 2) -> (imp(Dia Box p, Box Dia p), 2)", None),
+    (LogicId.MV_K4, "(imp(imp(imp(p, p), p), imp(p, imp(p, p))), 2) -> "
+     "(Box p, 2), (Dia p, 1), (Dia Dia imp(p, p), 2)", None),
+    (LogicId.MV_B, "(p, 1), (imp(Dia Dia p, Dia p), 1) -> (Dia Box Dia p, 2)", None),
+    (LogicId.MV_K, "(p, 1), (imp(p, Dia imp(p, p)), 2) -> "
+     "(imp(imp(p, imp(p, p)), Dia p), 2)", "(Dia Box p, 1) ->"),
+    (LogicId.MV_T, "(Dia Box Dia p, 1) ->", "(p, 1) -> (Dia Dia p, 2)"),
+    (LogicId.MV_B, "(p, 1) -> (Box Box Box p, 1)", "-> (Dia Dia p, 2)"),
+    (LogicId.MV_S4, "-> (p, 1), (imp(p, Box Box p), 2)",
+     "(imp(Box p, Dia p), 2) -> (p, 2), (Dia Box p, 2)"),
+]
+
+
+def _valid_cases(logic):
+    """(goal, hypotheses) valid up to three worlds in the logic at n = 2:
+    its own schemes over p and Dia p, or for mv-K, which has none, a
+    Box-distribution goal and a goal forced by a global hypothesis."""
+    if logic is LogicId.MV_K:
+        yield (Sequent([lf(Box(Apply("imp", (p, Box(p)))), 2), lf(Box(p), 2)],
+                       [lf(Box(Box(p)), 2)]), ())
+        yield Sequent([], [lf(Box(p), 2)]), (Sequent([], [lf(p, 2)]),)
+    for scheme in sorted(logic.schemes):
+        for operand in (p, Diamond(p)):
+            for label in (1, 2):
+                yield instantiate_scheme(scheme, operand, label, 2), ()
+
+
+class TestRootedSearch:
+    """From three worlds the search walks rooted frames first, and the
+    exhaustive order only at a refuted goal's world count: decide against
+    the full construction over decision._relations."""
+
+    @pytest.mark.parametrize("logic, goal, hypothesis", THREE_WORLD_CASES)
+    def test_three_world_witness_is_the_exhaustive_one(self, logic, goal,
+                                                       hypothesis, monkeypatch):
+        sig = lukasiewicz_signature(2)
+        goal = parse_sequent(goal, sig)
+        hypotheses = () if hypothesis is None else (parse_sequent(hypothesis, sig),)
+        expected = oracle_decide(sig, hypotheses, goal, logic.frame_class, 3,
+                                 relations=_relations)
+        assert isinstance(expected, Countermodel)
+        assert expected.model.world_count == 3
+        for block_worlds in (decision.BLOCK_WORLDS, 5):
+            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+            out = decide(sig, hypotheses, goal, logic, 3)
+            assert out == expected, block_worlds
+            assert out.model.vals == expected.model.vals
+            assert out.world == expected.world
+
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_valid_goals_up_to_three_worlds(self, logic, monkeypatch):
+        sig = lukasiewicz_signature(2)
+        for goal, hypotheses in _valid_cases(logic):
+            expected = oracle_decide(sig, hypotheses, goal, logic.frame_class, 3,
+                                     relations=_relations)
+            assert not isinstance(expected, Countermodel), goal
+            for block_worlds in (decision.BLOCK_WORLDS, 5):
+                monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+                assert decide(sig, hypotheses, goal, logic, 3) == expected
+
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_ceiling_boundary_of_a_valid_query(self, luk3, logic, monkeypatch):
+        # every labelled model on 1 and 2 worlds, then every valuation of
+        # one relation per rooted class on 3 worlds; with blocks of 5
+        # worlds each 3-world block holds one copy
+        goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
+        frame_class = logic.frame_class
+        count = (sum(1 for w in (1, 2)
+                     for _ in oracle_models(["p"], 3, w, frame_class))
+                 + len(rooted_classes(3, frame_class)) * 3 ** 3)
+        for block_worlds in (decision.BLOCK_WORLDS, 5):
+            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+            assert decide(luk3, (), goal, logic, 3, ceiling=count) == ValidUpTo(3)
+            with pytest.raises(EnumerationCeilingError) as caught:
+                decide(luk3, (), goal, logic, 3, ceiling=count - 1)
+            assert caught.value.examined == count - 1
+
+    def test_ceiling_boundary_of_a_refuted_query(self, monkeypatch):
+        # the labelled models on 1 and 2 worlds (18), the rooted models up
+        # to the rooted witness, then the labelled models on 3 worlds up
+        # to the witness of the exhaustive order (51): 83 in all.  The
+        # rooted witness is the sixth valuation of the second rooted
+        # relation, the 14th rooted model.
+        sig = lukasiewicz_signature(2)
+        logic, goal, _ = THREE_WORLD_CASES[2]
+        goal = parse_sequent(goal, sig)
+        out = decide(sig, (), goal, logic, 3)
+        labelled = sum(1 for w in (1, 2)
+                       for _ in oracle_models(["p"], 2, w, logic.frame_class))
+        rooted = 8 + 6
+        exhaustive = list(oracle_models(["p"], 2, 3, logic.frame_class)
+                          ).index(out.model) + 1
+        count = labelled + rooted + exhaustive
+        assert count == 83
+        for block_worlds in (decision.BLOCK_WORLDS, 5):
+            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+            assert decide(sig, (), goal, logic, 3, ceiling=count) == out
+            for ceiling in (count - 1, labelled + rooted - 1):
+                with pytest.raises(EnumerationCeilingError) as caught:
+                    decide(sig, (), goal, logic, 3, ceiling=ceiling)
+                assert caught.value.examined == ceiling
+
+    def test_a_rooted_witness_needs_an_exhaustive_one(self, monkeypatch):
+        # the rooted pass keeps its frames, the exhaustive pass at three
+        # worlds is left with none: the search must not return "valid"
+        sig = lukasiewicz_signature(2)
+        logic, goal, _ = THREE_WORLD_CASES[2]
+        goal = parse_sequent(goal, sig)
+        rooted = list(decision._rooted_relations(3, logic.frame_class))
+        every = decision._relations
+        monkeypatch.setattr(decision, "_rooted_relations",
+                            lambda world_count, frame_class: iter(rooted))
+        monkeypatch.setattr(decision, "_relations",
+                            lambda world_count, frame_class: iter(
+                                () if world_count == 3
+                                else every(world_count, frame_class)))
+        with pytest.raises(AssertionError, match="none in the exhaustive order"):
+            decide(sig, (), goal, logic, 3)

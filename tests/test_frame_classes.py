@@ -1,5 +1,6 @@
 """The frame-class generators against the powerset filter they replaced,
-the sampler against the set-based one, and the two relation formats.
+the rooted generator against a brute force over relabellings, the
+sampler against the set-based one, and the two relation formats.
 
 decision._relations yields successor rows; the tests read them as edges
 through helpers.edges_of, not semantics.edge_set."""
@@ -10,12 +11,28 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import class_models, edges_of, oracle_decide, oracle_relations
+from helpers import (
+    class_models,
+    edges_of,
+    oracle_decide,
+    oracle_relations,
+    reaches_all,
+    relabel,
+    relabellings,
+    rooted_classes,
+    rooted_key,
+)
 from helpers import frame_check as oracle_frame_check
 from helpers import random_relation as oracle_random_relation
 
 from mvmodal.core import Var, lukasiewicz_signature
-from mvmodal.decision import Countermodel, _relations, decide, enumerate_models
+from mvmodal.decision import (
+    Countermodel,
+    _relations,
+    _rooted_relations,
+    decide,
+    enumerate_models,
+)
 from mvmodal.proofs import LogicId, instantiate_scheme
 from mvmodal.sampling import random_relation
 from mvmodal.semantics import (
@@ -62,6 +79,47 @@ def test_counts_at_four_worlds(frame_class):
         if frame_class is not FrameClass.ANY:
             assert frame_check(KripkeModel(4, edges_of(rows)), frame_class)
     assert count == COUNTS_AT_4[frame_class]
+
+
+# Relations on 1 to 4 worlds per class on which world 0 reaches every
+# world, up to isomorphism fixing 0, as helpers.rooted_classes counts them.
+ROOTED_COUNTS = {
+    FrameClass.ANY: (2, 8, 136, 6_752),
+    FrameClass.SERIAL: (1, 6, 112, 5_856),
+    FrameClass.REFLEXIVE: (1, 2, 18, 440),
+    FrameClass.TRANSITIVE: (2, 5, 19, 89),
+    FrameClass.SYMMETRIC: (2, 4, 20, 136),
+    FrameClass.EUCLIDEAN: (2, 2, 3, 4),
+    FrameClass.PREORDER: (1, 2, 5, 14),
+    FrameClass.EQUIVALENCE: (1, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("frame_class", list(FrameClass))
+def test_rooted_frames_are_the_brute_force_classes(frame_class):
+    # one generated relation per class, and one class per generated relation
+    for world_count, count in enumerate(ROOTED_COUNTS[frame_class], 1):
+        keys = [rooted_key(edges_of(rows), world_count)
+                for rows in _rooted_relations(world_count, frame_class)]
+        assert len(keys) == len(set(keys)) == count
+        assert set(keys) == set(rooted_classes(world_count, frame_class))
+
+
+@pytest.mark.parametrize("frame_class", list(FrameClass))
+@pytest.mark.parametrize("world_count", [1, 2, 3])
+def test_each_rooted_relation_has_one_generated_isomorph(frame_class, world_count):
+    rooted = list(_rooted_relations(world_count, frame_class))
+    kept = set(rooted)
+    assert rooted == [rows for rows in _relations(world_count, frame_class)
+                      if rows in kept]
+    generated = list(map(edges_of, rooted))
+    for edges in generated:
+        assert frame_check(KripkeModel(world_count, edges), frame_class)
+    perms = relabellings(world_count)
+    for edges in oracle_relations(world_count, frame_class):
+        if reaches_all(edges, world_count):
+            images = {relabel(edges, perm) for perm in perms}
+            assert sum(g in images for g in generated) == 1, edges
 
 
 @pytest.mark.parametrize("frame_class", list(FrameClass))
