@@ -27,7 +27,8 @@ member by member (semantics.refuting_worlds).  Copies keep the
 valuation order and worlds keep their order within a copy, so the first
 countermodel read off the blocks is the first in enumeration order, and
 the ceiling still counts models one by one.  The negation-duality scan
-(duality.duality_holds) walks the same blocks (_blocks).
+(duality.uniqueness_scan) walks the same relations (_relations), but
+reads only each world's set of successor values.
 
 From three worlds up the search first walks rooted frames only.  Box and
 Dia at a world read only its successors, so the submodel generated by a
@@ -90,6 +91,10 @@ BLOCK_WORLDS = 4096
 
 #: World counts from this one up are searched over rooted frames first.
 _ROOTED_FROM = 3
+
+#: Rooted frames on up to this many worlds are kept once generated: at
+#: most 6,752 relations per class, about 1 MB over all seven classes.
+_ROOTED_KEPT_UP_TO = 4
 
 
 class EnumerationCeilingError(Exception):
@@ -206,12 +211,29 @@ def _rooted_relations(world_count: int, frame_class: FrameClass
                       ) -> Iterator[tuple[int, ...]]:
     """Successor rows of one relation per isomorphism class fixing world 0
     among the class's relations on `world_count` worlds in which world 0
-    reaches every world, lazily, in _relations' order.
+    reaches every world, in _relations' order.
 
-    Each kept relation's rows are the lexicographic minimum over the
-    relabellings of the worlds other than 0.  The relations of the class
-    are filtered: reachability first, as it is the cheaper test.
+    Up to _ROOTED_KEPT_UP_TO worlds the relations are filtered once per
+    process and kept; from there up they are filtered lazily, so that a
+    ceiling abort also stops their generation.
     """
+    if world_count <= _ROOTED_KEPT_UP_TO:
+        return iter(_kept_rooted_relations(world_count, frame_class))
+    return _rooted_filter(world_count, frame_class)
+
+
+@lru_cache(maxsize=None)
+def _kept_rooted_relations(world_count: int, frame_class: FrameClass
+                           ) -> tuple[tuple[int, ...], ...]:
+    return tuple(_rooted_filter(world_count, frame_class))
+
+
+def _rooted_filter(world_count: int, frame_class: FrameClass
+                   ) -> Iterator[tuple[int, ...]]:
+    """_rooted_relations, lazily: the class's relations filtered by
+    reachability first, as it is the cheaper test, then by keeping those
+    whose rows are the lexicographic minimum over the relabellings of
+    the worlds other than 0."""
     full = (1 << world_count) - 1
     relabellings = _relabellings(world_count)
     for rows in _relations(world_count, frame_class):

@@ -257,6 +257,21 @@ class TestNegScan:
         assert code == 2 and out == ""
         assert "bound" in err
 
+    @pytest.mark.parametrize("bound", ["5", "99999999999999999999"])
+    def test_huge_bound_aborts_at_the_default_ceiling(self, bound):
+        # the reversal table survives every set of values by two worlds;
+        # its count of the whole scan passes 10^7 models at five worlds
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "MVK_ENUM_CEILING"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvmodal", "neg-scan", "--n", "2",
+             "--bound", bound],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == "aborted: ceiling\n" and proc.stderr == ""
+
 
 class TestTranslate:
     def test_plain(self, ws, capsys):

@@ -466,6 +466,39 @@ class TestRootedSearch:
                 decide(luk3, (), goal, logic, 3, ceiling=count - 1)
             assert caught.value.examined == count - 1
 
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_kept_rooted_frames_repeat_the_query(self, luk3, logic):
+        # the first decide generates the rooted frames on 3 worlds and
+        # keeps them, the second reads them: the same verdict at the same
+        # ceiling boundary
+        goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
+        frame_class = logic.frame_class
+        count = (sum(1 for w in (1, 2)
+                     for _ in oracle_models(["p"], 3, w, frame_class))
+                 + len(rooted_classes(3, frame_class)) * 3 ** 3)
+        decision._kept_rooted_relations.cache_clear()
+        for _ in range(2):
+            assert decide(luk3, (), goal, logic, 3, ceiling=count) == ValidUpTo(3)
+            with pytest.raises(EnumerationCeilingError) as caught:
+                decide(luk3, (), goal, logic, 3, ceiling=count - 1)
+            assert caught.value.examined == count - 1
+        assert decision._kept_rooted_relations.cache_info().currsize == 1
+
+    def test_rooted_frames_on_five_worlds_stay_lazy(self, monkeypatch):
+        # the first rooted frame comes after 31 relations, not 2^25
+        drawn = []
+        every = decision._relations
+
+        def counting(world_count, frame_class):
+            for rows in every(world_count, frame_class):
+                drawn.append(rows)
+                yield rows
+
+        monkeypatch.setattr(decision, "_relations", counting)
+        first = next(decision._rooted_relations(5, FrameClass.ANY))
+        assert first == (0b11110, 0, 0, 0, 0)
+        assert len(drawn) == 31
+
     def test_ceiling_boundary_of_a_refuted_query(self, monkeypatch):
         # the labelled models on 1 and 2 worlds (18), the rooted models up
         # to the rooted witness, then the labelled models on 3 worlds up

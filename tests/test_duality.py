@@ -67,6 +67,8 @@ class TestDualityHolds:
                 duality_holds(table, 3, bound)
 
     def test_one_signature_per_table(self, monkeypatch):
+        # duality_holds checks its table through one Signature; the scan
+        # checks tables against its successor-value sets and builds none
         built = []
         real = Signature.__post_init__
 
@@ -76,7 +78,11 @@ class TestDualityHolds:
 
         monkeypatch.setattr(Signature, "__post_init__", counting)
         assert uniqueness_scan(3, 1) == (reversal_negation(3),)
-        assert len(built) == 27
+        assert len(built) == 0
+        for table in [(1, 2, 3), reversal_negation(3)]:
+            built.clear()
+            duality_holds(table, 3, 2)
+            assert len(built) == 1, table
 
 
 class TestAgainstTheModelByModelScan:
@@ -104,6 +110,33 @@ class TestAgainstTheModelByModelScan:
                 assert ours.examined == theirs.examined, case
 
 
+class TestAgainstTheOracleAtLargerSizes:
+    """duality_holds and uniqueness_scan against
+    helpers.oracle_duality_holds: every table at four values, and the
+    ceiling of the whole scan at the oracle's total count."""
+
+    def test_every_table_at_four_values(self):
+        ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
+        for table in product(range(1, 5), repeat=4):
+            report = duality_holds(table, 4, 2, ours)
+            expected = oracle_duality_holds(table, 4, 2, theirs)
+            assert report == expected, table
+            if not expected.holds:
+                assert report.witness.model.vals == expected.witness.model.vals
+            assert ours.examined == theirs.examined, table
+
+    @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2), (4, 2)])
+    def test_scan_ceiling_boundary_is_the_oracle_total(self, n, bound):
+        oracle = decision._Budget(10 ** 7)
+        survivors = tuple(table for table in product(range(1, n + 1), repeat=n)
+                          if oracle_duality_holds(table, n, bound, oracle))
+        total = oracle.examined
+        assert uniqueness_scan(n, bound, ceiling=total) == survivors
+        with pytest.raises(EnumerationCeilingError) as caught:
+            uniqueness_scan(n, bound, ceiling=total - 1)
+        assert caught.value.examined == total - 1
+
+
 class TestUniquenessScan:
     def test_two_values(self):
         survivors = uniqueness_scan(2, 2)
@@ -122,6 +155,12 @@ class TestUniquenessScan:
         with pytest.raises(EnumerationCeilingError) as caught:
             uniqueness_scan(3, 2, ceiling=150)
         assert caught.value.examined == 150
+
+    def test_huge_bound_stops_at_the_ceiling(self):
+        # the survivor's count is summed one world count at a time
+        with pytest.raises(EnumerationCeilingError) as caught:
+            uniqueness_scan(2, 10 ** 20, ceiling=10 ** 7)
+        assert caught.value.examined == 10 ** 7
 
     def test_single_world_forces_endpoints(self):
         # dead-end worlds already pin the images of the extreme labels
