@@ -2,12 +2,14 @@
 
 Truth values are identified with the integer labels 1..n, ordered as
 integers (label k stands for the k-th truth value in the chain).  All
-values here are immutable after construction and safe to share.
+values here are immutable and safe to share; equal formulas are one object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import threading
+import weakref
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Union
 
@@ -102,66 +104,64 @@ def make_signature(n: int, connectives: Iterable[Connective] = ()) -> Signature:
 # ---------------------------------------------------------------------------
 
 
-def _seal(node, *parts) -> None:
-    # Hash once, from the class and the children's stored hashes, so a
-    # dict or set lookup never walks the tree.
-    object.__setattr__(node, "_hash", hash((type(node).__name__, *parts)))
+#: The live formula nodes, keyed by class and fields (children by identity).
+_nodes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_nodes_lock = threading.Lock()
 
 
-def _stored_hash(node) -> int:
-    return node._hash
+def _intern(cls, *values):
+    key = (cls, *values)
+    node = _nodes.get(key)
+    if node is None:
+        with _nodes_lock:  # two threads that miss together build one node
+            node = _nodes.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                node.__dict__.update(zip(cls.__match_args__, values))
+                _nodes[key] = node
+    return node
 
 
 def _rebuild(node):
-    # Unpickling goes through __init__, so the hash is taken afresh in
-    # the receiving process, whose string hashes may differ.
-    return type(node), tuple(getattr(node, f.name) for f in fields(node))
+    # Copies and unpickling go through the constructor, so they intern.
+    return type(node), tuple(getattr(node, name) for name in node.__match_args__)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __post_init__(self):
-        _seal(self, self.name)
-
-    __hash__ = _stored_hash
+class _Node:
     __reduce__ = _rebuild
 
 
-@dataclass(frozen=True)
-class Apply:
+@dataclass(frozen=True, eq=False, init=False)
+class Var(_Node):
+    name: str
+
+    def __new__(cls, name: str):
+        return _intern(cls, name)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Apply(_Node):
     conn: str
     args: tuple["Formula", ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        _seal(self, self.conn, self.args)
-
-    __hash__ = _stored_hash
-    __reduce__ = _rebuild
+    def __new__(cls, conn: str, args: Iterable["Formula"]):
+        return _intern(cls, conn, tuple(args))
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False, init=False)
+class Box(_Node):
     sub: "Formula"
 
-    def __post_init__(self):
-        _seal(self, self.sub)
-
-    __hash__ = _stored_hash
-    __reduce__ = _rebuild
+    def __new__(cls, sub: "Formula"):
+        return _intern(cls, sub)
 
 
-@dataclass(frozen=True)
-class Diamond:
+@dataclass(frozen=True, eq=False, init=False)
+class Diamond(_Node):
     sub: "Formula"
 
-    def __post_init__(self):
-        _seal(self, self.sub)
-
-    __hash__ = _stored_hash
-    __reduce__ = _rebuild
+    def __new__(cls, sub: "Formula"):
+        return _intern(cls, sub)
 
 
 Formula = Union[Var, Apply, Box, Diamond]

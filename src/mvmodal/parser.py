@@ -233,9 +233,8 @@ def _label(ts: TokenStream, n: int, what: str = "a label") -> int:
 # Formulas and sequents
 # ---------------------------------------------------------------------------
 
-#: Deepest nesting of Box, Dia, connectives and parentheses in a formula.
-#: Evaluation and the other recursive passes over a formula this deep stay
-#: inside Python's default recursion limit in every subcommand.
+#: Deepest nesting of Box, Dia, connectives and parentheses in a formula;
+#: it keeps the parser's own recursive descent inside the recursion limit.
 MAX_FORMULA_DEPTH = 100
 
 #: Most worlds a model file may declare; a model allocates per world.

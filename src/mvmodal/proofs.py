@@ -424,13 +424,13 @@ def _check_multi_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
                       for f, ks in zip(formulas, label_sets) for k in labels - ks)
     union_min, union_succ, all_principals = set(), set(), set()
     for idx, (prem, row) in enumerate(zip(prems, rows)):
-        row_lfs = frozenset(map(LabelledFormula, formulas, row))
-        missing = row_lfs - prem.ante_set
-        if missing:
-            lf = next(iter(missing))
+        row_lfs = tuple(map(LabelledFormula, formulas, row))
+        lacking = [lf for lf in row_lfs if lf not in prem.ante_set]
+        if lacking:
+            from .parser import render_labelled  # parser imports this module
             return (f"premise {idx + 1} lacks the principal labelled formula "
-                    f"with label {lf.label}")
-        union_min.update(prem.ante_set - row_lfs)
+                    f"{render_labelled(lacking[0])}")
+        union_min.update(prem.ante_set.difference(row_lfs))
         union_succ.update(prem.succ_set)
         all_principals.update(row_lfs)
     if concl.succ_set != union_succ | extra:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -507,3 +508,67 @@ class TestFormulaDepth:
                                                     _nested(kind, depth)))
             assert code == 2 and out == "", kind
             assert f"nested deeper than {MAX_FORMULA_DEPTH}" in err, kind
+
+
+class TestOutputIndependence:
+    """stdout of a corpus of commands is the same under two hash seeds.
+
+    Formulas hash by identity, so any output that follows the iteration
+    order of a set of formulas would vary from run to run."""
+
+    GOALS = ("(imp(p, neg(q)), 2), (neg(Box q), 1) -> (imp(Box p, q), 3)",
+             "(Box p, 2) -> (p, 2)",
+             "(Dia imp(p, q), 2), (Box neg(p), 2) -> (Dia q, 2), (q, 1)")
+    LOGICS = ("mv-K", "mv-D", "mv-T", "mv-K4", "mv-S4", "mv-B", "mv-S5")
+    # the premise lacks both principals of the smshift row
+    SMSHIFT = ("1: (r, 1) -> (r, 1) ; ax-id\n"
+               "2: (r, 1) -> (r, 1), (p, 2), (p, 3), (q, 1), (q, 3) ; "
+               "smshift p {1} q {2} from 1\n")
+    DRIVER = ("import json, sys\nfrom mvmodal.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    print('$', *argv, flush=True)\n"
+              "    print('exit', main(argv), flush=True)\n")
+
+    def test_two_hash_seeds_print_the_same(self, ws):
+        (ws / "neg.mvk").write_text(LUK3 + "conn neg 1\nneg 1 = 3\nneg 2 = 2\n"
+                                    "neg 3 = 1\n")
+        (ws / "m.mvk").write_text(
+            "worlds 3\n" + "".join(f"edge {u} {v}\n" for u in range(3)
+                                   for v in range(3))
+            + "val 0 p 1\nval 0 q 3\nval 1 p 2\nval 1 q 3\nval 2 p 2\nval 2 q 1\n")
+        (ws / "phi.mvk").write_text("imp(Box p, neg(q))\nDia imp(p, q)\n")
+        (ws / "seq.mvk").write_text(
+            "(imp(p, neg(q)), 2), (q, 1) -> (imp(neg(p), q), 3), (p, 2)\n")
+        (ws / "smshift.mvk").write_text(self.SMSHIFT)
+        sig, model = ["--sig", str(ws / "neg.mvk")], ["--model", str(ws / "m.mvk")]
+        corpus = [["decide", *sig, "--logic", logic, "--bound", "2", goal]
+                  for logic in self.LOGICS for goal in self.GOALS]
+        corpus += [["filter", *sig, *model, "--logic", logic,
+                    "--phi", str(ws / "phi.mvk")]
+                   for logic in ("mv-K", "mv-S4", "mv-B", "mv-S5")]
+        corpus += [["translate", *sig, str(ws / "seq.mvk")],
+                   ["translate", *sig, "--optimized", str(ws / "seq.mvk")],
+                   ["sat", *sig, *model, "(imp(p, neg(q)), 3) -> (Box p, 1)"],
+                   ["neg-scan", "--n", "3", "--bound", "2"],
+                   ["neg-scan", "--n", "4", "--bound", "2"],
+                   ["check-proof", *sig, str(ws / "smshift.mvk")]]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", self.DRIVER,
+                                   json.dumps(corpus)],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == 0 and proc.stderr == ""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        runs = outputs[0].split("$ ")[1:]
+        assert len(runs) == len(corpus)
+        for logic in self.LOGICS:
+            assert any(run.startswith("decide") and f" {logic} " in run
+                       and "\ncountermodel\n" in run for run in runs)
+        assert runs[-1].endswith("\nviolation at step 2: smshift: premise 1 lacks "
+                                 "the principal labelled formula (p, 1)\nexit 1\n")

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import gc
 import pickle
 import random
+import threading
 
 import pytest
 
+from mvmodal import core
 from mvmodal.core import (
     Apply,
     Box,
@@ -23,6 +28,7 @@ from mvmodal.core import (
     subformula_closure,
     up_set,
 )
+from mvmodal.proofs import AxiomIdentity, DerivationBuilder, check_derivation
 
 p = Var("p")
 q = Var("q")
@@ -186,14 +192,81 @@ class TestClosureOrder:
 
 class TestFormulaHash:
     def test_box_and_diamond_of_one_formula_differ(self):
-        assert hash(Box(p)) != hash(Diamond(p))
-        assert hash(Box(p)) == hash(Box(Var("p")))
+        box, dia = Box(p), Diamond(p)
+        assert box != dia and hash(box) != hash(dia)
+        assert hash(box) == hash(Box(Var("p")))
 
     def test_pickle_rebuilds_through_init(self):
         f = Box(Apply("imp", (p, Diamond(q))))
         assert f.__reduce__() == (Box, (f.sub,))
-        restored = pickle.loads(pickle.dumps(f))
-        assert restored == f and hash(restored) == hash(f)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(f, protocol))
+            assert restored is f
+
+
+def imp_chain(depth, end="p"):
+    f = Var(end)
+    for _ in range(depth):
+        f = Apply("imp", (Var("p"), f))
+    return f
+
+
+class TestInterning:
+    @pytest.mark.parametrize("depth", [300, 3000])
+    def test_separately_built_chains_are_one_object(self, depth):
+        first, second = imp_chain(depth), imp_chain(depth)
+        assert first is second and first == second
+        assert first != imp_chain(depth, end="q")
+
+    def test_identity_step_on_separately_built_copies(self):
+        side = [lf(imp_chain(300), 2)]
+        b = DerivationBuilder()
+        b.add(Sequent(side, [lf(imp_chain(300), 2)]), AxiomIdentity())
+        assert check_derivation(b.derivation(), lukasiewicz_signature(3)) is None
+
+    def test_copies_are_the_node(self):
+        f = Box(Apply("imp", (p, Diamond(q))))
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+    def test_every_way_of_construction_interns(self):
+        f = Apply("imp", (p, q))
+        assert Var(name="p") is p
+        assert Apply("imp", [p, q]) is f and Apply(conn="imp", args=[p, q]) is f
+        assert dataclasses.replace(f, args=[q, p]) is Apply("imp", (q, p))
+        assert dataclasses.replace(p) is p
+        for build in (lambda: Var(), lambda: Var("p", "q"), lambda: Box(),
+                      lambda: Diamond(p, q), lambda: Apply("imp")):
+            with pytest.raises(TypeError):
+                build()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.conn = "and"
+
+    def test_dropped_formulas_leave_the_table(self):
+        gc.collect()
+        before = len(core._nodes)
+        fresh = [Box(Apply("imp", (Var(f"dropped{i}"), p))) for i in range(10_000)]
+        assert len(core._nodes) >= before + len(fresh)
+        del fresh
+        gc.collect()
+        assert len(core._nodes) == before
+
+    def test_threads_building_the_same_formulas_get_one_object(self):
+        start = threading.Barrier(8)
+        built = []
+
+        def build():
+            start.wait()
+            built.append([Diamond(Apply("imp", (Var(f"thread{i}"), Box(Var("p")))))
+                          for i in range(1000)])
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(built) == 8
+        for other in built[1:]:
+            assert all(a is b for a, b in zip(built[0], other))
 
 
 class TestFormulaKey:

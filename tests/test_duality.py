@@ -89,25 +89,21 @@ class TestAgainstTheModelByModelScan:
     """duality_holds against helpers.oracle_duality_holds, which builds
     every model in full and checks it world by world.
 
-    The scan walks the search's stacked blocks of at most
-    decision.BLOCK_WORLDS worlds; every table runs both with the default
-    and with blocks split small, so that one relation's models span
-    several blocks.
+    duality_holds reads each table off the successor-value sets of one
+    walk over the models (duality._first_sets), so it builds a model only
+    for a witness.
     """
 
     @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2)])
-    def test_reports_and_counts_match_the_oracle(self, n, bound, monkeypatch):
-        for block_worlds in (decision.BLOCK_WORLDS, 5):
-            monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
-            ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
-            for table in product(range(1, n + 1), repeat=n):
-                case = (table, block_worlds)
-                report = duality_holds(table, n, bound, ours)
-                expected = oracle_duality_holds(table, n, bound, theirs)
-                assert report == expected, case
-                if not expected.holds:
-                    assert report.witness.model.vals == expected.witness.model.vals
-                assert ours.examined == theirs.examined, case
+    def test_reports_and_counts_match_the_oracle(self, n, bound):
+        ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
+        for table in product(range(1, n + 1), repeat=n):
+            report = duality_holds(table, n, bound, ours)
+            expected = oracle_duality_holds(table, n, bound, theirs)
+            assert report == expected, table
+            if not expected.holds:
+                assert report.witness.model.vals == expected.witness.model.vals
+            assert ours.examined == theirs.examined, table
 
 
 class TestAgainstTheOracleAtLargerSizes:

@@ -270,6 +270,17 @@ class TestDerivedRules:
                         *hyp)
         assert check_derivation(d, luk3) is not None
 
+    def test_super_multi_shift_names_the_first_missing_principal(self, luk3):
+        # the first principal the premise lacks, in the row's group order
+        r = Var("r")
+        concl = Sequent([lf(r, 1)], [lf(r, 1), lf(p, 2), lf(p, 3), lf(q, 1), lf(q, 3)])
+        groups = (frozenset({1}), frozenset({2}))
+        for hyp, expected in ((Sequent([lf(r, 1)], [lf(r, 1)]), "(p, 1)"),
+                              (Sequent([lf(r, 1), lf(p, 1)], [lf(r, 1)]), "(q, 2)")):
+            d = single_step(concl, SuperMultiShift((p, q), groups), hyp)
+            assert check_derivation(d, luk3).reason == (
+                f"premise 1 lacks the principal labelled formula {expected}")
+
 
 class TestAlternateRoutes:
     def test_top_label_sequent_via_right_shifts(self, luk3):
