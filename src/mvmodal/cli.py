@@ -180,7 +180,7 @@ def cmd_translate(args) -> int:
     sig = _signature(args)
     sequent = parse_sequent(_read(args.sequent), sig)
     if not all(is_modal_free(lf.formula)
-               for lf in sequent.antecedent + sequent.succedent):
+               for lf in sequent.antecedent | sequent.succedent):
         raise UsageError("input sequent must be modal-free")
     print(render_sequent(translate_sequent(sequent, sig if args.optimized
                                            else None)))

@@ -250,36 +250,25 @@ def labelled_key(lf: LabelledFormula):
     return (formula_key(lf.formula), lf.label)
 
 
-def _canonical_side(side: Iterable[LabelledFormula]) -> tuple[LabelledFormula, ...]:
-    return tuple(sorted(set(side), key=labelled_key))
-
-
 @dataclass(frozen=True)
 class Sequent:
     """A pair of finite sets of labelled formulas.
 
-    Sides are stored as sorted duplicate-free tuples, so structural
-    equality coincides with equality of the underlying sets.
+    Each side is a frozenset, so equal sets of members give equal
+    sequents whatever order or repetition they were given in; the
+    canonical order is applied only when a sequent is written as text.
     """
 
-    antecedent: tuple[LabelledFormula, ...]
-    succedent: tuple[LabelledFormula, ...]
+    antecedent: frozenset[LabelledFormula]
+    succedent: frozenset[LabelledFormula]
 
     def __init__(self, antecedent: Iterable[LabelledFormula] = (),
                  succedent: Iterable[LabelledFormula] = ()):
-        object.__setattr__(self, "antecedent", _canonical_side(antecedent))
-        object.__setattr__(self, "succedent", _canonical_side(succedent))
-
-    @property
-    def ante_set(self) -> frozenset[LabelledFormula]:
-        return frozenset(self.antecedent)
-
-    @property
-    def succ_set(self) -> frozenset[LabelledFormula]:
-        return frozenset(self.succedent)
+        object.__setattr__(self, "antecedent", frozenset(antecedent))
+        object.__setattr__(self, "succedent", frozenset(succedent))
 
     def formulas(self) -> frozenset[Formula]:
-        return frozenset(lf.formula for lf in self.antecedent + self.succedent)
+        return frozenset(lf.formula for lf in self.antecedent | self.succedent)
 
     def variables(self) -> frozenset[str]:
         return frozenset(f.name for f in closure_order(self.formulas())

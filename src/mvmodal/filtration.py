@@ -20,6 +20,7 @@ from .core import (
     closure_order,
     formula_key,
 )
+from .parser import render_formula
 from .proofs import LogicId
 from .semantics import Cache, FrameClass, KripkeModel, frame_check, label_vectors
 
@@ -59,8 +60,9 @@ def _validated_closure(phi: Iterable[Formula]
     phi = frozenset(phi)
     order = closure_order(phi)
     if len(order) != len(phi):
-        missing = sorted(set(order) - phi, key=formula_key)
-        raise ValueError(f"formula set is not subformula-closed; missing {missing[0]}")
+        missing = min(set(order) - phi, key=formula_key)
+        raise ValueError("formula set is not subformula-closed; "
+                         f"missing {render_formula(missing)}")
     return tuple(sorted(phi, key=formula_key)), order
 
 

@@ -33,6 +33,7 @@ from .core import (
     Signature,
     Var,
     all_entries,
+    labelled_key,
     make_signature,
 )
 from .proofs import (
@@ -363,8 +364,9 @@ def render_labelled(lf: LabelledFormula) -> str:
 
 
 def render_sequent(sequent: Sequent) -> str:
-    left = ", ".join(render_labelled(lf) for lf in sequent.antecedent)
-    right = ", ".join(render_labelled(lf) for lf in sequent.succedent)
+    """The sequent as text, each side in canonical order (labelled_key)."""
+    left = ", ".join(map(render_labelled, sorted(sequent.antecedent, key=labelled_key)))
+    right = ", ".join(map(render_labelled, sorted(sequent.succedent, key=labelled_key)))
     if left and right:
         return f"{left} -> {right}"
     if left:

@@ -285,7 +285,7 @@ def _check_hypothesis(j, concl, prems, hyps, logic, sig) -> Optional[str]:
 
 
 def _check_identity(j, concl, prems, hyps, logic, sig) -> Optional[str]:
-    if len(concl.ante_set) == 1 and concl.ante_set == concl.succ_set:
+    if len(concl.antecedent) == 1 and concl.antecedent == concl.succedent:
         return None
     return "conclusion is not of the form (phi, k) -> (phi, k)"
 
@@ -298,9 +298,9 @@ def _check_table(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         return f"entry has {len(j.entry)} labels, connective arity is {conn.arity}"
     if any(not 1 <= k <= sig.n for k in j.entry):
         return "entry label out of range"
-    if len(concl.succ_set) != 1:
+    if len(concl.succedent) != 1:
         return "succedent must be a single labelled formula"
-    (head,) = concl.succ_set
+    (head,) = concl.succedent
     if not isinstance(head.formula, Apply) or head.formula.conn != j.conn:
         return f"succedent formula is not an application of {j.conn!r}"
     if head.label != conn.table[j.entry]:
@@ -308,7 +308,7 @@ def _check_table(j, concl, prems, hyps, logic, sig) -> Optional[str]:
                 f"succedent label is {head.label}")
     expected = frozenset(LabelledFormula(f, k)
                          for f, k in zip(head.formula.args, j.entry))
-    if concl.ante_set != expected:
+    if concl.antecedent != expected:
         return "antecedent does not match the table entry arguments"
     return None
 
@@ -326,12 +326,12 @@ def _check_modal(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         if plf.label == 1:
             return "side condition k != 1 violated (k = 1)"
         principal = LabelledFormula(Diamond(plf.formula), plf.label)
-    if concl.succ_set:
+    if concl.succedent:
         return "conclusion succedent must be empty"
-    if principal not in concl.ante_set:
+    if principal not in concl.antecedent:
         return "conclusion antecedent lacks the boxed/diamonded principal formula"
-    if prem.succ_set in (gamma_cross(concl.ante_set - {principal}, sig.n),
-                         gamma_cross(concl.ante_set, sig.n)):
+    if prem.succedent in (gamma_cross(concl.antecedent - {principal}, sig.n),
+                         gamma_cross(concl.antecedent, sig.n)):
         return None
     return "premise succedent differs from the successor-exclusion set of the context"
 
@@ -341,8 +341,8 @@ def _check_left_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     shifted = complement_interval(j.label, j.label, sig.n)
     for lf in prem.antecedent:
         extra = frozenset(LabelledFormula(lf.formula, k) for k in shifted)
-        if (lf.label == j.label and concl.succ_set == prem.succ_set | extra
-                and prem.ante_set - {lf} <= concl.ante_set <= prem.ante_set):
+        if (lf.label == j.label and concl.succedent == prem.succedent | extra
+                and prem.antecedent - {lf} <= concl.antecedent <= prem.antecedent):
             return None
     return (f"conclusion does not shift any antecedent formula with label "
             f"{j.label} to the succedent complement")
@@ -354,8 +354,8 @@ def _check_right_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     (prem,) = prems
     for lf in prem.succedent:
         moved = LabelledFormula(lf.formula, j.to_label)
-        if (lf.label == j.from_label and concl.ante_set == prem.ante_set | {moved}
-                and prem.succ_set - {lf} <= concl.succ_set <= prem.succ_set):
+        if (lf.label == j.from_label and concl.antecedent == prem.antecedent | {moved}
+                and prem.succedent - {lf} <= concl.succedent <= prem.succedent):
             return None
     return (f"conclusion does not shift any succedent formula from label "
             f"{j.from_label} to antecedent label {j.to_label}")
@@ -363,12 +363,12 @@ def _check_right_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
 
 def _check_weaken(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     (prem,) = prems
-    ante, succ = prem.ante_set, prem.succ_set
+    ante, succ = prem.antecedent, prem.succedent
     if isinstance(j, LeftWeaken):
         ante = ante | {j.added}
     else:
         succ = succ | {j.added}
-    if concl.ante_set == ante and concl.succ_set == succ:
+    if concl.antecedent == ante and concl.succedent == succ:
         return None
     return "conclusion is not the premise plus the stated formula"
 
@@ -376,11 +376,11 @@ def _check_weaken(j, concl, prems, hyps, logic, sig) -> Optional[str]:
 def _check_cut(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     lf = j.cut
     for left, right in (prems, prems[::-1]):
-        ante = left.ante_set | right.ante_set
-        succ = left.succ_set | right.succ_set
-        if (lf in left.succ_set and lf in right.ante_set
-                and left.ante_set | (right.ante_set - {lf}) <= concl.ante_set <= ante
-                and (left.succ_set - {lf}) | right.succ_set <= concl.succ_set <= succ):
+        ante = left.antecedent | right.antecedent
+        succ = left.succedent | right.succedent
+        if (lf in left.succedent and lf in right.antecedent
+                and left.antecedent | (right.antecedent - {lf}) <= concl.antecedent <= ante
+                and (left.succedent - {lf}) | right.succedent <= concl.succedent <= succ):
             return None
     return "conclusion is not a cut of the premises on the stated formula"
 
@@ -391,10 +391,10 @@ def _check_resolution(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     lf1 = LabelledFormula(j.formula, j.first_label)
     lf2 = LabelledFormula(j.formula, j.second_label)
     for first, second in (prems, prems[::-1]):
-        low = (first.succ_set - {lf1}) | (second.succ_set - {lf2})
-        if (lf1 in first.succ_set and lf2 in second.succ_set
-                and concl.ante_set == first.ante_set | second.ante_set
-                and low <= concl.succ_set <= first.succ_set | second.succ_set):
+        low = (first.succedent - {lf1}) | (second.succedent - {lf2})
+        if (lf1 in first.succedent and lf2 in second.succedent
+                and concl.antecedent == first.antecedent | second.antecedent
+                and low <= concl.succedent <= first.succedent | second.succedent):
             return None
     return "conclusion is not a resolution of the premises on the stated labels"
 
@@ -425,19 +425,19 @@ def _check_multi_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     union_min, union_succ, all_principals = set(), set(), set()
     for idx, (prem, row) in enumerate(zip(prems, rows)):
         row_lfs = tuple(map(LabelledFormula, formulas, row))
-        lacking = [lf for lf in row_lfs if lf not in prem.ante_set]
+        lacking = [lf for lf in row_lfs if lf not in prem.antecedent]
         if lacking:
             from .parser import render_labelled  # parser imports this module
             return (f"premise {idx + 1} lacks the principal labelled formula "
                     f"{render_labelled(lacking[0])}")
-        union_min.update(prem.ante_set.difference(row_lfs))
-        union_succ.update(prem.succ_set)
+        union_min.update(prem.antecedent.difference(row_lfs))
+        union_succ.update(prem.succedent)
         all_principals.update(row_lfs)
-    if concl.succ_set != union_succ | extra:
+    if concl.succedent != union_succ | extra:
         return "conclusion succedent differs from the premise union plus complement block"
-    if not union_min <= concl.ante_set:
+    if not union_min <= concl.antecedent:
         return "conclusion antecedent drops part of the premise contexts"
-    if not concl.ante_set <= union_min | all_principals:
+    if not concl.antecedent <= union_min | all_principals:
         return "conclusion antecedent adds formulas not present in any premise context"
     return None
 

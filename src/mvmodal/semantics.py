@@ -159,6 +159,10 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
         if isinstance(f, Var):
             name, val_map = f.name, model._val_map
             vec = [val_map.get((w, name), 1) for w in worlds]
+            if max(vec) > n:  # the model's own check knows no signature
+                w = next(w for w in worlds if vec[w] > n)
+                raise ValueError(f"valuation gives {name!r} label {vec[w]} at "
+                                 f"world {w}, above the domain's {n}")
         elif isinstance(f, Apply):
             conn = sig.connective(f.conn)
             if len(f.args) != conn.arity:
@@ -233,7 +237,7 @@ def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
     member's side, since one labelled formula may stand on both.
     """
     vectors = {} if cache is None else cache
-    missing = [lf.formula for lf in sequent.antecedent + sequent.succedent
+    missing = [lf.formula for lf in sequent.antecedent | sequent.succedent
                if lf.formula not in vectors]
     if missing:
         label_vectors(sig, model, closure_order(missing), vectors)

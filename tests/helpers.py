@@ -22,6 +22,7 @@ from mvmodal.core import (
     Var,
     apply_connective,
     closure_order,
+    labelled_key,
 )
 from mvmodal.decision import Countermodel, ProvedValid, ValidUpTo, filtration_bound
 from mvmodal.duality import (
@@ -105,7 +106,7 @@ def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
 def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
                     cache=None) -> Iterator[int]:
     vectors = {} if cache is None else cache
-    missing = [lf.formula for lf in sequent.antecedent + sequent.succedent
+    missing = [lf.formula for lf in sequent.antecedent | sequent.succedent
                if lf.formula not in vectors]
     if missing:
         label_vectors(sig, model, closure_order(missing), vectors)
@@ -498,7 +499,7 @@ def rand_sequent(rng: random.Random, sig: Signature, variables: list[str],
     return Sequent(side(), side())
 
 
-def _flip_side(side: tuple[LabelledFormula, ...], pos: int, new_label: int):
+def _flip_side(side: list[LabelledFormula], pos: int, new_label: int):
     out = list(side)
     out[pos] = LabelledFormula(out[pos].formula, new_label)
     return out
@@ -508,7 +509,8 @@ def label_mutations(derivation: Derivation, n: int) -> Iterator[Derivation]:
     """Every derivation obtained by changing one label in one stated sequent."""
     for idx, step in enumerate(derivation.steps):
         for side_name in ("antecedent", "succedent"):
-            side = getattr(step.conclusion, side_name)
+            # in canonical order, so the mutations come in a fixed order
+            side = sorted(getattr(step.conclusion, side_name), key=labelled_key)
             for pos, lf in enumerate(side):
                 for new_label in range(1, n + 1):
                     if new_label == lf.label:

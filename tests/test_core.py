@@ -28,6 +28,7 @@ from mvmodal.core import (
     subformula_closure,
     up_set,
 )
+from mvmodal.parser import parse_sequent, render_sequent
 from mvmodal.proofs import AxiomIdentity, DerivationBuilder, check_derivation
 
 p = Var("p")
@@ -345,7 +346,7 @@ class TestSignatureValidation:
 class TestSequent:
     def test_duplicates_collapse(self):
         s = Sequent([lf(p, 1), lf(p, 1)], [])
-        assert s.antecedent == (lf(p, 1),)
+        assert s.antecedent == frozenset({lf(p, 1)})
 
     def test_order_insensitive_equality(self):
         a = Sequent([lf(p, 1), lf(q, 2)], [lf(p, 3)])
@@ -355,7 +356,20 @@ class TestSequent:
 
     def test_sides_may_be_empty(self):
         s = Sequent()
-        assert s.antecedent == () and s.succedent == ()
+        assert s.antecedent == frozenset() and s.succedent == frozenset()
+
+    def test_member_order_and_repeats_do_not_matter(self, luk3):
+        members = [lf(Box(p), 2), lf(Apply("imp", (q, p)), 1), lf(p, 3), lf(q, 1)]
+        built = [Sequent(members, members[:2]),
+                 Sequent(members[::-1] + members, members[1::-1]),
+                 Sequent(iter(members[2:] + members[:2]), set(members[:2]))]
+        assert all(type(s.antecedent) is frozenset and type(s.succedent) is frozenset
+                   for s in built)
+        assert len({*built}) == 1 and len({hash(s) for s in built}) == 1
+        text = {render_sequent(s) for s in built}
+        assert text == {"(p, 3), (q, 1), (imp(q, p), 1), (Box p, 2) -> "
+                        "(imp(q, p), 1), (Box p, 2)"}
+        assert parse_sequent(text.pop(), luk3) == built[0]
 
     def test_variables(self):
         s = Sequent([lf(Box(p), 1)], [lf(Apply("imp", (q, r)), 2)])

@@ -15,6 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, cwd=ROOT, env=env, timeout=120)
+    # -W error: a warning in the demo's own process fails it too
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          capture_output=True, text=True, cwd=ROOT, env=env,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

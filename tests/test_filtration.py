@@ -54,6 +54,12 @@ class TestEquivClasses:
         with pytest.raises(ValueError, match="not subformula-closed"):
             equiv_classes(luk3, m, {Box(p)})
 
+    def test_missing_subformula_is_named_in_formula_syntax(self, luk3):
+        phi = [Box(Apply("imp", (p, q)))]
+        with pytest.raises(ValueError) as err:
+            filter_model(luk3, KripkeModel(1, set(), {}), phi, LogicId.MV_K)
+        assert str(err.value) == "formula set is not subformula-closed; missing p"
+
 
 class TestFilterModel:
     def test_single_reflexive_world_is_fixed(self, luk3):

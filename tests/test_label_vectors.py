@@ -279,6 +279,16 @@ def test_eval_mvil_needs_a_successor_at_every_world():
         eval_mvil(SIG, m, 0, Apply("neg", (P,)))
 
 
+@pytest.mark.parametrize("formula", [Box(P), Apply("neg", (P,))], ids=["box", "neg"])
+def test_valuation_label_above_the_domain(formula):
+    # KripkeModel checks only label >= 1: it knows no signature
+    m = KripkeModel(2, {(0, 1)}, {(1, "p"): 7})
+    with pytest.raises(ValueError) as err:
+        evaluate(SIG, m, 0, formula)
+    assert str(err.value) == ("valuation gives 'p' label 7 at world 1, "
+                              "above the domain's 3")
+
+
 DEPTH = 3000
 
 
@@ -317,15 +327,15 @@ def test_translation_and_rendering_of_chains_built_in_code():
 
 
 def test_sequent_of_chains_sharing_all_but_the_last_level():
-    # sorting the side compares two keys that agree for 2,999 levels
+    # rendering sorts the side, comparing two keys that agree for 2,999
+    # levels; the side itself is a set and has no order to assert
     ends_in_p, ends_in_q = P, Var("q")
     for _ in range(DEPTH):
         ends_in_p = Apply("imp", (P, ends_in_p))
         ends_in_q = Apply("imp", (P, ends_in_q))
     sequent = Sequent([LabelledFormula(ends_in_q, 2),
                        LabelledFormula(ends_in_p, 2)], [])
-    first, second = (lf.formula for lf in sequent.antecedent)
-    assert first is ends_in_p and second is ends_in_q
+    assert {lf.formula for lf in sequent.antecedent} == {ends_in_p, ends_in_q}
     chain = "imp(p, " * DEPTH + "{}" + ")" * DEPTH
     assert render_sequent(sequent) == (f"({chain.format('p')}, 2), "
                                        f"({chain.format('q')}, 2) ->")

@@ -453,10 +453,10 @@ def accepted_near_misses(step, premises, hypotheses=(), logic=LogicId.MV_K):
     """The conclusions, the step's own or one labelled formula off it on one
     side, that the checker accepts for the step's rule and premises."""
     c = step.conclusion
-    formulas = {x.formula for s in (c, *premises) for x in s.antecedent + s.succedent}
+    formulas = {x.formula for s in (c, *premises) for x in s.antecedent | s.succedent}
     toggles = [lf(f, k) for f in formulas for k in range(1, SIG_NEG.n + 1)]
-    for concl in [c] + [Sequent(c.ante_set ^ {t}, c.succ_set) for t in toggles] + [
-            Sequent(c.ante_set, c.succ_set ^ {t}) for t in toggles]:
+    for concl in [c] + [Sequent(c.antecedent ^ {t}, c.succedent) for t in toggles] + [
+            Sequent(c.antecedent, c.succedent ^ {t}) for t in toggles]:
         moved = Step(concl, step.justification, step.premises)
         if check_step(moved, premises, hypotheses, logic, SIG_NEG) is None:
             yield concl

@@ -152,8 +152,8 @@ class TestSatisfaction:
             m = random_model(rng, ["p", "q"], 3, 3)
             s = rand_sequent(rng, luk3, ["p", "q"])
             extra = lf(rand_formula(rng, luk3, ["p", "q"], 2), rng.randint(1, 3))
-            wider = Sequent(s.antecedent + (extra,), s.succedent)
-            longer = Sequent(s.antecedent, s.succedent + (extra,))
+            wider = Sequent(s.antecedent | {extra}, s.succedent)
+            longer = Sequent(s.antecedent, s.succedent | {extra})
             for u in m.worlds:
                 if satisfies_sequent(luk3, m, u, s):
                     assert satisfies_sequent(luk3, m, u, wider)
