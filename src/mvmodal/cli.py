@@ -151,10 +151,7 @@ def cmd_filter(args) -> int:
     model = parse_model(_read(args.model), sig)
     logic = _logic(args.logic)
     phi = parse_formulas(_read(args.phi), sig)
-    try:
-        filtered = filter_model(sig, model, subformula_closure(phi), logic)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    filtered = filter_model(sig, model, subformula_closure(phi), logic)
     print("filtered")
     for idx, members in enumerate(filtered.classes):
         print(f"class {idx}: {' '.join(map(str, members))}")

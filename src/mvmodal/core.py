@@ -289,6 +289,11 @@ def interval(i: int, j: int, n: int) -> frozenset[int]:
     return frozenset(k for k in range(max(i, 1), min(j, n) + 1))
 
 
+def _interval_size(i: int, j: int, n: int) -> int:
+    """len(interval(i, j, n)), without building the interval."""
+    return max(0, min(j, n) - max(i, 1) + 1)
+
+
 def complement_interval(i: int, j: int, n: int) -> frozenset[int]:
     """{1..n} minus interval(i, j, n)."""
     return frozenset(range(1, n + 1)) - interval(i, j, n)
@@ -309,21 +314,34 @@ def gamma_cross(gamma: Iterable[LabelledFormula], n: int) -> frozenset[LabelledF
 
     For every formula psi with both a boxed label i and a diamonded label j
     in gamma, contributes {psi} x complement_interval(i, j, n).  When a psi
-    carries several boxed or diamonded labels, all (i, j) pairs contribute.
+    carries several boxed or diamonded labels, all (i, j) pairs contribute:
+    together the complement of the interval from the greatest i to the
+    least j.
     """
-    box_labels: dict[Formula, set[int]] = {}
-    dia_labels: dict[Formula, set[int]] = {}
+    return frozenset(LabelledFormula(psi, k)
+                     for psi, (i, j) in _cross_bounds(gamma).items()
+                     for k in complement_interval(i, j, n))
+
+
+def _gamma_cross_size(gamma: Iterable[LabelledFormula], n: int) -> int:
+    """len(gamma_cross(gamma, n)), without building the set."""
+    return sum(n - _interval_size(i, j, n) for i, j in _cross_bounds(gamma).values())
+
+
+def _cross_bounds(gamma: Iterable[LabelledFormula]) -> dict[Formula, tuple[int, int]]:
+    """(greatest boxed label, least diamonded label) of each formula that
+    gamma both boxes and diamonds."""
+    box_labels: dict[Formula, int] = {}
+    dia_labels: dict[Formula, int] = {}
     for lf in gamma:
         if isinstance(lf.formula, Box):
-            box_labels.setdefault(lf.formula.sub, set()).add(lf.label)
+            psi = lf.formula.sub
+            box_labels[psi] = max(lf.label, box_labels.get(psi, lf.label))
         elif isinstance(lf.formula, Diamond):
-            dia_labels.setdefault(lf.formula.sub, set()).add(lf.label)
-    out: set[LabelledFormula] = set()
-    for psi, boxes in box_labels.items():
-        for i in boxes:
-            for j in dia_labels.get(psi, ()):
-                out.update(LabelledFormula(psi, k) for k in complement_interval(i, j, n))
-    return frozenset(out)
+            psi = lf.formula.sub
+            dia_labels[psi] = min(lf.label, dia_labels.get(psi, lf.label))
+    return {psi: (i, dia_labels[psi]) for psi, i in box_labels.items()
+            if psi in dia_labels}
 
 
 def subformula_closure(formulas: Iterable[Formula]) -> frozenset[Formula]:

@@ -27,8 +27,8 @@ member by member (semantics.refuting_worlds).  Copies keep the
 valuation order and worlds keep their order within a copy, so the first
 countermodel read off the blocks is the first in enumeration order, and
 the ceiling still counts models one by one.  The negation-duality scan
-(duality.uniqueness_scan) walks the same relations (_relations), but
-reads only each world's set of successor values.
+(duality.uniqueness_scan) counts models in the same order but walks
+none: it builds where each set of successor values first occurs.
 
 From three worlds up the search first walks rooted frames only.  Box and
 Dia at a world read only its successors, so the submodel generated by a

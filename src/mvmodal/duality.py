@@ -13,19 +13,48 @@ world's successors.  With t the table:
 
 So a table breaks a claim at a world exactly when it breaks it on that
 world's successor-value set.  Models come in enumerate_models' order
-over FrameClass.ANY, world counts 1 up to the bound, each model's worlds
-in order, the diamond claim before the box claim at a world.  A table's
-first failure in that order is therefore at the first occurrence of the
-first of its failing sets.  The scan walks the models once, recording
-each set at its first occurrence (_first_sets, at most 2^n of them), and
-checks every table against that list; no model is built per table.
+over FrameClass.ANY: world counts 1 up to the bound, relations in the
+order of their bitmask, valuations of p in itertools.product order
+(world 0's label slowest), then each model's worlds in order, the
+diamond claim before the box claim at a world.  A table's first failure
+in that order is therefore at the first occurrence of the first of its
+failing sets.  Where each set first occurs has a closed form, so the
+scan builds each first occurrence (_first_sets, at most 2^n of them) and
+checks every table against that list.  It walks no models, and builds
+one only for a witness (_witness_model).
+
+The empty set first occurs in model 1 (one world, no edge, p = 1), at
+world 0.  A set S = {s_0 < ... < s_(k-1)} of k values, 1 <= k <=
+min(bound, n), first occurs at world 0 of model number
+
+    M(k) + (2^k - 1) n^k + rank(S) + 1,
+
+where M(k) = sum of 2^(w^2) n^w over 1 <= w < k counts the models on
+fewer worlds and rank(S) = sum of (s_i - 1) n^(k-1-i) over i is the
+index of S's ascending tuple among the valuations of k worlds.  That
+model has k worlds and the edges (0, v) for every v < k, and p takes S's
+values in ascending order.  Three facts give it:
+
+1. A world shows at most as many values as it has successors, so a set
+   of k values first occurs on k worlds.
+2. Row u of a relation on k worlds is bits u*k .. u*k + k - 1 of its
+   mask, so every mask below 2^k - 1 sets bits in row 0 only, and fewer
+   than k of them.  The first relation with a world of k successors is
+   therefore mask 2^k - 1: world 0 sees every world, no other world sees
+   any, and (2^k - 1) n^k models on k worlds come before it.
+3. Within that relation, world 0's successors take exactly S when p's
+   labels are an ordering of S, and the first such valuation in product
+   order is S in ascending order.
+
+So the counts ascend in the order: the empty set, then by size, then
+lexicographically within a size, and a limit on the count cuts the list
+at the first set above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import comb
+from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
@@ -38,8 +67,8 @@ from .core import (
     Var,
     closure_order,
 )
-from .decision import _Budget, _relations
-from .semantics import FrameClass, KripkeModel, edge_set, label_vectors
+from .decision import _Budget
+from .semantics import KripkeModel, label_vectors
 
 UnaryTable = tuple[int, ...]
 
@@ -84,57 +113,41 @@ class _FirstSet(NamedTuple):
 
     values: tuple[int, ...]  # ascending
     count: int  # 1-based number of its model among the scan's models
-    world_count: int
-    rows: tuple[int, ...]  # successor rows of the model's relation
-    labels: tuple[int, ...]  # p at each world of the model
-    world: int
+
+
+def _models_on(n: int, world_count: int) -> int:
+    """How many models the scan has on exactly `world_count` worlds."""
+    return (1 << world_count * world_count) * n ** world_count
 
 
 def _first_sets(n: int, bound: int, limit: int) -> Iterator[_FirstSet]:
-    """Each set of successor values at its first occurrence, in scan order.
-
-    Stops once every set of at most min(bound, n) values has occurred, or
-    before the first model numbered above `limit`.  A relation's worlds
-    with k successors take every non-empty set of at most k values, and a
-    world without successors the empty set, so a relation or a world count
-    that can show no new set is counted without walking its valuations.
-    """
-    missing = [comb(n, k) for k in range(min(bound, n) + 1)]  # unseen per size
-    seen: set[tuple[int, ...]] = set()
-    before = 0  # models on fewer worlds
-    for world_count in range(1, bound + 1):
-        per_relation = n ** world_count
-        for index, rows in enumerate(_relations(world_count, FrameClass.ANY)):
-            if not any(missing[:world_count + 1]):
-                break
-            start = before + index * per_relation
-            if start >= limit:
+    """Each set of at most min(bound, n) successor values at its first
+    occurrence, in scan order, built from the closed form of the module
+    docstring; stops before the first whose model is numbered above
+    `limit`."""
+    if bound < 1 or limit < 1:
+        return
+    yield _FirstSet((), 1)
+    before = 0  # models on fewer worlds: M(size)
+    for size in range(1, min(bound, n) + 1):
+        start = before + ((1 << size) - 1) * n ** size + 1
+        for values in combinations(range(1, n + 1), size):
+            rank = 0  # of `values` among the labellings of `size` worlds
+            for value in values:
+                rank = rank * n + value - 1
+            if start + rank > limit:
                 return
-            succ = [[v for v in range(world_count) if row >> v & 1] for row in rows]
-            reach = max(map(len, succ))
-            empty = not all(succ)
+            yield _FirstSet(values, start + rank)
+        before += _models_on(n, size)
 
-            def fresh() -> bool:
-                return (empty and missing[0] > 0) or any(missing[1:reach + 1])
 
-            if not fresh():
-                continue
-            labellings = product(range(1, n + 1), repeat=world_count)
-            for count, labels in enumerate(labellings, start=start + 1):
-                if count > limit:
-                    return
-                for world, among in enumerate(succ):
-                    values = tuple(sorted({labels[v] for v in among}))
-                    if values not in seen:
-                        seen.add(values)
-                        missing[len(values)] -= 1
-                        yield _FirstSet(values, count, world_count, rows,
-                                        labels, world)
-                if not fresh():
-                    break
-        if not any(missing):
-            return
-        before += (1 << world_count * world_count) * per_relation
+def _witness_model(values: tuple[int, ...]) -> KripkeModel:
+    """The model in which `values` first occurs, at world 0: world 0 sees
+    every world and p takes the values in ascending order; the empty set
+    has one world, no edge and p = 1."""
+    labels = values or (1,)
+    return KripkeModel(len(labels), ((0, v) for v in range(len(values))),
+                       (((u, "p"), k) for u, k in enumerate(labels)))
 
 
 def _break(table: UnaryTable, n: int, values: tuple[int, ...]
@@ -165,7 +178,7 @@ def _spend_whole_scan(budget: _Budget, n: int, bound: int) -> None:
     """Count every model on 1..bound worlds, one world count at a time, so
     that a bound far past the ceiling stops at the first count past it."""
     for world_count in range(1, bound + 1):
-        budget.spend((1 << world_count * world_count) * n ** world_count)
+        budget.spend(_models_on(n, world_count))
 
 
 def duality_holds(table: UnaryTable, n: int, bound: int,
@@ -181,8 +194,9 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
     diamond claim before the box claim at a world, where a claim fails.
     Both claims at a world read only its successors' values, so the table
     is checked against each set of successor values at its first
-    occurrence (see the module docstring), and the witness model is built
-    from the first set it breaks, then re-checked by the evaluator.
+    occurrence, built from the module docstring's closed form, and the
+    witness model is built from the first set it breaks, then re-checked
+    by the evaluator.
     `ceiling` counts the models up to the witness's, or every model of
     the scan.
     """
@@ -202,9 +216,7 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
         return DualityReport(True)
     first, side, label = broken
     budget.spend(first.count)
-    model = KripkeModel(first.world_count, edge_set(first.rows),
-                        (((u, "p"), k) for u, k in enumerate(first.labels)))
-    witness = DualityWitness(model, first.world, label, side)
+    witness = DualityWitness(_witness_model(first.values), 0, label, side)
     _verify_witness(sig, witness)
     return DualityReport(False, witness)
 
@@ -224,10 +236,10 @@ def uniqueness_scan(n: int, bound: int,
                     ceiling: Optional[int] = None) -> tuple[UnaryTable, ...]:
     """All n^n unary tables passing duality_holds at the given bound, in order.
 
-    The scan's sets of successor values are collected once and every
-    table is checked against them (see the module docstring).  `ceiling`
-    counts the models examined over the whole scan, as duality_holds
-    counts them for each table in turn.
+    The first occurrences of the sets of successor values are built once
+    and every table is checked against them (see the module docstring).
+    `ceiling` counts the models examined over the whole scan, as
+    duality_holds counts them for each table in turn.
     """
     if n > 6:
         raise ValueError(f"scan over {n}^{n} tables is above desk scale")

@@ -54,23 +54,23 @@ class Filtered:
         return self._class_index[world]
 
 
-def _validated_closure(phi: Iterable[Formula]
-                       ) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
-    # phi in canonical order, and bottom-up for label_vectors
+def _validated_closure(phi: Iterable[Formula]) -> tuple[Formula, ...]:
+    # phi bottom-up, for label_vectors.  The partition, the class relation
+    # and the class values come out the same under any fixed order of phi.
     phi = frozenset(phi)
     order = closure_order(phi)
     if len(order) != len(phi):
         missing = min(set(order) - phi, key=formula_key)
         raise ValueError("formula set is not subformula-closed; "
                          f"missing {render_formula(missing)}")
-    return tuple(sorted(phi, key=formula_key)), order
+    return order
 
 
-def _partition(model: KripkeModel, ordered: tuple[Formula, ...],
+def _partition(model: KripkeModel, order: tuple[Formula, ...],
                val: Cache) -> tuple[tuple[int, ...], ...]:
     groups: dict[tuple[int, ...], list[int]] = {}
     for world in model.worlds:
-        groups.setdefault(tuple(val[f][world] for f in ordered), []).append(world)
+        groups.setdefault(tuple(val[f][world] for f in order), []).append(world)
     return tuple(sorted((tuple(ws) for ws in groups.values()),
                         key=lambda ws: ws[0]))
 
@@ -78,8 +78,8 @@ def _partition(model: KripkeModel, ordered: tuple[Formula, ...],
 def equiv_classes(sig: Signature, model: KripkeModel,
                   phi: Iterable[Formula]) -> tuple[tuple[int, ...], ...]:
     """Partition of the worlds by agreement on every formula of phi."""
-    ordered, order = _validated_closure(phi)
-    return _partition(model, ordered, label_vectors(sig, model, order))
+    order = _validated_closure(phi)
+    return _partition(model, order, label_vectors(sig, model, order))
 
 
 #: The comparisons that relate class u to class v in the logics whose
@@ -129,16 +129,16 @@ def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],
     check_frame for diagnostic uses).  Class valuations copy the value of
     each variable of phi at any member; other variables default to 1.
     """
-    ordered, order = _validated_closure(phi)
+    order = _validated_closure(phi)
     if check_frame and not frame_check(model, logic.frame_class):
         raise ValueError(f"model is not in the {logic.frame_class.value} frame class")
     val = label_vectors(sig, model, order)
-    classes = _partition(model, ordered, val)
+    classes = _partition(model, order, val)
     reps = tuple(members[0] if representative == "least" else members[-1]
                  for members in classes)
-    edges = _class_relation(model, logic, ordered, classes, reps, val)
+    edges = _class_relation(model, logic, order, classes, reps, val)
     values = {(idx, f): val[f][rep]
-              for idx, rep in enumerate(reps) for f in ordered}
+              for idx, rep in enumerate(reps) for f in order}
     vals = {(idx, f.name): k for (idx, f), k in values.items()
             if isinstance(f, Var)}
     return Filtered(classes, reps, KripkeModel(len(classes), edges, vals), values)
@@ -167,19 +167,21 @@ def verify_filtration(sig: Signature, model: KripkeModel, phi: Iterable[Formula]
                       filtered: Optional[Filtered] = None) -> FiltrationReport:
     """Check value preservation on phi and membership in the frame class.
 
-    Failures are reported as data, with the offending worlds and values.
+    Failures are reported as data, with the offending worlds and values,
+    by world and then by formula in canonical order (formula_key).
     """
-    ordered, order = _validated_closure(phi)
+    order = _validated_closure(phi)
     if filtered is None:
-        filtered = filter_model(sig, model, ordered, logic)
+        filtered = filter_model(sig, model, order, logic)
     before = label_vectors(sig, model, order)
     after = label_vectors(sig, filtered.model, order)
     mismatches = []
     for world in model.worlds:
         cls = filtered.class_of(world)
-        for f in ordered:
+        for f in order:
             if before[f][world] != after[f][cls]:
                 mismatches.append((world, f, before[f][world], after[f][cls]))
+    mismatches.sort(key=lambda m: (m[0], formula_key(m[1])))
     frame_ok = frame_check(filtered.model, logic.frame_class)
     return FiltrationReport(frame_ok and not mismatches, frame_ok,
                             logic.frame_class, tuple(mismatches))

@@ -389,6 +389,9 @@ def parse_signature(text: str) -> Signature:
     ts = TokenStream(tokenize(text))
     n = ts.header("domain", "signature", "the domain size", 2,
                   "domain needs at least 2 values, got {}")
+    # A complete table of arity a has n^a rows, one per line, so an arity
+    # whose rows cannot fit in the text's lines is rejected at once.
+    lines = text.count("\n") + 1
     # name -> (arity, name token, table)
     declared: dict[str, tuple[int, Token, dict[tuple[int, ...], int]]] = {}
     for _ in ts.statements():
@@ -404,7 +407,13 @@ def parse_signature(text: str) -> Signature:
             if ctok.text in declared:
                 raise ParseError(f"duplicate connective name {_quote(ctok.text)}",
                                  ctok.span)
-            declared[ctok.text] = (ts.expect_int("an arity"), ctok, {})
+            arity_tok = ts.peek()
+            arity = ts.expect_int("an arity")
+            if not _rows_fit(n, arity, lines):
+                raise ParseError(f"connective {_quote(ctok.text)}: arity {arity} "
+                                 f"needs {n}^{arity} table rows, more than the "
+                                 f"signature's {lines} lines", arity_tok.span)
+            declared[ctok.text] = (arity, ctok, {})
             continue
         if name_tok.text not in declared:
             raise ParseError(f"table row for undeclared connective "
@@ -427,6 +436,17 @@ def parse_signature(text: str) -> Signature:
                 f"{' '.join(map(str, missing)) or '()'}", ctok.span)
         connectives.append(Connective(name, arity, table))
     return make_signature(n, connectives)
+
+
+def _rows_fit(n: int, arity: int, lines: int) -> bool:
+    """Whether n^arity <= lines; with n >= 2 the product passes `lines`
+    within lines.bit_length() steps, so no large power is formed."""
+    rows = 1
+    for _ in range(arity):
+        rows *= n
+        if rows > lines:
+            return False
+    return True
 
 
 def render_signature(sig: Signature) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
 from .core import (
@@ -27,6 +28,8 @@ from .core import (
     LabelledFormula,
     Sequent,
     Signature,
+    _gamma_cross_size,
+    _interval_size,
     complement_interval,
     gamma_cross,
     up_set,
@@ -88,15 +91,22 @@ def instantiate_scheme(scheme: int, formula: Formula, label: int, n: int) -> Seq
 
     Scheme 20 ignores the label argument.
     """
-    if scheme == 20:
-        label = n
-    elif not 1 <= label <= n:
-        raise ValueError(f"label {label} out of 1..{n}")
+    label = _scheme_label(scheme, label, n)
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown extension scheme {scheme}")
     left, right = _SCHEMES[scheme][1](formula)
     return Sequent([LabelledFormula(left, label)],
                    up_set(LabelledFormula(right, label), n))
+
+
+def _scheme_label(scheme: int, label: int, n: int) -> int:
+    """The label of a scheme's instance: n for scheme 20, else `label`
+    once it is checked to be in 1..n."""
+    if scheme == 20:
+        return n
+    if not 1 <= label <= n:
+        raise ValueError(f"label {label} out of 1..{n}")
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +340,28 @@ def _check_modal(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         return "conclusion succedent must be empty"
     if principal not in concl.antecedent:
         return "conclusion antecedent lacks the boxed/diamonded principal formula"
-    if prem.succedent in (gamma_cross(concl.antecedent - {principal}, sig.n),
-                         gamma_cross(concl.antecedent, sig.n)):
-        return None
+    for context in (concl.antecedent - {principal}, concl.antecedent):
+        # sized first: a large n makes the set large, not the script
+        if (_gamma_cross_size(context, sig.n) == len(prem.succedent)
+                and prem.succedent == gamma_cross(context, sig.n)):
+            return None
     return "premise succedent differs from the successor-exclusion set of the context"
 
 
 def _check_left_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     (prem,) = prems
+    reason = (f"conclusion does not shift any antecedent formula with label "
+              f"{j.label} to the succedent complement")
+    # every shifted label joins the succedent: compare sizes before building
+    if len(concl.succedent) < sig.n - _interval_size(j.label, j.label, sig.n):
+        return reason
     shifted = complement_interval(j.label, j.label, sig.n)
     for lf in prem.antecedent:
         extra = frozenset(LabelledFormula(lf.formula, k) for k in shifted)
         if (lf.label == j.label and concl.succedent == prem.succedent | extra
                 and prem.antecedent - {lf} <= concl.antecedent <= prem.antecedent):
             return None
-    return (f"conclusion does not shift any antecedent formula with label "
-            f"{j.label} to the succedent complement")
+    return reason
 
 
 def _check_right_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
@@ -414,14 +430,11 @@ def _check_multi_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         formulas, label_sets = j.formulas, j.label_sets
     if len(formulas) != len(label_sets):
         return "formula list and label-set list differ in length"
-    labels = frozenset(range(1, sig.n + 1))
-    if any(k not in labels for ks in label_sets for k in ks):
+    if any(not 1 <= k <= sig.n for ks in label_sets for k in ks):
         return "shift label out of range"
-    rows = list(product(*(sorted(ks) for ks in label_sets)))
-    if err := _arity_error(len(rows), prems):
+    if err := _arity_error(prod(map(len, label_sets)), prems):
         return err
-    extra = frozenset(LabelledFormula(f, k)
-                      for f, ks in zip(formulas, label_sets) for k in labels - ks)
+    rows = product(*(sorted(ks) for ks in label_sets))
     union_min, union_succ, all_principals = set(), set(), set()
     for idx, (prem, row) in enumerate(zip(prems, rows)):
         row_lfs = tuple(map(LabelledFormula, formulas, row))
@@ -433,8 +446,14 @@ def _check_multi_shift(j, concl, prems, hyps, logic, sig) -> Optional[str]:
         union_min.update(prem.antecedent.difference(row_lfs))
         union_succ.update(prem.succedent)
         all_principals.update(row_lfs)
+    reason = "conclusion succedent differs from the premise union plus complement block"
+    # each group's complement joins the succedent: compare sizes before building
+    if any(sig.n - len(ks) > len(concl.succedent) for ks in label_sets):
+        return reason
+    extra = frozenset(LabelledFormula(f, k) for f, ks in zip(formulas, label_sets)
+                      for k in range(1, sig.n + 1) if k not in ks)
     if concl.succedent != union_succ | extra:
-        return "conclusion succedent differs from the premise union plus complement block"
+        return reason
     if not union_min <= concl.antecedent:
         return "conclusion antecedent drops part of the premise contexts"
     if not concl.antecedent <= union_min | all_principals:
@@ -446,10 +465,12 @@ def _check_extension(j, concl, prems, hyps, logic, sig) -> Optional[str]:
     if j.scheme not in logic.schemes:
         return f"scheme {j.scheme} is not an axiom of {logic.value}"
     try:
-        expected = instantiate_scheme(j.scheme, j.formula, j.label, sig.n)
+        label = _scheme_label(j.scheme, j.label, sig.n)
     except ValueError as exc:
         return str(exc)
-    if concl != expected:
+    # the succedent is the up-set of the label: compare sizes before building
+    if (len(concl.succedent) != sig.n - label + 1
+            or concl != instantiate_scheme(j.scheme, j.formula, label, sig.n)):
         return f"conclusion is not the scheme {j.scheme} instance"
     return None
 

@@ -9,7 +9,7 @@ from mvmodal.core import Apply, Box, Diamond, Signature, Var
 from mvmodal.decision import EnumerationCeilingError
 from mvmodal.duality import duality_holds, reversal_negation, uniqueness_scan
 from mvmodal.sampling import random_model
-from mvmodal.semantics import evaluate
+from mvmodal.semantics import KripkeModel, evaluate
 
 p = Var("p")
 
@@ -85,16 +85,29 @@ class TestDualityHolds:
             assert len(built) == 1, table
 
 
+def built_from_its_set(witness):
+    """The model the closed form of duality's module docstring builds for
+    the set of values p takes at the witness world's successors: world 0
+    sees each of len(set) worlds, which carry the set ascending, or one
+    world without edges and p = 1 for the empty set."""
+    model = witness.model
+    values = sorted({model.value(v, "p") for v in model.successors(witness.world)})
+    labels = values or [1]
+    return KripkeModel(len(labels), {(0, v) for v in range(len(values))},
+                       {(u, "p"): k for u, k in enumerate(labels)})
+
+
 class TestAgainstTheModelByModelScan:
     """duality_holds against helpers.oracle_duality_holds, which builds
     every model in full and checks it world by world.
 
-    duality_holds reads each table off the successor-value sets of one
-    walk over the models (duality._first_sets), so it builds a model only
-    for a witness.
+    duality_holds checks each table against the successor-value sets at
+    their first occurrences, which it builds from their closed form
+    (duality._first_sets) without walking the models, so it builds a
+    model only for a witness.
     """
 
-    @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2), (3, 3)])
     def test_reports_and_counts_match_the_oracle(self, n, bound):
         ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
         for table in product(range(1, n + 1), repeat=n):
@@ -103,6 +116,8 @@ class TestAgainstTheModelByModelScan:
             assert report == expected, table
             if not expected.holds:
                 assert report.witness.model.vals == expected.witness.model.vals
+                assert expected.witness.world == 0, table
+                assert expected.witness.model == built_from_its_set(expected.witness)
             assert ours.examined == theirs.examined, table
 
 
@@ -119,6 +134,7 @@ class TestAgainstTheOracleAtLargerSizes:
             assert report == expected, table
             if not expected.holds:
                 assert report.witness.model.vals == expected.witness.model.vals
+                assert expected.witness.model == built_from_its_set(expected.witness)
             assert ours.examined == theirs.examined, table
 
     @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2), (4, 2)])

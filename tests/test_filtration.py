@@ -169,7 +169,7 @@ class TestVerify:
         # apply the order-comparison rule of one logic while claiming the
         # symmetric one: the report must name a witness
         rng = random.Random(37)
-        failures = 0
+        failures = several = 0
         for _ in range(200):
             m = random_model(rng, ["p", "q"], 3, 4, FrameClass.SYMMETRIC)
             filtered = filter_model(luk3, m, PHI, LogicId.MV_S4,
@@ -180,7 +180,35 @@ class TestVerify:
                 failures += 1
                 assert (not report.frame_ok) or report.value_mismatches
                 assert str(report)
-        assert failures > 0
+            # by world, then by formula in canonical order
+            mismatches = report.value_mismatches
+            several += len(mismatches) > 1
+            assert list(mismatches) == sorted(
+                mismatches, key=lambda m: (m[0], formula_key(m[1])))
+        assert failures > 0 and several > 0
+
+
+class TestDeepFormulas:
+    def test_a_4000_level_chain_needs_no_canonical_order(self, luk3, monkeypatch):
+        # formula_key walks a whole formula: sorting the closure by it was
+        # quadratic in depth.  Only the failure paths may call it.
+        chain = p
+        for level in range(4000):
+            chain = Apply("imp", (q, chain)) if level % 2 else Box(chain)
+        phi = closure_order([chain])
+
+        def forbidden(formula):
+            raise AssertionError("formula_key on the success path")
+
+        monkeypatch.setattr("mvmodal.filtration.formula_key", forbidden)
+        rng = random.Random(38)
+        for logic in (LogicId.MV_K, LogicId.MV_S4):
+            model = random_model(rng, ["p", "q"], 3, 5, logic.frame_class)
+            filtered = filter_model(luk3, model, phi, logic)
+            assert verify_filtration(luk3, model, phi, logic, filtered).ok
+            for world in model.worlds:
+                assert (filtered.values[(filtered.class_of(world), chain)]
+                        == evaluate(luk3, model, world, chain))
 
 
 LUK3 = lukasiewicz_signature(3)

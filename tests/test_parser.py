@@ -100,6 +100,17 @@ class TestSignatureFormat:
         with pytest.raises(ParseError, match="missing table entry"):
             parse_signature(text)
 
+    def test_arity_whose_rows_cannot_fit_in_the_text(self):
+        # 2^2 rows need 4 lines; the text has 3, so the conn line is wrong
+        with pytest.raises(ParseError) as info:
+            parse_signature("domain 2\nconn f 2\n")
+        assert info.value.message == ("connective 'f': arity 2 needs 2^2 table "
+                                      "rows, more than the signature's 3 lines")
+        assert (info.value.span.line, info.value.span.column) == (2, 8)
+        # with 4 lines the rows could fit: the table is checked row by row
+        with pytest.raises(ParseError, match="missing table entry for 1 2"):
+            parse_signature("domain 2\nconn f 2\nf 1 1 = 1\n")
+
     def test_out_of_range_label(self):
         text = "domain 2\nconn f 1\nf 1 = 3\nf 2 = 1\n"
         with pytest.raises(ParseError, match="out of 1..2"):
