@@ -267,26 +267,32 @@ def _relabellings(world_count: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return tuple(out)
 
 
-def _valuations(variables: Sequence[str], n: int, world_count: int
+def _valuations(variables: Sequence[str], n: int, world_count: int,
+                budget: _Budget
                 ) -> tuple[list[tuple[int, str]], Iterator[tuple[int, ...]]]:
     """The slots (world, variable) and every labelling of them, in order.
 
     Slots are u-major over the sorted `variables`, so zipping a labelling
     with the slots gives a sorted valuation; labellings come in
-    itertools.product order.
+    itertools.product order.  With R models left in `budget`, labels are
+    drawn from 1..min(n, R + 1) only: the first R + 1 labellings in that
+    order use no higher label, and the search stops before the next one,
+    so nothing changes but the size of the pool product copies.
     """
     slots = [(u, p) for u in range(world_count) for p in variables]
-    return slots, product(range(1, n + 1), repeat=len(slots))
+    top = min(n, budget.ceiling - budget.examined + 1)
+    return slots, product(range(1, top + 1), repeat=len(slots))
 
 
 def _blocks(atoms: Sequence[Var], n: int, world_count: int,
-            frame_class: FrameClass,
+            frame_class: FrameClass, budget: _Budget,
             relations: Callable[[int, FrameClass], Iterable[tuple[int, ...]]]
             = _relations) -> Iterator[tuple]:
     """Each relation's valuations in blocks of at most BLOCK_WORLDS worlds.
 
     The relations are those `relations` yields for the world count and
-    class: _relations, or _rooted_relations for the rooted pass.
+    class: _relations, or _rooted_relations for the rooted pass.  The
+    caller spends `budget` on each block before the next is drawn.
     Yields (rows, slots, block, stacked, cache) per block: the relation's
     successor rows, the slots of _valuations over the sorted `atoms`, the
     block's labellings in order, the frame stacked once per labelling
@@ -296,7 +302,8 @@ def _blocks(atoms: Sequence[Var], n: int, world_count: int,
     per_block = max(1, BLOCK_WORLDS // world_count)
     stride = len(atoms)
     for rows in relations(world_count, frame_class):
-        slots, labellings = _valuations([a.name for a in atoms], n, world_count)
+        slots, labellings = _valuations([a.name for a in atoms], n, world_count,
+                                        budget)
         while block := list(islice(labellings, per_block)):
             labels = list(chain.from_iterable(block))
             cache = {atom: labels[j::stride] for j, atom in enumerate(atoms)}
@@ -330,7 +337,7 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
     budget = _Budget.of(ceiling)
     for rows in _relations(world_count, frame_class):
         edges = edge_set(rows)
-        slots, labellings = _valuations(variables, n, world_count)
+        slots, labellings = _valuations(variables, n, world_count, budget)
         for labels in labellings:
             budget.spend()
             yield KripkeModel(world_count, edges, zip(slots, labels))
@@ -362,7 +369,7 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
 
     def first(world_count: int, rooted: bool) -> Optional[Countermodel]:
         for rows, slots, block, stacked, cache in _blocks(
-                atoms, sig.n, world_count, frame_class,
+                atoms, sig.n, world_count, frame_class, budget,
                 _rooted_relations if rooted else _relations):
             label_vectors(sig, stacked, order, cache)
             rejected = {w // world_count for h in hypotheses

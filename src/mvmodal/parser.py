@@ -11,12 +11,20 @@ references and cannot name a variable.
 
 A token keeps only its offset into the text; a ParseError computes the
 1-based line and column from it.  Every file format is a sequence of
-statements, one per non-blank line, read by TokenStream.statements.
+statements, one per non-blank line.  Signatures, formulas, sequents and
+proof scripts are tokenized whole and read by TokenStream.statements.
+A model file is read a line at a time while each line is a well-formed
+header, edge or valuation (_read_model_lines); from the first line that
+is not, the token reader reads the rest of the text with the world
+count, edges and valuation read so far.  The lines before it hold no
+error and no bad character, so every error, with its span, is the one
+the token reader gives on the whole text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
@@ -89,12 +97,15 @@ class ParseError(Exception):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_IDENT_RE = re.compile(_IDENT)
+
 # Whitespace and comments before a token are part of its match; `bad`
 # catches any other character and `eof` the end of the text.
 _TOKEN_RE = re.compile(r"""
     (?:[^\S\n]+|\#[^\n]*)*
     (?:(?P<newline>\n) | (?P<arrow>->) | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<ident>""" + _IDENT + r""")
       | (?P<lparen>\() | (?P<rparen>\)) | (?P<lbrace>\{) | (?P<rbrace>\})
       | (?P<comma>,) | (?P<semi>;) | (?P<colon>:) | (?P<equals>=) | (?P<minus>-)
       | (?P<eof>\Z) | (?P<bad>.))
@@ -114,10 +125,11 @@ class Token(NamedTuple):
                           self.offset - line_start + 1, self.offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, newlines included, ending with one eof token."""
+def tokenize(text: str, start: int = 0) -> list[Token]:
+    """The tokens of `text` from offset `start` on, newlines included,
+    ending with one eof token."""
     tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
         tokens.append(Token(kind, m[kind], m.start(kind), text))
         if kind == "bad":
@@ -466,17 +478,90 @@ def render_signature(sig: Signature) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _width(high: int) -> int:
+    """The digits of `high`, but no more than int() reads from a string:
+    a decimal field no longer than this is safe to convert."""
+    try:
+        return len(str(high))
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return sys.get_int_max_str_digits()
+
+
+def _field_int(field: str, low: int, high: int, width: int) -> Optional[int]:
+    """The decimal field's integer when it lies in low..high, else None."""
+    if field.isdecimal() and len(field) <= width:
+        value = int(field)
+        if low <= value <= high:
+            return value
+    return None
+
+
+def _read_model_lines(text: str, n: int
+                      ) -> tuple[Optional[int], set[tuple[int, int]],
+                                 dict[tuple[int, str], int], Optional[int]]:
+    r"""The model statements read a line at a time, up to the first line
+    that is not one the token reader would take with the same effect.
+
+    Returns the world count (None before a header), the edges, the
+    valuation, and the offset where the token reader must go on: the
+    first line not taken, 0 when no header was read, or None when every
+    line was taken.  Lines are split on newlines only, since the token
+    grammar treats every other whitespace character, `\r` included, as
+    in-line whitespace, as str.split() does; a `#` always starts a
+    comment.  Integer fields pass str.isdecimal(), as the token
+    grammar's `\d` does.
+    """
+    world_count = None
+    edges: set[tuple[int, int]] = set()
+    vals: dict[tuple[int, str], int] = {}
+    label_width = _width(n)
+    offset = 0
+    for line in text.split("\n"):
+        start = offset
+        offset += len(line) + 1
+        fields = line.partition("#")[0].split()
+        if not fields:
+            continue
+        if world_count is None:
+            if len(fields) == 2 and fields[0] == "worlds":
+                world_count = _field_int(fields[1], 1, MAX_WORLDS,
+                                         _width(MAX_WORLDS))
+            if world_count is None:
+                return None, edges, vals, 0
+            last, world_width = world_count - 1, _width(world_count - 1)
+            continue
+        if len(fields) == 3 and fields[0] == "edge":
+            u = _field_int(fields[1], 0, last, world_width)
+            v = _field_int(fields[2], 0, last, world_width)
+            if u is not None and v is not None:
+                edges.add((u, v))
+                continue
+        elif len(fields) == 4 and fields[0] == "val":
+            u = _field_int(fields[1], 0, last, world_width)
+            name = fields[2]
+            k = _field_int(fields[3], 1, n, label_width)
+            if (u is not None and k is not None and _IDENT_RE.fullmatch(name)
+                    and name not in RESERVED_NAMES and (u, name) not in vals):
+                vals[(u, name)] = k
+                continue
+        return world_count, edges, vals, start
+    # every line was taken, but a text of blank lines has no header
+    return world_count, edges, vals, (0 if world_count is None else None)
+
+
 def parse_model(text: str, sig: Signature) -> KripkeModel:
-    ts = TokenStream(tokenize(text))
-    world_count = ts.header("worlds", "model", "the world count", 1,
-                            "a model needs at least one world", MAX_WORLDS)
+    world_count, edges, vals, rest = _read_model_lines(text, sig.n)
+    if rest is None:
+        return KripkeModel(world_count, edges, vals)
+    ts = TokenStream(tokenize(text, rest))
+    if world_count is None:
+        world_count = ts.header("worlds", "model", "the world count", 1,
+                                "a model needs at least one world", MAX_WORLDS)
 
     def world(what: str) -> int:
         return ts.expect_int(what, 0, world_count - 1,
                              what + " references undeclared world {} (have {}..{})")
 
-    edges = set()
-    vals: dict[tuple[int, str], int] = {}
     for _ in ts.statements():
         key = ts.expect("ident", "'edge' or 'val'")
         if key.text == "edge":

@@ -259,6 +259,17 @@ class TestHugeSizesNamedByTheInput:
         assert proc.stdout == f"violation at step {step}: {rule}: {reason}\n"
 
 
+    def test_decide_over_a_huge_domain(self, tmp_path):
+        # labels are drawn only up to one past the models the ceiling
+        # leaves, not from all 10^9 of the domain
+        (tmp_path / "sig.mvk").write_text("domain 1000000000\n")
+        proc = run_capped(2 * 2 ** 30, "decide", "--sig", str(tmp_path / "sig.mvk"),
+                          "--bound", "2", "--ceiling", "1000",
+                          "(Box p, 2) -> (Box p, 2)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "aborted: ceiling\n", "")
+
+
 class TestFilter:
     def test_emits_classes_and_model(self, ws, capsys):
         (ws / "m.mvk").write_text(

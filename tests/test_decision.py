@@ -91,6 +91,27 @@ class TestEnumerateModels:
         with pytest.raises(EnumerationCeilingError):
             list(enumerate_models(["p"], 3, 2, FrameClass.ANY, ceiling=10))
 
+    def test_ceiling_bounds_the_labels_of_a_huge_domain(self):
+        # the search stops before it would draw a label above ceiling + 1,
+        # so the 10^9 labels are never listed
+        models = enumerate_models(["p"], 10 ** 9, 1, FrameClass.ANY, ceiling=5)
+        drawn = [next(models) for _ in range(5)]
+        with pytest.raises(EnumerationCeilingError):
+            next(models)
+        assert [m.value(0, "p") for m in drawn] == [1, 2, 3, 4, 5]
+
+    def test_ceiling_below_the_domain_keeps_the_order(self):
+        # labels cut at one past the models left: the models drawn before
+        # the abort are those of the uncut enumeration
+        full = list(oracle_models(["p", "q"], 5, 2, FrameClass.ANY))
+        for ceiling in range(40):
+            models = enumerate_models(["p", "q"], 5, 2, FrameClass.ANY,
+                                      ceiling=ceiling)
+            drawn = [next(models) for _ in range(ceiling)]
+            with pytest.raises(EnumerationCeilingError):
+                next(models)
+            assert drawn == full[:ceiling]
+
     def test_ceiling_from_environment(self, monkeypatch):
         from mvmodal.decision import default_ceiling
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_formula, rand_sequent
+from mvmodal import parser
 from mvmodal.core import (
     RESERVED_NAMES,
     Apply,
@@ -63,7 +64,7 @@ from mvmodal.proofs import (
     check_derivation,
 )
 from mvmodal.sampling import random_model
-from mvmodal.semantics import KripkeModel
+from mvmodal.semantics import FrameClass, KripkeModel
 
 p = Var("p")
 q = Var("q")
@@ -508,6 +509,9 @@ class TestErrorSpans:
         # a bad character on a later line wins over the statements before it
         ("worlds 2\nedge 0 1\nval 1 p 2 @\n", "model", 3, 11, 28,
          "unexpected character '@'"),
+        # ... and over an error on a line before it
+        ("worlds 2\nedge 5 0\nval 1 p 2 @\n", "model", 3, 11, 28,
+         "unexpected character '@'"),
         # end of input after a trailing comment
         ("(p, 1) ->\n-> (q, 2) # trailing comment\n(q, 3)  # no arrow",
          "sequents", 3, 19, 57, "expected '->', found end of input"),
@@ -627,3 +631,169 @@ def _fuzz_text(rng: random.Random) -> str:
             pieces.append(" ")
         pieces.append(piece)
     return "".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# Model files: the line reader against the token reader alone
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, text):
+    """The parsed value, or the ParseError's message, span and expected."""
+    try:
+        return parse(text)
+    except ParseError as error:
+        return error.message, error.span, error.expected
+
+
+def _token_reader_alone(text, sig):
+    """parse_model with no line taken by the line reader: the token
+    reader reads the whole text from offset 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "_read_model_lines",
+                   lambda text, n: (None, set(), {}, 0))
+        return _outcome(partial(parse_model, sig=sig), text)
+
+
+#: Pieces a model text is mutated with: bad characters, a comment, in-line
+#: whitespace the token grammar knows (\r, \x1c, \u2028), an Arabic-Indic
+#: and a superscript digit, a world glued to a name, statements and
+#: integers out of range or past the int() digit limit.
+MODEL_MUTATIONS = ["@", "#", "\r", "\x1c", "\u2028", "\u0663", "\u00b2",
+                   "0p", ";", "9" * 5000, "0" * 5000 + "1", " ", "\n", "\n\n",
+                   "# note\n", "val", "edge", "worlds 2", "Box", "q'", "0", "00",
+                   "7", "100001", "-"]
+
+
+def _mutated_model_text(rng: random.Random) -> str:
+    world_count = rng.randint(1, 5)
+
+    def number(low, high):
+        # now and then one past either end, or with a leading zero
+        value = (rng.randint(low - 1, high + 1) if rng.random() < 0.05
+                 else rng.randint(low, high))
+        return ("0" if rng.random() < 0.05 else "") + str(value)
+
+    def statement(*fields):
+        return "".join(field + rng.choice(" " * 20 + "\t\r\x1c\u2028")
+                       for field in fields)
+
+    lines = [statement("worlds", str(world_count))]
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.5:
+            lines.append(statement("edge", number(0, world_count - 1),
+                                   number(0, world_count - 1)))
+        else:  # (u, p) repeats now and then
+            lines.append(statement("val", number(0, world_count - 1),
+                                   rng.choice("pqrs"), number(1, 3)))
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(MODEL_MUTATIONS) + text[at:]
+    if rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+class TestModelLineReader:
+    """parse_model reads well-formed lines itself and hands the first
+    other line on to the token reader; nothing it returns or raises may
+    differ from the token reader alone."""
+
+    TEXTS = {
+        "crlf": "worlds 2\r\nedge 0 1\r\nval 1 p 3\r\n",
+        "comments": "# a comment\n\n   # another\nworlds 2\n# mid\n"
+                    "edge 1 0 # tail\n",
+        "world-glued-to-name": "worlds 2\nval 0p 3\n",
+        "arabic-indic-digits": "worlds 2\nval \u0661 p \u0663\n",
+        "superscript-digit": "worlds 2\nval 1 p \u00b2\n",
+        "duplicate-valuation": "worlds 2\nval 1 p 2\nval 1 p 3\n",
+        "world-out-of-range": "worlds 2\nedge 0 2\n",
+        "label-above": "worlds 2\nval 0 p 4\n",
+        "label-zero": "worlds 2\nval 0 p 0\n",
+        "reserved-name": "worlds 2\nval 0 Box 1\n",
+        "odd-names": "worlds 2\nval 0 p' 2\nval 1 _x9 3\n",
+        "long-world": "worlds 2\nedge 0 " + "9" * 5000 + "\n",
+        "long-zero-padded-world": "worlds 2\nedge 0 " + "0" * 5000 + "1\n",
+        "long-zero-padded-label": "worlds 2\nval 0 p " + "0" * 5000 + "1\n",
+        "long-zero-padded-count": "worlds " + "0" * 5000 + "1\n",
+        "zero-padded": "worlds 2\nedge 0 0001\nval 01 p 003\n",
+        "no-trailing-newline": "worlds 2\nedge 0 1",
+        "second-header": "worlds 2\nworlds 2\n",
+        "count-above-limit": "worlds 100001\n",
+        "count-zero": "worlds 0\n",
+        "empty": "",
+        "blank-and-comment-only": "\n\n# only comments\n",
+        "extra-field": "worlds 2\nedge 0 1 1\n",
+        "missing-field": "worlds 2\nval 0 p\n",
+        "vertical-tab": "worlds 2\x0bedge 0 1\n",
+        "in-line-separators": "worlds 2\nedge\u20280\x1c1\n",
+        "bad-character-last": "worlds 2\nedge 0 1\nval 1 p 2 @\n",
+        "bad-character-after-error": "worlds 2\nedge 5 0\nval 1 p 2 @\n",
+        "comment-glued-to-field": "worlds 2\nedge 0 1#x\nval 1 p#x 2\n",
+    }
+
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=list(TEXTS))
+    def test_odd_texts(self, luk3, text):
+        assert _outcome(partial(parse_model, sig=luk3), text) == \
+            _token_reader_alone(text, luk3)
+
+    @pytest.mark.parametrize("n, labels", [
+        # frame-check parses with n = 2^31: labels of up to 10 digits
+        (2 ** 31, ["2147483648", "2147483647", "02147483647", "1" + "0" * 10]),
+        # more digits than int() reads from a string
+        (10 ** 5000, ["5", "9" * 4300, "9" * 4301]),
+    ], ids=["2^31", "10^5000"])
+    def test_labels_of_a_wide_domain(self, n, labels):
+        sig = make_signature(n)
+        for label in labels:
+            text = f"worlds 1\nval 0 p {label}\n"
+            assert _outcome(partial(parse_model, sig=sig), text) == \
+                _token_reader_alone(text, sig)
+
+    def test_fuzzed_texts(self, luk3):
+        rng = random.Random(17)
+        # (a value or an error, where the token reader takes over)
+        seen = Counter()
+        for _ in range(1500):
+            text = _fuzz_text(rng) if rng.random() < 0.5 else _mutated_model_text(rng)
+            ours = _outcome(partial(parse_model, sig=luk3), text)
+            assert ours == _token_reader_alone(text, luk3), repr(text)
+            rest = parser._read_model_lines(text, luk3.n)[3]
+            seen[isinstance(ours, KripkeModel),
+                 "nowhere" if rest is None else "start" if rest == 0 else "later"] += 1
+        assert seen[True, "nowhere"] > 100 and seen[True, "later"] > 20
+        assert seen[False, "start"] > 500 and seen[False, "later"] > 100
+
+    def test_well_formed_models_skip_the_tokenizer(self, luk3, monkeypatch):
+        def refuse(text, start=0):
+            raise AssertionError("a well-formed model reached the tokenizer")
+
+        monkeypatch.setattr(parser, "tokenize", refuse)
+        rng = random.Random(5)
+        for frame_class in FrameClass:
+            for _ in range(20):
+                model = random_model(rng, ["p", "q'", "r_2"], 3, 6, frame_class)
+                text = render_model(model)
+                assert parse_model(text, luk3) == model
+                # comments, blank lines and \r\n endings are well-formed too
+                text = "# a model\n\n" + text.replace("\n", " # note\r\n")
+                assert parse_model(text, luk3) == model
+
+    def test_one_odd_line_goes_to_the_tokenizer(self, luk3, monkeypatch):
+        # `val 0z 3` is world 0, variable z, label 3 to the token reader
+        starts = []
+        real_tokenize = parser.tokenize
+
+        def recording(text, start=0):
+            starts.append(start)
+            return real_tokenize(text, start)
+
+        monkeypatch.setattr(parser, "tokenize", recording)
+        model = KripkeModel(4, {(0, 1), (1, 2), (3, 3)},
+                            {(0, "p"): 2, (2, "q"): 3})
+        lines = render_model(model).splitlines(keepends=True)
+        text = "".join(lines[:3] + ["val 0z 3\n"] + lines[3:])
+        expected = KripkeModel(4, model.edges, {**dict(model.vals), (0, "z"): 3})
+        assert parse_model(text, luk3) == expected
+        assert starts == [len("".join(lines[:3]))]
