@@ -202,8 +202,19 @@ def _ceiling(text: str) -> int:
     return int(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads an argument beginning with "->" as a positional: a sequent
+    with an empty antecedent, such as "->(p, 1)" or the empty sequent
+    "->", and never an option."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("->"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="mvmodal",
         description="Many-valued modal logic: evaluation, decision, proofs")
     sub = top.add_subparsers(dest="command", required=True)

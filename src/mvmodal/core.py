@@ -11,7 +11,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 #: Names that may never be used as connective names.
 RESERVED_NAMES = frozenset({"Box", "Dia"})
@@ -164,7 +164,9 @@ class Diamond(_Node):
         return _intern(cls, sub)
 
 
-Formula = Union[Var, Apply, Box, Diamond]
+# An operator union, not typing.Union: typing caches the arguments of each
+# Union it builds, and would keep every re-imported copy of the package.
+Formula = Var | Apply | Box | Diamond
 
 
 #: Closes an Apply's arguments in formula_key; below every tag, so an

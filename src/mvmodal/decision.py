@@ -13,20 +13,49 @@ rows (semantics.successor_rows); the frame properties themselves are
 defined once, in semantics.frame_predicate.  Edge sets are built from
 the rows (semantics.edge_set) only for a model that is returned.
 
-Box and Dia read only a world's successors, so a world's labels are the
-same in a model and in any disjoint union that contains it.  The search
-therefore evaluates the valuations of one relation together: a block of
-consecutive valuations (in enumerate_models' order) is one stacked
-frame (semantics.stacked_frame), copy i of the relation carrying
-valuation i, and one pass of the evaluator labels every copy.  The
-stacked frame keeps only the relation's own successor sets: copy i of
-world u sees copy i of u's successors, so the evaluator takes Box and
-Dia of all copies of u at once, elementwise over the columns of copies
-of those successors.  The sequent checks then filter the block's worlds
-member by member (semantics.refuting_worlds).  Copies keep the
-valuation order and worlds keep their order within a copy, so the first
-countermodel read off the blocks is the first in enumeration order, and
-the ceiling still counts models one by one.  The negation-duality scan
+The search evaluates many labelled models at once, bit-sliced.  The
+models of one world count w are cut into chunks (_chunks): `count`
+consecutive labellings, from labelling number `start`, of each of a few
+consecutive relations.  start is 0 unless a relation has more labellings
+than a chunk holds; it is then split at a labelling index.  A labelled
+model is a copy of w worlds, and bit
+
+    (r * count + i) * w + u
+
+of a chunk stands for world u in labelling start + i of the chunk's
+relation r.  A formula is a dict from each label it takes to the bitset
+(a Python int) of the positions where it takes it (_bitsliced).  An
+atom's bitsets have a closed form (_layout): labellings come in
+itertools.product order, so slot j, that is (u, p) in u-major order over
+the sorted variables, is the digit of stride top^(slots - 1 - j) of the
+labelling number, whose label changes every stride labellings and
+repeats with period top * stride.  A connective ORs, over the rows of
+its table, the AND of its arguments' bitsets for the row.  Box and Dia
+go by thresholds: for each label k above the least, the result is at
+least k where no successor is below k (Box) or some successor is at
+least k (Dia).  World u + d of a copy lies d bits above world u, and the
+edge mask E_d (_edge_masks) holds world u of each copy whose relation
+has the edge (u, u + d), so the positions with a successor in a set X
+are the OR over the offsets d of (X shifted down by d) & E_d.
+
+A copy where a hypothesis fails at some world is dropped whole: the
+failures are gathered at world 0 of their copy and spread to all its
+worlds.  The goal's refuting positions of the copies left, in the rooted
+pass only those of world 0, are the chunk's hits.  Positions ascend with
+the world within a copy, and copies ascend in enumeration order
+(relations in order, each relation's labellings in product order), so
+the lowest set bit is the first countermodel in enumeration order, at
+its first refuting world.  The ceiling is counted per chunk: a chunk
+without hits spends all its copies, one with hits spends its first hit's
+copy number plus one, so the count and any abort are those of a search
+that draws one model at a time.  Labels are drawn from 1..min(n, R + 1),
+R being the models left when the chunk's first relation starts: the
+first R + 1 labellings in product order use no higher label, and the
+search stops before it passes them, so nothing changes but the size of
+the pool.  The witness is rebuilt as a KripkeModel from its relation's
+rows and its labelling's digits, and re-checked by the single-model
+evaluator (semantics.label_vectors) before it is returned
+(_verify_countermodel).  The negation-duality scan
 (duality.uniqueness_scan) counts models in the same order but walks
 none: it builds where each set of successor values first occurs.
 
@@ -62,32 +91,35 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, permutations, product
+from itertools import islice, permutations, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Sequent, Signature, Var, closure_order
+from .core import Apply, Box, Diamond, Formula, Sequent, Signature, Var, closure_order
 from .proofs import LogicId
 from .semantics import (
     FrameClass,
     KripkeModel,
+    _checked_connective,
+    _members,
     edge_set,
     frame_check,
     frame_predicate,
-    label_vectors,
     model_satisfies,
-    refuting_among,
-    refuting_worlds,
     satisfies_sequent,
-    stacked_frame,
 )
 
 ENUM_CEILING_VAR = "MVK_ENUM_CEILING"
 DEFAULT_ENUM_CEILING = 10_000_000
 
-#: Worlds per stacked frame at most; a relation's later valuations go
-#: into further blocks, so memory stays bounded however many there are.
-BLOCK_WORLDS = 4096
+#: Positions per chunk at most, 8 KB per bitset; a relation's later
+#: labellings go into further chunks, so memory stays bounded however
+#: many there are.  With more than _FEW_LABELS labels drawn, a chunk
+#: holds 1/256 of that: a formula may then take a label of its own at
+#: each position, so its bitsets and the thresholds of Box and Dia grow
+#: with the square of the chunk.
+BLOCK_WORLDS = 65536
+_FEW_LABELS = 64
 
 #: World counts from this one up are searched over rooted frames first.
 _ROOTED_FROM = 3
@@ -154,7 +186,7 @@ class ProvedValid:
     bound: int
 
 
-DecisionOutcome = Union[Countermodel, ValidUpTo, ProvedValid]
+DecisionOutcome = Countermodel | ValidUpTo | ProvedValid
 
 
 def filtration_bound(hypotheses: Iterable[Sequent], goal: Sequent, n: int) -> int:
@@ -267,49 +299,6 @@ def _relabellings(world_count: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return tuple(out)
 
 
-def _valuations(variables: Sequence[str], n: int, world_count: int,
-                budget: _Budget
-                ) -> tuple[list[tuple[int, str]], Iterator[tuple[int, ...]]]:
-    """The slots (world, variable) and every labelling of them, in order.
-
-    Slots are u-major over the sorted `variables`, so zipping a labelling
-    with the slots gives a sorted valuation; labellings come in
-    itertools.product order.  With R models left in `budget`, labels are
-    drawn from 1..min(n, R + 1) only: the first R + 1 labellings in that
-    order use no higher label, and the search stops before the next one,
-    so nothing changes but the size of the pool product copies.
-    """
-    slots = [(u, p) for u in range(world_count) for p in variables]
-    top = min(n, budget.ceiling - budget.examined + 1)
-    return slots, product(range(1, top + 1), repeat=len(slots))
-
-
-def _blocks(atoms: Sequence[Var], n: int, world_count: int,
-            frame_class: FrameClass, budget: _Budget,
-            relations: Callable[[int, FrameClass], Iterable[tuple[int, ...]]]
-            = _relations) -> Iterator[tuple]:
-    """Each relation's valuations in blocks of at most BLOCK_WORLDS worlds.
-
-    The relations are those `relations` yields for the world count and
-    class: _relations, or _rooted_relations for the rooted pass.  The
-    caller spends `budget` on each block before the next is drawn.
-    Yields (rows, slots, block, stacked, cache) per block: the relation's
-    successor rows, the slots of _valuations over the sorted `atoms`, the
-    block's labellings in order, the frame stacked once per labelling
-    (stacked_frame), and a label-vector cache seeded with each atom's
-    vector over the stacked worlds.  Copy i carries block[i].
-    """
-    per_block = max(1, BLOCK_WORLDS // world_count)
-    stride = len(atoms)
-    for rows in relations(world_count, frame_class):
-        slots, labellings = _valuations([a.name for a in atoms], n, world_count,
-                                        budget)
-        while block := list(islice(labellings, per_block)):
-            labels = list(chain.from_iterable(block))
-            cache = {atom: labels[j::stride] for j, atom in enumerate(atoms)}
-            yield rows, slots, block, stacked_frame(rows, len(block)), cache
-
-
 def enumerate_models(variables: Iterable[str], n: int, world_count: int,
                      frame_class: FrameClass,
                      ceiling: Union[int, _Budget, None] = None
@@ -326,21 +315,214 @@ def enumerate_models(variables: Iterable[str], n: int, world_count: int,
     out-row and loop: these are generated depth-first by world and kept
     when the class's frame predicate (semantics.frame_predicate) holds.
     Valuations range over all label assignments to (world, variable)
-    pairs for each relation.  The order is deterministic, and it is the
-    order in which the searches of this package walk the models.  Every
+    pairs for each relation, (world, variable) u-major over the sorted
+    variables, in itertools.product order.  The order is deterministic,
+    and it is the order in which the searches of this package walk the
+    models.  Every
     model is built, and validated, by the KripkeModel constructor.
     Drawing more than `ceiling` models raises EnumerationCeilingError.
     """
     if world_count < 1:
         raise ValueError("world_count must be >= 1")
-    variables = sorted(set(variables))
     budget = _Budget.of(ceiling)
+    slots = [(u, p) for u in range(world_count) for p in sorted(set(variables))]
     for rows in _relations(world_count, frame_class):
         edges = edge_set(rows)
-        slots, labellings = _valuations(variables, n, world_count, budget)
-        for labels in labellings:
+        # labels from 1..min(n, R + 1), as in the search (module docstring)
+        top = min(n, budget.ceiling - budget.examined + 1)
+        for labels in product(range(1, top + 1), repeat=len(slots)):
             budget.spend()
             yield KripkeModel(world_count, edges, zip(slots, labels))
+
+
+#: The bitsets of one formula over a chunk: each label it takes, to the
+#: positions where it takes it.
+_Bits = dict[int, int]
+
+
+def _chunks(relations: Iterable[tuple[int, ...]], world_count: int,
+            slot_count: int, n: int, budget: _Budget
+            ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int, int]]:
+    """The relations' labelled models in chunks, as (rows, start, count, top).
+
+    A chunk is labellings start .. start + count - 1, in product order
+    over 1..top, of each relation of `rows`: all of them for several
+    whole relations, or a piece of one relation too large for a chunk.
+    top is min(n, R + 1), R being the models left in `budget` when the
+    chunk's first relation starts (see the module docstring).  The
+    caller spends `budget` on each chunk before the next is drawn.
+    """
+    relations = iter(relations)
+    for rows in relations:
+        top = min(n, budget.ceiling - budget.examined + 1)
+        total = top ** slot_count
+        positions = BLOCK_WORLDS if top <= _FEW_LABELS else BLOCK_WORLDS >> 8
+        copies = max(1, positions // world_count)
+        if 0 < total <= copies:
+            yield (rows, *islice(relations, copies // total - 1)), 0, total, top
+        else:
+            for start in range(0, total, copies):
+                yield (rows,), start, min(copies, total - start), top
+
+
+@lru_cache(maxsize=32)
+def _layout(world_count: int, atom_count: int, top: int, start: int,
+            copies: int) -> tuple[int, int, tuple[_Bits, ...]]:
+    """(full, firsts, atoms) for a chunk of `copies` copies, copy c
+    carrying labelling number start + c: every position, the positions
+    of world 0, and the bitsets of each atom, atoms in sorted order.
+
+    A chunk of whole relations starts at 0 and numbers on across them;
+    each relation has top^slots labellings, a multiple of every digit's
+    period, so each gets labellings 0 .. top^slots - 1 of its own.
+    The result is cached and shared: no caller changes its dicts.
+    """
+    full = (1 << copies * world_count) - 1
+    firsts = full // ((1 << world_count) - 1)
+    slot_count = world_count * atom_count
+    atoms: list[_Bits] = [{} for _ in range(atom_count)]
+    for slot in range(slot_count):
+        u, atom = divmod(slot, atom_count)
+        bits = atoms[atom]
+        stride = top ** (slot_count - 1 - slot)
+        for label, runs in _digit_runs(start, copies, stride, top,
+                                       world_count, firsts).items():
+            bits[label] = bits.get(label, 0) | runs << u
+    return full, firsts, tuple(atoms)
+
+
+def _digit_runs(start: int, copies: int, stride: int, top: int,
+                world_count: int, firsts: int) -> _Bits:
+    """For each label, the world-0 positions of the copies c < `copies`
+    where digit (start + c) // stride % top is the label less one.
+
+    The digit keeps its value for runs of `stride` labellings and repeats
+    with period top * stride: the runs of one period are laid out, then
+    doubled up to the whole chunk when it spans two periods or more.
+    """
+    period = stride * top
+    if copies >= 2 * period:
+        width = copies * world_count
+        out = {}
+        for label, bits in _digit_runs(start, period, stride, top,
+                                       world_count, firsts).items():
+            span = period * world_count
+            while span < width:
+                bits |= bits << span
+                span *= 2
+            out[label] = bits & firsts
+        return out
+    out = {}
+    c = 0
+    while c < copies:
+        digit, offset = divmod(start + c, stride)
+        end = min(copies, c + stride - offset)
+        label = digit % top + 1
+        if end - c == 1:
+            run = 1 << c * world_count
+        else:
+            run = firsts & (1 << end * world_count) - (1 << c * world_count)
+        out[label] = out.get(label, 0) | run
+        c = end
+    return out
+
+
+def _edge_masks(chunk: Sequence[tuple[int, ...]], count: int, world_count: int
+                ) -> tuple[tuple[int, int], ...]:
+    """(d, E_d) for each offset d = v - u of some edge (u, v) in the chunk:
+    E_d holds world u of every copy whose relation has the edge (u, u + d).
+
+    The edges of relation r, at bit r * count * w + u, are spread to its
+    `count` copies by one product with the world-0 positions of a block.
+    """
+    span = count * world_count
+    block = ((1 << span) - 1) // ((1 << world_count) - 1)
+    by_offset: dict[int, int] = {}
+    for r, rows in enumerate(chunk):
+        base = r * span
+        for u, row in enumerate(rows):
+            for v in _members(row):
+                by_offset[v - u] = by_offset.get(v - u, 0) | 1 << base + u
+    return tuple((d, sel * block) for d, sel in by_offset.items())
+
+
+#: _edge_masks of chunks of the rooted frames kept up to _ROOTED_KEPT_UP_TO
+#: worlds and of every relation on up to two worlds: each query asks for
+#: the same chunks again.
+_kept_edge_masks = lru_cache(maxsize=64)(_edge_masks)
+
+
+def _bitsliced(sig: Signature, order: Sequence[Formula], atoms: dict[Var, _Bits],
+               full: int, edges: Sequence[tuple[int, int]]) -> dict[Formula, _Bits]:
+    """The bitsets of each formula of `order` (closure_order) over a chunk.
+
+    `atoms` gives each variable's bitsets, `full` every position and
+    `edges` the edge masks (_edge_masks).
+    """
+    n = sig.n
+
+    def reach(bits: int) -> int:
+        # the positions with a successor in `bits`
+        out = 0
+        for d, mask in edges:
+            out |= (bits >> d if d >= 0 else bits << -d) & mask
+        return out
+
+    vectors: dict[Formula, _Bits] = {}
+    for f in order:
+        if isinstance(f, Var):
+            vectors[f] = atoms[f]
+        elif isinstance(f, Apply):
+            table = _checked_connective(sig, f).table
+            rows = [((), full)]
+            for arg in f.args:
+                rows = [(labels + (k,), both) for labels, bits in rows
+                        for k, arg_bits in vectors[arg].items()
+                        if (both := bits & arg_bits)]
+            out: _Bits = {}
+            for labels, bits in rows:
+                label = table[labels]
+                out[label] = out.get(label, 0) | bits
+            vectors[f] = out
+        elif isinstance(f, (Box, Diamond)):
+            box = isinstance(f, Box)
+            sub = vectors[f.sub]
+            # ge: where the result is at least the current label; below:
+            # where sub is below the next one
+            labels = sorted({*sub, n if box else 1})
+            out, ge, below = {}, full, 0
+            for low, high in zip(labels, labels[1:]):
+                below |= sub.get(low, 0)
+                higher = full ^ reach(below) if box else reach(full ^ below)
+                if higher != ge:
+                    out[low] = ge ^ higher
+                ge = higher
+            if ge:
+                out[labels[-1]] = ge
+            vectors[f] = out
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return vectors
+
+
+def _refuting(vectors: dict[Formula, _Bits], sequent: Sequent, full: int) -> int:
+    """The positions where every antecedent member holds and no
+    succedent member does."""
+    bits = full
+    for lf in sequent.antecedent:
+        bits &= vectors[lf.formula].get(lf.label, 0)
+    for lf in sequent.succedent:
+        bits &= ~vectors[lf.formula].get(lf.label, 0)
+    return bits
+
+
+def _labelling(number: int, top: int, length: int) -> list[int]:
+    """Labelling `number` in product order over 1..top, of `length` slots."""
+    labels = []
+    for _ in range(length):
+        number, digit = divmod(number, top)
+        labels.append(digit + 1)
+    return labels[::-1]
 
 
 def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
@@ -349,18 +531,14 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     """First model (in enumeration order) satisfying the hypotheses and
     refuting the goal at some world, searching world counts 1..bound.
 
-    Models come in enumerate_models' order, a block of one relation's
-    valuations at a time (_blocks).  A block's label vectors are computed
-    once, over the whole closure.  A copy is rejected when a hypothesis
-    fails at one of its worlds, and the first goal-refuting world of a
-    copy not rejected gives the countermodel.  From _ROOTED_FROM worlds
-    up, each world count is first searched over the rooted frames alone,
-    with the goal tested at world 0 of each copy (see the module
-    docstring); only when that pass finds a countermodel are all the
-    relations on that many worlds searched, for the first countermodel
-    in enumeration order.  `ceiling` counts the models examined over
-    all world counts and both passes: every copy up to a countermodel's,
-    or the whole block.
+    Models come in enumerate_models' order, a chunk at a time (_chunks),
+    bit-sliced as the module docstring describes.  From _ROOTED_FROM
+    worlds up, each world count is first searched over the rooted frames
+    alone, with the goal tested at world 0 of each copy; only when that
+    pass finds a countermodel are all the relations on that many worlds
+    searched, for the first countermodel in enumeration order.
+    `ceiling` counts the models examined over all world counts and both
+    passes: every copy up to a countermodel's, or the whole chunk.
     """
     order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
     atoms = sorted((f for f in order if isinstance(f, Var)),
@@ -368,21 +546,41 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     budget = _Budget.of(ceiling)
 
     def first(world_count: int, rooted: bool) -> Optional[Countermodel]:
-        for rows, slots, block, stacked, cache in _blocks(
-                atoms, sig.n, world_count, frame_class, budget,
-                _rooted_relations if rooted else _relations):
-            label_vectors(sig, stacked, order, cache)
-            rejected = {w // world_count for h in hypotheses
-                        for w in refuting_worlds(sig, stacked, h, cache)}
-            worlds = range(0, stacked.world_count, world_count if rooted else 1)
-            found = next((w for w in refuting_among(cache, goal, worlds)
-                          if w // world_count not in rejected), None)
-            if found is None:
-                budget.spend(len(block))
+        if rooted:
+            relations = _rooted_relations(world_count, frame_class)
+            kept = world_count <= _ROOTED_KEPT_UP_TO
+        else:
+            relations = _relations(world_count, frame_class)
+            kept = world_count <= 2
+        edge_masks = _kept_edge_masks if kept else _edge_masks
+        slots = [(u, a.name) for u in range(world_count) for a in atoms]
+        whole_copy = (1 << world_count) - 1
+        for chunk, start, count, top in _chunks(relations, world_count,
+                                                len(slots), sig.n, budget):
+            copies = len(chunk) * count
+            full, firsts, atom_bits = _layout(world_count, len(atoms), top,
+                                              start, copies)
+            vectors = _bitsliced(sig, order, dict(zip(atoms, atom_bits)), full,
+                                 edge_masks(chunk, count, world_count))
+            rejected = 0
+            for h in hypotheses:
+                rejected |= _refuting(vectors, h, full)
+            if rejected:
+                marks = 0
+                for u in range(world_count):
+                    marks |= rejected >> u
+                rejected = (marks & firsts) * whole_copy
+            hits = _refuting(vectors, goal, full) & ~rejected
+            if rooted:
+                hits &= firsts
+            if not hits:
+                budget.spend(copies)
                 continue
-            copy, world = divmod(found, world_count)
+            copy, world = divmod((hits & -hits).bit_length() - 1, world_count)
             budget.spend(copy + 1)
-            model = KripkeModel(world_count, edge_set(rows), zip(slots, block[copy]))
+            r, i = divmod(copy, count)
+            model = KripkeModel(world_count, edge_set(chunk[r]),
+                                zip(slots, _labelling(start + i, top, len(slots))))
             _verify_countermodel(sig, model, world, hypotheses, goal, frame_class)
             return Countermodel(model, world)
         return None

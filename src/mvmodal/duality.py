@@ -238,8 +238,13 @@ def uniqueness_scan(n: int, bound: int,
 
     The first occurrences of the sets of successor values are built once
     and every table is checked against them (see the module docstring).
-    `ceiling` counts the models examined over the whole scan, as
-    duality_holds counts them for each table in turn.
+    When the empty set is among them, it is the first, in model 1, and
+    every table with t(1) != n or t(n) != 1 breaks there: those
+    n^n - n^(n-2) tables are counted at once, and only the tables
+    (n, ..., 1) are checked.  `ceiling` counts the models examined over
+    the whole scan, as duality_holds counts them for each table in turn;
+    the count only grows, so whether it passes the ceiling does not
+    depend on the order in which the tables are counted.
     """
     if n > 6:
         raise ValueError(f"scan over {n}^{n} tables is above desk scale")
@@ -248,8 +253,13 @@ def uniqueness_scan(n: int, bound: int,
         raise ValueError(f"bound must be >= 0, got {bound}")
     budget = _Budget.of(ceiling)
     firsts = list(_first_sets(n, bound, budget.ceiling))
+    if firsts:  # the empty set, in model 1
+        budget.spend(n ** n - n ** (n - 2))
+        tables = ((n, *mid, 1) for mid in product(range(1, n + 1), repeat=n - 2))
+    else:
+        tables = product(range(1, n + 1), repeat=n)
     survivors = []
-    for table in product(range(1, n + 1), repeat=n):
+    for table in tables:
         broken = _first_break(table, n, firsts)
         if broken is None:
             _spend_whole_scan(budget, n, bound)

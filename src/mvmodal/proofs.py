@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     Apply,
@@ -207,11 +207,10 @@ class ExtensionAxiom:
             object.__setattr__(self, "label", 1)
 
 
-Justification = Union[
-    Hypothesis, AxiomIdentity, AxiomTable, RuleBox, RuleDiamond,
-    LeftShift, RightShift, LeftWeaken, RightWeaken, Cut, Resolution,
-    MultiShift, SuperMultiShift, ExtensionAxiom,
-]
+Justification = (
+    Hypothesis | AxiomIdentity | AxiomTable | RuleBox | RuleDiamond
+    | LeftShift | RightShift | LeftWeaken | RightWeaken | Cut | Resolution
+    | MultiShift | SuperMultiShift | ExtensionAxiom)
 
 
 @dataclass(frozen=True)

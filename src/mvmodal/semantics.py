@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 from .core import (
     Apply,
     Box,
+    Connective,
     Diamond,
     Formula,
     LabelledFormula,
@@ -50,9 +51,7 @@ class KripkeModel:
     no explicit entry take label 1 everywhere, so the valuation is total.
     Models are immutable after construction.
 
-    The constructor validates the edges and the valuation.  The one
-    model built without it is a stacked frame (stacked_frame), which
-    only the evaluator reads.
+    The constructor validates the edges and the valuation.
     """
 
     world_count: int
@@ -102,27 +101,6 @@ class KripkeModel:
         return tuple(sorted({p for (_, p) in self._val_map}))
 
 
-def stacked_frame(rows: Sequence[int], copies: int) -> KripkeModel:
-    """The disjoint union of `copies` copies of the frame with successor
-    rows `rows` (successor_rows), unchecked.
-
-    Copy i holds worlds i*w .. i*w + w - 1, where w is len(rows), and
-    world i*w + u sees i*w + v for each v that u sees.  The result
-    carries only what label_vectors reads: the world count copies*w and
-    the frame's own w successor sets, from which label_vectors folds each
-    world's column of copies at once.  The edge set and the valuation are
-    empty, so a caller must seed the label vector of every variable it
-    evaluates (label_vectors' cache).  Nothing outside the evaluator
-    reads a stacked frame: `successors` and the frame predicates see only
-    the first copy.
-    """
-    model = object.__new__(KripkeModel)
-    model.__dict__.update(world_count=copies * len(rows), edges=frozenset(),
-                          vals=(), _val_map={},
-                          _succ=tuple(frozenset(_members(r)) for r in rows))
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -138,20 +116,16 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     `order` lists every formula after its subformulas (closure_order).
     A variable reads the valuation, a connective its table at each world,
     and Box and Dia take the minimum and maximum over the successors.
-    This is the package's only evaluator: the intuitionistic semantics
-    is this one on the formula's embedding (intuitionistic.eval_mvil).
-
-    A stacked frame (stacked_frame) has more worlds than successor
-    sets: world i*w + u is copy i of world u, with w the number of sets.
-    There Box and Dia fold whole columns, the labels of every copy of a
-    world at once (_fold_columns); a model of one copy is folded world
-    by world, which is faster for a single copy.
+    This is the single-model evaluator: eval, sat, filtration and the
+    intuitionistic semantics (intuitionistic.eval_mvil, on the formula's
+    embedding) read it.  The countermodel search evaluates many models
+    at once by its own bit-sliced kernel (decision._bitsliced), and this
+    evaluator re-checks each countermodel it returns, independently of
+    that kernel.
     """
     vectors: Cache = {} if cache is None else cache
     succ = model._succ
-    world_count = model.world_count
-    worlds = range(world_count)
-    stacked = world_count > len(succ)
+    worlds = model.worlds
     n = sig.n
     for f in order:
         if f in vectors:
@@ -164,43 +138,26 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
                 raise ValueError(f"valuation gives {name!r} label {vec[w]} at "
                                  f"world {w}, above the domain's {n}")
         elif isinstance(f, Apply):
-            conn = sig.connective(f.conn)
-            if len(f.args) != conn.arity:
-                raise ValueError(f"connective {f.conn!r} expects {conn.arity} "
-                                 f"arguments, got {len(f.args)}")
-            rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * world_count
+            conn = _checked_connective(sig, f)
+            rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * len(worlds)
             vec = list(map(conn.table.__getitem__, rows))
         elif isinstance(f, (Box, Diamond)):
             pick, default = (min, n) if isinstance(f, Box) else (max, 1)
-            if stacked:
-                vec = _fold_columns(pick, default, vectors[f.sub], succ, world_count)
-            else:
-                sub = vectors[f.sub].__getitem__
-                vec = [pick(map(sub, s), default=default) for s in succ]
+            sub = vectors[f.sub].__getitem__
+            vec = [pick(map(sub, s), default=default) for s in succ]
         else:
             raise TypeError(f"not a formula: {f!r}")
         vectors[f] = vec
     return vectors
 
 
-def _fold_columns(pick: Callable[..., int], default: int, sub: list[int],
-                  succ: Sequence[frozenset[int]], world_count: int) -> list[int]:
-    """`pick` (min or max) of `sub` over the successors on a stacked frame.
-
-    The labels of every copy of world u form the column vec[u::w], and
-    copy i of u sees copy i of each successor v, so the column is `pick`
-    taken elementwise over the columns sub[v::w].  A world without
-    successors keeps `default`; with one, its column is copied.
-    """
-    period = len(succ)
-    vec = [default] * world_count
-    for u, s in enumerate(succ):
-        if len(s) == 1:
-            (v,) = s
-            vec[u::period] = sub[v::period]
-        elif s:
-            vec[u::period] = map(pick, *[sub[v::period] for v in s])
-    return vec
+def _checked_connective(sig: Signature, f: Apply) -> Connective:
+    """The signature's connective of `f`, checked against its arguments."""
+    conn = sig.connective(f.conn)
+    if len(f.args) != conn.arity:
+        raise ValueError(f"connective {f.conn!r} expects {conn.arity} "
+                         f"arguments, got {len(f.args)}")
+    return conn
 
 
 def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula,
@@ -241,18 +198,9 @@ def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
                if lf.formula not in vectors]
     if missing:
         label_vectors(sig, model, closure_order(missing), vectors)
-    return refuting_among(vectors, sequent, model.worlds)
-
-
-def refuting_among(vectors: Cache, sequent: Sequent, worlds: Sequence[int]
-                   ) -> Iterator[int]:
-    """The worlds of `worlds`, in order, where the sequent fails, read off
-    `vectors`, which must hold the label vector of each of its formulas.
-
-    This is refuting_worlds' filter over a chosen sequence of worlds.
-    """
     members = [(vectors[lf.formula], lf.label.__eq__) for lf in sequent.antecedent]
     members += [(vectors[lf.formula], lf.label.__ne__) for lf in sequent.succedent]
+    worlds = model.worlds
     for vec, keep in members:
         worlds = list(compress(worlds, map(keep, map(vec.__getitem__, worlds))))
         if not worlds:

@@ -31,6 +31,9 @@ from mvmodal.duality import (
     DualityReport,
     DualityWitness,
     UnaryTable,
+    _first_break,
+    _first_sets,
+    _spend_whole_scan,
     negation_connective,
 )
 from mvmodal.proofs import Derivation, LogicId, Step
@@ -365,6 +368,34 @@ def oracle_duality_holds(table: UnaryTable, n: int, bound: int,
                         return DualityReport(False,
                                              DualityWitness(model, world, left, side))
     return DualityReport(True)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: uniqueness_scan before it counted the tables that break on the
+# empty set at once, its per-table loop kept verbatim but for its name
+# and a shared budget.
+# ---------------------------------------------------------------------------
+
+
+def oracle_uniqueness_scan(n: int, bound: int,
+                           ceiling: Union[int, decision._Budget, None] = None
+                           ) -> tuple[UnaryTable, ...]:
+    if n > 6:
+        raise ValueError(f"scan over {n}^{n} tables is above desk scale")
+    TruthDomain(n)  # the domain check of duality_holds: n >= 2
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    budget = decision._Budget.of(ceiling)
+    firsts = list(_first_sets(n, bound, budget.ceiling))
+    survivors = []
+    for table in product(range(1, n + 1), repeat=n):
+        broken = _first_break(table, n, firsts)
+        if broken is None:
+            _spend_whole_scan(budget, n, bound)
+            survivors.append(table)
+        else:
+            budget.spend(broken[0].count)
+    return tuple(survivors)
 
 
 # ---------------------------------------------------------------------------

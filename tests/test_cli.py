@@ -172,6 +172,56 @@ class TestDecide:
         assert code == 0 and out.strip() == "valid-up-to 1"
 
 
+class TestSequentsBeginningWithADash:
+    """A sequent with an empty antecedent begins with "->"; without a
+    space after it, argparse would take it for an option."""
+
+    @pytest.mark.parametrize("sequent", ["->(p,2)", "->(p, 2)", "-> (p,2)"])
+    def test_decide(self, ws, capsys, sequent):
+        # p = 2 fails at a one-world model with p = 1
+        code, out, err = run(capsys, "decide", "--sig", str(ws / "sig.mvk"),
+                             "--bound", "1", sequent)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[:2] == ["countermodel", "world 0"]
+
+    def test_decide_empty_sequent(self, ws, capsys):
+        # the empty succedent fails at every world of every model
+        code, out, err = run(capsys, "decide", "--sig", str(ws / "sig.mvk"),
+                             "--bound", "1", "->")
+        assert (code, err) == (1, "")
+        assert out == "countermodel\nworld 0\nworlds 1\n"
+
+    def test_decide_before_the_options(self, ws, capsys):
+        code, out, _ = run(capsys, "decide", "->(p,2)", "--sig",
+                           str(ws / "sig.mvk"), "--bound", "1")
+        assert code == 1 and out.startswith("countermodel\n")
+
+    @pytest.mark.parametrize("sequent, code, first", [
+        ("->(p,2)", 1, "unsatisfied"), ("->(p,1)", 0, "satisfied"),
+        ("->", 1, "unsatisfied")])
+    def test_sat(self, ws, capsys, sequent, code, first):
+        # the dead-end world leaves p at 1
+        out = run(capsys, "sat", "--sig", str(ws / "sig.mvk"),
+                  "--model", str(ws / "model.mvk"), sequent)
+        assert out[0] == code and out[2] == ""
+        assert out[1].splitlines()[0] == first
+
+    def test_double_dash_still_ends_the_options(self, ws, capsys):
+        code, out, _ = run(capsys, "decide", "--sig", str(ws / "sig.mvk"),
+                           "--bound", "1", "--", "->(p,2)")
+        assert code == 1 and out.startswith("countermodel\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--sig", "S", "-x", "->(p,2)"],
+        ["decide", "--sig", "S", "--bond", "1", "->"],
+        ["sat", "--sig", "S", "--model", "M", "-(p,2)"]])
+    def test_an_unknown_option_is_a_usage_error(self, ws, capsys, argv):
+        argv = [str(ws / "sig.mvk") if a == "S" else
+                str(ws / "model.mvk") if a == "M" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: mvmodal")
+
+
 class TestCheckProof:
     def test_accepted(self, ws, capsys):
         script = render_proof(box_modus_ponens_lukasiewicz())

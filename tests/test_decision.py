@@ -1,9 +1,9 @@
 import random
-from itertools import groupby, zip_longest
+from itertools import groupby, product, zip_longest
 from operator import attrgetter
 
 import pytest
-from helpers import oracle_decide, oracle_models, rooted_classes
+from helpers import oracle_decide, oracle_models, rand_sequent, rooted_classes
 
 from mvmodal import decision
 from mvmodal.core import (
@@ -17,6 +17,7 @@ from mvmodal.core import (
     lukasiewicz_implication,
     lukasiewicz_signature,
     make_signature,
+    reversal_connective,
     subformula_closure,
     up_set,
 )
@@ -33,7 +34,7 @@ from mvmodal.decision import (
 )
 from mvmodal.parser import parse_sequent
 from mvmodal.proofs import LogicId, instantiate_scheme
-from mvmodal.semantics import FrameClass, frame_check, satisfies_sequent
+from mvmodal.semantics import FrameClass, KripkeModel, frame_check, satisfies_sequent
 
 p = Var("p")
 q = Var("q")
@@ -363,24 +364,35 @@ class TestWitnessesPinned:
             assert caught.value.examined == count - 1
 
     def test_stacked_frames_stay_within_the_block_cap(self, luk3, monkeypatch):
-        # 3^6 = 729 valuations of three variables on 2 worlds per relation
-        worlds = []
-        real = decision.label_vectors
+        # a chunk holds at most BLOCK_WORLDS positions: whole relations
+        # while they fit, else one relation split at a labelling index
+        chunks = []
+        real = decision._chunks
 
-        def recording(sig, model, *args):
-            worlds.append(model.world_count)
-            return real(sig, model, *args)
+        def recording(*args):
+            for chunk in real(*args):
+                rows, start, count, _ = chunk
+                chunks.append((len(rows[0]), len(rows), start, count))
+                yield chunk
 
-        monkeypatch.setattr(decision, "label_vectors", recording)
+        monkeypatch.setattr(decision, "_chunks", recording)
         monkeypatch.setattr(decision, "BLOCK_WORLDS", 100)
         r = Var("r")
         goal = Sequent([lf(Box(p), 3), lf(q, 2), lf(r, 1)], [lf(p, 3)])
         assert search_countermodel(luk3, (), goal, FrameClass.REFLEXIVE,
                                    2) is None
-        # the 27 one-world models in one block, then each of the 4
-        # reflexive relations on 2 worlds in blocks of 50 copies: 14 full
-        # blocks and one of the 29 valuations left
-        assert worlds == [27] + ([100] * 14 + [58]) * 4
+        # (worlds, relations, start, count): the 27 labellings of the one
+        # reflexive relation on 1 world in one chunk, then each of the 4
+        # on 2 worlds, 729 labellings, in 14 chunks of 50 copies and one
+        # of the 29 left
+        pieces = [(2, 1, start, 50) for start in range(0, 700, 50)]
+        assert chunks == [(1, 1, 0, 27)] + (pieces + [(2, 1, 700, 29)]) * 4
+        # one variable: the 2 relations on 1 world in one chunk, then the
+        # 16 on 2 worlds, 9 labellings each, five to a chunk
+        chunks.clear()
+        goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
+        assert search_countermodel(luk3, (), goal, FrameClass.ANY, 2) is None
+        assert chunks == [(1, 2, 0, 3)] + [(2, 5, 0, 9)] * 3 + [(2, 1, 0, 9)]
 
     def test_ceiling_boundary_of_a_refuted_query(self, luk3, monkeypatch):
         # no one-world model refutes the goal: the witness lies inside the
@@ -399,6 +411,94 @@ class TestWitnessesPinned:
                 with pytest.raises(EnumerationCeilingError) as caught:
                     decide(luk3, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
                 assert caught.value.examined == ceiling
+
+
+def _kernel_signature(n):
+    """The signature of tests/test_label_vectors.py at n values: imp,
+    the reversal neg and the constant half."""
+    return make_signature(n, [lukasiewicz_implication(n), reversal_connective(n),
+                              Connective("half", 0, {(): 2})])
+
+
+class TestBitSlicedKernel:
+    """decide against helpers.oracle_decide over the same relations, each
+    model built and checked in full, under the imp, neg and half
+    signature for n = 2..4: random goals alone and under a random global
+    hypothesis, with chunks of the default cap and of 5 positions, so
+    that chunks start inside a relation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_random_goals_match_the_oracle(self, logic, n, monkeypatch):
+        sig = _kernel_signature(n)
+        rng = random.Random(f"{logic.value} {n}")
+        cases = [(Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), n)), 2, ["p"])]
+        if n == 2:  # three worlds: the rooted pass first
+            cases += [(rand_sequent(rng, sig, ["p"]), 3, ["p"]) for _ in range(3)]
+        cases += [(rand_sequent(rng, sig, ["p", "q"]), 2, ["p", "q"]) for _ in range(6)]
+        default = decision.BLOCK_WORLDS
+        outcomes = set()
+        for goal, bound, variables in cases:
+            hypothesis = rand_sequent(rng, sig, variables, depth=1, max_side=2)
+            for hypotheses in ((), (hypothesis,)):
+                expected = oracle_decide(sig, hypotheses, goal, logic.frame_class,
+                                         bound, relations=_relations)
+                outcomes.add(type(expected))
+                for block_worlds in (default, 5):
+                    monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+                    out = decide(sig, hypotheses, goal, logic, bound)
+                    case = (goal, hypotheses, bound, block_worlds)
+                    assert out == expected, case
+                    if isinstance(out, Countermodel):
+                        assert out.model.vals == expected.model.vals, case
+                        assert out.world == expected.world, case
+        assert Countermodel in outcomes and len(outcomes) > 1
+
+    @pytest.mark.parametrize("block_worlds", [decision.BLOCK_WORLDS, 5])
+    def test_ceilings_below_the_domain(self, block_worlds, monkeypatch):
+        # with fewer models left than labels, labels are cut at one past
+        # the models left: every ceiling up to the witness aborts at
+        # itself, and from the witness's count on the witness is returned
+        monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+        sig = _kernel_signature(4)
+        goal = Sequent([lf(Box(p), 2)], [lf(p, 2), lf(p, 3)])
+        expected = oracle_decide(sig, (), goal, FrameClass.ANY, 2,
+                                 relations=_relations)
+        models = [m for w in (1, 2) for m in oracle_models(["p"], 4, w, FrameClass.ANY)]
+        drawn = models.index(expected.model) + 1
+        assert expected.model.world_count == 2 and drawn > 4
+        for ceiling in range(drawn + 2):
+            if ceiling < drawn:
+                with pytest.raises(EnumerationCeilingError) as caught:
+                    decide(sig, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
+                assert caught.value.examined == ceiling
+            else:
+                out = decide(sig, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
+                assert out == expected and out.model.vals == expected.model.vals
+
+    @pytest.mark.parametrize("block_worlds", [decision.BLOCK_WORLDS, 5])
+    def test_a_huge_domain(self, block_worlds, monkeypatch):
+        # 10^9 labels: p = 5 at a one-world model without edges is the
+        # fifth model, drawn from the labels 1..ceiling + 1
+        monkeypatch.setattr(decision, "BLOCK_WORLDS", block_worlds)
+        sig = make_signature(10 ** 9)
+        goal = Sequent([lf(p, 5)], [])
+        for ceiling in (0, 4):
+            with pytest.raises(EnumerationCeilingError):
+                decide(sig, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
+        for ceiling in (5, 1000):
+            out = decide(sig, (), goal, LogicId.MV_K, 2, ceiling=ceiling)
+            assert out == Countermodel(KripkeModel(1, (), {(0, "p"): 5}), 0)
+        valid = Sequent([lf(Box(p), 2)], [lf(Box(p), 2)])
+        with pytest.raises(EnumerationCeilingError) as caught:
+            decide(sig, (), valid, LogicId.MV_K, 2, ceiling=1000)
+        assert caught.value.examined == 1000
+
+    def test_labellings_are_the_product_order(self):
+        for top, length in ((1, 3), (2, 4), (3, 3), (5, 2)):
+            assert [decision._labelling(i, top, length)
+                    for i in range(top ** length)] == [
+                list(labels) for labels in product(range(1, top + 1), repeat=length)]
 
 
 # (logic, goal, hypothesis): goals over p at n = 2 whose first

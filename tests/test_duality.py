@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import oracle_duality_holds, rand_formula
+from helpers import oracle_duality_holds, oracle_uniqueness_scan, rand_formula
 from mvmodal import decision
 from mvmodal.core import Apply, Box, Diamond, Signature, Var
 from mvmodal.decision import EnumerationCeilingError
@@ -147,6 +147,30 @@ class TestAgainstTheOracleAtLargerSizes:
         with pytest.raises(EnumerationCeilingError) as caught:
             uniqueness_scan(n, bound, ceiling=total - 1)
         assert caught.value.examined == total - 1
+
+
+class TestScanAgainstThePerTableLoop:
+    """uniqueness_scan against helpers.oracle_uniqueness_scan, which checks
+    every table against every set of successor values, the empty set
+    included: the same survivors, the same count of models examined, and
+    the same ceiling outcome."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_survivors_count_and_ceiling(self, n, bound):
+        whole = decision._Budget(10 ** 9)
+        oracle_uniqueness_scan(n, bound, whole)
+        total = whole.examined
+        for ceiling in sorted({0, 1, max(total - 1, 0), total}):
+            outcomes = []
+            for scan in (uniqueness_scan, oracle_uniqueness_scan):
+                budget = decision._Budget(ceiling)
+                try:
+                    outcomes.append((scan(n, bound, budget), budget.examined))
+                except EnumerationCeilingError as caught:
+                    outcomes.append(("aborted", caught.examined))
+            assert outcomes[0] == outcomes[1], ceiling
+            assert (outcomes[0][0] == "aborted") == (ceiling < total), ceiling
 
 
 class TestUniquenessScan:

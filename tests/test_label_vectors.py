@@ -1,10 +1,11 @@
-"""The bottom-up evaluator against the recursive oracles, and its edges.
+"""The evaluators against the recursive oracles, and their edges.
 
 The oracles in helpers.py are the recursive evaluators that
 label_vectors replaced, and the per-world refuting_worlds that the
 member-by-member filter replaced.  The property tests draw models of
-every frame class, single or stacked (stacked_frame), and
-formulas over a signature with a constant (0-ary connective).
+every frame class, single or stacked in a chunk of the countermodel
+search's bit-sliced kernel (decision._bitsliced), and formulas over a
+signature with a constant (0-ary connective).
 """
 
 import random
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import _eval, _eval_mvil, class_models
+from helpers import _class_relations, _eval, _eval_mvil, class_models
+from mvmodal import decision
 from mvmodal.core import (
     Apply,
     Box,
@@ -38,11 +40,9 @@ from mvmodal.semantics import (
     FrameClass,
     KripkeModel,
     evaluate,
-    label_vectors,
     model_satisfies,
     refuting_worlds,
     satisfies_sequent,
-    stacked_frame,
     successor_rows,
 )
 
@@ -120,41 +120,67 @@ def test_eval_mvil_matches_the_oracle(model, f):
 
 
 # ---------------------------------------------------------------------------
-# Stacked models and the member-by-member filter
+# Stacked copies in a chunk of the bit-sliced search, and the
+# member-by-member filter
 # ---------------------------------------------------------------------------
 
-#: The copy counts drawn: one copy keeps the per-world fold.
+#: The copies of each relation drawn: one copy is a single model.
 COPIES = [1, 2, 5]
+
+
+def _chunk(world_count, frames, start, count):
+    """A chunk of the bit-sliced search holding `count` copies of each
+    frame (an edge set on `world_count` worlds), and the model each copy
+    stands for: copy c carries labelling start + c of p and q, modulo
+    their number, as decision._layout lays them out."""
+    rows = tuple(successor_rows(KripkeModel(world_count, edges)) for edges in frames)
+    copies = len(rows) * count
+    full, _, atoms = decision._layout(world_count, 2, 3, start, copies)
+    chunk = (full, dict(zip((P, Var("q")), atoms)),
+             decision._edge_masks(rows, count, world_count))
+    slots = [(u, name) for u in range(world_count) for name in ("p", "q")]
+    members = [KripkeModel(world_count, frames[c // count], zip(slots, decision._labelling(
+                   (start + c) % 3 ** len(slots), 3, len(slots))))
+               for c in range(copies)]
+    return chunk, members
 
 
 @st.composite
 def stacks(draw):
-    """A frame of any class stacked 1, 2 or 5 times, and the model each
-    copy stands for: the frame with its own valuation of p and q."""
-    base = draw(st.sampled_from(FrameClass).flatmap(class_models))
-    slots = [(u, name) for u in base.worlds for name in ("p", "q")]
-    labels = st.lists(st.integers(1, 3), min_size=len(slots), max_size=len(slots))
-    copies = draw(st.sampled_from(COPIES))
-    members = [base] + [KripkeModel(base.world_count, base.edges,
-                                    dict(zip(slots, draw(labels))))
-                        for _ in range(copies - 1)]
-    return stacked_frame(successor_rows(base), copies), members
+    """A chunk of one to three frames of a class, each stacked 1, 2 or 5
+    times, from a drawn labelling on, and the model each copy stands for."""
+    frame_class = draw(st.sampled_from(FrameClass))
+    world_count = draw(st.integers(1, 3))
+    frames = draw(st.lists(st.sampled_from(_class_relations(world_count, frame_class)),
+                           min_size=1, max_size=3))
+    start = draw(st.integers(0, 3 ** (2 * world_count) - 1))
+    return _chunk(world_count, frames, start, draw(st.sampled_from(COPIES)))
 
 
-def _seeded(members):
-    """The stack's variable vectors, copy by copy, as the search seeds them."""
-    return {Var(name): [m.value(u, name) for m in members for u in m.worlds]
-            for name in ("p", "q")}
+def _labels_at(bits, positions):
+    """The label at each position, from a formula's bitsets, which must
+    be non-empty and partition the positions."""
+    labels = [0] * positions
+    for label, members in bits.items():
+        assert members
+        for pos in range(positions):
+            if members >> pos & 1:
+                assert labels[pos] == 0
+                labels[pos] = label
+    assert 0 not in labels
+    return labels
 
 
-def _assert_copies_match_the_oracle(stacked, members, fs):
+def _assert_copies_match_the_oracle(chunk, members, fs):
+    full, atoms, edges = chunk
     order = closure_order(fs)
-    vectors = label_vectors(SIG, stacked, order, _seeded(members))
+    vectors = decision._bitsliced(SIG, order, atoms, full, edges)
     w = members[0].world_count
-    for i, member in enumerate(members):
-        oracle = {}
-        for f in order:
-            assert vectors[f][i * w:(i + 1) * w] == [
+    for f in order:
+        labels = _labels_at(vectors[f], len(members) * w)
+        for i, member in enumerate(members):
+            oracle = {}
+            assert labels[i * w:(i + 1) * w] == [
                 _eval(SIG, member, u, f, oracle) for u in member.worlds], (i, f)
 
 
@@ -167,16 +193,12 @@ def test_stacked_copies_match_the_recursive_oracle(stack, fs):
 @pytest.mark.parametrize("copies", COPIES)
 def test_stacked_worlds_with_no_one_and_two_successors(copies):
     # world 0 sees 1 and 2, world 1 sees only 2, world 2 is a dead end
-    base = KripkeModel(3, {(0, 1), (0, 2), (1, 2)})
-    rng = random.Random(copies)
-    members = [KripkeModel(3, base.edges, {(u, name): rng.randint(1, 3)
-                                           for u in range(3) for name in "pq"})
-               for _ in range(copies)]
+    edges = frozenset({(0, 1), (0, 2), (1, 2)})
+    start = random.Random(copies).randrange(3 ** 6 - copies)
     q = Var("q")
     fs = [Box(P), Diamond(P), Box(Diamond(q)), Diamond(Box(Apply("imp", (P, q)))),
           Box(Apply("half", ())), Diamond(Apply("neg", (Diamond(q),)))]
-    _assert_copies_match_the_oracle(stacked_frame(successor_rows(base), copies),
-                                    members, fs)
+    _assert_copies_match_the_oracle(*_chunk(3, [edges], start, copies), fs)
 
 
 @st.composite
@@ -209,11 +231,16 @@ def test_refuting_worlds_matches_the_per_world_oracle(model, seqs):
 @settings(max_examples=150, deadline=None)
 @given(stacks(), st.lists(sequent_shapes(), min_size=1, max_size=3))
 def test_refuting_worlds_on_stacked_models(stack, seqs):
-    stacked, members = stack
-    cache, oracle = _seeded(members), _seeded(members)
+    # the kernel's refuting positions against the per-world oracle on
+    # each copy's model
+    (full, atoms, edges), members = stack
+    order = closure_order(f for s in seqs for f in s.formulas())
+    vectors = decision._bitsliced(SIG, order, atoms, full, edges)
+    w = members[0].world_count
     for s in seqs:
-        assert (list(refuting_worlds(SIG, stacked, s, cache))
-                == list(helpers.refuting_worlds(SIG, stacked, s, oracle)))
+        expected = sum(1 << i * w + u for i, member in enumerate(members)
+                       for u in helpers.refuting_worlds(SIG, member, s))
+        assert decision._refuting(vectors, s, full) == expected
 
 
 def test_a_member_on_both_sides_refutes_nowhere():
