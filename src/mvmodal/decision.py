@@ -9,9 +9,9 @@ further than that.
 
 The search builds only relations of the frame class, generated per
 class as enumerate_models describes and carried as bitmask successor
-rows (semantics.successor_rows); the frame properties themselves are
-defined once, in semantics.frame_predicate.  Edge sets are built from
-the rows (semantics.edge_set) only for a model that is returned.
+rows (semantics.successor_rows); the classes are defined once, in
+semantics' frame-class table.  Edge sets are built from the rows
+(semantics.edge_set) only for a model that is returned.
 
 The search evaluates many labelled models at once, bit-sliced.  The
 models of one world count w are cut into chunks (_chunks): `count`
@@ -98,6 +98,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .core import Apply, Box, Diamond, Formula, Sequent, Signature, Var, closure_order
 from .proofs import LogicId
 from .semantics import (
+    _FRAME_PROPERTIES,
     FrameClass,
     KripkeModel,
     _checked_connective,
@@ -203,14 +204,12 @@ def filtration_bound(hypotheses: Iterable[Sequent], goal: Sequent, n: int) -> in
 def _relations(world_count: int, frame_class: FrameClass
                ) -> Iterator[tuple[int, ...]]:
     """Successor rows of every relation on `world_count` worlds in the
-    frame class, lazily."""
-    if frame_class is FrameClass.ANY:
-        # row u of mask m is bits u*w .. u*w + w - 1: pairs (u, v), u major
-        full = (1 << world_count) - 1
-        shifts = range(0, world_count * world_count, world_count)
-        for mask in range(1 << world_count * world_count):
-            yield tuple(mask >> shift & full for shift in shifts)
-    elif frame_class is FrameClass.SERIAL:
+    frame class, lazily, in the order enumerate_models describes."""
+    if not _FRAME_PROPERTIES[frame_class]:
+        # the masks over the pairs (u, v), u major, in order: row 0 fastest
+        for rows in product(range(1 << world_count), repeat=world_count):
+            yield rows[::-1]
+    elif not all(p.universal for p in _FRAME_PROPERTIES[frame_class]):
         yield from product(range(1, 1 << world_count), repeat=world_count)
     else:
         yield from _extensions(world_count, frame_predicate(frame_class))

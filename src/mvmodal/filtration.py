@@ -9,7 +9,7 @@ modal values so the filtered model stays inside the frame class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Optional
+from typing import Iterable, Literal, Mapping, Optional, get_args
 
 from .core import (
     Box,
@@ -129,6 +129,8 @@ def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],
     check_frame for diagnostic uses).  Class valuations copy the value of
     each variable of phi at any member; other variables default to 1.
     """
+    if representative not in get_args(Representative):
+        raise ValueError(f"unknown representative {representative!r}")
     order = _validated_closure(phi)
     if check_frame and not frame_check(model, logic.frame_class):
         raise ValueError(f"model is not in the {logic.frame_class.value} frame class")

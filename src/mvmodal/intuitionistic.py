@@ -35,7 +35,6 @@ from .semantics import (
     FrameClass,
     KripkeModel,
     _check_world,
-    evaluate,
     frame_check,
     label_vectors,
 )
@@ -46,7 +45,7 @@ def is_mvil_interpretation(model: KripkeModel) -> bool:
     if not frame_check(model, FrameClass.PREORDER):
         return False
     return all(model.value(u, p) <= model.value(v, p)
-               for (u, v) in model.edges for p in model.variables())
+               for p in model.variables() for (u, v) in model.edges)
 
 
 #: Tags eval_mvil's cache key for a formula's intuitionistic label vector,
@@ -166,10 +165,9 @@ def hat_model(sig: Signature, model: KripkeModel) -> KripkeModel:
     """
     if not frame_check(model, FrameClass.PREORDER):
         raise ValueError("hat model needs a preordered input")
-    cache: Cache = {}
-    vals = {(u, p): evaluate(sig, model, u, Box(Var(p)), cache)
-            for u in model.worlds for p in model.variables()}
-    result = KripkeModel(model.world_count, model.edges, vals)
-    if not is_mvil_interpretation(result):
+    boxes = [Box(Var(p)) for p in model.variables()]
+    vectors = label_vectors(sig, model, closure_order(boxes))
+    if any(vectors[box][u] > vectors[box][v] for box in boxes for u, v in model.edges):
         raise AssertionError("hat model construction lost monotonicity")
-    return result
+    vals = {(u, box.sub.name): k for box in boxes for u, k in enumerate(vectors[box])}
+    return KripkeModel(model.world_count, model.edges, vals)

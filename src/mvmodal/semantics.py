@@ -1,4 +1,4 @@
-"""Kripke models, the modal evaluator, satisfaction and frame predicates.
+"""Kripke models, the modal evaluator, satisfaction and frame classes.
 
 Worlds are dense 0-based indices.  Necessity evaluates to the minimum of
 the operand over the successor set (label n when there are no
@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from random import Random
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .core import (
     Apply,
@@ -248,47 +250,74 @@ def _members(row: int) -> Iterator[int]:
         row ^= low
 
 
-def _serial(rows: Sequence[int]) -> bool:
-    return all(rows)
+class _Property(NamedTuple):
+    """A basic frame property on successor rows: one per pair of extension schemes."""
+
+    holds: Callable[[Sequence[int]], bool]
+    #: The least superset of the rows with the property, perhaps in place.
+    #: Serial has none: each dead end gets a successor drawn from the rng.
+    close: Callable[[list[int], Random], list[int]]
+    #: Closed under restriction to any subset of the worlds.
+    universal: bool
 
 
-def _reflexive(rows: Sequence[int]) -> bool:
-    return all(r >> u & 1 for u, r in enumerate(rows))
+def _universal(holds: Callable[[Sequence[int]], bool],
+               gaps: Callable[[Sequence[int]], Iterator[tuple[int, int]]]) -> _Property:
+    """A universal property, tested by `holds`: gaps(rows) yields (u, bits)
+    where row u lacks the edges bits that the property's rule demands.
+    Closing adds them until none is missing; each is forced, so it is least."""
+    def close(rows: list[int], rng: Random) -> list[int]:
+        while missing := list(gaps(rows)):
+            for u, bits in missing:
+                rows[u] |= bits
+        return rows
+    return _Property(holds, close, True)
 
 
-def _transitive(rows: Sequence[int]) -> bool:
-    # every successor's successors are successors
-    return all(rows[v] | r == r for r in rows for v in _members(r))
+_SERIAL = _Property(all, lambda rows, rng: [r or 1 << rng.randrange(len(rows))
+                                            for r in rows], False)
+_REFLEXIVE = _universal(
+    lambda rows: all(r >> u & 1 for u, r in enumerate(rows)),
+    lambda rows: ((u, 1 << u) for u, r in enumerate(rows) if not r >> u & 1))
+# every successor's successors are successors
+_TRANSITIVE = _universal(
+    lambda rows: all(rows[v] | r == r for r in rows for v in _members(r)),
+    lambda rows: ((u, rows[v]) for u, r in enumerate(rows) for v in _members(r)
+                  if rows[v] | r != r))
+_SYMMETRIC = _universal(
+    lambda rows: all(rows[v] >> u & 1 for u, r in enumerate(rows) for v in _members(r)),
+    lambda rows: ((v, 1 << u) for u, r in enumerate(rows) for v in _members(r)
+                  if not rows[v] >> u & 1))
+# any two successors of a world see each other
+_EUCLIDEAN = _universal(
+    lambda rows: all(r | rows[v] == rows[v] for r in rows for v in _members(r)),
+    lambda rows: ((v, r) for r in rows for v in _members(r) if r | rows[v] != rows[v]))
 
-
-def _symmetric(rows: Sequence[int]) -> bool:
-    return all(rows[v] >> u & 1 for u, r in enumerate(rows) for v in _members(r))
-
-
-def _euclidean(rows: Sequence[int]) -> bool:
-    # any two successors of a world see each other
-    return all(r | rows[v] == rows[v] for r in rows for v in _members(r))
-
-
-#: One predicate per frame class, on successor rows (successor_rows).
-_FRAME_PREDICATES: dict[FrameClass, Callable[[Sequence[int]], bool]] = {
-    FrameClass.ANY: lambda rows: True,
-    FrameClass.SERIAL: _serial,
-    FrameClass.REFLEXIVE: _reflexive,
-    FrameClass.TRANSITIVE: _transitive,
-    FrameClass.SYMMETRIC: _symmetric,
-    FrameClass.EUCLIDEAN: _euclidean,
-    FrameClass.PREORDER: lambda rows: _reflexive(rows) and _transitive(rows),
-    FrameClass.EQUIVALENCE: lambda rows: _reflexive(rows) and _euclidean(rows),
+#: Each frame class as the basic properties it conjoins.  Closures apply in
+#: this order: the later ones only add edges, which keeps reflexivity, and
+#: reflexive then euclidean is an equivalence.
+_FRAME_PROPERTIES: dict[FrameClass, tuple[_Property, ...]] = {
+    FrameClass.ANY: (),
+    FrameClass.SERIAL: (_SERIAL,),
+    FrameClass.REFLEXIVE: (_REFLEXIVE,),
+    FrameClass.TRANSITIVE: (_TRANSITIVE,),
+    FrameClass.SYMMETRIC: (_SYMMETRIC,),
+    FrameClass.EUCLIDEAN: (_EUCLIDEAN,),
+    FrameClass.PREORDER: (_REFLEXIVE, _TRANSITIVE),
+    FrameClass.EQUIVALENCE: (_REFLEXIVE, _EUCLIDEAN),
 }
 
 
 def frame_predicate(frame_class: FrameClass) -> Callable[[Sequence[int]], bool]:
     """The frame property of the class, as a test on successor rows."""
     try:
-        return _FRAME_PREDICATES[frame_class]
+        tests = [p.holds for p in _FRAME_PROPERTIES[frame_class]]
     except KeyError:
         raise ValueError(f"unknown frame class {frame_class!r}") from None
+    if len(tests) < 2:
+        return tests[0] if tests else lambda rows: True
+    first, second = tests  # no loop: the search tests every candidate
+    return lambda rows: first(rows) and second(rows)
 
 
 def frame_check(model: KripkeModel, frame_class: FrameClass) -> bool:

@@ -95,6 +95,11 @@ class TestFilterModel:
         with pytest.raises(ValueError, match="frame class"):
             filter_model(luk3, m, {p}, LogicId.MV_T)
 
+    def test_unknown_representative_is_rejected(self, luk3):
+        m = KripkeModel(2, {(0, 1)}, {(0, "p"): 2})
+        with pytest.raises(ValueError, match="'middle'"):
+            filter_model(luk3, m, [p], LogicId.MV_K, representative="middle")
+
     def test_projection_includes_original_edges(self, luk3):
         rng = random.Random(32)
         for logic in (LogicId.MV_K, LogicId.MV_D, LogicId.MV_T):

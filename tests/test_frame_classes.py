@@ -1,6 +1,8 @@
 """The frame-class generators against the powerset filter they replaced,
 the rooted generator against a brute force over relabellings, the
-sampler against the set-based one, and the two relation formats.
+sampler against the set-based one, the two relation formats, and the
+frame-class table: each logic's properties against its schemes, and each
+closure against the least member above the relation, by brute force.
 
 decision._relations yields successor rows; the tests read them as edges
 through helpers.edges_of, not semantics.edge_set."""
@@ -33,9 +35,10 @@ from mvmodal.decision import (
     decide,
     enumerate_models,
 )
-from mvmodal.proofs import LogicId, instantiate_scheme
+from mvmodal.proofs import SCHEME_FRAMES, LogicId, instantiate_scheme
 from mvmodal.sampling import random_relation
 from mvmodal.semantics import (
+    _FRAME_PROPERTIES,
     FrameClass,
     KripkeModel,
     edge_set,
@@ -167,3 +170,36 @@ def test_sampler_draws_the_oracle_relation(frame_class):
             assert (random_relation(rng, world_count, frame_class)
                     == oracle_random_relation(oracle_rng, world_count, frame_class))
             assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("logic", list(LogicId))
+def test_logics_conjoin_the_properties_of_their_schemes(logic):
+    # each scheme's class is basic: it is its one property
+    scheme_classes = {_FRAME_PROPERTIES[SCHEME_FRAMES[s]] for s in logic.schemes}
+    assert all(len(properties) == 1 for properties in scheme_classes)
+    assert (set(_FRAME_PROPERTIES[logic.frame_class])
+            == {prop for (prop,) in scheme_classes})
+
+
+UNIVERSAL = [FrameClass.REFLEXIVE, FrameClass.TRANSITIVE,
+             FrameClass.SYMMETRIC, FrameClass.EUCLIDEAN]
+
+
+def test_only_seriality_is_not_universal():
+    assert [c for c in FrameClass
+            if any(not p.universal for p in _FRAME_PROPERTIES[c])] == [FrameClass.SERIAL]
+
+
+@pytest.mark.parametrize("frame_class", UNIVERSAL)
+@pytest.mark.parametrize("world_count", [1, 2, 3])
+def test_closures_are_least(frame_class, world_count):
+    # the closure is the intersection of the class's members above the
+    # relation, found by brute force; no closure reads the rng
+    (prop,) = _FRAME_PROPERTIES[frame_class]
+    members = list(oracle_relations(world_count, frame_class))
+    for edges in oracle_relations(world_count, FrameClass.ANY):
+        rows = list(successor_rows(KripkeModel(world_count, edges)))
+        closed = edges_of(tuple(prop.close(rows, None)))
+        assert closed == frozenset.intersection(*(m for m in members if edges <= m))
+        if edges in members:
+            assert closed == edges

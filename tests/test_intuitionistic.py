@@ -203,6 +203,55 @@ class TestHatModel:
         with pytest.raises(ValueError, match="preorder"):
             hat_model(luk3, KripkeModel(2, {(0, 1)}))
 
+    def test_boxed_values_match_evaluate(self, luk3):
+        rng = random.Random(19)
+        for _ in range(40):
+            m = random_model(rng, ["p", "q"], 3, 6, FrameClass.PREORDER)
+            hat = hat_model(luk3, m)
+            assert hat.edges == m.edges
+            for u in m.worlds:
+                for name in m.variables():
+                    assert hat.value(u, name) == evaluate(luk3, m, u, Box(Var(name)))
+
+
+class TestVariablesReadOnce:
+    """KripkeModel.variables sorts the whole valuation, so reading it per
+    edge or per world made both checks quadratic in the model's size."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        variables = KripkeModel.variables
+
+        def counting(model):
+            counted.append(model)
+            return variables(model)
+
+        monkeypatch.setattr(KripkeModel, "variables", counting)
+        return counted
+
+    @staticmethod
+    def pairs(world_count):
+        # a preorder, loops and each even world seeing the next, with a
+        # monotone valuation, so that no check stops early
+        rng = random.Random(world_count)
+        edges = {(u, u) for u in range(world_count)}
+        edges |= {(u, u + 1) for u in range(0, world_count - 1, 2)}
+        vals = {(u, name): rng.randint(1, 2) + u % 2
+                for u in range(world_count) for name in "pqr"}
+        return KripkeModel(world_count, edges, vals)
+
+    def test_interpretation_check(self, calls):
+        model = self.pairs(2000)
+        assert is_mvil_interpretation(model)
+        assert len(calls) <= 1
+
+    def test_hat_model(self, luk3, calls):
+        model = self.pairs(2000)
+        hat = hat_model(luk3, model)
+        assert len(calls) <= 1
+        assert hat.world_count == 2000
+
 
 class TestCorrespondence:
     def test_hat_evaluation_matches_translation(self, luk3):
