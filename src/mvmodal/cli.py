@@ -47,8 +47,9 @@ class UsageError(Exception):
 
 
 def _read(path: str) -> str:
+    # utf-8-sig drops the byte-order mark some editors write first
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc

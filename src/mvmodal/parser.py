@@ -11,18 +11,25 @@ references and cannot name a variable.
 
 A token keeps only its offset into the text; a ParseError computes the
 1-based line and column from it.  Every file format is a sequence of
-statements, one per non-blank line.  Signatures, formulas, sequents and
-proof scripts are tokenized whole and read by TokenStream.statements.
-A model file is read a line at a time while each line is a well-formed
-header, edge or valuation (_read_model_lines); from the first line that
-is not, the token reader reads the rest of the text with the world
-count, edges and valuation read so far.  The lines before it hold no
-error and no bad character, so every error, with its span, is the one
-the token reader gives on the whole text.
+statements, one per non-blank line.  Formulas, sequents and proof
+scripts are tokenized whole and read by TokenStream.statements.
+Signature and model files are first read a line at a time
+(_statement_lines): each line is cut at `#` and split into fields.  A
+signature is taken whole when every line is a well-formed header,
+declaration or table row and the tables are total
+(_read_signature_lines); otherwise the token reader reads the whole
+text.  A model file is read a line at a time while each line is a
+well-formed header, edge or valuation (_read_model_lines); from the
+first line that is not, the token reader reads the rest of the text
+with the world count, edges and valuation read so far.  The lines
+before it hold no error and no bad character, so in both formats every
+error, with its span, is the one the token reader gives on the whole
+text.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -393,11 +400,119 @@ def render_sequents(sequents: Iterable[Sequent]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Line reading: signature and model files before the token reader
+# ---------------------------------------------------------------------------
+
+
+def _statement_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    r"""The offset and fields of each line of `text` that holds a statement.
+
+    Lines are split on newlines only, since the token grammar treats
+    every other whitespace character, `\r` included, as in-line
+    whitespace, as str.split() does; a `#` always starts a comment.
+    """
+    offset = 0
+    for line in text.split("\n"):
+        fields = line.partition("#")[0].split()
+        if fields:
+            yield offset, fields
+        offset += len(line) + 1
+
+
+def _width(high: Optional[int] = None) -> int:
+    """The digits of `high`, but no more than int() reads from a string:
+    a decimal field no longer than this is safe to convert.  Without
+    `high`, the most digits int() reads."""
+    if high is not None:
+        try:
+            return len(str(high))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    # 0, or no such function before Python 3.10.7: int() reads any length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or sys.maxsize
+
+
+def _field_int(field: str, low: int, high: float, width: int) -> Optional[int]:
+    r"""The decimal field's integer when it lies in low..high, else None.
+
+    A field is decimal when it passes str.isdecimal(), as the token
+    grammar's `\d` does."""
+    if field.isdecimal() and len(field) <= width:
+        value = int(field)
+        if low <= value <= high:
+            return value
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Signatures
 # ---------------------------------------------------------------------------
 
 
+def _read_signature_lines(text: str) -> Optional[Signature]:
+    """The signature read a line at a time, or None when a line is not a
+    plain header, declaration or table row, or a check fails: the token
+    reader then reads the whole text and gives the error.
+
+    The checks are the token reader's: a `conn` line declares unless
+    `conn` names a connective and no name follows; names are neither
+    reserved nor repeated; rows belong to a declared connective, hold
+    labels in 1..n, are not repeated and fit in the text's lines
+    (_rows_fit); every table is total.  Nothing is sized by n.
+    """
+    lines = text.count("\n") + 1
+    # an arity passes _rows_fit only below lines.bit_length()
+    arity_high = lines.bit_length()
+    arity_width = _width(arity_high)
+    n = None
+    # name -> (arity, table)
+    declared: dict[str, tuple[int, dict[tuple[int, ...], int]]] = {}
+    for _, fields in _statement_lines(text):
+        if n is None:
+            if len(fields) != 2 or fields[0] != "domain":
+                return None
+            n = _field_int(fields[1], 2, math.inf, _width())
+            if n is None:
+                return None
+            label_width = _width(n)
+            continue
+        name = fields[0]
+        if name == "conn" and ("conn" not in declared or (
+                len(fields) > 1 and _IDENT_RE.fullmatch(fields[1]))):
+            if (len(fields) != 3 or not _IDENT_RE.fullmatch(fields[1])
+                    or fields[1] in RESERVED_NAMES or fields[1] in declared):
+                return None
+            arity = _field_int(fields[2], 0, arity_high, arity_width)
+            if arity is None or not _rows_fit(n, arity, lines):
+                return None
+            declared[fields[1]] = (arity, {})
+            continue
+        if name not in declared:
+            return None
+        arity, table = declared[name]
+        if len(fields) != arity + 3 or fields[-2] != "=":
+            return None
+        key = tuple([_field_int(label, 1, n, label_width)
+                     for label in fields[1:-2]])
+        out = _field_int(fields[-1], 1, n, label_width)
+        if out is None or None in key or key in table:
+            return None
+        table[key] = out
+    if n is None:
+        return None
+    connectives = []
+    for name, (arity, table) in declared.items():
+        if len(table) != n ** arity:
+            return None
+        connectives.append(Connective(name, arity, table))
+    return make_signature(n, connectives)
+
+
 def parse_signature(text: str) -> Signature:
+    sig = _read_signature_lines(text)
+    if sig is not None:
+        return sig
     ts = TokenStream(tokenize(text))
     n = ts.header("domain", "signature", "the domain size", 2,
                   "domain needs at least 2 values, got {}")
@@ -478,24 +593,6 @@ def render_signature(sig: Signature) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _width(high: int) -> int:
-    """The digits of `high`, but no more than int() reads from a string:
-    a decimal field no longer than this is safe to convert."""
-    try:
-        return len(str(high))
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return sys.get_int_max_str_digits()
-
-
-def _field_int(field: str, low: int, high: int, width: int) -> Optional[int]:
-    """The decimal field's integer when it lies in low..high, else None."""
-    if field.isdecimal() and len(field) <= width:
-        value = int(field)
-        if low <= value <= high:
-            return value
-    return None
-
-
 def _read_model_lines(text: str, n: int
                       ) -> tuple[Optional[int], set[tuple[int, int]],
                                  dict[tuple[int, str], int], Optional[int]]:
@@ -505,23 +602,13 @@ def _read_model_lines(text: str, n: int
     Returns the world count (None before a header), the edges, the
     valuation, and the offset where the token reader must go on: the
     first line not taken, 0 when no header was read, or None when every
-    line was taken.  Lines are split on newlines only, since the token
-    grammar treats every other whitespace character, `\r` included, as
-    in-line whitespace, as str.split() does; a `#` always starts a
-    comment.  Integer fields pass str.isdecimal(), as the token
-    grammar's `\d` does.
+    line was taken.
     """
     world_count = None
     edges: set[tuple[int, int]] = set()
     vals: dict[tuple[int, str], int] = {}
     label_width = _width(n)
-    offset = 0
-    for line in text.split("\n"):
-        start = offset
-        offset += len(line) + 1
-        fields = line.partition("#")[0].split()
-        if not fields:
-            continue
+    for start, fields in _statement_lines(text):
         if world_count is None:
             if len(fields) == 2 and fields[0] == "worlds":
                 world_count = _field_int(fields[1], 1, MAX_WORLDS,

@@ -463,6 +463,50 @@ class TestFrameCheck:
         assert code == 0 and out.strip() == "yes"
 
 
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark reads as it does without."""
+
+    MODEL = "worlds 2\nedge 0 1\nval 1 p 2\n"
+
+    # option: (files besides sig.mvk and model.mvk, argv, file given the mark)
+    CASES = {
+        "--sig": ({}, ["eval", "--sig", "sig.mvk", "--model", "model.mvk",
+                       "--world", "0", "Box p"], "sig.mvk"),
+        "--model": ({"m.mvk": MODEL}, ["eval", "--sig", "sig.mvk", "--model",
+                                       "m.mvk", "--world", "0", "Dia p"], "m.mvk"),
+        "--sigma": ({"sigma.mvk": "(p, 1) -> (q, 2)\n",
+                     "hyp.mvk": "1: (p, 1) -> (q, 2) ; hyp 1\n"},
+                    ["check-proof", "--sig", "sig.mvk", "--sigma", "sigma.mvk",
+                     "hyp.mvk"], "sigma.mvk"),
+        "--phi": ({"m.mvk": MODEL, "phi.mvk": "Box p\n"},
+                  ["filter", "--sig", "sig.mvk", "--model", "m.mvk",
+                   "--phi", "phi.mvk"], "phi.mvk"),
+        "proof": ({"proof.mvk": render_proof(box_modus_ponens_lukasiewicz())},
+                  ["check-proof", "--sig", "sig.mvk", "proof.mvk"], "proof.mvk"),
+        "translate": ({"seq.mvk": "(imp(p, q), 3) -> (p, 1)\n"},
+                      ["translate", "--sig", "sig.mvk", "seq.mvk"], "seq.mvk"),
+    }
+
+    @pytest.mark.parametrize("files, argv, marked", CASES.values(), ids=list(CASES))
+    def test_the_mark_is_dropped(self, ws, capsys, files, argv, marked):
+        for name, text in files.items():
+            (ws / name).write_text(text)
+        argv = [str(ws / arg) if arg.endswith(".mvk") else arg for arg in argv]
+        plain = run(capsys, *argv)
+        assert plain[0] != 2 and plain[2] == ""
+        path = ws / marked
+        path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(capsys, *argv) == plain
+
+    def test_a_mark_past_the_start_is_an_error(self, ws, capsys):
+        (ws / "sig.mvk").write_text("domain 3\n\ufeffconn f 0\n")
+        code, out, err = run(capsys, "decide", "--sig", str(ws / "sig.mvk"),
+                             "-> (p, 1)")
+        assert code == 2 and out == ""
+        assert err == "error: line 2, column 1: unexpected character '\\ufeff'\n"
+
+
 class TestUsage:
     def test_missing_file(self, ws, capsys):
         code, _, err = run(capsys, "eval", "--sig", str(ws / "nope.mvk"),

@@ -797,3 +797,195 @@ class TestModelLineReader:
         expected = KripkeModel(4, model.edges, {**dict(model.vals), (0, "z"): 3})
         assert parse_model(text, luk3) == expected
         assert starts == [len("".join(lines[:3]))]
+
+
+# ---------------------------------------------------------------------------
+# Signature files: the line reader against the token reader alone
+# ---------------------------------------------------------------------------
+
+
+def _signature_token_reader_alone(text):
+    """parse_signature with the line reader declining every text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "_read_signature_lines", lambda text: None)
+        return _outcome(parse_signature, text)
+
+
+#: Pieces a signature text is mutated with, as MODEL_MUTATIONS, plus a
+#: second header, `conn` lines, a reserved name, `=`, a glued row and a
+#: byte-order mark.
+SIGNATURE_MUTATIONS = ["@", "#", "\r", "\x1c", "\u2028", "\u0663", "\xb2",
+                       "=", "1=2", "0", "01", "3", "9" * 5000, "0" * 5000 + "1",
+                       " ", "\n", "\n\n", "# note\n", "domain 2\n", "conn",
+                       "conn conn 1\n", "conn g 0\n", "Box", "f", "f'", "-",
+                       "\ufeff"]
+
+
+def _mutated_signature_text(rng: random.Random) -> str:
+    n = rng.randint(2, 3)
+
+    def number(low, high):
+        # now and then one past either end, or with a leading zero
+        value = (rng.randint(low - 1, high + 1) if rng.random() < 0.05
+                 else rng.randint(low, high))
+        return ("0" if rng.random() < 0.05 else "") + str(value)
+
+    def statement(*fields):
+        return "".join(field + rng.choice(" " * 20 + "\t\r\x1c\u2028")
+                       for field in fields)
+
+    lines = [statement("domain", str(n))]
+    for name in rng.sample(["f", "g", "conn", "h'"], rng.randint(0, 3)):
+        arity = rng.randint(0, 2)
+        lines.append(statement("conn", name, str(arity)))
+        entries = list(all_entries(n, arity))
+        if rng.random() < 0.05:  # a row missing or repeated
+            entries.pop(rng.randrange(len(entries)))
+        if rng.random() < 0.05:
+            entries.append(rng.choice(entries or [(1,) * arity]))
+        rng.shuffle(entries)
+        for entry in entries:
+            lines.append(statement(name, *(number(1, n) if rng.random() < 0.02
+                                           else str(k) for k in entry),
+                                   "=", number(1, n)))
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(SIGNATURE_MUTATIONS) + text[at:]
+    if rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+class TestSignatureLineReader:
+    """parse_signature reads a signature whose every line is well formed
+    itself and hands any other text whole to the token reader; nothing it
+    returns or raises may differ from the token reader alone."""
+
+    TEXTS = {
+        "crlf": LUKASIEWICZ_TEXT.replace("\n", "\r\n"),
+        "comments": "# a signature\n\n  # another\ndomain 2 # two\n# mid\n"
+                    "conn f 1 # unary\nf 1 = 2\n  f 2 = 1 # tail\n",
+        "comment-glued-to-fields": "domain 2#x\nconn f 1#x\nf 1 = 2#x\nf 2 =#x\n1\n",
+        "comment-glued-to-row": "domain 2\nconn f 1\nf 1 = 2#x\nf 2 = 1#x\n",
+        "tab-separated": "domain\t2\nconn\tf\t1\nf\t1\t=\t2\nf\t2\t=\t1\n",
+        "in-line-separators": "domain\x1c2\nconn\u2028f 1\nf\x1c1\u2028=\t2\n"
+                              "f\xa02 = 1\n",
+        "vertical-tab": "domain 2\x0bconn f 0\nf = 1\n",
+        "arabic-indic-digits": "domain \u0663\nconn c 1\nc \u0661 = 3\n"
+                               "c 2 = \u0662\nc 3 = 1\n",
+        "superscript-digit": "domain 2\nconn c 0\nc = \xb2\n",
+        "zero-padded-labels": "domain 2\nconn f 1\nf 01 = 2\nf 2 = 001\n",
+        "zero-padded-domain-and-arity": "domain 02\nconn f 01\nf 1 = 2\nf 2 = 1\n",
+        "glued-equals": "domain 2\nconn f 2\nf 1 1=2\nf 1 2 = 1\n"
+                        "f 2 1 = 1\nf 2 2 = 1\n",
+        "glued-equals-after": "domain 2\nconn f 0\nf =2\n",
+        "nullary-rows": "domain 2\nconn c 0\nc = 2\nconn d 0\nd  = 1\n",
+        "connective-named-conn": "domain 2\nconn conn 1\nconn 1 = 2\nconn 2 = 1\n"
+                                 "conn f 0\nf = 2\n",
+        "nullary-connective-named-conn": "domain 2\nconn conn 0\nconn = 2\n",
+        "conn-row-glued-name": "domain 2\nconn conn 1\nconn f=2\n",
+        "conn-alone": "domain 2\nconn conn 0\nconn\n",
+        "connective-named-domain": "domain 2\nconn domain 0\ndomain = 1\n",
+        "primed-names": "domain 2\nconn f' 0\nf' = 1\nconn _g9 0\n_g9 = 2\n",
+        "reserved-name": "domain 2\nconn Box 0\nBox = 1\n",
+        "reserved-dia": "domain 2\nconn Dia 0\n",
+        "duplicate-name": "domain 2\nconn f 0\nf = 1\nconn f 0\nf = 1\n",
+        "duplicate-row": "domain 2\nconn f 1\nf 1 = 2\nf 1 = 2\nf 2 = 1\n",
+        "undeclared-row": "domain 2\ng = 1\n",
+        "row-before-declaration": "domain 2\nf = 1\nconn f 0\n",
+        "missing-row": "domain 2\nconn f 1\nf 1 = 2\n",
+        "rows-cannot-fit": "domain 2\nconn f 2\n",
+        "huge-arity": "domain 2\nconn f 99999999999999999999\n",
+        "arity-past-int-digits": "domain 2\nconn f " + "9" * 5000 + "\n",
+        "label-zero": "domain 2\nconn c 0\nc = 0\n",
+        "label-above": "domain 2\nconn f 1\nf 1 = 3\nf 2 = 1\n",
+        # as many rows as the table needs, but one of them out of range
+        "argument-label-above": "domain 2\nconn f 1\nf 1 = 2\nf 3 = 1\n",
+        "argument-label-zero": "domain 2\nconn f 1\nf 0 = 2\nf 2 = 1\n",
+        "name-not-an-identifier": "domain 2\nconn 1x 0\n1x = 1\n",
+        "name-with-bad-character": "domain 2\nconn f@ 0\nf@ = 1\n",
+        "too-few-labels": "domain 2\nconn f 2\nf 1 = 2\nf 2 = 1\n\n",
+        "too-many-labels": "domain 2\nconn f 0\nf 1 = 2\n",
+        "extra-field-in-declaration": "domain 2\nconn f 0 0\nf = 1\n",
+        "declaration-without-arity": "domain 2\nconn f\n",
+        "second-header": "domain 2\ndomain 2\n",
+        "header-extra-field": "domain 2 3\n",
+        "domain-one": "domain 1\n",
+        "domain-zero": "domain 0\n",
+        "domain-word": "domain two\n",
+        "no-header": "conn f 0\nf = 1\n",
+        "empty": "",
+        "blank-and-comment-only": "\n\n# only comments\n",
+        "no-trailing-newline": "domain 2\nconn f 0\nf = 1",
+        "byte-order-mark": "\ufeffdomain 2\n",
+        "bad-character-last": "domain 2\nconn f 0\nf = 1 @\n",
+        "bad-character-after-error": "domain 2\ng = 1\nconn f 0 @\n",
+        "minus-label": "domain 2\nconn f 0\nf = -1\n",
+    }
+
+    @pytest.mark.parametrize("text", TEXTS.values(), ids=list(TEXTS))
+    def test_odd_texts(self, text):
+        assert _outcome(parse_signature, text) == \
+            _signature_token_reader_alone(text)
+
+    @pytest.mark.parametrize("domain, labels", [
+        # the label range of frame-check's permissive signature and beyond
+        ("2147483648", ["2147483648", "2147483647", "02147483647", "1" + "0" * 10]),
+        # as many digits as int() reads from a string, and one more
+        ("9" * 4300, ["5", "9" * 4300, "9" * 4301, "0" + "9" * 4300]),
+        ("1" + "0" * 4300, ["5"]),
+    ], ids=["2^31", "4300-digits", "4301-digits"])
+    def test_labels_of_a_wide_domain(self, domain, labels):
+        for label in labels:
+            text = f"domain {domain}\nconn c 0\nc = {label}\nconn d 1\n"
+            assert _outcome(parse_signature, text) == \
+                _signature_token_reader_alone(text)
+            text = f"domain {domain}\nconn c 0\nc = {label}\n"
+            assert _outcome(parse_signature, text) == \
+                _signature_token_reader_alone(text)
+
+    def test_fuzzed_texts(self):
+        rng = random.Random(23)
+        # (a value or an error, whether the line reader took the text)
+        seen = Counter()
+        for _ in range(2000):
+            text = (_fuzz_text(rng) if rng.random() < 0.25
+                    else _mutated_signature_text(rng))
+            ours = _outcome(parse_signature, text)
+            assert ours == _signature_token_reader_alone(text), repr(text)
+            taken = parser._read_signature_lines(text) is not None
+            seen[not isinstance(ours, tuple), taken] += 1
+        assert seen[False, True] == 0
+        assert seen[True, True] > 400 and seen[True, False] > 50
+        assert seen[False, False] > 1000
+
+    def test_well_formed_signatures_skip_the_tokenizer(self, monkeypatch):
+        def refuse(text, start=0):
+            raise AssertionError("a well-formed signature reached the tokenizer")
+
+        monkeypatch.setattr(parser, "tokenize", refuse)
+        rng = random.Random(9)
+        for _ in range(100):
+            n = rng.randint(2, 4)
+            sig = make_signature(n, [
+                Connective(name, arity, {entry: rng.randint(1, n)
+                                         for entry in all_entries(n, arity)})
+                for name, arity in zip(rng.sample(["f", "conn", "g'", "domain"],
+                                                  rng.randint(0, 3)),
+                                       [rng.randint(0, 2) for _ in range(3)])])
+            text = render_signature(sig)
+            assert parse_signature(text) == sig
+            # comments, blank lines and \r\n endings are well-formed too
+            text = "# a signature\n\n" + text.replace("\n", " # note\r\n")
+            assert parse_signature(text) == sig
+            # declarations first, then the rows in any order, with a
+            # nullary row's empty argument list leaving two spaces
+            rows = [f"{name} {' '.join(map(str, entry))} = {out}"
+                    for name, conn in sig.connectives.items()
+                    for entry, out in conn.table.items()]
+            rng.shuffle(rows)
+            text = "\n".join([f"domain {n}", *(
+                f"conn {name} {conn.arity}"
+                for name, conn in sig.connectives.items()), *rows]) + "\n"
+            assert parse_signature(text) == sig
