@@ -600,7 +600,7 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
 def _verify_countermodel(sig: Signature, model: KripkeModel, world: int,
                          hypotheses: tuple[Sequent, ...], goal: Sequent,
                          frame_class: FrameClass) -> None:
-    # Independent re-check with fresh caches before the result escapes.
+    # Independent re-check by the single-model evaluator before the result escapes.
     if not frame_check(model, frame_class):
         raise AssertionError("countermodel left the frame class")
     if hypotheses and not model_satisfies(sig, model, hypotheses):

@@ -22,7 +22,7 @@ from .core import (
 )
 from .parser import render_formula
 from .proofs import LogicId
-from .semantics import Cache, FrameClass, KripkeModel, frame_check, label_vectors
+from .semantics import FrameClass, KripkeModel, LabelVectors, frame_check, label_vectors
 
 Representative = Literal["least", "greatest"]
 
@@ -67,7 +67,7 @@ def _validated_closure(phi: Iterable[Formula]) -> tuple[Formula, ...]:
 
 
 def _partition(model: KripkeModel, order: tuple[Formula, ...],
-               val: Cache) -> tuple[tuple[int, ...], ...]:
+               val: LabelVectors) -> tuple[tuple[int, ...], ...]:
     groups: dict[tuple[int, ...], list[int]] = {}
     for world in model.worlds:
         groups.setdefault(tuple(val[f][world] for f in order), []).append(world)
@@ -100,7 +100,7 @@ def _class_relation(model: KripkeModel, logic: LogicId,
                     phi: tuple[Formula, ...],
                     classes: tuple[tuple[int, ...], ...],
                     reps: tuple[int, ...],
-                    val: Cache) -> set[tuple[int, int]]:
+                    val: LabelVectors) -> set[tuple[int, int]]:
     if logic not in _COMPARISONS:
         class_of = {w: i for i, members in enumerate(classes) for w in members}
         return {(class_of[u], class_of[v]) for u, v in model.edges}

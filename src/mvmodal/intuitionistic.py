@@ -31,7 +31,6 @@ from .core import (
     is_modal_free,
 )
 from .semantics import (
-    Cache,
     FrameClass,
     KripkeModel,
     _check_world,
@@ -48,13 +47,7 @@ def is_mvil_interpretation(model: KripkeModel) -> bool:
                for p in model.variables() for (u, v) in model.edges)
 
 
-#: Tags eval_mvil's cache key for a formula's intuitionistic label vector,
-#: which no formula equals.
-_MVIL = object()
-
-
-def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
-              cache: Optional[Cache] = None) -> int:
+def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
     """Intuitionistic value of a modal-free formula at a world.
 
     The modal value of the embedding, with Box in front of every
@@ -62,32 +55,21 @@ def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
     in closure order, checks each subformula and builds its embedding:
     Box or Dia raises ValueError ("no modal"), and so does a connective
     when any world of the model has no successor, whether or not it is
-    reached ("not reflexive").  The embedding's label vector is kept in
-    `cache` under the embedded formula, as evaluate keeps it, and also
-    under a private key for `formula`, so one cache may serve both
-    evaluate and eval_mvil, and later calls with it on the same formula
-    neither rebuild the embedding nor walk its closure.
+    reached ("not reflexive").
     """
     _check_world(model, world)
-    vectors = {} if cache is None else cache
-    key = (_MVIL, formula)
-    vec = vectors.get(key)
-    if vec is None:
-        dead_ends = [w for w in model.worlds if not model.successors(w)]
+    dead_ends = [w for w in model.worlds if not model.successors(w)]
 
-        def bare(f: Formula) -> bool:
-            if isinstance(f, (Box, Diamond)):
-                raise ValueError("intuitionistic formulas admit no modal connectives")
-            if isinstance(f, Apply) and dead_ends:
-                raise ValueError(f"world {dead_ends[0]} has no successors; "
-                                 "interpretation is not reflexive")
-            return isinstance(f, Var)
+    def bare(f: Formula) -> bool:
+        if isinstance(f, (Box, Diamond)):
+            raise ValueError("intuitionistic formulas admit no modal connectives")
+        if isinstance(f, Apply) and dead_ends:
+            raise ValueError(f"world {dead_ends[0]} has no successors; "
+                             "interpretation is not reflexive")
+        return isinstance(f, Var)
 
-        embedded = _boxed(formula, bare)
-        if embedded not in vectors:
-            label_vectors(sig, model, closure_order((embedded,)), vectors)
-        vec = vectors[key] = vectors[embedded]
-    return vec[world]
+    embedded = _boxed(formula, bare)
+    return label_vectors(sig, model, closure_order((embedded,)))[embedded][world]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import enum
 from dataclasses import dataclass
 from itertools import compress
 from random import Random
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Apply,
@@ -108,14 +107,15 @@ class KripkeModel:
 # ---------------------------------------------------------------------------
 
 #: Label vectors by formula: entry w of a vector is the label at world w.
-Cache = dict[Formula, list[int]]
+LabelVectors = dict[Formula, list[int]]
 
 
-def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
-                  cache: Optional[Cache] = None) -> Cache:
-    """Add the label vector of each formula of `order` to `cache`; return it.
+def label_vectors(sig: Signature, model: KripkeModel,
+                  order: Iterable[Formula]) -> LabelVectors:
+    """The label vector of each formula of `order`, in one bottom-up pass.
 
-    `order` lists every formula after its subformulas (closure_order).
+    `order` lists every formula after its subformulas (closure_order), so
+    one call evaluates every formula of a closure at every world.
     A variable reads the valuation, a connective its table at each world,
     and Box and Dia take the minimum and maximum over the successors.
     This is the single-model evaluator: eval, sat, filtration and the
@@ -125,13 +125,11 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     evaluator re-checks each countermodel it returns, independently of
     that kernel.
     """
-    vectors: Cache = {} if cache is None else cache
+    vectors: LabelVectors = {}
     succ = model._succ
     worlds = model.worlds
     n = sig.n
     for f in order:
-        if f in vectors:
-            continue
         if isinstance(f, Var):
             name, val_map = f.name, model._val_map
             vec = [val_map.get((w, name), 1) for w in worlds]
@@ -162,70 +160,63 @@ def _checked_connective(sig: Signature, f: Apply) -> Connective:
     return conn
 
 
-def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula,
-             cache: Optional[Cache] = None) -> int:
-    """The label of `formula` at `world`.
-
-    Evaluation computes the label vector of every subformula over all
-    worlds (label_vectors).  A cache of label vectors may be shared
-    across queries on the same model; a fresh one is used per call
-    otherwise.
-    """
+def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
+    """The label of `formula` at `world`, read from its label vector."""
     _check_world(model, world)
-    vectors = {} if cache is None else cache
-    if formula not in vectors:
-        label_vectors(sig, model, closure_order((formula,)), vectors)
-    return vectors[formula][world]
+    return label_vectors(sig, model, closure_order((formula,)))[formula][world]
 
 
 def satisfies_labelled(sig: Signature, model: KripkeModel, world: int,
-                       lf: LabelledFormula, cache: Optional[Cache] = None) -> bool:
+                       lf: LabelledFormula) -> bool:
     """True iff the formula takes exactly the stated label at the world."""
-    return evaluate(sig, model, world, lf.formula, cache) == lf.label
+    return evaluate(sig, model, world, lf.formula) == lf.label
 
 
-def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
-                    cache: Optional[Cache] = None) -> Iterator[int]:
+def _refuted(vectors: LabelVectors, worlds: Sequence[int],
+             sequent: Sequent) -> Sequence[int]:
     """The worlds, in order, where every antecedent member holds and no
-    succedent member does.
+    succedent member does, read from the members' label vectors.
 
-    The label vectors of the sequent's formulas are computed (or read
-    from `cache`) first.  The worlds are then filtered member by member:
-    an antecedent member keeps the worlds where it takes its label, a
-    succedent member those where it does not.  The test comes from the
-    member's side, since one labelled formula may stand on both.
+    The worlds are filtered member by member: an antecedent member keeps
+    the worlds where it takes its label, a succedent member those where
+    it does not.  The test comes from the member's side, since one
+    labelled formula may stand on both.
     """
-    vectors = {} if cache is None else cache
-    missing = [lf.formula for lf in sequent.antecedent | sequent.succedent
-               if lf.formula not in vectors]
-    if missing:
-        label_vectors(sig, model, closure_order(missing), vectors)
     members = [(vectors[lf.formula], lf.label.__eq__) for lf in sequent.antecedent]
     members += [(vectors[lf.formula], lf.label.__ne__) for lf in sequent.succedent]
-    worlds = model.worlds
     for vec, keep in members:
         worlds = list(compress(worlds, map(keep, map(vec.__getitem__, worlds))))
         if not worlds:
             break
-    return iter(worlds)
+    return worlds
+
+
+def refuting_worlds(sig: Signature, model: KripkeModel,
+                    sequent: Sequent) -> Iterator[int]:
+    """The worlds, in order, where every antecedent member holds and no
+    succedent member does."""
+    vectors = label_vectors(sig, model, closure_order(sequent.formulas()))
+    return iter(_refuted(vectors, model.worlds, sequent))
 
 
 def satisfies_sequent(sig: Signature, model: KripkeModel, world: int,
-                      sequent: Sequent, cache: Optional[Cache] = None) -> bool:
+                      sequent: Sequent) -> bool:
     """True iff satisfying every antecedent member forces some succedent member."""
     _check_world(model, world)
-    return world not in refuting_worlds(sig, model, sequent, cache)
+    return world not in refuting_worlds(sig, model, sequent)
 
 
 def model_satisfies(sig: Signature, model: KripkeModel,
-                    sequents: Union[Sequent, Iterable[Sequent]],
-                    cache: Optional[Cache] = None) -> bool:
-    """Conjunction of sequent satisfaction over every world of the model."""
-    if isinstance(sequents, Sequent):
-        sequents = (sequents,)
-    cache = {} if cache is None else cache
-    return all(next(refuting_worlds(sig, model, s, cache), None) is None
-               for s in sequents)
+                    sequents: Union[Sequent, Iterable[Sequent]]) -> bool:
+    """Conjunction of sequent satisfaction over every world of the model.
+
+    One label_vectors pass over the union of the sequents' closures
+    evaluates each shared subformula once.
+    """
+    sequents = (sequents,) if isinstance(sequents, Sequent) else tuple(sequents)
+    vectors = label_vectors(sig, model,
+                            closure_order(f for s in sequents for f in s.formulas()))
+    return not any(_refuted(vectors, model.worlds, s) for s in sequents)
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +252,32 @@ class _Property(NamedTuple):
     universal: bool
 
 
-def _universal(holds: Callable[[Sequence[int]], bool],
-               gaps: Callable[[Sequence[int]], Iterator[tuple[int, int]]]) -> _Property:
-    """A universal property, tested by `holds`: gaps(rows) yields (u, bits)
-    where row u lacks the edges bits that the property's rule demands.
-    Closing adds them until none is missing; each is forced, so it is least."""
+def _universal(gaps: Callable[[Sequence[int]], Iterator[tuple[int, int]]]) -> _Property:
+    """A universal property: gaps(rows) yields (u, bits) where row u lacks
+    the edges bits that the property's rule demands.  The rows have the
+    property when there is no gap.  Closing adds the missing edges until
+    none is missing; each is forced, so the closure is least."""
     def close(rows: list[int], rng: Random) -> list[int]:
         while missing := list(gaps(rows)):
             for u, bits in missing:
                 rows[u] |= bits
         return rows
-    return _Property(holds, close, True)
+    return _Property(lambda rows: not any(gaps(rows)), close, True)
 
 
 _SERIAL = _Property(all, lambda rows, rng: [r or 1 << rng.randrange(len(rows))
                                             for r in rows], False)
 _REFLEXIVE = _universal(
-    lambda rows: all(r >> u & 1 for u, r in enumerate(rows)),
     lambda rows: ((u, 1 << u) for u, r in enumerate(rows) if not r >> u & 1))
 # every successor's successors are successors
 _TRANSITIVE = _universal(
-    lambda rows: all(rows[v] | r == r for r in rows for v in _members(r)),
     lambda rows: ((u, rows[v]) for u, r in enumerate(rows) for v in _members(r)
                   if rows[v] | r != r))
 _SYMMETRIC = _universal(
-    lambda rows: all(rows[v] >> u & 1 for u, r in enumerate(rows) for v in _members(r)),
     lambda rows: ((v, 1 << u) for u, r in enumerate(rows) for v in _members(r)
                   if not rows[v] >> u & 1))
 # any two successors of a world see each other
 _EUCLIDEAN = _universal(
-    lambda rows: all(r | rows[v] == rows[v] for r in rows for v in _members(r)),
     lambda rows: ((v, r) for r in rows for v in _members(r) if r | rows[v] != rows[v]))
 
 #: Each frame class as the basic properties it conjoins.  Closures apply in

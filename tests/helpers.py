@@ -102,17 +102,14 @@ def _eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula,
 
 # ---------------------------------------------------------------------------
 # Oracle: refuting_worlds before it filtered the worlds member by member,
-# kept verbatim.  It tests every world against every member.
+# kept verbatim but for the evaluation cache it no longer takes.  It tests
+# every world against every member.
 # ---------------------------------------------------------------------------
 
 
-def refuting_worlds(sig: Signature, model: KripkeModel, sequent: Sequent,
-                    cache=None) -> Iterator[int]:
-    vectors = {} if cache is None else cache
-    missing = [lf.formula for lf in sequent.antecedent | sequent.succedent
-               if lf.formula not in vectors]
-    if missing:
-        label_vectors(sig, model, closure_order(missing), vectors)
+def refuting_worlds(sig: Signature, model: KripkeModel,
+                    sequent: Sequent) -> Iterator[int]:
+    vectors = label_vectors(sig, model, closure_order(sequent.formulas()))
     ante = [(vectors[lf.formula], lf.label) for lf in sequent.antecedent]
     succ = [(vectors[lf.formula], lf.label) for lf in sequent.succedent]
     return (w for w in model.worlds

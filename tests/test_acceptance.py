@@ -262,11 +262,10 @@ def test_criterion_7_intuitionistic_embedding(luk3):
     interpretations = [m for m in preorders if is_mvil_interpretation(m)]
 
     def mvil_satisfies(model, sequent):
-        cache = {}
         for u in model.worlds:
-            if all(eval_mvil(sig2, model, u, x.formula, cache) == x.label
+            if all(eval_mvil(sig2, model, u, x.formula) == x.label
                    for x in sequent.antecedent):
-                if not any(eval_mvil(sig2, model, u, x.formula, cache) == x.label
+                if not any(eval_mvil(sig2, model, u, x.formula) == x.label
                            for x in sequent.succedent):
                     return False
         return True

@@ -105,27 +105,11 @@ class TestEvalMvil:
         m = KripkeModel(3, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)},
                         {(1, "p"): 2, (2, "q"): 3})
         f = Apply("imp", (p, q))
-        cache = {}
-        labels = [eval_mvil(luk3, m, 0, f, cache)]
-        per_formula = len(walks)
-        labels += [eval_mvil(luk3, m, w, f, cache) for w in (1, 2, 0)]
-        assert len(walks) == per_formula
-        # a new formula is walked once more, however often it is asked
-        for w in m.worlds:
-            eval_mvil(luk3, m, w, Apply("imp", (f, p)), cache)
-        assert len(walks) == 2 * per_formula
-        # without a cache every call walks again
-        walks.clear()
-        assert labels == [eval_mvil(luk3, m, w, f) for w in (0, 1, 2, 0)]
-        assert len(walks) == 4 * per_formula
-
-    def test_a_failed_call_leaves_nothing_in_the_cache(self, luk3):
-        m = KripkeModel(2, {(0, 0)})
-        cache = {}
-        for _ in range(2):
-            with pytest.raises(ValueError, match="world 1 has no successors"):
-                eval_mvil(luk3, m, 0, Apply("imp", (p, q)), cache)
-        assert cache == {}
+        for w in (0, 1, 2, 0):
+            walks.clear()
+            eval_mvil(luk3, m, w, f)
+            # one walk of the formula's closure, one of its embedding's
+            assert len(walks) == 2
 
 
 class TestMonotoneConnective:
@@ -270,10 +254,8 @@ class TestCorrespondence:
             m = random_model(rng, ["p", "q"], 3, 4, FrameClass.PREORDER)
             hat = hat_model(luk3, m)
             f = rand_formula(rng, luk3, ["p", "q"], 2, modal=False)
-            cache = {}
             for (u, v) in hat.edges:
-                assert (eval_mvil(luk3, hat, u, f, cache)
-                        <= eval_mvil(luk3, hat, v, f, cache))
+                assert eval_mvil(luk3, hat, u, f) <= eval_mvil(luk3, hat, v, f)
 
     def test_optimized_translation_agrees(self, luk3):
         sig = make_signature(3, [lukasiewicz_implication(3), max_connective(3),
@@ -290,11 +272,10 @@ class TestCorrespondence:
 
 
 def mvil_satisfies(sig, model, sequent) -> bool:
-    cache = {}
     for u in model.worlds:
-        if all(eval_mvil(sig, model, u, x.formula, cache) == x.label
+        if all(eval_mvil(sig, model, u, x.formula) == x.label
                for x in sequent.antecedent):
-            if not any(eval_mvil(sig, model, u, x.formula, cache) == x.label
+            if not any(eval_mvil(sig, model, u, x.formula) == x.label
                        for x in sequent.succedent):
                 return False
     return True

@@ -85,23 +85,23 @@ def _oracle_satisfies(model, world, sequent, cache):
 @settings(max_examples=150, deadline=None)
 @given(models(), st.lists(formulas, min_size=1, max_size=4))
 def test_evaluate_matches_the_recursive_oracle(model, fs):
-    cache, oracle = {}, {}
+    oracle = {}
     for f in fs:
         for world in model.worlds:
-            assert (evaluate(SIG, model, world, f, cache)
+            assert (evaluate(SIG, model, world, f)
                     == _eval(SIG, model, world, f, oracle))
 
 
 @settings(max_examples=100, deadline=None)
 @given(models(), st.lists(sequents, min_size=1, max_size=3))
 def test_satisfies_sequent_matches_the_oracle(model, seqs):
-    cache, oracle = {}, {}
+    oracle = {}
     expected = [_oracle_satisfies(model, world, s, oracle)
                 for s in seqs for world in model.worlds]
-    assert [satisfies_sequent(SIG, model, world, s, cache)
+    assert [satisfies_sequent(SIG, model, world, s)
             for s in seqs for world in model.worlds] == expected
     assert model_satisfies(SIG, model, seqs) == all(expected)
-    assert [list(refuting_worlds(SIG, model, s, cache)) for s in seqs] == [
+    assert [list(refuting_worlds(SIG, model, s)) for s in seqs] == [
         [w for w in model.worlds if not _oracle_satisfies(model, w, s, oracle)]
         for s in seqs]
 
@@ -110,9 +110,9 @@ def test_satisfies_sequent_matches_the_oracle(model, seqs):
 @given(models(), modal_free)
 def test_eval_mvil_matches_the_oracle(model, f):
     if isinstance(f, Var) or all(model.successors(w) for w in model.worlds):
-        cache, oracle = {}, {}
+        oracle = {}
         for world in model.worlds:
-            assert (eval_mvil(SIG, model, world, f, cache)
+            assert (eval_mvil(SIG, model, world, f)
                     == _eval_mvil(SIG, model, world, f, oracle))
     else:
         with pytest.raises(ValueError, match="not reflexive"):
@@ -222,10 +222,9 @@ def sequent_shapes(draw):
 @given(st.sampled_from(FrameClass).flatmap(class_models),
        st.lists(sequent_shapes(), min_size=1, max_size=3))
 def test_refuting_worlds_matches_the_per_world_oracle(model, seqs):
-    cache, oracle = {}, {}
     for s in seqs:
-        assert (list(refuting_worlds(SIG, model, s, cache))
-                == list(helpers.refuting_worlds(SIG, model, s, oracle)))
+        assert (list(refuting_worlds(SIG, model, s))
+                == list(helpers.refuting_worlds(SIG, model, s)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,43 +253,16 @@ def test_a_member_on_both_sides_refutes_nowhere():
     assert list(refuting_worlds(SIG, m, Sequent())) == [0, 1, 2]
 
 
-class TestCache:
-    def test_cache_holds_label_vectors(self):
-        m = KripkeModel(3, {(0, 1), (0, 2)}, {(1, "p"): 2, (2, "p"): 3})
-        cache = {}
-        assert evaluate(SIG, m, 0, Box(P), cache) == 2
-        assert cache == {P: [1, 2, 3], Box(P): [2, 3, 3]}
-
-    def test_evaluate_reads_the_cache_first(self):
-        m = KripkeModel(3, {(0, 1), (0, 2)}, {(1, "p"): 2, (2, "p"): 3})
-        assert evaluate(SIG, m, 0, Box(P), {Box(P): [1, 1, 1]}) == 1
-
-    @pytest.mark.parametrize("mvil_first", [False, True])
-    def test_evaluate_and_eval_mvil_share_a_cache(self, mvil_first):
-        # imp(p, q) is imp(1, 1) = 3 at world 0, but world 0 also sees
-        # world 1, where imp(3, 1) = 1, so its intuitionistic value is 1
-        m = KripkeModel(2, {(0, 0), (0, 1), (1, 1)},
-                        {(1, "p"): 3, (0, "q"): 1, (1, "q"): 1})
-        f, cache = Apply("imp", (P, Var("q"))), {}
-        calls = [lambda: evaluate(SIG, m, 0, f, cache),
-                 lambda: eval_mvil(SIG, m, 0, f, cache)]
-        for call in calls[::-1] if mvil_first else calls:
-            call()
-        assert evaluate(SIG, m, 0, f, cache) == 3
-        assert eval_mvil(SIG, m, 0, f, cache) == 1
-
-
 M2 = KripkeModel(2, {(0, 0), (0, 1), (1, 1)}, {(1, "p"): 3})
 
 
 @pytest.mark.parametrize("world", [-1, 2])
 @pytest.mark.parametrize("call", [
     lambda w: evaluate(SIG, M2, w, Box(P)),
-    lambda w: evaluate(SIG, M2, w, P, {P: [1, 3]}),
     lambda w: eval_mvil(SIG, M2, w, Apply("neg", (P,))),
     lambda w: satisfies_sequent(SIG, M2, w, Sequent([LabelledFormula(P, 1)])),
     lambda w: satisfies_sequent(SIG, M2, w, Sequent()),
-], ids=["evaluate", "evaluate-cached", "eval_mvil", "satisfies_sequent",
+], ids=["evaluate", "eval_mvil", "satisfies_sequent",
         "empty-sequent"])
 def test_world_outside_the_model(call, world):
     with pytest.raises(ValueError, match="unknown world"):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import rand_formula, rand_sequent
+from mvmodal import semantics
 from mvmodal.core import (
     Apply,
     Box,
@@ -10,6 +11,7 @@ from mvmodal.core import (
     LabelledFormula,
     Sequent,
     Var,
+    closure_order,
     up_set,
 )
 from mvmodal.proofs import instantiate_scheme
@@ -20,6 +22,7 @@ from mvmodal.semantics import (
     evaluate,
     frame_check,
     model_satisfies,
+    refuting_worlds,
     satisfies_labelled,
     satisfies_sequent,
 )
@@ -77,14 +80,6 @@ class TestEvaluate:
         m = KripkeModel(1)
         with pytest.raises(ValueError, match="unknown connective"):
             evaluate(luk3, m, 0, Apply("nand", (p, p)))
-
-    def test_shared_cache(self, luk3):
-        m = KripkeModel(2, {(0, 1), (1, 0)}, {(0, "p"): 2, (1, "p"): 3})
-        cache = {}
-        f = Box(Diamond(Box(p)))
-        first = evaluate(luk3, m, 0, f, cache)
-        assert cache
-        assert evaluate(luk3, m, 0, f, cache) == first
 
     def test_box_at_most_diamond_on_live_worlds(self, luk3):
         rng = random.Random(5)
@@ -145,6 +140,36 @@ class TestSatisfaction:
 
     def test_empty_sigma_holds(self, luk3):
         assert model_satisfies(luk3, KripkeModel(1), ())
+
+    def test_model_satisfies_walks_its_sequents_once(self, luk3, monkeypatch):
+        # every sequent shares the subformula f: one walk over the union of
+        # their closures evaluates each formula once for all of them
+        walks = []
+
+        def counting(formulas):
+            walks.append(None)
+            return closure_order(formulas)
+
+        rng = random.Random(8)
+        verdicts = []
+        for _ in range(200):
+            m = random_model(rng, ["p", "q"], 3, 3)
+            f = rand_formula(rng, luk3, ["p", "q"], 2)
+            sequents = []
+            for g in (f, Box(f), Apply("imp", (f, p))):
+                s = rand_sequent(rng, luk3, ["p", "q"], max_side=2)
+                shared = lf(g, rng.randint(1, 3))
+                sequents.append(Sequent(s.antecedent, s.succedent | {shared}))
+            expected = all(next(refuting_worlds(luk3, m, s), None) is None
+                           for s in sequents)
+            with monkeypatch.context() as patch:
+                patch.setattr(semantics, "closure_order", counting)
+                walks.clear()
+                # an iterator, which model_satisfies must read only once
+                verdicts.append(model_satisfies(luk3, m, iter(sequents)))
+            assert len(walks) == 1
+            assert verdicts[-1] == expected
+        assert 20 < sum(verdicts) < 180
 
     def test_antecedent_antitone_succedent_monotone(self, luk3):
         rng = random.Random(7)
