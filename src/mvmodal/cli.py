@@ -3,15 +3,25 @@
 Exit status contract: 0 for an affirmative result, 1 for a negative
 result with a witness on stdout, 2 for usage or input errors (reported
 on stderr).  Output is machine-parseable: the first stdout line is the
-verdict, witnesses follow in the standard file formats.
+verdict, witnesses follow in the standard file formats.  A closed
+stdout is an error too: one line on stderr and status 2.
+
+argv is read without argparse when argparse would accept it unchanged: a
+subcommand, then that subcommand's exact option strings, each at most
+once, each value not beginning with "-" (a sequent beginning with "->"
+is a value), every required option and as many positionals as it takes.
+Every other argv, such as help, "--", an abbreviated or "="-joined
+option, a negative number or any error, goes to argparse, so its
+messages and exit status are argparse's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Signature, TruthDomain, is_modal_free, subformula_closure
 from .decision import (
@@ -28,6 +38,7 @@ from .filtration import filter_model
 from .intuitionistic import translate_sequent
 from .parser import (
     ParseError,
+    _quote,
     parse_formula,
     parse_formulas,
     parse_model,
@@ -197,10 +208,13 @@ def cmd_frame_check(args) -> int:
 
 
 def _ceiling(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {_quote(text)}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -281,16 +295,114 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Built on the first call to main and reused: parsing leaves no state in
-# the parser, and building it costs about as much as a small query.
+# the parser, and building it costs about as much as a small query.  Its
+# actions are also the only declaration of the options: the argv reader's
+# table below is built from them.
 _shared_parser = cache(build_parser)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = _shared_parser()
+class _Command(NamedTuple):
+    """What the argv reader needs of one subcommand's parser."""
+    options: dict[str, argparse.Action]  # each exact option string
+    positionals: tuple[argparse.Action, ...]
+    required: frozenset[argparse.Action]
+    defaults: dict[str, object]  # the namespace before any argument
+
+
+def _command(parser: argparse.ArgumentParser) -> Optional[_Command]:
+    """The table of `parser`, or None when it has an action whose effect
+    the reader does not repeat: such a subcommand is left to argparse."""
+    options, positionals, defaults = {}, [], {}
+    for action in parser._actions:
+        if type(action) is argparse._HelpAction:
+            continue  # its option strings are unknown to the reader
+        kind = type(action)
+        if action.default is argparse.SUPPRESS or not (
+                kind is argparse._StoreTrueAction
+                or kind is argparse._StoreAction
+                and action.nargs is None and action.choices is None
+                # argparse passes a string default through the type
+                and not (isinstance(action.default, str) and action.type)):
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            positionals.append(action)
+        defaults[action.dest] = action.default
+    if parser._mutually_exclusive_groups:
+        return None
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    required = frozenset(a for a in options.values() if a.required)
+    return _Command(options, tuple(positionals), required, defaults)
+
+
+@cache
+def _commands() -> tuple[str, dict[str, _Command]]:
+    """The subcommands' dest and, by name, each subcommand's table."""
+    (sub,) = (a for a in _shared_parser()._actions
+              if type(a) is argparse._SubParsersAction)
+    tables = {name: _command(parser) for name, parser in sub.choices.items()}
+    return sub.dest, {name: t for name, t in tables.items() if t is not None}
+
+
+def _plain(arg: str) -> bool:
+    """Whether argparse reads `arg` as a value and never as an option."""
+    return not arg.startswith("-") or arg.startswith("->")
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse would return for `argv`, or None to leave
+    `argv` to argparse.
+
+    Reads only argv that argparse accepts unchanged: a subcommand, then
+    its exact option strings, each at most once and each value plain
+    (see `_plain`), every required option and the positionals' count.
+    Everything else, from help and `--` to every error, is declined, so
+    argparse writes every message and chooses every exit status.
+    """
+    dest, commands = _commands()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {dest: argv[0], **command.defaults}
+    seen: set[argparse.Action] = set()
+    plain = []
+    args = iter(argv[1:])
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        for arg in args:
+            if _plain(arg):
+                plain.append(arg)
+                continue
+            action = command.options.get(arg)
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            value = next(args, "-")  # a missing value is declined
+            if not _plain(value):
+                return None
+            values[action.dest] = action.type(value) if action.type else value
+        if (len(plain) != len(command.positionals)
+                or not command.required <= seen):
+            return None
+        for action, value in zip(command.positionals, plain):
+            values[action.dest] = action.type(value) if action.type else value
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None  # argparse reports the value
+    return argparse.Namespace(**values)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _shared_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     try:
         return args.func(args)
     except (ParseError, UsageError, ValueError) as exc:
@@ -299,4 +411,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout shows here, inside the try
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit; give that flush
+        # somewhere to write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

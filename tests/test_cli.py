@@ -1,12 +1,17 @@
+import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mvmodal.cli import main
+from mvmodal.cli import _commands, _read_argv, _shared_parser, main
 from mvmodal.derivations import box_modus_ponens_lukasiewicz
 from mvmodal.parser import (
     MAX_FORMULA_DEPTH,
@@ -40,7 +45,22 @@ def ws(tmp_path):
     return tmp_path
 
 
+def read_as_argparse(argv):
+    """Checks that the argv reader declines `argv`, or reads it as
+    argparse does and argparse accepts it; returns what the reader read."""
+    fast = _read_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            slow = vars(_shared_parser().parse_args(argv))
+        except SystemExit:
+            slow = None
+    assert fast is None or vars(fast) == slow, argv
+    return fast
+
+
 def run(capsys, *argv):
+    read_as_argparse(list(argv))
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -56,6 +76,7 @@ CAPPED = ("import resource, runpy, sys\n"
 
 
 def run_capped(cap_bytes, *argv):
+    read_as_argparse(list(argv))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
@@ -517,6 +538,29 @@ class TestUsage:
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout(self, unbuffered):
+        # the process reading stdout is gone before the verdict is
+        # written: one error line and status 2, never a traceback, nor
+        # status 1 (a countermodel) or 120
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mvmodal", "neg-scan", "--n", "3",
+                 "--bound", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write to stdout: Broken pipe\n"
 
     def test_python_m_mvmodal(self, ws):
         # a malformed model file: exit 2 and one error line, no traceback
@@ -613,6 +657,20 @@ class TestCeiling:
         assert ("argument --ceiling: expected a non-negative integer, "
                 "got '²'") in err
 
+    # past int()'s digit limit: the ceiling's own message, the value cut
+    @pytest.mark.parametrize("command", ["decide", "neg-scan"])
+    def test_ceiling_past_the_digit_limit(self, ws, capsys, command):
+        digits = "9" * 5000
+        argv = {"decide": ["decide", "--sig", str(ws / "sig.mvk"), "--bound",
+                           "1", "--ceiling", digits, "-> (p, 1)"],
+                "neg-scan": ["neg-scan", "--n", "2", "--bound", "1",
+                             "--ceiling", digits]}[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"argument --ceiling: expected a non-negative "
+                            f"integer, got '{'9' * 32}'... (5000 characters)\n")
+        assert len(err) < 1000
+
     @pytest.mark.parametrize("argv", [
         ["neg-scan", "--n", "2", "--bound", "1"],
         ["decide", "--sig", "SIG", "--bound", "1", "-> (p, 1)"],
@@ -624,6 +682,87 @@ class TestCeiling:
         assert code == 2 and out == ""
         assert err == ("error: MVK_ENUM_CEILING must be a non-negative "
                        "integer, got '²'\n")
+
+
+class TestArgvReader:
+    """`cli._read_argv` reads an argv only where argparse would accept it,
+    and then reads it as argparse does; it declines every other argv."""
+
+    # one well-formed argv per subcommand, in groups: an option and its
+    # value, a flag, or a positional
+    WELL_FORMED = {
+        "eval": [["--sig", "s.mvk"], ["--model", "m.mvk"], ["--world", "0"],
+                 ["Box p"]],
+        "sat": [["--sig", "s.mvk"], ["--model", "m.mvk"], ["--world", "1"],
+                ["->(p, 2)"]],
+        "decide": [["--sig", "s.mvk"], ["--sigma", "h.mvk"], ["--logic", "mv-T"],
+                   ["--bound", "2"], ["--ceiling", "100"],
+                   ["(Box p, 3) -> (p, 3)"]],
+        "check-proof": [["--sig", "s.mvk"], ["--sigma", "h.mvk"],
+                        ["--logic", "mv-K"], ["proof.mvk"]],
+        "filter": [["--sig", "s.mvk"], ["--model", "m.mvk"],
+                   ["--logic", "mv-S4"], ["--phi", "phi.mvk"]],
+        "neg-scan": [["--n", "3"], ["--bound", "2"], ["--ceiling", "184"]],
+        "translate": [["--sig", "s.mvk"], ["--optimized"], ["seq.mvk"]],
+        "frame-check": [["--model", "m.mvk"], ["reflexive"]],
+    }
+    VALUES = ["-1", "²", "", "-", "--", "->", "9" * 5000]
+
+    @staticmethod
+    def variants(groups):
+        def joined(parts):
+            return list(itertools.chain(*parts))
+
+        for i, group in enumerate(groups):
+            yield joined(groups[:i] + groups[i + 1:])  # dropped
+            yield joined(groups + [group])  # repeated
+            for value in TestArgvReader.VALUES:  # value replaced
+                yield joined(groups[:i] + [group[:-1] + [value]] + groups[i + 1:])
+            if group[0].startswith("-"):
+                abbreviated = [group[0][:-1]] + group[1:]
+                yield joined(groups[:i] + [abbreviated] + groups[i + 1:])
+            if len(group) == 2 and group[0].startswith("-"):
+                yield joined(groups[:i] + [["=".join(group)]] + groups[i + 1:])
+            yield joined(groups[:i] + [["-h"]] + groups[i:])
+        yield joined(groups) + ["-h"]
+
+    @pytest.mark.parametrize("command", list(WELL_FORMED))
+    def test_agrees_with_argparse(self, command):
+        groups = self.WELL_FORMED[command]
+        for order in itertools.permutations(groups):
+            argv = [command, *itertools.chain(*order)]
+            assert read_as_argparse(argv) is not None, argv
+        declined = 0
+        for variant in self.variants(groups):
+            declined += read_as_argparse([command, *variant]) is None
+        assert declined
+
+    def test_every_subcommand_has_a_table(self):
+        assert set(_commands()[1]) == set(self.WELL_FORMED)
+
+    def test_readme_examples_skip_argparse(self, tmp_path, capsys, monkeypatch):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        examples = [shlex.split(line)[1:] for line in
+                    readme.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("mvmodal ")]
+        assert {argv[0] for argv in examples} == set(self.WELL_FORMED)
+        files = {"sig.mvk": LUK3,
+                 "m.mvk": "worlds 2\nedge 0 0\nedge 0 1\nedge 1 1\nval 1 p 3\n",
+                 "proof.mvk": render_proof(box_modus_ponens_lukasiewicz()),
+                 "phi.mvk": "Box p\n",
+                 "sequent.mvk": "(imp(p, q), 3) -> (p, 1)\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse was called")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        for argv in examples:
+            argv = [str(tmp_path / a) if a in files else a for a in argv]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1) and out and err == "", (argv, err)
 
 
 def _nested(kind, depth):
@@ -726,6 +865,8 @@ class TestOutputIndependence:
                    ["neg-scan", "--n", "3", "--bound", "2"],
                    ["neg-scan", "--n", "4", "--bound", "2"],
                    ["check-proof", *sig, str(ws / "smshift.mvk")]]
+        for argv in corpus:
+            assert read_as_argparse(argv) is not None
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for seed in ("0", "1"):
