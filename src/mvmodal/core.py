@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
@@ -72,6 +73,12 @@ class Signature:
                     f"connective {name!r}: table has {len(conn.table)} entries, "
                     f"needs {expected}"
                 )
+            # one pass over the whole table; the entries are walked only
+            # to name the first bad one
+            labels = set(conn.table.values()).union(*conn.table)
+            if (set(map(len, conn.table)) == {conn.arity}
+                    and min(labels) >= 1 and max(labels) <= n):
+                continue
             for entry, out in conn.table.items():
                 if len(entry) != conn.arity:
                     raise ValueError(f"connective {name!r}: entry {entry} has wrong arity")
@@ -104,21 +111,31 @@ def make_signature(n: int, connectives: Iterable[Connective] = ()) -> Signature:
 # ---------------------------------------------------------------------------
 
 
-#: The live formula nodes, keyed by class and fields (children by identity).
-_nodes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: The live formula nodes, keyed by class and fields (children by identity),
+#: each held by a weak reference that deletes its own entry when it dies.
+_nodes: dict[tuple, weakref.KeyedRef] = {}
 _nodes_lock = threading.Lock()
+
+
+def _forget(ref: weakref.KeyedRef, nodes: dict = _nodes) -> None:
+    # deletes the entry only if it still holds a dead reference, so a node
+    # built again under the same key keeps its live one; the table is
+    # bound as a default because callbacks can run while modules unload
+    _remove_dead_weakref(nodes, ref.key)
 
 
 def _intern(cls, *values):
     key = (cls, *values)
-    node = _nodes.get(key)
+    ref = _nodes.get(key)
+    node = ref and ref()
     if node is None:
         with _nodes_lock:  # two threads that miss together build one node
-            node = _nodes.get(key)
+            ref = _nodes.get(key)
+            node = ref and ref()
             if node is None:
                 node = object.__new__(cls)
                 node.__dict__.update(zip(cls.__match_args__, values))
-                _nodes[key] = node
+                _nodes[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 

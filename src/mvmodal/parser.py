@@ -9,10 +9,14 @@ parenthesized formula, nested at most MAX_FORMULA_DEPTH levels.  `Box`,
 `Dia` are reserved; in proof scripts the word `from` introduces premise
 references and cannot name a variable.
 
-A token keeps only its offset into the text; a ParseError computes the
-1-based line and column from it.  Every file format is a sequence of
-statements, one per non-blank line.  Formulas, sequents and proof
-scripts are tokenized whole and read by TokenStream.statements.
+Every format has one tokenizer: one regex `findall` gives the text of
+each word, and nothing else.  A word's offset is found only when a
+ParseError needs its 1-based line and column, by scanning the text
+again up to that word (TokenStream.span).  Every file format is a
+sequence of statements, one per non-blank line.  Formulas, sequents and
+proof scripts are tokenized whole and read by index into the word list,
+formulas with an explicit stack (_parse_formula), statements by
+TokenStream.statements.
 Signature and model files are first read a line at a time
 (_statement_lines): each line is cut at `#` and split into fields.  A
 signature is taken whole when every line is a well-formed header,
@@ -31,10 +35,12 @@ from __future__ import annotations
 
 import math
 import re
+import string
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
     Apply,
@@ -106,73 +112,99 @@ class ParseError(Exception):
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 _IDENT_RE = re.compile(_IDENT)
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
-# Whitespace and comments before a token are part of its match; `bad`
-# catches any other character and `eof` the end of the text.
-_TOKEN_RE = re.compile(r"""
-    (?:[^\S\n]+|\#[^\n]*)*
-    (?:(?P<newline>\n) | (?P<arrow>->) | (?P<int>\d+)
-      | (?P<ident>""" + _IDENT + r""")
-      | (?P<lparen>\() | (?P<rparen>\)) | (?P<lbrace>\{) | (?P<rbrace>\})
-      | (?P<comma>,) | (?P<semi>;) | (?P<colon>:) | (?P<equals>=) | (?P<minus>-)
-      | (?P<eof>\Z) | (?P<bad>.))
+# Whitespace and a comment before a word are part of its match (a comment
+# runs to the newline).  The one group is the word: an identifier, a
+# punctuation mark, `->`, an integer, a newline, the empty word at the end
+# of the text, or a bad character together with the rest of the text.
+_WORD_RE = re.compile(r"""
+    [^\S\n]*(?:\#[^\n]*)?
+    (""" + _IDENT + r"""|[(){},;:=]|->|-|\d+|\n|\Z|[^\n][\s\S]*)
 """, re.VERBOSE)
 
+_KINDS = {"": "eof", "\n": "newline", "->": "arrow", "(": "lparen",
+          ")": "rparen", "{": "lbrace", "}": "rbrace", ",": "comma",
+          ";": "semi", ":": "colon", "=": "equals", "-": "minus"}
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
-    source: str
-
-    @property
-    def span(self) -> SourceSpan:
-        line_start = self.source.rfind("\n", 0, self.offset) + 1
-        return SourceSpan(self.source.count("\n", 0, self.offset) + 1,
-                          self.offset - line_start + 1, self.offset)
+#: The first characters of the words that are not `int` words.
+_WORD_START = _IDENT_START | {word[0] for word in _KINDS if word}
 
 
-def tokenize(text: str, start: int = 0) -> list[Token]:
-    """The tokens of `text` from offset `start` on, newlines included,
-    ending with one eof token."""
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text, start):
-        kind = m.lastgroup
-        tokens.append(Token(kind, m[kind], m.start(kind), text))
-        if kind == "bad":
-            raise ParseError(f"unexpected character {_quote(m[kind])}",
-                             tokens[-1].span)
-        if kind == "eof":
-            break
-    return tokens
+def _kind(word: str) -> str:
+    return _KINDS.get(word) or ("int" if word[0].isdecimal() else "ident")
+
+
+def _span(text: str, offset: int) -> SourceSpan:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1,
+                      offset)
+
+
+def tokenize(text: str, start: int = 0) -> list[str]:
+    """The words of `text` from offset `start` on, newlines included,
+    ending with an empty word for the end of the text (a second one
+    follows when whitespace or a comment ends it)."""
+    words = _WORD_RE.findall(text, start)
+    # a bad character's word runs to the end, so only the empty word
+    # that closes the list follows it
+    bad = words[-2] if len(words) > 1 else ""
+    if bad and bad[0] not in _WORD_START and not bad[0].isdecimal():
+        raise ParseError(f"unexpected character {_quote(bad[0])}",
+                         _span(text, len(text) - len(bad)))
+    return words
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """The words of a text, read by index.
+
+    A word's offset is found only for an error, by scanning the text
+    again up to that word (span).
+    """
+
+    def __init__(self, text: str, start: int = 0):
+        self.text = text
+        self.start = start
+        self.words = tokenize(text, start)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, at: int) -> SourceSpan:
+        match = next(islice(_WORD_RE.finditer(self.text, self.start), at, None))
+        return _span(self.text, match.start(1))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def error(self, message: str, at: Optional[int] = None,
+              expected: Optional[str] = None) -> ParseError:
+        """A ParseError at word `at`, by default the next word."""
+        return ParseError(message, self.span(self.pos if at is None else at),
+                          expected)
+
+    def expected(self, what: str, at: Optional[int] = None) -> ParseError:
+        word = self.words[self.pos if at is None else at]
+        return self.error(f"expected {what}, found {_quote(word)}" if word
+                          else f"expected {what}, found end of input", at, what)
+
+    def peek(self) -> str:
+        return self.words[self.pos]
+
+    def kind(self) -> str:
+        return _kind(self.words[self.pos])
+
+    def advance(self) -> str:
+        word = self.words[self.pos]
+        if word:
             self.pos += 1
-        return tok
+        return word
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        return None
+    def accept(self, kind: str, text: Optional[str] = None) -> bool:
+        word = self.words[self.pos]
+        if _kind(word) == kind and (text is None or word == text):
+            self.advance()
+            return True
+        return False
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {_quote(tok.text)}" if tok.text
-                             else f"expected {what}, found end of input",
-                             tok.span, expected=what)
+    def expect(self, kind: str, what: str) -> str:
+        if _kind(self.words[self.pos]) != kind:
+            raise self.expected(what)
         return self.advance()
 
     def expect_int(self, what: str, low: int = 0, high: Optional[int] = None,
@@ -182,36 +214,34 @@ class TokenStream:
         Out of range, `message` is formatted with the integer, low and high.
         Every integer of every format is read here.
         """
-        tok = self.expect("int", what)
+        word = self.expect("int", what)
         try:
-            value = int(tok.text)
+            value = int(word)
         except ValueError:  # past sys.get_int_max_str_digits()
-            raise ParseError(f"integer of {len(tok.text)} digits is too long",
-                             tok.span) from None
+            raise self.error(f"integer of {len(word)} digits is too long",
+                             self.pos - 1) from None
         if value < low or (high is not None and value > high):
-            raise ParseError(message.format(value, low, high), tok.span)
+            raise self.error(message.format(value, low, high), self.pos - 1)
         return value
 
     def comma_list(self, read: Callable[..., object], *args) -> list:
         """read(self, *args), then once more after each comma."""
         items = [read(self, *args)]
-        while self.accept("comma"):
+        while self.words[self.pos] == ",":
+            self.pos += 1
             items.append(read(self, *args))
         return items
 
     def skip_newlines(self) -> None:
-        while self.accept("newline"):
-            pass
+        while self.words[self.pos] == "\n":
+            self.pos += 1
 
     def end_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind == "eof":
-            return
-        if tok.kind == "newline":
-            self.advance()
-            return
-        raise ParseError(f"unexpected {_quote(tok.text)} at end of statement",
-                         tok.span)
+        word = self.words[self.pos]
+        if word == "\n":
+            self.pos += 1
+        elif word:
+            raise self.error(f"unexpected {_quote(word)} at end of statement")
 
     def header(self, keyword: str, noun: str, what: str, low: int,
                too_small: str, high: Optional[int] = None) -> int:
@@ -220,28 +250,26 @@ class TokenStream:
         Above `high` it is an error, raised before the caller allocates.
         """
         self.skip_newlines()
-        tok = self.expect("ident", f"'{keyword}'")
-        if tok.text != keyword:
-            raise ParseError(f"{noun} must start with a {keyword} declaration",
-                             tok.span, expected=keyword)
-        int_tok = self.peek()
+        if self.expect("ident", f"'{keyword}'") != keyword:
+            raise self.error(f"{noun} must start with a {keyword} declaration",
+                             self.pos - 1, keyword)
         value = self.expect_int(what, low, None, too_small)
         if high is not None and value > high:
-            raise ParseError(f"{what} is above the limit of {high}", int_tok.span)
+            raise self.error(f"{what} is above the limit of {high}", self.pos - 1)
         self.end_statement()
         return value
 
-    def statements(self) -> Iterator[Token]:
-        """Each statement's first token, skipping blank lines.
+    def statements(self) -> Iterator[str]:
+        """Each statement's first word, skipping blank lines.
 
         The caller reads the statement; the stream then checks its end.
         """
         while True:
             self.skip_newlines()
-            tok = self.peek()
-            if tok.kind == "eof":
+            word = self.words[self.pos]
+            if not word:
                 return
-            yield tok
+            yield word
             self.end_statement()
 
 
@@ -254,47 +282,88 @@ def _label(ts: TokenStream, n: int, what: str = "a label") -> int:
 # ---------------------------------------------------------------------------
 
 #: Deepest nesting of Box, Dia, connectives and parentheses in a formula;
-#: it keeps the parser's own recursive descent inside the recursion limit.
+#: _parse_formula checks its stack against it.
 MAX_FORMULA_DEPTH = 100
 
 #: Most worlds a model file may declare; a model allocates per world.
 MAX_WORLDS = 100_000
 
+# Entries of _parse_formula's stack for an open parenthesis, Box and Dia;
+# an open argument list is a list of its name's position and arguments.
+_PAREN, _BOX, _DIA = object(), object(), object()
 
-def _parse_formula(ts: TokenStream, sig: Signature, depth: int = 0) -> Formula:
-    tok = ts.peek()
-    if depth > MAX_FORMULA_DEPTH:
-        raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
-                         tok.span)
-    if tok.kind == "lparen":
-        ts.advance()
-        inner = _parse_formula(ts, sig, depth + 1)
-        ts.expect("rparen", "')'")
-        return inner
-    if tok.kind != "ident":
-        raise ParseError(f"expected a formula, found {_quote(tok.text)}", tok.span,
-                         expected="formula")
-    ts.advance()
-    if tok.text == "Box":
-        return Box(_parse_formula(ts, sig, depth + 1))
-    if tok.text == "Dia":
-        return Diamond(_parse_formula(ts, sig, depth + 1))
-    if ts.accept("lparen"):
-        args = ([] if ts.peek().kind == "rparen"
-                else ts.comma_list(_parse_formula, sig, depth + 1))
-        ts.expect("rparen", "')'")
-        conn = sig.connectives.get(tok.text)
-        if conn is None:
-            raise ParseError(f"unknown connective {_quote(tok.text)}", tok.span)
-        if len(args) != conn.arity:
-            raise ParseError(
-                f"connective {_quote(tok.text)} expects {conn.arity} arguments, "
-                f"got {len(args)}", tok.span)
-        return Apply(tok.text, tuple(args))
-    if tok.text in sig.connectives:
-        raise ParseError(f"connective {_quote(tok.text)} needs an argument list",
-                         tok.span)
-    return Var(tok.text)
+
+def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
+    """The formula at the stream's position.
+
+    An explicit stack, not recursion: it holds one entry per open
+    parenthesis, Box, Dia and argument list, so its height is the depth
+    of the formula read next.
+    """
+    words, i, connectives = ts.words, ts.pos, sig.connectives
+    stack: list = []
+    while True:
+        if len(stack) > MAX_FORMULA_DEPTH:
+            raise ts.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", i)
+        word = words[i]
+        if word == "(":
+            stack.append(_PAREN)
+            i += 1
+            continue
+        if word[:1] not in _IDENT_START:
+            raise ts.error(f"expected a formula, found {_quote(word)}", i, "formula")
+        i += 1
+        if word == "Box":
+            stack.append(_BOX)
+            continue
+        if word == "Dia":
+            stack.append(_DIA)
+            continue
+        if words[i] == "(":
+            if words[i + 1] != ")":
+                stack.append([i - 1])
+                i += 1
+                continue
+            i += 2
+            node = _apply(ts, sig, i - 3, ())
+        elif word in connectives:
+            raise ts.error(f"connective {_quote(word)} needs an argument list", i - 1)
+        else:
+            node = Var(word)
+        # `node` is whole: close every entry it completes
+        while stack:
+            top = stack[-1]
+            if top is _BOX:
+                node = Box(node)
+            elif top is _DIA:
+                node = Diamond(node)
+            else:
+                if top is not _PAREN:
+                    top.append(node)
+                    if words[i] == ",":
+                        i += 1
+                        break
+                if words[i] != ")":
+                    raise ts.expected("')'", i)
+                i += 1
+                if top is not _PAREN:
+                    node = _apply(ts, sig, top[0], top[1:])
+            stack.pop()
+        else:
+            ts.pos = i
+            return node
+
+
+def _apply(ts: TokenStream, sig: Signature, at: int, args) -> Apply:
+    """The connective named by word `at` applied to `args`."""
+    name = ts.words[at]
+    conn = sig.connectives.get(name)
+    if conn is None:
+        raise ts.error(f"unknown connective {_quote(name)}", at)
+    if len(args) != conn.arity:
+        raise ts.error(f"connective {_quote(name)} expects {conn.arity} arguments, "
+                       f"got {len(args)}", at)
+    return Apply(name, args)
 
 
 def _parse_labelled(ts: TokenStream, sig: Signature) -> LabelledFormula:
@@ -307,7 +376,7 @@ def _parse_labelled(ts: TokenStream, sig: Signature) -> LabelledFormula:
 
 
 def _parse_side(ts: TokenStream, sig: Signature) -> list[LabelledFormula]:
-    if ts.peek().kind != "lparen":
+    if ts.peek() != "(":
         return []
     return ts.comma_list(_parse_labelled, sig)
 
@@ -319,13 +388,13 @@ def _parse_sequent(ts: TokenStream, sig: Signature) -> Sequent:
 
 
 def _single(text: str, parse, sig: Signature):
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     ts.skip_newlines()
     out = parse(ts, sig)
     ts.skip_newlines()
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing {_quote(tok.text)}", tok.span)
+    word = ts.peek()
+    if word:
+        raise ts.error(f"unexpected trailing {_quote(word)}")
     return out
 
 
@@ -335,7 +404,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 def parse_formulas(text: str, sig: Signature) -> tuple[Formula, ...]:
     """One formula per non-empty line."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     return tuple(_parse_formula(ts, sig) for _ in ts.statements())
 
 
@@ -345,7 +414,7 @@ def parse_sequent(text: str, sig: Signature) -> Sequent:
 
 def parse_sequents(text: str, sig: Signature) -> tuple[Sequent, ...]:
     """One sequent per non-empty line."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     return tuple(_parse_sequent(ts, sig) for _ in ts.statements())
 
 
@@ -513,54 +582,51 @@ def parse_signature(text: str) -> Signature:
     sig = _read_signature_lines(text)
     if sig is not None:
         return sig
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     n = ts.header("domain", "signature", "the domain size", 2,
                   "domain needs at least 2 values, got {}")
     # A complete table of arity a has n^a rows, one per line, so an arity
     # whose rows cannot fit in the text's lines is rejected at once.
     lines = text.count("\n") + 1
-    # name -> (arity, name token, table)
-    declared: dict[str, tuple[int, Token, dict[tuple[int, ...], int]]] = {}
+    # name -> (arity, position of the name's word, table)
+    declared: dict[str, tuple[int, int, dict[tuple[int, ...], int]]] = {}
     for _ in ts.statements():
-        name_tok = ts.expect("ident", "'conn' or a table row")
+        name_at = ts.pos
+        name = ts.expect("ident", "'conn' or a table row")
         # once a connective named `conn` is declared, `conn` followed by
         # anything but a name starts one of its table rows
-        if name_tok.text == "conn" and ("conn" not in declared
-                                        or ts.peek().kind == "ident"):
-            ctok = ts.expect("ident", "a connective name")
-            if ctok.text in RESERVED_NAMES:
-                raise ParseError(f"connective name {_quote(ctok.text)} is reserved",
-                                 ctok.span)
-            if ctok.text in declared:
-                raise ParseError(f"duplicate connective name {_quote(ctok.text)}",
-                                 ctok.span)
-            arity_tok = ts.peek()
+        if name == "conn" and ("conn" not in declared or ts.kind() == "ident"):
+            conn_at = ts.pos
+            conn = ts.expect("ident", "a connective name")
+            if conn in RESERVED_NAMES:
+                raise ts.error(f"connective name {_quote(conn)} is reserved", conn_at)
+            if conn in declared:
+                raise ts.error(f"duplicate connective name {_quote(conn)}", conn_at)
             arity = ts.expect_int("an arity")
             if not _rows_fit(n, arity, lines):
-                raise ParseError(f"connective {_quote(ctok.text)}: arity {arity} "
-                                 f"needs {n}^{arity} table rows, more than the "
-                                 f"signature's {lines} lines", arity_tok.span)
-            declared[ctok.text] = (arity, ctok, {})
+                raise ts.error(f"connective {_quote(conn)}: arity {arity} "
+                               f"needs {n}^{arity} table rows, more than the "
+                               f"signature's {lines} lines", ts.pos - 1)
+            declared[conn] = (arity, conn_at, {})
             continue
-        if name_tok.text not in declared:
-            raise ParseError(f"table row for undeclared connective "
-                             f"{_quote(name_tok.text)}", name_tok.span)
-        arity, _, table = declared[name_tok.text]
+        if name not in declared:
+            raise ts.error(f"table row for undeclared connective {_quote(name)}",
+                           name_at)
+        arity, _, table = declared[name]
         key = tuple(_label(ts, n, "an argument label") for _ in range(arity))
         ts.expect("equals", "'='")
         out = _label(ts, n, "the table value")
         if key in table:
-            raise ParseError(f"duplicate table row for {_quote(name_tok.text)}",
-                             name_tok.span)
+            raise ts.error(f"duplicate table row for {_quote(name)}", name_at)
         table[key] = out
 
     connectives = []
-    for name, (arity, ctok, table) in declared.items():
+    for name, (arity, conn_at, table) in declared.items():
         if len(table) != n ** arity:
             missing = next(e for e in all_entries(n, arity) if e not in table)
-            raise ParseError(
+            raise ts.error(
                 f"connective {_quote(name)}: missing table entry for "
-                f"{' '.join(map(str, missing)) or '()'}", ctok.span)
+                f"{' '.join(map(str, missing)) or '()'}", conn_at)
         connectives.append(Connective(name, arity, table))
     return make_signature(n, connectives)
 
@@ -640,7 +706,7 @@ def parse_model(text: str, sig: Signature) -> KripkeModel:
     world_count, edges, vals, rest = _read_model_lines(text, sig.n)
     if rest is None:
         return KripkeModel(world_count, edges, vals)
-    ts = TokenStream(tokenize(text, rest))
+    ts = TokenStream(text, rest)
     if world_count is None:
         world_count = ts.header("worlds", "model", "the world count", 1,
                                 "a model needs at least one world", MAX_WORLDS)
@@ -651,22 +717,22 @@ def parse_model(text: str, sig: Signature) -> KripkeModel:
 
     for _ in ts.statements():
         key = ts.expect("ident", "'edge' or 'val'")
-        if key.text == "edge":
+        if key == "edge":
             edges.add((world("edge source"), world("edge target")))
-        elif key.text == "val":
+        elif key == "val":
             u = world("valuation world")
-            vtok = ts.expect("ident", "a variable name")
-            if vtok.text in RESERVED_NAMES:
-                raise ParseError(f"variable name {_quote(vtok.text)} is reserved",
-                                 vtok.span)
+            name_at = ts.pos
+            name = ts.expect("ident", "a variable name")
+            if name in RESERVED_NAMES:
+                raise ts.error(f"variable name {_quote(name)} is reserved", name_at)
             k = _label(ts, sig.n)
-            if (u, vtok.text) in vals:
-                raise ParseError(f"duplicate valuation for {_quote(vtok.text)} "
-                                 f"at world {u}", vtok.span)
-            vals[(u, vtok.text)] = k
+            if (u, name) in vals:
+                raise ts.error(f"duplicate valuation for {_quote(name)} "
+                               f"at world {u}", name_at)
+            vals[(u, name)] = k
         else:
-            raise ParseError(f"expected 'edge' or 'val', found {_quote(key.text)}",
-                             key.span)
+            raise ts.error(f"expected 'edge' or 'val', found {_quote(key)}",
+                           ts.pos - 1)
     return KripkeModel(world_count, edges, vals)
 
 
@@ -683,22 +749,19 @@ def render_model(model: KripkeModel) -> str:
 # Proof scripts
 # ---------------------------------------------------------------------------
 
-def _parse_rule_name(ts: TokenStream) -> tuple[str, Token]:
-    tok = ts.expect("ident", "a rule name")
-    parts = [tok.text]
+def _parse_rule_name(ts: TokenStream) -> str:
+    parts = [ts.expect("ident", "a rule name")]
     while ts.accept("minus"):
-        part = ts.peek()
-        if part.kind not in ("ident", "int"):
-            raise ParseError("malformed rule name", part.span)
-        ts.advance()
-        parts.append(part.text)
-    return "-".join(parts), tok
+        if ts.kind() not in ("ident", "int"):
+            raise ts.error("malformed rule name")
+        parts.append(ts.advance())
+    return "-".join(parts)
 
 
 def _parse_label_set(ts: TokenStream, n: int) -> frozenset[int]:
     ts.expect("lbrace", "'{'")
     labels = set()
-    while ts.peek().kind == "int":
+    while ts.kind() == "int":
         labels.add(_label(ts, n))
     ts.expect("rbrace", "'}'")
     return frozenset(labels)
@@ -709,9 +772,8 @@ def _render_group(formula: Formula, labels: frozenset[int]) -> str:
 
 
 def _at_formula_start(ts: TokenStream) -> bool:
-    tok = ts.peek()
-    return (tok.kind == "lparen"
-            or (tok.kind == "ident" and tok.text != "from"))
+    kind = ts.kind()
+    return kind == "lparen" or (kind == "ident" and ts.peek() != "from")
 
 
 def _any_label(ts: TokenStream) -> int:
@@ -725,9 +787,9 @@ def _parse_hypothesis(ts: TokenStream, sig: Signature) -> Hypothesis:
 
 
 def _parse_table_entry(ts: TokenStream, sig: Signature) -> AxiomTable:
-    conn = ts.expect("ident", "a connective name").text
+    conn = ts.expect("ident", "a connective name")
     entry = []
-    while ts.peek().kind == "int":
+    while ts.kind() == "int":
         entry.append(ts.expect_int("a table entry"))
     return AxiomTable(conn, tuple(entry))
 
@@ -738,8 +800,7 @@ def _parse_groups(ts: TokenStream, sig: Signature) -> SuperMultiShift:
         formulas.append(_parse_formula(ts, sig))
         label_sets.append(_parse_label_set(ts, sig.n))
     if not formulas:
-        raise ParseError("expected at least one formula group",
-                         ts.peek().span, expected="formula")
+        raise ts.error("expected at least one formula group", expected="formula")
     return SuperMultiShift(tuple(formulas), tuple(label_sets))
 
 
@@ -785,33 +846,32 @@ _PARSERS.update((f"{RULES[ExtensionAxiom].name}-{scheme}",
 
 
 def _parse_justification(ts: TokenStream, sig: Signature) -> Justification:
-    name, tok = _parse_rule_name(ts)
+    name_at = ts.pos
+    name = _parse_rule_name(ts)
     parse = _PARSERS.get(name)
     if parse is None:
-        raise ParseError(f"unknown rule name {_quote(name)}", tok.span)
+        raise ts.error(f"unknown rule name {_quote(name)}", name_at)
     return parse(ts, sig)
 
 
 def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
                 hypotheses: Iterable[Sequent] = ()) -> Derivation:
     """Parse a proof script; the logic and hypotheses come from the caller."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     steps: list[Step] = []
     positions: dict[int, int] = {}
 
     def premise(ts: TokenStream) -> int:
-        tok = ts.peek()
         ref = ts.expect_int("a premise step number")
         if ref not in positions:
-            raise ParseError(f"premise reference {ref} does not name "
-                             "an earlier step", tok.span)
+            raise ts.error(f"premise reference {ref} does not name "
+                           "an earlier step", ts.pos - 1)
         return positions[ref]
 
     for _ in ts.statements():
-        idx_tok = ts.peek()
         idx = ts.expect_int("a step number")
         if idx in positions:
-            raise ParseError(f"duplicate step number {idx}", idx_tok.span)
+            raise ts.error(f"duplicate step number {idx}", ts.pos - 1)
         ts.expect("colon", "':'")
         sequent = _parse_sequent(ts, sig)
         ts.expect("semi", "';'")

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+import re
+from functools import lru_cache, partial
 from itertools import permutations, product
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from hypothesis import strategies as st
 
 from mvmodal import decision
 from mvmodal.core import (
+    RESERVED_NAMES,
     Apply,
     Box,
+    Connective,
     Diamond,
     Formula,
     LabelledFormula,
@@ -20,9 +23,11 @@ from mvmodal.core import (
     Signature,
     TruthDomain,
     Var,
+    all_entries,
     apply_connective,
     closure_order,
     labelled_key,
+    make_signature,
 )
 from mvmodal.decision import Countermodel, ProvedValid, ValidUpTo, filtration_bound
 from mvmodal.duality import (
@@ -36,7 +41,34 @@ from mvmodal.duality import (
     _spend_whole_scan,
     negation_connective,
 )
-from mvmodal.proofs import Derivation, LogicId, Step
+from mvmodal.parser import (
+    MAX_FORMULA_DEPTH,
+    MAX_WORLDS,
+    ParseError,
+    SourceSpan,
+    _quote,
+)
+from mvmodal.proofs import (
+    SCHEME_FRAMES,
+    AxiomIdentity,
+    AxiomTable,
+    Cut,
+    Derivation,
+    ExtensionAxiom,
+    Hypothesis,
+    Justification,
+    LeftShift,
+    LeftWeaken,
+    LogicId,
+    MultiShift,
+    Resolution,
+    RightShift,
+    RightWeaken,
+    RuleBox,
+    RuleDiamond,
+    Step,
+    SuperMultiShift,
+)
 from mvmodal.sampling import EDGE_PROBABILITY
 from mvmodal.semantics import (
     FrameClass,
@@ -518,6 +550,23 @@ def rand_formula(rng: random.Random, sig: Signature, variables: list[str],
                              for _ in range(arity)))
 
 
+def nested_formula(kind: str, depth: int) -> str:
+    """A formula `depth` levels deep of one shape: a Box chain, a
+    connective chain, parentheses, Box and connective levels in turn, or
+    Dia and connective levels in turn with each Dia in a first argument."""
+    if kind == "box":
+        return "Box " * depth + "p"
+    if kind == "imp":
+        return "imp(p, " * depth + "p" + ")" * depth
+    if kind == "paren":
+        return "(" * depth + "p" + ")" * depth
+    if kind == "mixed":
+        outer = "".join("Box " if i % 2 else "imp(q, " for i in range(depth))
+        return outer + "p" + ")" * ((depth + 1) // 2)
+    outer = "".join("Dia " if i % 2 else "imp(" for i in range(depth))
+    return outer + "p" + ", q)" * ((depth + 1) // 2)
+
+
 def rand_sequent(rng: random.Random, sig: Signature, variables: list[str],
                  depth: int = 2, max_side: int = 3) -> Sequent:
     def side():
@@ -563,3 +612,419 @@ def premise_drop_mutations(derivation: Derivation) -> Iterator[Derivation]:
             steps[idx] = Step(step.conclusion, step.justification, premises)
             yield Derivation(derivation.logic, derivation.hypotheses,
                              tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# Parser oracle: the token reader that the word list replaced, kept as it
+# was.  One Token per regex match, TokenStream methods per token and a
+# recursive descent for formulas.  Its errors are mvmodal's ParseError.
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN_RE = re.compile(r"""
+    (?:[^\S\n]+|\#[^\n]*)*
+    (?:(?P<newline>\n) | (?P<arrow>->) | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<lparen>\() | (?P<rparen>\)) | (?P<lbrace>\{) | (?P<rbrace>\})
+      | (?P<comma>,) | (?P<semi>;) | (?P<colon>:) | (?P<equals>=) | (?P<minus>-)
+      | (?P<eof>\Z) | (?P<bad>.))
+""", re.VERBOSE)
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    offset: int
+    source: str
+
+    @property
+    def span(self) -> SourceSpan:
+        line_start = self.source.rfind("\n", 0, self.offset) + 1
+        return SourceSpan(self.source.count("\n", 0, self.offset) + 1,
+                          self.offset - line_start + 1, self.offset)
+
+
+def oracle_tokenize(text: str, start: int = 0) -> list[Token]:
+    tokens: list[Token] = []
+    for m in _ORACLE_TOKEN_RE.finditer(text, start):
+        kind = m.lastgroup
+        tokens.append(Token(kind, m[kind], m.start(kind), text))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {_quote(m[kind])}",
+                             tokens[-1].span)
+        if kind == "eof":
+            break
+    return tokens
+
+
+class OracleTokenStream:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
+        tok = self.peek()
+        if tok.kind == kind and (text is None or tok.text == text):
+            return self.advance()
+        return None
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}, found {_quote(tok.text)}" if tok.text
+                             else f"expected {what}, found end of input",
+                             tok.span, expected=what)
+        return self.advance()
+
+    def expect_int(self, what: str, low: int = 0, high: Optional[int] = None,
+                   message: str = "") -> int:
+        tok = self.expect("int", what)
+        try:
+            value = int(tok.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"integer of {len(tok.text)} digits is too long",
+                             tok.span) from None
+        if value < low or (high is not None and value > high):
+            raise ParseError(message.format(value, low, high), tok.span)
+        return value
+
+    def comma_list(self, read: Callable[..., object], *args) -> list:
+        items = [read(self, *args)]
+        while self.accept("comma"):
+            items.append(read(self, *args))
+        return items
+
+    def skip_newlines(self) -> None:
+        while self.accept("newline"):
+            pass
+
+    def end_statement(self) -> None:
+        tok = self.peek()
+        if tok.kind == "eof":
+            return
+        if tok.kind == "newline":
+            self.advance()
+            return
+        raise ParseError(f"unexpected {_quote(tok.text)} at end of statement",
+                         tok.span)
+
+    def header(self, keyword: str, noun: str, what: str, low: int,
+               too_small: str, high: Optional[int] = None) -> int:
+        self.skip_newlines()
+        tok = self.expect("ident", f"'{keyword}'")
+        if tok.text != keyword:
+            raise ParseError(f"{noun} must start with a {keyword} declaration",
+                             tok.span, expected=keyword)
+        int_tok = self.peek()
+        value = self.expect_int(what, low, None, too_small)
+        if high is not None and value > high:
+            raise ParseError(f"{what} is above the limit of {high}", int_tok.span)
+        self.end_statement()
+        return value
+
+    def statements(self) -> Iterator[Token]:
+        while True:
+            self.skip_newlines()
+            tok = self.peek()
+            if tok.kind == "eof":
+                return
+            yield tok
+            self.end_statement()
+
+
+def _oracle_label(ts: OracleTokenStream, n: int, what: str = "a label") -> int:
+    return ts.expect_int(what, 1, n, "label {} out of {}..{}")
+
+
+def oracle_read_formula(ts: OracleTokenStream, sig: Signature,
+                        depth: int = 0) -> Formula:
+    tok = ts.peek()
+    if depth > MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
+                         tok.span)
+    if tok.kind == "lparen":
+        ts.advance()
+        inner = oracle_read_formula(ts, sig, depth + 1)
+        ts.expect("rparen", "')'")
+        return inner
+    if tok.kind != "ident":
+        raise ParseError(f"expected a formula, found {_quote(tok.text)}", tok.span,
+                         expected="formula")
+    ts.advance()
+    if tok.text == "Box":
+        return Box(oracle_read_formula(ts, sig, depth + 1))
+    if tok.text == "Dia":
+        return Diamond(oracle_read_formula(ts, sig, depth + 1))
+    if ts.accept("lparen"):
+        args = ([] if ts.peek().kind == "rparen"
+                else ts.comma_list(oracle_read_formula, sig, depth + 1))
+        ts.expect("rparen", "')'")
+        conn = sig.connectives.get(tok.text)
+        if conn is None:
+            raise ParseError(f"unknown connective {_quote(tok.text)}", tok.span)
+        if len(args) != conn.arity:
+            raise ParseError(
+                f"connective {_quote(tok.text)} expects {conn.arity} arguments, "
+                f"got {len(args)}", tok.span)
+        return Apply(tok.text, tuple(args))
+    if tok.text in sig.connectives:
+        raise ParseError(f"connective {_quote(tok.text)} needs an argument list",
+                         tok.span)
+    return Var(tok.text)
+
+
+def _oracle_labelled(ts: OracleTokenStream, sig: Signature) -> LabelledFormula:
+    ts.expect("lparen", "'('")
+    formula = oracle_read_formula(ts, sig)
+    ts.expect("comma", "','")
+    label = _oracle_label(ts, sig.n)
+    ts.expect("rparen", "')'")
+    return LabelledFormula(formula, label)
+
+
+def _oracle_side(ts: OracleTokenStream, sig: Signature) -> list[LabelledFormula]:
+    if ts.peek().kind != "lparen":
+        return []
+    return ts.comma_list(_oracle_labelled, sig)
+
+
+def _oracle_sequent(ts: OracleTokenStream, sig: Signature) -> Sequent:
+    antecedent = _oracle_side(ts, sig)
+    ts.expect("arrow", "'->'")
+    return Sequent(antecedent, _oracle_side(ts, sig))
+
+
+def _oracle_single(text: str, parse, sig: Signature):
+    ts = OracleTokenStream(oracle_tokenize(text))
+    ts.skip_newlines()
+    out = parse(ts, sig)
+    ts.skip_newlines()
+    tok = ts.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing {_quote(tok.text)}", tok.span)
+    return out
+
+
+def oracle_parse_formula(text: str, sig: Signature) -> Formula:
+    return _oracle_single(text, oracle_read_formula, sig)
+
+
+def oracle_parse_formulas(text: str, sig: Signature) -> tuple[Formula, ...]:
+    ts = OracleTokenStream(oracle_tokenize(text))
+    return tuple(oracle_read_formula(ts, sig) for _ in ts.statements())
+
+
+def oracle_parse_sequent(text: str, sig: Signature) -> Sequent:
+    return _oracle_single(text, _oracle_sequent, sig)
+
+
+def oracle_parse_sequents(text: str, sig: Signature) -> tuple[Sequent, ...]:
+    ts = OracleTokenStream(oracle_tokenize(text))
+    return tuple(_oracle_sequent(ts, sig) for _ in ts.statements())
+
+
+def oracle_parse_signature(text: str) -> Signature:
+    """The signature token reader alone, on the whole text."""
+    ts = OracleTokenStream(oracle_tokenize(text))
+    n = ts.header("domain", "signature", "the domain size", 2,
+                  "domain needs at least 2 values, got {}")
+    lines = text.count("\n") + 1
+    declared: dict[str, tuple[int, Token, dict[tuple[int, ...], int]]] = {}
+    for _ in ts.statements():
+        name_tok = ts.expect("ident", "'conn' or a table row")
+        if name_tok.text == "conn" and ("conn" not in declared
+                                        or ts.peek().kind == "ident"):
+            ctok = ts.expect("ident", "a connective name")
+            if ctok.text in RESERVED_NAMES:
+                raise ParseError(f"connective name {_quote(ctok.text)} is reserved",
+                                 ctok.span)
+            if ctok.text in declared:
+                raise ParseError(f"duplicate connective name {_quote(ctok.text)}",
+                                 ctok.span)
+            arity_tok = ts.peek()
+            arity = ts.expect_int("an arity")
+            if not _oracle_rows_fit(n, arity, lines):
+                raise ParseError(f"connective {_quote(ctok.text)}: arity {arity} "
+                                 f"needs {n}^{arity} table rows, more than the "
+                                 f"signature's {lines} lines", arity_tok.span)
+            declared[ctok.text] = (arity, ctok, {})
+            continue
+        if name_tok.text not in declared:
+            raise ParseError(f"table row for undeclared connective "
+                             f"{_quote(name_tok.text)}", name_tok.span)
+        arity, _, table = declared[name_tok.text]
+        key = tuple(_oracle_label(ts, n, "an argument label") for _ in range(arity))
+        ts.expect("equals", "'='")
+        out = _oracle_label(ts, n, "the table value")
+        if key in table:
+            raise ParseError(f"duplicate table row for {_quote(name_tok.text)}",
+                             name_tok.span)
+        table[key] = out
+    connectives = []
+    for name, (arity, ctok, table) in declared.items():
+        if len(table) != n ** arity:
+            missing = next(e for e in all_entries(n, arity) if e not in table)
+            raise ParseError(
+                f"connective {_quote(name)}: missing table entry for "
+                f"{' '.join(map(str, missing)) or '()'}", ctok.span)
+        connectives.append(Connective(name, arity, table))
+    return make_signature(n, connectives)
+
+
+def _oracle_rows_fit(n: int, arity: int, lines: int) -> bool:
+    rows = 1
+    for _ in range(arity):
+        rows *= n
+        if rows > lines:
+            return False
+    return True
+
+
+def oracle_parse_model(text: str, sig: Signature) -> KripkeModel:
+    """The model token reader alone, on the whole text."""
+    ts = OracleTokenStream(oracle_tokenize(text))
+    world_count = ts.header("worlds", "model", "the world count", 1,
+                            "a model needs at least one world", MAX_WORLDS)
+    edges: set[tuple[int, int]] = set()
+    vals: dict[tuple[int, str], int] = {}
+
+    def world(what: str) -> int:
+        return ts.expect_int(what, 0, world_count - 1,
+                             what + " references undeclared world {} (have {}..{})")
+
+    for _ in ts.statements():
+        key = ts.expect("ident", "'edge' or 'val'")
+        if key.text == "edge":
+            edges.add((world("edge source"), world("edge target")))
+        elif key.text == "val":
+            u = world("valuation world")
+            vtok = ts.expect("ident", "a variable name")
+            if vtok.text in RESERVED_NAMES:
+                raise ParseError(f"variable name {_quote(vtok.text)} is reserved",
+                                 vtok.span)
+            k = _oracle_label(ts, sig.n)
+            if (u, vtok.text) in vals:
+                raise ParseError(f"duplicate valuation for {_quote(vtok.text)} "
+                                 f"at world {u}", vtok.span)
+            vals[(u, vtok.text)] = k
+        else:
+            raise ParseError(f"expected 'edge' or 'val', found {_quote(key.text)}",
+                             key.span)
+    return KripkeModel(world_count, edges, vals)
+
+
+def _oracle_label_set(ts: OracleTokenStream, n: int) -> frozenset[int]:
+    ts.expect("lbrace", "'{'")
+    labels = set()
+    while ts.peek().kind == "int":
+        labels.add(_oracle_label(ts, n))
+    ts.expect("rbrace", "'}'")
+    return frozenset(labels)
+
+
+def _oracle_any_label(ts: OracleTokenStream) -> int:
+    return ts.expect_int("a label")
+
+
+def _oracle_table_entry(ts: OracleTokenStream, sig: Signature) -> AxiomTable:
+    conn = ts.expect("ident", "a connective name").text
+    entry = []
+    while ts.peek().kind == "int":
+        entry.append(ts.expect_int("a table entry"))
+    return AxiomTable(conn, tuple(entry))
+
+
+def _oracle_groups(ts: OracleTokenStream, sig: Signature) -> SuperMultiShift:
+    formulas, label_sets = [], []
+    while ts.peek().kind == "lparen" or (ts.peek().kind == "ident"
+                                         and ts.peek().text != "from"):
+        formulas.append(oracle_read_formula(ts, sig))
+        label_sets.append(_oracle_label_set(ts, sig.n))
+    if not formulas:
+        raise ParseError("expected at least one formula group",
+                         ts.peek().span, expected="formula")
+    return SuperMultiShift(tuple(formulas), tuple(label_sets))
+
+
+def _oracle_extension(scheme: int, ts: OracleTokenStream,
+                      sig: Signature) -> ExtensionAxiom:
+    formula = oracle_read_formula(ts, sig)
+    return ExtensionAxiom(scheme, formula,
+                          1 if scheme == 20 else _oracle_any_label(ts))
+
+
+_ORACLE_ARGUMENTS = {
+    "hyp": lambda ts, sig: Hypothesis(ts.expect_int(
+        "a hypothesis number", 1, None, "hypothesis numbers start at 1") - 1),
+    "ax-id": lambda ts, sig: AxiomIdentity(),
+    "ax-table": _oracle_table_entry,
+    "r-box": lambda ts, sig: RuleBox(),
+    "r-dia": lambda ts, sig: RuleDiamond(),
+    "lshift": lambda ts, sig: LeftShift(_oracle_any_label(ts)),
+    "rshift": lambda ts, sig: RightShift(_oracle_any_label(ts),
+                                         _oracle_any_label(ts)),
+    "lweak": lambda ts, sig: LeftWeaken(_oracle_labelled(ts, sig)),
+    "rweak": lambda ts, sig: RightWeaken(_oracle_labelled(ts, sig)),
+    "cut": lambda ts, sig: Cut(_oracle_labelled(ts, sig)),
+    "resolve": lambda ts, sig: Resolution(oracle_read_formula(ts, sig),
+                                          _oracle_any_label(ts),
+                                          _oracle_any_label(ts)),
+    "mshift": lambda ts, sig: MultiShift(oracle_read_formula(ts, sig),
+                                         _oracle_label_set(ts, sig.n)),
+    "smshift": _oracle_groups,
+    **{f"ext-{scheme}": partial(_oracle_extension, scheme)
+       for scheme in SCHEME_FRAMES},
+}
+
+
+def _oracle_justification(ts: OracleTokenStream, sig: Signature) -> Justification:
+    tok = ts.expect("ident", "a rule name")
+    parts = [tok.text]
+    while ts.accept("minus"):
+        part = ts.peek()
+        if part.kind not in ("ident", "int"):
+            raise ParseError("malformed rule name", part.span)
+        ts.advance()
+        parts.append(part.text)
+    name = "-".join(parts)
+    parse = _ORACLE_ARGUMENTS.get(name)
+    if parse is None:
+        raise ParseError(f"unknown rule name {_quote(name)}", tok.span)
+    return parse(ts, sig)
+
+
+def oracle_parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
+                       hypotheses: Iterable[Sequent] = ()) -> Derivation:
+    ts = OracleTokenStream(oracle_tokenize(text))
+    steps: list[Step] = []
+    positions: dict[int, int] = {}
+
+    def premise(ts: OracleTokenStream) -> int:
+        tok = ts.peek()
+        ref = ts.expect_int("a premise step number")
+        if ref not in positions:
+            raise ParseError(f"premise reference {ref} does not name "
+                             "an earlier step", tok.span)
+        return positions[ref]
+
+    for _ in ts.statements():
+        idx_tok = ts.peek()
+        idx = ts.expect_int("a step number")
+        if idx in positions:
+            raise ParseError(f"duplicate step number {idx}", idx_tok.span)
+        ts.expect("colon", "':'")
+        sequent = _oracle_sequent(ts, sig)
+        ts.expect("semi", "';'")
+        justification = _oracle_justification(ts, sig)
+        premises = ts.comma_list(premise) if ts.accept("ident", "from") else ()
+        positions[idx] = len(steps)
+        steps.append(Step(sequent, justification, tuple(premises)))
+    return Derivation(logic, tuple(hypotheses), tuple(steps))

@@ -1,13 +1,26 @@
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_formula, rand_sequent
+from helpers import (
+    nested_formula,
+    oracle_parse_formula,
+    oracle_parse_formulas,
+    oracle_parse_model,
+    oracle_parse_proof,
+    oracle_parse_sequent,
+    oracle_parse_sequents,
+    oracle_parse_signature,
+    rand_formula,
+    rand_sequent,
+)
 from mvmodal import parser
 from mvmodal.core import (
     RESERVED_NAMES,
@@ -25,6 +38,7 @@ from mvmodal.core import (
     reversal_connective,
 )
 from mvmodal.parser import (
+    MAX_FORMULA_DEPTH,
     MAX_WORLDS,
     ParseError,
     SourceSpan,
@@ -646,13 +660,17 @@ def _outcome(parse, text):
         return error.message, error.span, error.expected
 
 
-def _token_reader_alone(text, sig):
+def _model_token_reader(text, sig):
     """parse_model with no line taken by the line reader: the token
     reader reads the whole text from offset 0."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser, "_read_model_lines",
                    lambda text, n: (None, set(), {}, 0))
-        return _outcome(partial(parse_model, sig=sig), text)
+        return parse_model(text, sig)
+
+
+def _token_reader_alone(text, sig):
+    return _outcome(partial(_model_token_reader, sig=sig), text)
 
 
 #: Pieces a model text is mutated with: bad characters, a comment, in-line
@@ -804,11 +822,15 @@ class TestModelLineReader:
 # ---------------------------------------------------------------------------
 
 
-def _signature_token_reader_alone(text):
+def _signature_token_reader(text):
     """parse_signature with the line reader declining every text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser, "_read_signature_lines", lambda text: None)
-        return _outcome(parse_signature, text)
+        return parse_signature(text)
+
+
+def _signature_token_reader_alone(text):
+    return _outcome(_signature_token_reader, text)
 
 
 #: Pieces a signature text is mutated with, as MODEL_MUTATIONS, plus a
@@ -989,3 +1011,134 @@ class TestSignatureLineReader:
                 f"conn {name} {conn.arity}"
                 for name, conn in sig.connectives.items()), *rows]) + "\n"
             assert parse_signature(text) == sig
+
+
+# ---------------------------------------------------------------------------
+# The word list against the token reader it replaced (helpers.oracle_*)
+# ---------------------------------------------------------------------------
+
+PROOF_DIR = Path(__file__).resolve().parents[1] / "bench" / "proofs"
+
+
+def _either(parse, text):
+    """Whether parse(text) raised, and the value, the ParseError's message,
+    span and expected, or another exception's type and text."""
+    try:
+        return False, parse(text)
+    except ParseError as error:
+        return True, (error.message, error.span, error.expected)
+    except Exception as error:  # compared with the oracle's, not hidden
+        return True, (type(error), str(error))
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """`text` with a few fuzz pieces put in, spans cut out or a tail cut off."""
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        at = rng.randint(0, len(text))
+        pick = rng.random()
+        if pick < 0.6:
+            text = text[:at] + rng.choice(FUZZ_PIECES + MODEL_MUTATIONS) + text[at:]
+        elif pick < 0.9:
+            text = text[:at] + text[at + rng.randint(1, 4):]
+        else:
+            text = text[:at]
+    return text
+
+
+class TestWordReaderAgainstOracle:
+    """Every reader built on the word list returns the token reader's
+    value, or raises its message, span and expected."""
+
+    def readers(self, sig):
+        """(name, reader, oracle) for every format."""
+        return [*((parse.__name__, partial(parse, sig=sig), partial(oracle, sig=sig))
+                  for parse, oracle in ((parse_formula, oracle_parse_formula),
+                                        (parse_formulas, oracle_parse_formulas),
+                                        (parse_sequent, oracle_parse_sequent),
+                                        (parse_sequents, oracle_parse_sequents),
+                                        (parse_proof, oracle_parse_proof))),
+                ("model tokens", partial(_model_token_reader, sig=sig),
+                 partial(oracle_parse_model, sig=sig)),
+                ("signature tokens", _signature_token_reader, oracle_parse_signature)]
+
+    def check(self, sig, text, names=None) -> dict[str, bool]:
+        """Whether each reader (or those named) raised on `text`."""
+        raised = {}
+        for name, reader, oracle in self.readers(sig):
+            if names is None or name in names:
+                expected = _either(oracle, text)
+                assert _either(reader, text) == expected, (name, text)
+                raised[name] = expected[0]
+        return raised
+
+    def test_fuzzed_texts(self, luk3_neg):
+        rng = random.Random(61)
+        raised = Counter()
+        for _ in range(1500):
+            raised.update(self.check(luk3_neg, _fuzz_text(rng)).values())
+        assert raised[False] > 300 and raised[True] > 9000
+
+    def test_mutated_models_and_signatures(self, luk3):
+        rng = random.Random(62)
+        names = {"model tokens", "signature tokens"}
+        for _ in range(500):
+            self.check(luk3, _mutated_model_text(rng), names)
+            self.check(luk3, _mutated_signature_text(rng), names)
+
+    def test_bench_proofs_and_their_mutations(self):
+        sig = parse_signature((PROOF_DIR / "signature.sig").read_text())
+        proofs = [path.read_text() for path in sorted(PROOF_DIR.glob("*.proof"))]
+        sigmas = [path.read_text() for path in sorted(PROOF_DIR.glob("*.sigma"))]
+        assert len(proofs) >= 10 and sigmas
+        rng = random.Random(63)
+        raised = Counter()
+        for texts, reader in ((proofs, "parse_proof"), (sigmas, "parse_sequents")):
+            for text in texts:
+                assert not self.check(sig, text)[reader]
+                for _ in range(40):
+                    raised.update(self.check(sig, _mutated(rng, text)).values())
+        assert raised[False] > 150 and raised[True] > 4000
+
+    @PROPERTY
+    @given(formulas, st.randoms(use_true_random=False))
+    def test_rendered_formulas(self, f, rng):
+        text = render_formula(f)
+        assert parse_formula(text, SIG) is f
+        self.check(SIG, _mutated(rng, text))
+
+    @PROPERTY
+    @given(st.lists(sequents, max_size=3), st.randoms(use_true_random=False))
+    def test_rendered_sequents(self, seqs, rng):
+        text = render_sequents(seqs)
+        assert parse_sequents(text, SIG) == tuple(seqs)
+        self.check(SIG, _mutated(rng, text))
+
+    @PROPERTY
+    @given(derivations(), st.randoms(use_true_random=False))
+    def test_rendered_proofs(self, derivation, rng):
+        self.check(SIG, _mutated(rng, render_proof(derivation)))
+
+    @pytest.mark.parametrize("kind", ["box", "imp", "paren", "mixed", "dia-args"])
+    def test_formulas_at_and_past_the_depth_limit(self, luk3, kind):
+        for depth in (0, 1, MAX_FORMULA_DEPTH - 1, MAX_FORMULA_DEPTH,
+                      MAX_FORMULA_DEPTH + 1, MAX_FORMULA_DEPTH + 5):
+            text = nested_formula(kind, depth)
+            for variant in (text, text[:-1], f"(Dia {text}, 2) ->",
+                            f"(imp(p, {text}), 2) -> (q, 1)"):
+                self.check(luk3, variant)
+
+    def test_deepest_formula_needs_no_recursion(self, luk3):
+        # a recursive reader needs a frame or more per level, 100 here
+        texts = [nested_formula(kind, MAX_FORMULA_DEPTH)
+                 for kind in ("box", "imp", "paren", "mixed", "dia-args")]
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            parsed = [parse_formula(text, luk3) for text in texts]
+        finally:
+            sys.setrecursionlimit(limit)
+        for text, formula in zip(texts, parsed):
+            assert oracle_parse_formula(text, luk3) is formula
