@@ -4,7 +4,8 @@ Exit status contract: 0 for an affirmative result, 1 for a negative
 result with a witness on stdout, 2 for usage or input errors (reported
 on stderr).  Output is machine-parseable: the first stdout line is the
 verdict, witnesses follow in the standard file formats.  A closed
-stdout is an error too: one line on stderr and status 2.
+stdout and running out of memory are errors too: one line on stderr and
+status 2.
 
 argv is read without argparse when argparse would accept it unchanged: a
 subcommand, then that subcommand's exact option strings, each at most
@@ -407,6 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

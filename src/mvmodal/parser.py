@@ -12,31 +12,24 @@ references and cannot name a variable.
 Every format has one tokenizer: one regex `findall` gives the text of
 each word, and nothing else.  A word's offset is found only when a
 ParseError needs its 1-based line and column, by scanning the text
-again up to that word (TokenStream.span).  Every file format is a
-sequence of statements, one per non-blank line.  Formulas, sequents and
-proof scripts are tokenized whole and read by index into the word list,
+again up to that word (_word_span).  Every file format is a sequence of
+statements, one per non-blank line.  Formulas, sequents and proof
+scripts are tokenized whole and read by index into the word list,
 formulas with an explicit stack (_parse_formula), statements by
 TokenStream.statements.
-Signature and model files are first read a line at a time
-(_statement_lines): each line is cut at `#` and split into fields.  A
-signature is taken whole when every line is a well-formed header,
-declaration or table row and the tables are total
-(_read_signature_lines); otherwise the token reader reads the whole
-text.  A model file is read a line at a time while each line is a
-well-formed header, edge or valuation (_read_model_lines); from the
-first line that is not, the token reader reads the rest of the text
-with the world count, edges and valuation read so far.  The lines
-before it hold no error and no bad character, so in both formats every
-error, with its span, is the one the token reader gives on the whole
-text.
+Signature and model files are read a line at a time (_read_lines): each
+line is cut at `#`, split into fields and read from them when every
+field is a whole word.  Any other line alone is tokenized and read from
+its words by the same checks, which raise every error.  The first bad
+character of the file comes before any other error, so before raising,
+the reader looks for one from that line to the end of the text.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import string
-import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -141,18 +134,78 @@ def _span(text: str, offset: int) -> SourceSpan:
                       offset)
 
 
-def tokenize(text: str, start: int = 0) -> list[str]:
-    """The words of `text` from offset `start` on, newlines included,
-    ending with an empty word for the end of the text (a second one
-    follows when whitespace or a comment ends it)."""
-    words = _WORD_RE.findall(text, start)
+def _bad_character(text: str, word: str, end: int) -> None:
+    """Raise the error for `word` when it is a bad character's word,
+    which runs to offset `end`."""
+    if word and word[0] not in _WORD_START and not word[0].isdecimal():
+        raise ParseError(f"unexpected character {_quote(word[0])}",
+                         _span(text, end - len(word)))
+
+
+def tokenize(text: str, start: int = 0, end: Optional[int] = None) -> list[str]:
+    """The words of text[start:end], newlines included, ending with an
+    empty word for the end (a second one follows when whitespace or a
+    comment ends it)."""
+    end = len(text) if end is None else end
+    words = _WORD_RE.findall(text, start, end)
     # a bad character's word runs to the end, so only the empty word
     # that closes the list follows it
-    bad = words[-2] if len(words) > 1 else ""
-    if bad and bad[0] not in _WORD_START and not bad[0].isdecimal():
-        raise ParseError(f"unexpected character {_quote(bad[0])}",
-                         _span(text, len(text) - len(bad)))
+    _bad_character(text, words[-2] if len(words) > 1 else "", end)
     return words
+
+
+def _check_characters(text: str, start: int) -> None:
+    """Raise the error for the first bad character of text[start:], if
+    it has one.  No word list is built: a bad character's word runs to
+    the end, so only the last two words are kept."""
+    last = deque(_WORD_RE.finditer(text, start), maxlen=2)
+    _bad_character(text, last[0][1], len(text))
+
+
+def _word_span(text: str, start: int, at: int) -> SourceSpan:
+    """The span of word `at` of the words of text[start:]."""
+    match = next(islice(_WORD_RE.finditer(text, start), at, None))
+    return _span(text, match.start(1))
+
+
+def _found(what: str, word: str) -> str:
+    return (f"expected {what}, found {_quote(word)}" if word
+            else f"expected {what}, found end of input")
+
+
+class _WordError(Exception):
+    """An error at word `at` of a word list, which the list's reader
+    raises as a ParseError at that word's span."""
+
+    def __init__(self, at: int, message: str, expected: Optional[str] = None):
+        super().__init__(message)
+        self.at = at
+        self.message = message
+        self.expected = expected
+
+
+#: The message for a label out of range; formatted by _int.
+_LABEL_RANGE = "label {} out of {}..{}"
+
+
+def _int(words: list[str], at: int, what: str, low: int = 0,
+         high: Optional[int] = None, message: str = "") -> int:
+    """The integer of word `at`, in low..high (no upper limit when high
+    is None).
+
+    Out of range, `message` is formatted with the integer, low, high and
+    `what`.  Every integer of every format is read here.
+    """
+    word = words[at]
+    if not word.isdecimal():
+        raise _WordError(at, _found(what, word), what)
+    try:
+        value = int(word)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise _WordError(at, f"integer of {len(word)} digits is too long") from None
+    if value < low or (high is not None and value > high):
+        raise _WordError(at, message.format(value, low, high, what))
+    return value
 
 
 class TokenStream:
@@ -162,15 +215,13 @@ class TokenStream:
     again up to that word (span).
     """
 
-    def __init__(self, text: str, start: int = 0):
+    def __init__(self, text: str):
         self.text = text
-        self.start = start
-        self.words = tokenize(text, start)
+        self.words = tokenize(text)
         self.pos = 0
 
     def span(self, at: int) -> SourceSpan:
-        match = next(islice(_WORD_RE.finditer(self.text, self.start), at, None))
-        return _span(self.text, match.start(1))
+        return _word_span(self.text, 0, at)
 
     def error(self, message: str, at: Optional[int] = None,
               expected: Optional[str] = None) -> ParseError:
@@ -180,8 +231,7 @@ class TokenStream:
 
     def expected(self, what: str, at: Optional[int] = None) -> ParseError:
         word = self.words[self.pos if at is None else at]
-        return self.error(f"expected {what}, found {_quote(word)}" if word
-                          else f"expected {what}, found end of input", at, what)
+        return self.error(_found(what, word), at, what)
 
     def peek(self) -> str:
         return self.words[self.pos]
@@ -209,19 +259,12 @@ class TokenStream:
 
     def expect_int(self, what: str, low: int = 0, high: Optional[int] = None,
                    message: str = "") -> int:
-        """An integer in low..high (no upper limit when high is None).
-
-        Out of range, `message` is formatted with the integer, low and high.
-        Every integer of every format is read here.
-        """
-        word = self.expect("int", what)
+        """An integer in low..high, read by _int."""
         try:
-            value = int(word)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            raise self.error(f"integer of {len(word)} digits is too long",
-                             self.pos - 1) from None
-        if value < low or (high is not None and value > high):
-            raise self.error(message.format(value, low, high), self.pos - 1)
+            value = _int(self.words, self.pos, what, low, high, message)
+        except _WordError as error:
+            raise self.error(error.message, error.at, error.expected) from None
+        self.pos += 1
         return value
 
     def comma_list(self, read: Callable[..., object], *args) -> list:
@@ -243,22 +286,6 @@ class TokenStream:
         elif word:
             raise self.error(f"unexpected {_quote(word)} at end of statement")
 
-    def header(self, keyword: str, noun: str, what: str, low: int,
-               too_small: str, high: Optional[int] = None) -> int:
-        """The integer of the `keyword N` statement that opens a file.
-
-        Above `high` it is an error, raised before the caller allocates.
-        """
-        self.skip_newlines()
-        if self.expect("ident", f"'{keyword}'") != keyword:
-            raise self.error(f"{noun} must start with a {keyword} declaration",
-                             self.pos - 1, keyword)
-        value = self.expect_int(what, low, None, too_small)
-        if high is not None and value > high:
-            raise self.error(f"{what} is above the limit of {high}", self.pos - 1)
-        self.end_statement()
-        return value
-
     def statements(self) -> Iterator[str]:
         """Each statement's first word, skipping blank lines.
 
@@ -274,7 +301,7 @@ class TokenStream:
 
 
 def _label(ts: TokenStream, n: int, what: str = "a label") -> int:
-    return ts.expect_int(what, 1, n, "label {} out of {}..{}")
+    return ts.expect_int(what, 1, n, _LABEL_RANGE)
 
 
 # ---------------------------------------------------------------------------
@@ -469,49 +496,82 @@ def render_sequents(sequents: Iterable[Sequent]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Line reading: signature and model files before the token reader
+# Line reading: signature and model files
 # ---------------------------------------------------------------------------
 
 
-def _statement_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    r"""The offset and fields of each line of `text` that holds a statement.
+def _read_lines(text: str, read: Callable[[list[str], int], None]) -> None:
+    r"""Call read(words, start) for each line of `text` that holds a
+    statement, in order, `start` being the line's offset.
 
     Lines are split on newlines only, since the token grammar treats
     every other whitespace character, `\r` included, as in-line
     whitespace, as str.split() does; a `#` always starts a comment.
+    `words` are first the line's fields and "\n".  read takes only whole
+    words (an identifier, an integer or `=`), so when it raises a
+    _WordError the line alone is tokenized and read again from its
+    words, which end with its "\n" or the end of the text.  An error
+    then is raised as a ParseError (_line_error).  So read changes
+    nothing before its last check, and which error it raises matters
+    only on the tokenizer's words, where a word is an identifier when
+    its first character may start one.
     """
-    offset = 0
+    start = 0
     for line in text.split("\n"):
         fields = line.partition("#")[0].split()
         if fields:
-            yield offset, fields
-        offset += len(line) + 1
+            fields.append("\n")
+            try:
+                read(fields, start)
+            except _WordError:
+                words = tokenize(text, start, min(start + len(line) + 1, len(text)))
+                if words[-2] in ("\n", ""):
+                    words.pop()
+                try:
+                    read(words, start)
+                except _WordError as error:
+                    raise _line_error(text, start, error) from None
+        start += len(line) + 1
 
 
-def _width(high: Optional[int] = None) -> int:
-    """The digits of `high`, but no more than int() reads from a string:
-    a decimal field no longer than this is safe to convert.  Without
-    `high`, the most digits int() reads."""
-    if high is not None:
-        try:
-            return len(str(high))
-        except ValueError:  # past sys.get_int_max_str_digits()
-            pass
-    # 0, or no such function before Python 3.10.7: int() reads any length
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return limit or sys.maxsize
+def _line_error(text: str, start: int, error: _WordError) -> ParseError:
+    """`error`, at a word of the line at `start`, as a ParseError; but
+    the first bad character of the text comes first.  The lines before
+    have none, so it is looked for from `start` on."""
+    _check_characters(text, start)
+    return ParseError(error.message, _word_span(text, start, error.at),
+                      error.expected)
 
 
-def _field_int(field: str, low: int, high: float, width: int) -> Optional[int]:
-    r"""The decimal field's integer when it lies in low..high, else None.
+def _header(words: list[str], keyword: str, noun: str, what: str, low: int,
+            too_small: str, high: Optional[int] = None) -> int:
+    """The integer of the `keyword N` statement that opens a file.
 
-    A field is decimal when it passes str.isdecimal(), as the token
-    grammar's `\d` does."""
-    if field.isdecimal() and len(field) <= width:
-        value = int(field)
-        if low <= value <= high:
-            return value
-    return None
+    Above `high` it is an error, raised before the caller allocates.
+    """
+    word = words[0]
+    if word != keyword:
+        if word[0] in _IDENT_START:
+            raise _WordError(0, f"{noun} must start with a {keyword} declaration",
+                             keyword)
+        raise _WordError(0, _found(f"'{keyword}'", word), f"'{keyword}'")
+    value = _int(words, 1, what, low, None, too_small)
+    if high is not None and value > high:
+        raise _WordError(1, f"{what} is above the limit of {high}")
+    _end(words, 2)
+    return value
+
+
+def _no_header(text: str, keyword: str) -> ParseError:
+    """The error for a text with no statement, where a header is due."""
+    return _line_error(text, len(text), _WordError(
+        0, _found(f"'{keyword}'", ""), f"'{keyword}'"))
+
+
+def _end(words: list[str], at: int) -> None:
+    """Word `at` must end the statement."""
+    if len(words) > at + 1:
+        raise _WordError(at, f"unexpected {_quote(words[at])} at end of statement")
 
 
 # ---------------------------------------------------------------------------
@@ -519,114 +579,67 @@ def _field_int(field: str, low: int, high: float, width: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _read_signature_lines(text: str) -> Optional[Signature]:
-    """The signature read a line at a time, or None when a line is not a
-    plain header, declaration or table row, or a check fails: the token
-    reader then reads the whole text and gives the error.
-
-    The checks are the token reader's: a `conn` line declares unless
-    `conn` names a connective and no name follows; names are neither
-    reserved nor repeated; rows belong to a declared connective, hold
-    labels in 1..n, are not repeated and fit in the text's lines
-    (_rows_fit); every table is total.  Nothing is sized by n.
-    """
-    lines = text.count("\n") + 1
-    # an arity passes _rows_fit only below lines.bit_length()
-    arity_high = lines.bit_length()
-    arity_width = _width(arity_high)
-    n = None
-    # name -> (arity, table)
-    declared: dict[str, tuple[int, dict[tuple[int, ...], int]]] = {}
-    for _, fields in _statement_lines(text):
-        if n is None:
-            if len(fields) != 2 or fields[0] != "domain":
-                return None
-            n = _field_int(fields[1], 2, math.inf, _width())
-            if n is None:
-                return None
-            label_width = _width(n)
-            continue
-        name = fields[0]
-        if name == "conn" and ("conn" not in declared or (
-                len(fields) > 1 and _IDENT_RE.fullmatch(fields[1]))):
-            if (len(fields) != 3 or not _IDENT_RE.fullmatch(fields[1])
-                    or fields[1] in RESERVED_NAMES or fields[1] in declared):
-                return None
-            arity = _field_int(fields[2], 0, arity_high, arity_width)
-            if arity is None or not _rows_fit(n, arity, lines):
-                return None
-            declared[fields[1]] = (arity, {})
-            continue
-        if name not in declared:
-            return None
-        arity, table = declared[name]
-        if len(fields) != arity + 3 or fields[-2] != "=":
-            return None
-        key = tuple([_field_int(label, 1, n, label_width)
-                     for label in fields[1:-2]])
-        out = _field_int(fields[-1], 1, n, label_width)
-        if out is None or None in key or key in table:
-            return None
-        table[key] = out
-    if n is None:
-        return None
-    connectives = []
-    for name, (arity, table) in declared.items():
-        if len(table) != n ** arity:
-            return None
-        connectives.append(Connective(name, arity, table))
-    return make_signature(n, connectives)
-
-
 def parse_signature(text: str) -> Signature:
-    sig = _read_signature_lines(text)
-    if sig is not None:
-        return sig
-    ts = TokenStream(text)
-    n = ts.header("domain", "signature", "the domain size", 2,
-                  "domain needs at least 2 values, got {}")
     # A complete table of arity a has n^a rows, one per line, so an arity
     # whose rows cannot fit in the text's lines is rejected at once.
     lines = text.count("\n") + 1
-    # name -> (arity, position of the name's word, table)
+    n = None
+    # name -> (arity, offset of the declaring line, table)
     declared: dict[str, tuple[int, int, dict[tuple[int, ...], int]]] = {}
-    for _ in ts.statements():
-        name_at = ts.pos
-        name = ts.expect("ident", "'conn' or a table row")
+
+    def read(words: list[str], start: int) -> None:
+        nonlocal n
+        if n is None:
+            n = _header(words, "domain", "signature", "the domain size", 2,
+                        "domain needs at least 2 values, got {}")
+            return
+        name = words[0]
         # once a connective named `conn` is declared, `conn` followed by
         # anything but a name starts one of its table rows
-        if name == "conn" and ("conn" not in declared or ts.kind() == "ident"):
-            conn_at = ts.pos
-            conn = ts.expect("ident", "a connective name")
+        if name == "conn" and ("conn" not in declared
+                               or _IDENT_RE.fullmatch(words[1])):
+            conn = words[1]
+            if not _IDENT_RE.fullmatch(conn):
+                raise _WordError(1, _found("a connective name", conn),
+                                 "a connective name")
             if conn in RESERVED_NAMES:
-                raise ts.error(f"connective name {_quote(conn)} is reserved", conn_at)
+                raise _WordError(1, f"connective name {_quote(conn)} is reserved")
             if conn in declared:
-                raise ts.error(f"duplicate connective name {_quote(conn)}", conn_at)
-            arity = ts.expect_int("an arity")
+                raise _WordError(1, f"duplicate connective name {_quote(conn)}")
+            arity = _int(words, 2, "an arity")
             if not _rows_fit(n, arity, lines):
-                raise ts.error(f"connective {_quote(conn)}: arity {arity} "
-                               f"needs {n}^{arity} table rows, more than the "
-                               f"signature's {lines} lines", ts.pos - 1)
-            declared[conn] = (arity, conn_at, {})
-            continue
+                raise _WordError(2, f"connective {_quote(conn)}: arity {arity} "
+                                    f"needs {n}^{arity} table rows, more than "
+                                    f"the signature's {lines} lines")
+            _end(words, 3)
+            declared[conn] = (arity, start, {})
+            return
         if name not in declared:
-            raise ts.error(f"table row for undeclared connective {_quote(name)}",
-                           name_at)
+            if name[0] not in _IDENT_START:
+                raise _WordError(0, _found("'conn' or a table row", name),
+                                 "'conn' or a table row")
+            raise _WordError(0, f"table row for undeclared connective {_quote(name)}")
         arity, _, table = declared[name]
-        key = tuple(_label(ts, n, "an argument label") for _ in range(arity))
-        ts.expect("equals", "'='")
-        out = _label(ts, n, "the table value")
+        key = tuple([_int(words, at, "an argument label", 1, n, _LABEL_RANGE)
+                     for at in range(1, arity + 1)])
+        if words[arity + 1] != "=":
+            raise _WordError(arity + 1, _found("'='", words[arity + 1]), "'='")
+        out = _int(words, arity + 2, "the table value", 1, n, _LABEL_RANGE)
         if key in table:
-            raise ts.error(f"duplicate table row for {_quote(name)}", name_at)
+            raise _WordError(0, f"duplicate table row for {_quote(name)}")
+        _end(words, arity + 3)
         table[key] = out
 
+    _read_lines(text, read)
+    if n is None:
+        raise _no_header(text, "domain")
     connectives = []
-    for name, (arity, conn_at, table) in declared.items():
+    for name, (arity, start, table) in declared.items():
         if len(table) != n ** arity:
             missing = next(e for e in all_entries(n, arity) if e not in table)
-            raise ts.error(
-                f"connective {_quote(name)}: missing table entry for "
-                f"{' '.join(map(str, missing)) or '()'}", conn_at)
+            raise _line_error(text, start, _WordError(
+                1, f"connective {_quote(name)}: missing table entry for "
+                   f"{' '.join(map(str, missing)) or '()'}"))
         connectives.append(Connective(name, arity, table))
     return make_signature(n, connectives)
 
@@ -659,80 +672,51 @@ def render_signature(sig: Signature) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_model_lines(text: str, n: int
-                      ) -> tuple[Optional[int], set[tuple[int, int]],
-                                 dict[tuple[int, str], int], Optional[int]]:
-    r"""The model statements read a line at a time, up to the first line
-    that is not one the token reader would take with the same effect.
-
-    Returns the world count (None before a header), the edges, the
-    valuation, and the offset where the token reader must go on: the
-    first line not taken, 0 when no header was read, or None when every
-    line was taken.
-    """
-    world_count = None
-    edges: set[tuple[int, int]] = set()
-    vals: dict[tuple[int, str], int] = {}
-    label_width = _width(n)
-    for start, fields in _statement_lines(text):
-        if world_count is None:
-            if len(fields) == 2 and fields[0] == "worlds":
-                world_count = _field_int(fields[1], 1, MAX_WORLDS,
-                                         _width(MAX_WORLDS))
-            if world_count is None:
-                return None, edges, vals, 0
-            last, world_width = world_count - 1, _width(world_count - 1)
-            continue
-        if len(fields) == 3 and fields[0] == "edge":
-            u = _field_int(fields[1], 0, last, world_width)
-            v = _field_int(fields[2], 0, last, world_width)
-            if u is not None and v is not None:
-                edges.add((u, v))
-                continue
-        elif len(fields) == 4 and fields[0] == "val":
-            u = _field_int(fields[1], 0, last, world_width)
-            name = fields[2]
-            k = _field_int(fields[3], 1, n, label_width)
-            if (u is not None and k is not None and _IDENT_RE.fullmatch(name)
-                    and name not in RESERVED_NAMES and (u, name) not in vals):
-                vals[(u, name)] = k
-                continue
-        return world_count, edges, vals, start
-    # every line was taken, but a text of blank lines has no header
-    return world_count, edges, vals, (0 if world_count is None else None)
+#: The message for a world out of range; formatted by _int.
+_UNDECLARED_WORLD = "{3} references undeclared world {0} (have {1}..{2})"
 
 
 def parse_model(text: str, sig: Signature) -> KripkeModel:
-    world_count, edges, vals, rest = _read_model_lines(text, sig.n)
-    if rest is None:
-        return KripkeModel(world_count, edges, vals)
-    ts = TokenStream(text, rest)
-    if world_count is None:
-        world_count = ts.header("worlds", "model", "the world count", 1,
-                                "a model needs at least one world", MAX_WORLDS)
+    n = sig.n
+    world_count = last = None
+    edges: set[tuple[int, int]] = set()
+    vals: dict[tuple[int, str], int] = {}
 
-    def world(what: str) -> int:
-        return ts.expect_int(what, 0, world_count - 1,
-                             what + " references undeclared world {} (have {}..{})")
-
-    for _ in ts.statements():
-        key = ts.expect("ident", "'edge' or 'val'")
+    def read(words: list[str], start: int) -> None:
+        nonlocal world_count, last
+        if world_count is None:
+            world_count = _header(words, "worlds", "model", "the world count", 1,
+                                  "a model needs at least one world", MAX_WORLDS)
+            last = world_count - 1
+            return
+        key = words[0]
         if key == "edge":
-            edges.add((world("edge source"), world("edge target")))
+            u = _int(words, 1, "edge source", 0, last, _UNDECLARED_WORLD)
+            v = _int(words, 2, "edge target", 0, last, _UNDECLARED_WORLD)
+            _end(words, 3)
+            edges.add((u, v))
         elif key == "val":
-            u = world("valuation world")
-            name_at = ts.pos
-            name = ts.expect("ident", "a variable name")
+            u = _int(words, 1, "valuation world", 0, last, _UNDECLARED_WORLD)
+            name = words[2]
+            if not _IDENT_RE.fullmatch(name):
+                raise _WordError(2, _found("a variable name", name),
+                                 "a variable name")
             if name in RESERVED_NAMES:
-                raise ts.error(f"variable name {_quote(name)} is reserved", name_at)
-            k = _label(ts, sig.n)
+                raise _WordError(2, f"variable name {_quote(name)} is reserved")
+            k = _int(words, 3, "a label", 1, n, _LABEL_RANGE)
             if (u, name) in vals:
-                raise ts.error(f"duplicate valuation for {_quote(name)} "
-                               f"at world {u}", name_at)
+                raise _WordError(2, f"duplicate valuation for {_quote(name)} "
+                                    f"at world {u}")
+            _end(words, 4)
             vals[(u, name)] = k
         else:
-            raise ts.error(f"expected 'edge' or 'val', found {_quote(key)}",
-                           ts.pos - 1)
+            what = "'edge' or 'val'"
+            raise _WordError(0, _found(what, key),
+                             None if key[0] in _IDENT_START else what)
+
+    _read_lines(text, read)
+    if world_count is None:
+        raise _no_header(text, "worlds")
     return KripkeModel(world_count, edges, vals)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mvmodal import cli
 from mvmodal.cli import _commands, _read_argv, _shared_parser, main
 from mvmodal.derivations import box_modus_ponens_lukasiewicz
 from mvmodal.parser import (
@@ -608,6 +609,17 @@ class TestUsage:
         assert proc.stderr == ("error: line 1, column 8: the world count is "
                                f"above the limit of {MAX_WORLDS}\n")
         assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory(self, ws, capsys, monkeypatch):
+        # one error line and status 2, as for any input the machine
+        # cannot hold
+        def exhausted(text, sig):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_model", exhausted)
+        code, out, err = run(capsys, "eval", "--sig", str(ws / "sig.mvk"),
+                             "--model", str(ws / "model.mvk"), "--world", "0", "p")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 class TestCeiling:

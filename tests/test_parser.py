@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -648,7 +649,8 @@ def _fuzz_text(rng: random.Random) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Model files: the line reader against the token reader alone
+# Model files: the line reader against the whole-text token reader
+# (helpers.oracle_parse_model)
 # ---------------------------------------------------------------------------
 
 
@@ -660,17 +662,22 @@ def _outcome(parse, text):
         return error.message, error.span, error.expected
 
 
-def _model_token_reader(text, sig):
-    """parse_model with no line taken by the line reader: the token
-    reader reads the whole text from offset 0."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parser, "_read_model_lines",
-                   lambda text, n: (None, set(), {}, 0))
-        return parse_model(text, sig)
-
-
 def _token_reader_alone(text, sig):
-    return _outcome(partial(_model_token_reader, sig=sig), text)
+    return _outcome(partial(oracle_parse_model, sig=sig), text)
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """The [start, end) of each parser.tokenize call, in order."""
+    calls = []
+    real_tokenize = parser.tokenize
+
+    def recording(text, start=0, end=None):
+        calls.append((start, len(text) if end is None else end))
+        return real_tokenize(text, start, end)
+
+    monkeypatch.setattr(parser, "tokenize", recording)
+    return calls
 
 
 #: Pieces a model text is mutated with: bad characters, a comment, in-line
@@ -714,9 +721,9 @@ def _mutated_model_text(rng: random.Random) -> str:
 
 
 class TestModelLineReader:
-    """parse_model reads well-formed lines itself and hands the first
-    other line on to the token reader; nothing it returns or raises may
-    differ from the token reader alone."""
+    """parse_model reads well-formed lines from their fields and
+    tokenizes any other line alone; nothing it returns or raises may
+    differ from the whole-text token reader."""
 
     TEXTS = {
         "crlf": "worlds 2\r\nedge 0 1\r\nval 1 p 3\r\n",
@@ -748,6 +755,8 @@ class TestModelLineReader:
         "in-line-separators": "worlds 2\nedge\u20280\x1c1\n",
         "bad-character-last": "worlds 2\nedge 0 1\nval 1 p 2 @\n",
         "bad-character-after-error": "worlds 2\nedge 5 0\nval 1 p 2 @\n",
+        "glued-then-error-then-bad-character":
+            "worlds 2\nval 0p 3\nedge 5 0\nval 1 p 2 @\n",
         "comment-glued-to-field": "worlds 2\nedge 0 1#x\nval 1 p#x 2\n",
     }
 
@@ -769,17 +778,19 @@ class TestModelLineReader:
             assert _outcome(partial(parse_model, sig=sig), text) == \
                 _token_reader_alone(text, sig)
 
-    def test_fuzzed_texts(self, luk3):
+    def test_fuzzed_texts(self, luk3, tokenized):
         rng = random.Random(17)
-        # (a value or an error, where the token reader takes over)
+        # (a value or an error, where the first tokenized line is)
         seen = Counter()
         for _ in range(1500):
             text = _fuzz_text(rng) if rng.random() < 0.5 else _mutated_model_text(rng)
-            ours = _outcome(partial(parse_model, sig=luk3), text)
-            assert ours == _token_reader_alone(text, luk3), repr(text)
-            rest = parser._read_model_lines(text, luk3.n)[3]
-            seen[isinstance(ours, KripkeModel),
-                 "nowhere" if rest is None else "start" if rest == 0 else "later"] += 1
+            # the glued copy reaches the tokenizer with a well-formed line
+            for text in dict.fromkeys([text, _glued_model(text)]):
+                tokenized.clear()
+                ours = _outcome(partial(parse_model, sig=luk3), text)
+                assert ours == _token_reader_alone(text, luk3), repr(text)
+                seen[isinstance(ours, KripkeModel),
+                     _first_tokenized(text, tokenized)] += 1
         assert seen[True, "nowhere"] > 100 and seen[True, "later"] > 20
         assert seen[False, "start"] > 500 and seen[False, "later"] > 100
 
@@ -798,39 +809,48 @@ class TestModelLineReader:
                 text = "# a model\n\n" + text.replace("\n", " # note\r\n")
                 assert parse_model(text, luk3) == model
 
-    def test_one_odd_line_goes_to_the_tokenizer(self, luk3, monkeypatch):
+    def test_only_the_odd_line_is_tokenized(self, luk3, tokenized):
         # `val 0z 3` is world 0, variable z, label 3 to the token reader
-        starts = []
-        real_tokenize = parser.tokenize
-
-        def recording(text, start=0):
-            starts.append(start)
-            return real_tokenize(text, start)
-
-        monkeypatch.setattr(parser, "tokenize", recording)
         model = KripkeModel(4, {(0, 1), (1, 2), (3, 3)},
                             {(0, "p"): 2, (2, "q"): 3})
         lines = render_model(model).splitlines(keepends=True)
         text = "".join(lines[:3] + ["val 0z 3\n"] + lines[3:])
         expected = KripkeModel(4, model.edges, {**dict(model.vals), (0, "z"): 3})
         assert parse_model(text, luk3) == expected
-        assert starts == [len("".join(lines[:3]))]
+        start = len("".join(lines[:3]))
+        assert tokenized == [(start, start + len("val 0z 3\n"))]
+
+
+def _first_tokenized(text, tokenized):
+    """Where the first line parser.tokenize read lies: "nowhere" when it
+    read none and the text has a statement, else "later" when a
+    statement line comes before it, else "start"."""
+    end = tokenized[0][0] if tokenized else len(text)
+    if any(line.partition("#")[0].split() for line in text[:end].split("\n")):
+        return "later" if tokenized else "nowhere"
+    return "start"
+
+
+def _glued_model(text):
+    """`text` with each valuation's world glued to its variable, as in
+    `val 0p 3`: the same words to the token reader."""
+    return re.sub(r"(val[^\S\n]+\d+)[^\S\n]+(?=[A-Za-z_])", r"\1", text)
+
+
+def _glued_signature(text):
+    """`text` with every `=` glued to its neighbours, as in `f 1=2`: the
+    same words to the token reader."""
+    return re.sub(r"[^\S\n]*=[^\S\n]*", "=", text)
 
 
 # ---------------------------------------------------------------------------
-# Signature files: the line reader against the token reader alone
+# Signature files: the line reader against the whole-text token reader
+# (helpers.oracle_parse_signature)
 # ---------------------------------------------------------------------------
-
-
-def _signature_token_reader(text):
-    """parse_signature with the line reader declining every text."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parser, "_read_signature_lines", lambda text: None)
-        return parse_signature(text)
 
 
 def _signature_token_reader_alone(text):
-    return _outcome(_signature_token_reader, text)
+    return _outcome(oracle_parse_signature, text)
 
 
 #: Pieces a signature text is mutated with, as MODEL_MUTATIONS, plus a
@@ -880,9 +900,9 @@ def _mutated_signature_text(rng: random.Random) -> str:
 
 
 class TestSignatureLineReader:
-    """parse_signature reads a signature whose every line is well formed
-    itself and hands any other text whole to the token reader; nothing it
-    returns or raises may differ from the token reader alone."""
+    """parse_signature reads well-formed lines from their fields and
+    tokenizes any other line alone; nothing it returns or raises may
+    differ from the whole-text token reader."""
 
     TEXTS = {
         "crlf": LUKASIEWICZ_TEXT.replace("\n", "\r\n"),
@@ -943,6 +963,8 @@ class TestSignatureLineReader:
         "byte-order-mark": "\ufeffdomain 2\n",
         "bad-character-last": "domain 2\nconn f 0\nf = 1 @\n",
         "bad-character-after-error": "domain 2\ng = 1\nconn f 0 @\n",
+        "glued-then-error-then-bad-character":
+            "domain 2\nconn f 1\nf 1=2\ng = 1\nconn h 0 @\n",
         "minus-label": "domain 2\nconn f 0\nf = -1\n",
     }
 
@@ -967,20 +989,25 @@ class TestSignatureLineReader:
             assert _outcome(parse_signature, text) == \
                 _signature_token_reader_alone(text)
 
-    def test_fuzzed_texts(self):
+    def test_fuzzed_texts(self, tokenized):
         rng = random.Random(23)
-        # (a value or an error, whether the line reader took the text)
+        # (a value or an error, whether every line was read from its fields)
         seen = Counter()
         for _ in range(2000):
             text = (_fuzz_text(rng) if rng.random() < 0.25
                     else _mutated_signature_text(rng))
-            ours = _outcome(parse_signature, text)
-            assert ours == _signature_token_reader_alone(text), repr(text)
-            taken = parser._read_signature_lines(text) is not None
-            seen[not isinstance(ours, tuple), taken] += 1
-        assert seen[False, True] == 0
+            # the glued copy reaches the tokenizer with a well-formed line
+            for text in dict.fromkeys([text, _glued_signature(text)]):
+                tokenized.clear()
+                ours = _outcome(parse_signature, text)
+                assert ours == _signature_token_reader_alone(text), repr(text)
+                seen[not isinstance(ours, tuple), not tokenized] += 1
+                if isinstance(ours, tuple) and not tokenized:
+                    # only errors of the whole text skip the tokenizer
+                    assert ("missing table entry" in ours[0]
+                            or ours[0] == "expected 'domain', found end of input")
         assert seen[True, True] > 400 and seen[True, False] > 50
-        assert seen[False, False] > 1000
+        assert seen[False, False] + seen[False, True] > 1000
 
     def test_well_formed_signatures_skip_the_tokenizer(self, monkeypatch):
         def refuse(text, start=0):
@@ -1056,10 +1083,9 @@ class TestWordReaderAgainstOracle:
                                         (parse_formulas, oracle_parse_formulas),
                                         (parse_sequent, oracle_parse_sequent),
                                         (parse_sequents, oracle_parse_sequents),
+                                        (parse_model, oracle_parse_model),
                                         (parse_proof, oracle_parse_proof))),
-                ("model tokens", partial(_model_token_reader, sig=sig),
-                 partial(oracle_parse_model, sig=sig)),
-                ("signature tokens", _signature_token_reader, oracle_parse_signature)]
+                ("parse_signature", parse_signature, oracle_parse_signature)]
 
     def check(self, sig, text, names=None) -> dict[str, bool]:
         """Whether each reader (or those named) raised on `text`."""
@@ -1080,7 +1106,7 @@ class TestWordReaderAgainstOracle:
 
     def test_mutated_models_and_signatures(self, luk3):
         rng = random.Random(62)
-        names = {"model tokens", "signature tokens"}
+        names = {"parse_model", "parse_signature"}
         for _ in range(500):
             self.check(luk3, _mutated_model_text(rng), names)
             self.check(luk3, _mutated_signature_text(rng), names)
