@@ -785,12 +785,12 @@ class TestModelLineReader:
         for _ in range(1500):
             text = _fuzz_text(rng) if rng.random() < 0.5 else _mutated_model_text(rng)
             # the glued copy reaches the tokenizer with a well-formed line
-            for text in dict.fromkeys([text, _glued_model(text)]):
+            for variant in dict.fromkeys([text, _glued_model(text)]):
                 tokenized.clear()
-                ours = _outcome(partial(parse_model, sig=luk3), text)
-                assert ours == _token_reader_alone(text, luk3), repr(text)
+                ours = _outcome(partial(parse_model, sig=luk3), variant)
+                assert ours == _token_reader_alone(variant, luk3), repr(variant)
                 seen[isinstance(ours, KripkeModel),
-                     _first_tokenized(text, tokenized)] += 1
+                     _first_tokenized(variant, tokenized)] += 1
         assert seen[True, "nowhere"] > 100 and seen[True, "later"] > 20
         assert seen[False, "start"] > 500 and seen[False, "later"] > 100
 
@@ -997,10 +997,10 @@ class TestSignatureLineReader:
             text = (_fuzz_text(rng) if rng.random() < 0.25
                     else _mutated_signature_text(rng))
             # the glued copy reaches the tokenizer with a well-formed line
-            for text in dict.fromkeys([text, _glued_signature(text)]):
+            for variant in dict.fromkeys([text, _glued_signature(text)]):
                 tokenized.clear()
-                ours = _outcome(parse_signature, text)
-                assert ours == _signature_token_reader_alone(text), repr(text)
+                ours = _outcome(parse_signature, variant)
+                assert ours == _signature_token_reader_alone(variant), repr(variant)
                 seen[not isinstance(ours, tuple), not tokenized] += 1
                 if isinstance(ours, tuple) and not tokenized:
                     # only errors of the whole text skip the tokenizer
