@@ -9,20 +9,21 @@ parenthesized formula, nested at most MAX_FORMULA_DEPTH levels.  `Box`,
 `Dia` are reserved; in proof scripts the word `from` introduces premise
 references and cannot name a variable.
 
-Every format has one tokenizer: one regex `findall` gives the text of
-each word, and nothing else.  A word's offset is found only when a
-ParseError needs its 1-based line and column, by scanning the text
-again up to that word (_word_span).  Every file format is a sequence of
-statements, one per non-blank line.  Formulas, sequents and proof
-scripts are tokenized whole and read by index into the word list,
-formulas with an explicit stack (_parse_formula), statements by
-TokenStream.statements.
-Signature and model files are read a line at a time (_read_lines): each
-line is cut at `#`, split into fields and read from them when every
-field is a whole word.  Any other line alone is tokenized and read from
-its words by the same checks, which raise every error.  The first bad
-character of the file comes before any other error, so before raising,
-the reader looks for one from that line to the end of the text.
+No statement spans lines, so every format is read a line at a time
+(_read_lines).  A line is tokenized alone: one regex `findall` gives the
+text of each word, and nothing else.  Formulas, sequents and proof
+scripts tokenize every line that holds a statement and read its words
+by index through a cursor (TokenStream), formulas with an explicit
+stack (_parse_formula).  Signature and model files read a line from its
+fields, cut at `#` and split, when every field is a whole word, and
+tokenize any other line to read it again by the same checks.
+
+tokenize raises the error for a bad character.  Every other error is a
+_WordError at a word of its line, which _line_error alone turns into a
+ParseError: the word's 1-based line and column are found only then, by
+scanning the line again up to that word (_word_span).  The first bad
+character of the file comes before any other error, so _line_error
+first looks for one from that line to the end of the text.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .core import (
     Apply,
@@ -110,22 +111,14 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 # Whitespace and a comment before a word are part of its match (a comment
 # runs to the newline).  The one group is the word: an identifier, a
 # punctuation mark, `->`, an integer, a newline, the empty word at the end
-# of the text, or a bad character together with the rest of the text.
+# of the slice read, or a bad character together with the rest of it.
 _WORD_RE = re.compile(r"""
     [^\S\n]*(?:\#[^\n]*)?
     (""" + _IDENT + r"""|[(){},;:=]|->|-|\d+|\n|\Z|[^\n][\s\S]*)
 """, re.VERBOSE)
 
-_KINDS = {"": "eof", "\n": "newline", "->": "arrow", "(": "lparen",
-          ")": "rparen", "{": "lbrace", "}": "rbrace", ",": "comma",
-          ";": "semi", ":": "colon", "=": "equals", "-": "minus"}
-
 #: The first characters of the words that are not `int` words.
-_WORD_START = _IDENT_START | {word[0] for word in _KINDS if word}
-
-
-def _kind(word: str) -> str:
-    return _KINDS.get(word) or ("int" if word[0].isdecimal() else "ident")
+_WORD_START = _IDENT_START | set("(){},;:=-\n")
 
 
 def _span(text: str, offset: int) -> SourceSpan:
@@ -142,15 +135,15 @@ def _bad_character(text: str, word: str, end: int) -> None:
                          _span(text, end - len(word)))
 
 
-def tokenize(text: str, start: int = 0, end: Optional[int] = None) -> list[str]:
-    """The words of text[start:end], newlines included, ending with an
-    empty word for the end (a second one follows when whitespace or a
-    comment ends it)."""
-    end = len(text) if end is None else end
+def tokenize(text: str, start: int, end: int) -> list[str]:
+    """The words of the line text[start:end], ending with its newline or,
+    on the last line, with the empty word for the end of the text."""
     words = _WORD_RE.findall(text, start, end)
     # a bad character's word runs to the end, so only the empty word
     # that closes the list follows it
     _bad_character(text, words[-2] if len(words) > 1 else "", end)
+    if len(words) > 1 and words[-2] in ("\n", ""):
+        words.pop()  # the slice's end, after the line's own end
     return words
 
 
@@ -174,8 +167,8 @@ def _found(what: str, word: str) -> str:
 
 
 class _WordError(Exception):
-    """An error at word `at` of a word list, which the list's reader
-    raises as a ParseError at that word's span."""
+    """An error at word `at` of a line's words, which _line_error raises
+    as a ParseError at that word's span."""
 
     def __init__(self, at: int, message: str, expected: Optional[str] = None):
         super().__init__(message)
@@ -209,61 +202,35 @@ def _int(words: list[str], at: int, what: str, low: int = 0,
 
 
 class TokenStream:
-    """The words of a text, read by index.
+    """A cursor over the words of one line (tokenize).  Words are told
+    apart by their text: a name starts with a letter or `_`, an integer
+    is all digits."""
 
-    A word's offset is found only for an error, by scanning the text
-    again up to that word (span).
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.words = tokenize(text)
+    def __init__(self, words: list[str]):
+        self.words = words
         self.pos = 0
-
-    def span(self, at: int) -> SourceSpan:
-        return _word_span(self.text, 0, at)
-
-    def error(self, message: str, at: Optional[int] = None,
-              expected: Optional[str] = None) -> ParseError:
-        """A ParseError at word `at`, by default the next word."""
-        return ParseError(message, self.span(self.pos if at is None else at),
-                          expected)
-
-    def expected(self, what: str, at: Optional[int] = None) -> ParseError:
-        word = self.words[self.pos if at is None else at]
-        return self.error(_found(what, word), at, what)
 
     def peek(self) -> str:
         return self.words[self.pos]
 
-    def kind(self) -> str:
-        return _kind(self.words[self.pos])
+    def expect(self, word: str) -> None:
+        """Read `word`, a punctuation mark or `->`."""
+        if self.words[self.pos] != word:
+            what = f"'{word}'"
+            raise _WordError(self.pos, _found(what, self.words[self.pos]), what)
+        self.pos += 1
 
-    def advance(self) -> str:
+    def name(self, what: str) -> str:
         word = self.words[self.pos]
-        if word:
-            self.pos += 1
+        if word[:1] not in _IDENT_START:
+            raise _WordError(self.pos, _found(what, word), what)
+        self.pos += 1
         return word
-
-    def accept(self, kind: str, text: Optional[str] = None) -> bool:
-        word = self.words[self.pos]
-        if _kind(word) == kind and (text is None or word == text):
-            self.advance()
-            return True
-        return False
-
-    def expect(self, kind: str, what: str) -> str:
-        if _kind(self.words[self.pos]) != kind:
-            raise self.expected(what)
-        return self.advance()
 
     def expect_int(self, what: str, low: int = 0, high: Optional[int] = None,
                    message: str = "") -> int:
         """An integer in low..high, read by _int."""
-        try:
-            value = _int(self.words, self.pos, what, low, high, message)
-        except _WordError as error:
-            raise self.error(error.message, error.at, error.expected) from None
+        value = _int(self.words, self.pos, what, low, high, message)
         self.pos += 1
         return value
 
@@ -275,29 +242,120 @@ class TokenStream:
             items.append(read(self, *args))
         return items
 
-    def skip_newlines(self) -> None:
-        while self.words[self.pos] == "\n":
-            self.pos += 1
 
-    def end_statement(self) -> None:
-        word = self.words[self.pos]
-        if word == "\n":
-            self.pos += 1
-        elif word:
-            raise self.error(f"unexpected {_quote(word)} at end of statement")
+# ---------------------------------------------------------------------------
+# Line reading: every format is read a line at a time
+# ---------------------------------------------------------------------------
 
-    def statements(self) -> Iterator[str]:
-        """Each statement's first word, skipping blank lines.
 
-        The caller reads the statement; the stream then checks its end.
-        """
-        while True:
-            self.skip_newlines()
-            word = self.words[self.pos]
-            if not word:
-                return
-            yield word
-            self.end_statement()
+def _read_lines(text: str, read: Callable[[list[str], int], None],
+                fields_first: bool = False) -> None:
+    r"""Call read(words, start) for each line of `text` that holds a
+    statement, in order, `start` being the line's offset.
+
+    Lines are split on newlines only, since the token grammar treats
+    every other whitespace character, `\r` included, as in-line
+    whitespace, as str.split() does; a `#` always starts a comment.
+    `words` are the line's words (tokenize), which end with its "\n" or
+    the end of the text; an error then is raised as a ParseError
+    (_read_words).
+
+    With `fields_first`, `words` are first the line's fields and "\n",
+    and the line is tokenized only when read raises a _WordError.  read
+    takes only whole words (an identifier, an integer or `=`), so it
+    changes nothing before its last check, and which error it raises
+    matters only on the tokenizer's words, where a word is an identifier
+    when its first character may start one.
+    """
+    start = 0
+    for line in text.split("\n"):
+        head = line.partition("#")[0]
+        if head and not head.isspace() and not (
+                fields_first and _read_fields(read, head.split(), start)):
+            words = tokenize(text, start, min(start + len(line) + 1, len(text)))
+            _read_words(text, start, words, read)
+        start += len(line) + 1
+
+
+def _read_fields(read: Callable[[list[str], int], None], fields: list[str],
+                 start: int) -> bool:
+    """Whether read(fields + ["\n"], start) raised no _WordError."""
+    fields.append("\n")
+    try:
+        read(fields, start)
+    except _WordError:
+        return False
+    return True
+
+
+def _read_words(text: str, start: int, words: list[str],
+                read: Callable[[list[str], int], None]) -> None:
+    """read(words, start) on the words of the line at `start`, or of the
+    end of the text, with a _WordError raised as a ParseError."""
+    try:
+        read(words, start)
+    except _WordError as error:
+        raise _line_error(text, start, error) from None
+
+
+def _line_error(text: str, start: int, error: _WordError) -> ParseError:
+    """`error`, at a word of the line at `start`, as a ParseError; but
+    the first bad character of the text comes first.  The lines before
+    have none, so it is looked for from `start` on."""
+    _check_characters(text, start)
+    return ParseError(error.message, _word_span(text, start, error.at),
+                      error.expected)
+
+
+def _header(words: list[str], keyword: str, noun: str, what: str, low: int,
+            too_small: str, high: Optional[int] = None) -> int:
+    """The integer of the `keyword N` statement that opens a file.
+
+    Above `high` it is an error, raised before the caller allocates.
+    """
+    word = words[0]
+    if word != keyword:
+        if word[:1] in _IDENT_START:
+            raise _WordError(0, f"{noun} must start with a {keyword} declaration",
+                             keyword)
+        raise _WordError(0, _found(f"'{keyword}'", word), f"'{keyword}'")
+    value = _int(words, 1, what, low, None, too_small)
+    if high is not None and value > high:
+        raise _WordError(1, f"{what} is above the limit of {high}")
+    _end(words, 2)
+    return value
+
+
+def _end(words: list[str], at: int) -> None:
+    """Word `at` must end the statement."""
+    if len(words) > at + 1:
+        raise _WordError(at, f"unexpected {_quote(words[at])} at end of statement")
+
+
+def _statements(text: str, read: Callable[[TokenStream, Signature], object],
+                sig: Signature, single: bool = False) -> list:
+    """read(cursor, sig) over the words of each line that holds a
+    statement, which must end there.
+
+    With `single`, the text holds one statement: a word after it, on its
+    line or a later one, is "unexpected trailing", and where a text has
+    none, the words at its end, [""], are read.
+    """
+    values = []
+
+    def read_line(words: list[str], start: int) -> None:
+        if single and values:
+            raise _WordError(0, f"unexpected trailing {_quote(words[0])}")
+        ts = TokenStream(words)
+        values.append(read(ts, sig))
+        if single and len(words) > ts.pos + 1:
+            raise _WordError(ts.pos, f"unexpected trailing {_quote(ts.peek())}")
+        _end(words, ts.pos)
+
+    _read_lines(text, read_line)
+    if single and not values:
+        _read_words(text, len(text), [""], read_line)
+    return values
 
 
 def _label(ts: TokenStream, n: int, what: str = "a label") -> int:
@@ -321,7 +379,7 @@ _PAREN, _BOX, _DIA = object(), object(), object()
 
 
 def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
-    """The formula at the stream's position.
+    """The formula at the cursor.
 
     An explicit stack, not recursion: it holds one entry per open
     parenthesis, Box, Dia and argument list, so its height is the depth
@@ -331,14 +389,15 @@ def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
     stack: list = []
     while True:
         if len(stack) > MAX_FORMULA_DEPTH:
-            raise ts.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", i)
+            raise _WordError(
+                i, f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
         word = words[i]
         if word == "(":
             stack.append(_PAREN)
             i += 1
             continue
         if word[:1] not in _IDENT_START:
-            raise ts.error(f"expected a formula, found {_quote(word)}", i, "formula")
+            raise _WordError(i, f"expected a formula, found {_quote(word)}", "formula")
         i += 1
         if word == "Box":
             stack.append(_BOX)
@@ -352,9 +411,9 @@ def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
                 i += 1
                 continue
             i += 2
-            node = _apply(ts, sig, i - 3, ())
+            node = _apply(words, sig, i - 3, ())
         elif word in connectives:
-            raise ts.error(f"connective {_quote(word)} needs an argument list", i - 1)
+            raise _WordError(i - 1, f"connective {_quote(word)} needs an argument list")
         else:
             node = Var(word)
         # `node` is whole: close every entry it completes
@@ -371,34 +430,34 @@ def _parse_formula(ts: TokenStream, sig: Signature) -> Formula:
                         i += 1
                         break
                 if words[i] != ")":
-                    raise ts.expected("')'", i)
+                    raise _WordError(i, _found("')'", words[i]), "')'")
                 i += 1
                 if top is not _PAREN:
-                    node = _apply(ts, sig, top[0], top[1:])
+                    node = _apply(words, sig, top[0], top[1:])
             stack.pop()
         else:
             ts.pos = i
             return node
 
 
-def _apply(ts: TokenStream, sig: Signature, at: int, args) -> Apply:
+def _apply(words: list[str], sig: Signature, at: int, args) -> Apply:
     """The connective named by word `at` applied to `args`."""
-    name = ts.words[at]
+    name = words[at]
     conn = sig.connectives.get(name)
     if conn is None:
-        raise ts.error(f"unknown connective {_quote(name)}", at)
+        raise _WordError(at, f"unknown connective {_quote(name)}")
     if len(args) != conn.arity:
-        raise ts.error(f"connective {_quote(name)} expects {conn.arity} arguments, "
-                       f"got {len(args)}", at)
+        raise _WordError(at, f"connective {_quote(name)} expects {conn.arity} "
+                             f"arguments, got {len(args)}")
     return Apply(name, args)
 
 
 def _parse_labelled(ts: TokenStream, sig: Signature) -> LabelledFormula:
-    ts.expect("lparen", "'('")
+    ts.expect("(")
     formula = _parse_formula(ts, sig)
-    ts.expect("comma", "','")
+    ts.expect(",")
     label = _label(ts, sig.n)
-    ts.expect("rparen", "')'")
+    ts.expect(")")
     return LabelledFormula(formula, label)
 
 
@@ -410,39 +469,26 @@ def _parse_side(ts: TokenStream, sig: Signature) -> list[LabelledFormula]:
 
 def _parse_sequent(ts: TokenStream, sig: Signature) -> Sequent:
     antecedent = _parse_side(ts, sig)
-    ts.expect("arrow", "'->'")
+    ts.expect("->")
     return Sequent(antecedent, _parse_side(ts, sig))
 
 
-def _single(text: str, parse, sig: Signature):
-    ts = TokenStream(text)
-    ts.skip_newlines()
-    out = parse(ts, sig)
-    ts.skip_newlines()
-    word = ts.peek()
-    if word:
-        raise ts.error(f"unexpected trailing {_quote(word)}")
-    return out
-
-
 def parse_formula(text: str, sig: Signature) -> Formula:
-    return _single(text, _parse_formula, sig)
+    return _statements(text, _parse_formula, sig, single=True)[0]
 
 
 def parse_formulas(text: str, sig: Signature) -> tuple[Formula, ...]:
     """One formula per non-empty line."""
-    ts = TokenStream(text)
-    return tuple(_parse_formula(ts, sig) for _ in ts.statements())
+    return tuple(_statements(text, _parse_formula, sig))
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    return _single(text, _parse_sequent, sig)
+    return _statements(text, _parse_sequent, sig, single=True)[0]
 
 
 def parse_sequents(text: str, sig: Signature) -> tuple[Sequent, ...]:
     """One sequent per non-empty line."""
-    ts = TokenStream(text)
-    return tuple(_parse_sequent(ts, sig) for _ in ts.statements())
+    return tuple(_statements(text, _parse_sequent, sig))
 
 
 def render_formula(formula: Formula) -> str:
@@ -493,85 +539,6 @@ def render_sequent(sequent: Sequent) -> str:
 
 def render_sequents(sequents: Iterable[Sequent]) -> str:
     return "".join(render_sequent(s) + "\n" for s in sequents)
-
-
-# ---------------------------------------------------------------------------
-# Line reading: signature and model files
-# ---------------------------------------------------------------------------
-
-
-def _read_lines(text: str, read: Callable[[list[str], int], None]) -> None:
-    r"""Call read(words, start) for each line of `text` that holds a
-    statement, in order, `start` being the line's offset.
-
-    Lines are split on newlines only, since the token grammar treats
-    every other whitespace character, `\r` included, as in-line
-    whitespace, as str.split() does; a `#` always starts a comment.
-    `words` are first the line's fields and "\n".  read takes only whole
-    words (an identifier, an integer or `=`), so when it raises a
-    _WordError the line alone is tokenized and read again from its
-    words, which end with its "\n" or the end of the text.  An error
-    then is raised as a ParseError (_line_error).  So read changes
-    nothing before its last check, and which error it raises matters
-    only on the tokenizer's words, where a word is an identifier when
-    its first character may start one.
-    """
-    start = 0
-    for line in text.split("\n"):
-        fields = line.partition("#")[0].split()
-        if fields:
-            fields.append("\n")
-            try:
-                read(fields, start)
-            except _WordError:
-                words = tokenize(text, start, min(start + len(line) + 1, len(text)))
-                if words[-2] in ("\n", ""):
-                    words.pop()
-                try:
-                    read(words, start)
-                except _WordError as error:
-                    raise _line_error(text, start, error) from None
-        start += len(line) + 1
-
-
-def _line_error(text: str, start: int, error: _WordError) -> ParseError:
-    """`error`, at a word of the line at `start`, as a ParseError; but
-    the first bad character of the text comes first.  The lines before
-    have none, so it is looked for from `start` on."""
-    _check_characters(text, start)
-    return ParseError(error.message, _word_span(text, start, error.at),
-                      error.expected)
-
-
-def _header(words: list[str], keyword: str, noun: str, what: str, low: int,
-            too_small: str, high: Optional[int] = None) -> int:
-    """The integer of the `keyword N` statement that opens a file.
-
-    Above `high` it is an error, raised before the caller allocates.
-    """
-    word = words[0]
-    if word != keyword:
-        if word[0] in _IDENT_START:
-            raise _WordError(0, f"{noun} must start with a {keyword} declaration",
-                             keyword)
-        raise _WordError(0, _found(f"'{keyword}'", word), f"'{keyword}'")
-    value = _int(words, 1, what, low, None, too_small)
-    if high is not None and value > high:
-        raise _WordError(1, f"{what} is above the limit of {high}")
-    _end(words, 2)
-    return value
-
-
-def _no_header(text: str, keyword: str) -> ParseError:
-    """The error for a text with no statement, where a header is due."""
-    return _line_error(text, len(text), _WordError(
-        0, _found(f"'{keyword}'", ""), f"'{keyword}'"))
-
-
-def _end(words: list[str], at: int) -> None:
-    """Word `at` must end the statement."""
-    if len(words) > at + 1:
-        raise _WordError(at, f"unexpected {_quote(words[at])} at end of statement")
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +597,9 @@ def parse_signature(text: str) -> Signature:
         _end(words, arity + 3)
         table[key] = out
 
-    _read_lines(text, read)
-    if n is None:
-        raise _no_header(text, "domain")
+    _read_lines(text, read, fields_first=True)
+    if n is None:  # no statement: _header raises at the end of the text
+        _read_words(text, len(text), [""], read)
     connectives = []
     for name, (arity, start, table) in declared.items():
         if len(table) != n ** arity:
@@ -714,9 +681,9 @@ def parse_model(text: str, sig: Signature) -> KripkeModel:
             raise _WordError(0, _found(what, key),
                              None if key[0] in _IDENT_START else what)
 
-    _read_lines(text, read)
-    if world_count is None:
-        raise _no_header(text, "worlds")
+    _read_lines(text, read, fields_first=True)
+    if world_count is None:  # no statement: _header raises at the end of the text
+        _read_words(text, len(text), [""], read)
     return KripkeModel(world_count, edges, vals)
 
 
@@ -734,20 +701,22 @@ def render_model(model: KripkeModel) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_rule_name(ts: TokenStream) -> str:
-    parts = [ts.expect("ident", "a rule name")]
-    while ts.accept("minus"):
-        if ts.kind() not in ("ident", "int"):
-            raise ts.error("malformed rule name")
-        parts.append(ts.advance())
+    parts = [ts.name("a rule name")]
+    while ts.peek() == "-":
+        word = ts.words[ts.pos + 1]
+        if word[:1] not in _IDENT_START and not word.isdecimal():
+            raise _WordError(ts.pos + 1, "malformed rule name")
+        ts.pos += 2
+        parts.append(word)
     return "-".join(parts)
 
 
 def _parse_label_set(ts: TokenStream, n: int) -> frozenset[int]:
-    ts.expect("lbrace", "'{'")
+    ts.expect("{")
     labels = set()
-    while ts.kind() == "int":
+    while ts.peek().isdecimal():
         labels.add(_label(ts, n))
-    ts.expect("rbrace", "'}'")
+    ts.expect("}")
     return frozenset(labels)
 
 
@@ -756,8 +725,8 @@ def _render_group(formula: Formula, labels: frozenset[int]) -> str:
 
 
 def _at_formula_start(ts: TokenStream) -> bool:
-    kind = ts.kind()
-    return kind == "lparen" or (kind == "ident" and ts.peek() != "from")
+    word = ts.peek()
+    return word == "(" or (word[:1] in _IDENT_START and word != "from")
 
 
 def _any_label(ts: TokenStream) -> int:
@@ -771,9 +740,9 @@ def _parse_hypothesis(ts: TokenStream, sig: Signature) -> Hypothesis:
 
 
 def _parse_table_entry(ts: TokenStream, sig: Signature) -> AxiomTable:
-    conn = ts.expect("ident", "a connective name")
+    conn = ts.name("a connective name")
     entry = []
-    while ts.kind() == "int":
+    while ts.peek().isdecimal():
         entry.append(ts.expect_int("a table entry"))
     return AxiomTable(conn, tuple(entry))
 
@@ -784,7 +753,7 @@ def _parse_groups(ts: TokenStream, sig: Signature) -> SuperMultiShift:
         formulas.append(_parse_formula(ts, sig))
         label_sets.append(_parse_label_set(ts, sig.n))
     if not formulas:
-        raise ts.error("expected at least one formula group", expected="formula")
+        raise _WordError(ts.pos, "expected at least one formula group", "formula")
     return SuperMultiShift(tuple(formulas), tuple(label_sets))
 
 
@@ -834,36 +803,38 @@ def _parse_justification(ts: TokenStream, sig: Signature) -> Justification:
     name = _parse_rule_name(ts)
     parse = _PARSERS.get(name)
     if parse is None:
-        raise ts.error(f"unknown rule name {_quote(name)}", name_at)
+        raise _WordError(name_at, f"unknown rule name {_quote(name)}")
     return parse(ts, sig)
 
 
 def parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
                 hypotheses: Iterable[Sequent] = ()) -> Derivation:
     """Parse a proof script; the logic and hypotheses come from the caller."""
-    ts = TokenStream(text)
-    steps: list[Step] = []
     positions: dict[int, int] = {}
 
     def premise(ts: TokenStream) -> int:
         ref = ts.expect_int("a premise step number")
         if ref not in positions:
-            raise ts.error(f"premise reference {ref} does not name "
-                           "an earlier step", ts.pos - 1)
+            raise _WordError(ts.pos - 1, f"premise reference {ref} does not name "
+                                         "an earlier step")
         return positions[ref]
 
-    for _ in ts.statements():
+    def step(ts: TokenStream, sig: Signature) -> Step:
         idx = ts.expect_int("a step number")
         if idx in positions:
-            raise ts.error(f"duplicate step number {idx}", ts.pos - 1)
-        ts.expect("colon", "':'")
+            raise _WordError(ts.pos - 1, f"duplicate step number {idx}")
+        ts.expect(":")
         sequent = _parse_sequent(ts, sig)
-        ts.expect("semi", "';'")
+        ts.expect(";")
         justification = _parse_justification(ts, sig)
-        premises = ts.comma_list(premise) if ts.accept("ident", "from") else ()
-        positions[idx] = len(steps)
-        steps.append(Step(sequent, justification, tuple(premises)))
-    return Derivation(logic, tuple(hypotheses), tuple(steps))
+        premises = ()
+        if ts.peek() == "from":
+            ts.pos += 1
+            premises = ts.comma_list(premise)
+        positions[idx] = len(positions)
+        return Step(sequent, justification, tuple(premises))
+
+    return Derivation(logic, tuple(hypotheses), tuple(_statements(text, step, sig)))
 
 
 def render_proof(derivation: Derivation) -> str:

@@ -309,4 +309,6 @@ def frame_predicate(frame_class: FrameClass) -> Callable[[Sequence[int]], bool]:
 
 def frame_check(model: KripkeModel, frame_class: FrameClass) -> bool:
     """Whether the model's relation has the frame property of the class."""
-    return frame_predicate(frame_class)(successor_rows(model))
+    holds = frame_predicate(frame_class)
+    # a class with no property holds of every relation: no rows are built
+    return not _FRAME_PROPERTIES[frame_class] or holds(successor_rows(model))

@@ -27,7 +27,8 @@ from helpers import (
 from helpers import frame_check as oracle_frame_check
 from helpers import random_relation as oracle_random_relation
 
-from mvmodal.core import Var, lukasiewicz_signature
+from mvmodal import semantics
+from mvmodal.core import Box, Var, lukasiewicz_signature
 from mvmodal.decision import (
     Countermodel,
     _relations,
@@ -35,6 +36,7 @@ from mvmodal.decision import (
     decide,
     enumerate_models,
 )
+from mvmodal.filtration import filter_model
 from mvmodal.proofs import SCHEME_FRAMES, LogicId, instantiate_scheme
 from mvmodal.sampling import random_relation
 from mvmodal.semantics import (
@@ -130,6 +132,22 @@ def test_frame_check_agrees_with_the_oracle(frame_class):
     for edges in oracle_relations(3, FrameClass.ANY):
         model = KripkeModel(3, edges)
         assert frame_check(model, frame_class) == oracle_frame_check(model, frame_class)
+
+
+def test_the_class_without_a_property_builds_no_rows(monkeypatch):
+    # a row is an int as wide as its highest successor: on 100,000 worlds
+    # the rows alone cost hundreds of MB
+    def refuse(model):
+        raise AssertionError("successor rows built for FrameClass.ANY")
+
+    monkeypatch.setattr(semantics, "successor_rows", refuse)
+    model = KripkeModel(3, {(0, 2), (2, 1)}, {(0, "p"): 2})
+    assert frame_check(model, FrameClass.ANY)
+    sig = lukasiewicz_signature(3)
+    filtered = filter_model(sig, model, [Var("p"), Box(Var("p"))], LogicId.MV_K)
+    assert filtered.model.world_count == len(filtered.classes)
+    with pytest.raises(ValueError, match="unknown frame class"):
+        frame_check(model, "any")
 
 
 @settings(max_examples=150, deadline=None)

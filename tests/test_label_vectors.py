@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 import helpers
 from helpers import _class_relations, _eval, _eval_mvil, class_models
 from mvmodal import decision
+from mvmodal.decision import Countermodel, decide
+from mvmodal.filtration import filter_model
+from mvmodal.proofs import LogicId
 from mvmodal.core import (
     Apply,
     Box,
@@ -26,6 +29,7 @@ from mvmodal.core import (
     Sequent,
     Var,
     closure_order,
+    formula_key,
     is_modal_free,
     lukasiewicz_implication,
     make_signature,
@@ -40,6 +44,7 @@ from mvmodal.semantics import (
     FrameClass,
     KripkeModel,
     evaluate,
+    label_vectors,
     model_satisfies,
     refuting_worlds,
     satisfies_sequent,
@@ -338,3 +343,28 @@ def test_sequent_of_chains_sharing_all_but_the_last_level():
     chain = "imp(p, " * DEPTH + "{}" + ")" * DEPTH
     assert render_sequent(sequent) == (f"({chain.format('p')}, 2), "
                                        f"({chain.format('q')}, 2) ->")
+
+
+def test_every_layer_takes_a_formula_3000_levels_deep():
+    # Box, Dia and imp levels in turn; the modal-free layers get an imp
+    # chain.  pickle, copy.deepcopy, repr and str of such a formula still
+    # recurse (ROADMAP item 8)
+    levels = (Box, Diamond, lambda f: Apply("imp", (Var("q"), f)))
+    mixed, chain = P, P
+    for level in range(DEPTH):
+        mixed = levels[level % 3](mixed)
+        chain = Apply("imp", (P, chain))
+    m = KripkeModel(2, {(0, 1), (1, 1)}, {(1, "p"): 3, (0, "q"): 2})
+    order = closure_order([mixed])
+    assert len(order) == DEPTH + 2 and order[-1] is mixed
+    assert formula_key(mixed) != formula_key(Box(mixed))
+    assert render_formula(mixed).count("(") == DEPTH // 3
+    vectors = label_vectors(SIG, m, order)
+    assert vectors[mixed] == [evaluate(SIG, m, w, mixed) for w in m.worlds]
+    goal = Sequent([LabelledFormula(mixed, 1)], [])
+    outcome = decide(SIG, (), goal, LogicId.MV_K, 1)
+    assert isinstance(outcome, Countermodel) and outcome.model.world_count == 1
+    filtered = filter_model(SIG, m, subformula_closure([mixed]), LogicId.MV_K)
+    assert filtered.classes == ((0,), (1,))
+    assert render_formula(godel_translate(chain)).count("Box") == 2 * DEPTH + 1
+    assert eval_mvil(SIG, KripkeModel(1, {(0, 0)}, {(0, "p"): 2}), 0, chain) == 3

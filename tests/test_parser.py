@@ -7,7 +7,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -530,6 +530,29 @@ class TestErrorSpans:
         # end of input after a trailing comment
         ("(p, 1) ->\n-> (q, 2) # trailing comment\n(q, 3)  # no arrow",
          "sequents", 3, 19, 57, "expected '->', found end of input"),
+        # every format read a line at a time: a grammar error on line 1
+        # waits for the bad character on line 3, even after a comment
+        # that holds one
+        ("imp(p q)\n\np @\n", "formula", 3, 3, 12, "unexpected character '@'"),
+        ("imp(p q)\n# @ in a comment\np @\n", "formulas", 3, 3, 28,
+         "unexpected character '@'"),
+        ("(p, 4) ->\n\n-> (q, 1) @\n", "sequent", 3, 11, 21,
+         "unexpected character '@'"),
+        ("(p, 4) ->\n  \n-> (q, 1) @\n", "sequents", 3, 11, 23,
+         "unexpected character '@'"),
+        ("1: -> (p, 1) ; cut\n\n2: -> (p, 1) ; ax-id @\n", "proof", 3, 22, 41,
+         "unexpected character '@'"),
+        # one formula or sequent: anything after it trails, on its line
+        # or a later one; a text without one ends where it is due
+        ("p\n\n  q\n", "formula", 3, 3, 5, "unexpected trailing 'q'"),
+        ("-> (p, 1)\n# c\n-> (q, 1)", "sequent", 3, 1, 14,
+         "unexpected trailing '->'"),
+        ("(p, 1) -> (q, 2) (r, 3)\n", "sequent", 1, 18, 17,
+         "unexpected trailing '('"),
+        ("", "sequent", 1, 1, 0, "expected '->', found end of input"),
+        ("  # only a comment\n\n", "formula", 3, 1, 20,
+         "expected a formula, found ''"),
+        ("p q\n", "formulas", 1, 3, 2, "unexpected 'q' at end of statement"),
         # \r is whitespace: columns count it, lines do not
         ("worlds 2\r\nedge 0 1\r\nval 1 p 4\r\n", "model", 3, 9, 28,
          "label 4 out of 1..3"),
@@ -543,6 +566,7 @@ class TestErrorSpans:
                    "sequent": partial(parse_sequent, sig=luk3),
                    "sequents": partial(parse_sequents, sig=luk3),
                    "formula": partial(parse_formula, sig=luk3),
+                   "formulas": partial(parse_formulas, sig=luk3),
                    "model": partial(parse_model, sig=luk3),
                    "proof": partial(parse_proof, sig=luk3)}
         for text, kind, line, column, offset, message in self.CASES:
@@ -1072,9 +1096,32 @@ def _mutated(rng: random.Random, text: str) -> str:
     return text
 
 
+def _statement_lines(text):
+    """The [start, end) of each line of `text` that holds a statement,
+    its newline included."""
+    spans, start = [], 0
+    for line in text.split("\n"):
+        if line.partition("#")[0].split():
+            spans.append((start, min(start + len(line) + 1, len(text))))
+        start += len(line) + 1
+    return spans
+
+
+#: The readers that tokenize every line they read.
+TOKEN_FORMATS = {"parse_formula", "parse_formulas", "parse_sequent",
+                 "parse_sequents", "parse_proof"}
+
+#: PROPERTY for tests that take the `tokenized` fixture, which check
+#: clears before each reader it records.
+PROPERTY_TOKENIZED = settings(
+    PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestWordReaderAgainstOracle:
     """Every reader built on the word list returns the token reader's
-    value, or raises its message, span and expected."""
+    value, or raises its message, span and expected.  The token formats
+    tokenize each line that holds a statement alone, in order, up to the
+    line they fail on."""
 
     def readers(self, sig):
         """(name, reader, oracle) for every format."""
@@ -1087,31 +1134,38 @@ class TestWordReaderAgainstOracle:
                                         (parse_proof, oracle_parse_proof))),
                 ("parse_signature", parse_signature, oracle_parse_signature)]
 
-    def check(self, sig, text, names=None) -> dict[str, bool]:
+    def check(self, sig, text, tokenized, names=None) -> dict[str, bool]:
         """Whether each reader (or those named) raised on `text`."""
+        lines = _statement_lines(text)
         raised = {}
         for name, reader, oracle in self.readers(sig):
             if names is None or name in names:
                 expected = _either(oracle, text)
+                tokenized.clear()
                 assert _either(reader, text) == expected, (name, text)
+                if name in TOKEN_FORMATS:
+                    assert tokenized == lines[:len(tokenized)], (name, text)
+                    assert expected[0] or len(tokenized) == len(lines), (name, text)
                 raised[name] = expected[0]
         return raised
 
-    def test_fuzzed_texts(self, luk3_neg):
+    def test_fuzzed_texts(self, luk3_neg, tokenized):
         rng = random.Random(61)
         raised = Counter()
         for _ in range(1500):
-            raised.update(self.check(luk3_neg, _fuzz_text(rng)).values())
+            raised.update(self.check(luk3_neg, _fuzz_text(rng), tokenized).values())
         assert raised[False] > 300 and raised[True] > 9000
+        for case in TestErrorSpans.CASES:
+            self.check(luk3_neg, case[0], tokenized)
 
-    def test_mutated_models_and_signatures(self, luk3):
+    def test_mutated_models_and_signatures(self, luk3, tokenized):
         rng = random.Random(62)
         names = {"parse_model", "parse_signature"}
         for _ in range(500):
-            self.check(luk3, _mutated_model_text(rng), names)
-            self.check(luk3, _mutated_signature_text(rng), names)
+            self.check(luk3, _mutated_model_text(rng), tokenized, names)
+            self.check(luk3, _mutated_signature_text(rng), tokenized, names)
 
-    def test_bench_proofs_and_their_mutations(self):
+    def test_bench_proofs_and_their_mutations(self, tokenized):
         sig = parse_signature((PROOF_DIR / "signature.sig").read_text())
         proofs = [path.read_text() for path in sorted(PROOF_DIR.glob("*.proof"))]
         sigmas = [path.read_text() for path in sorted(PROOF_DIR.glob("*.sigma"))]
@@ -1120,38 +1174,39 @@ class TestWordReaderAgainstOracle:
         raised = Counter()
         for texts, reader in ((proofs, "parse_proof"), (sigmas, "parse_sequents")):
             for text in texts:
-                assert not self.check(sig, text)[reader]
+                assert not self.check(sig, text, tokenized)[reader]
                 for _ in range(40):
-                    raised.update(self.check(sig, _mutated(rng, text)).values())
+                    raised.update(self.check(sig, _mutated(rng, text),
+                                             tokenized).values())
         assert raised[False] > 150 and raised[True] > 4000
 
-    @PROPERTY
+    @PROPERTY_TOKENIZED
     @given(formulas, st.randoms(use_true_random=False))
-    def test_rendered_formulas(self, f, rng):
+    def test_rendered_formulas(self, tokenized, f, rng):
         text = render_formula(f)
         assert parse_formula(text, SIG) is f
-        self.check(SIG, _mutated(rng, text))
+        self.check(SIG, _mutated(rng, text), tokenized)
 
-    @PROPERTY
+    @PROPERTY_TOKENIZED
     @given(st.lists(sequents, max_size=3), st.randoms(use_true_random=False))
-    def test_rendered_sequents(self, seqs, rng):
+    def test_rendered_sequents(self, tokenized, seqs, rng):
         text = render_sequents(seqs)
         assert parse_sequents(text, SIG) == tuple(seqs)
-        self.check(SIG, _mutated(rng, text))
+        self.check(SIG, _mutated(rng, text), tokenized)
 
-    @PROPERTY
+    @PROPERTY_TOKENIZED
     @given(derivations(), st.randoms(use_true_random=False))
-    def test_rendered_proofs(self, derivation, rng):
-        self.check(SIG, _mutated(rng, render_proof(derivation)))
+    def test_rendered_proofs(self, tokenized, derivation, rng):
+        self.check(SIG, _mutated(rng, render_proof(derivation)), tokenized)
 
     @pytest.mark.parametrize("kind", ["box", "imp", "paren", "mixed", "dia-args"])
-    def test_formulas_at_and_past_the_depth_limit(self, luk3, kind):
+    def test_formulas_at_and_past_the_depth_limit(self, luk3, tokenized, kind):
         for depth in (0, 1, MAX_FORMULA_DEPTH - 1, MAX_FORMULA_DEPTH,
                       MAX_FORMULA_DEPTH + 1, MAX_FORMULA_DEPTH + 5):
             text = nested_formula(kind, depth)
             for variant in (text, text[:-1], f"(Dia {text}, 2) ->",
                             f"(imp(p, {text}), 2) -> (q, 1)"):
-                self.check(luk3, variant)
+                self.check(luk3, variant, tokenized)
 
     def test_deepest_formula_needs_no_recursion(self, luk3):
         # a recursive reader needs a frame or more per level, 100 here
