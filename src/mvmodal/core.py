@@ -139,16 +139,76 @@ def _intern(cls, *values):
     return node
 
 
-def _rebuild(node):
-    # Copies and unpickling go through the constructor, so they intern.
-    return type(node), tuple(getattr(node, name) for name in node.__match_args__)
+def _build(nodes: tuple) -> "Formula":
+    """The formula that _Node.__reduce__ flattened: each entry is a class,
+    then its fields, a subformula given as the index of its entry and
+    an Apply's arguments as a tuple of indexes; the last entry is the
+    formula.  Built bottom-up through the constructors, so it interns."""
+    built: list = []
+    for cls, *fields in nodes:
+        if cls is Var:
+            built.append(Var(fields[0]))
+        elif cls is Apply:
+            conn, args = fields
+            built.append(Apply(conn, map(built.__getitem__, args)))
+        else:
+            built.append(cls(built[fields[0]]))
+    return built[-1]
 
 
 class _Node:
-    __reduce__ = _rebuild
+    """What every formula node shares: it is its own copy, and it pickles
+    and prints without recursing, so a formula nested thousands deep
+    does both."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        order = closure_order((self,))
+        index = {f: i for i, f in enumerate(order)}.__getitem__
+        nodes = []
+        for f in order:
+            if isinstance(f, Var):
+                nodes.append((Var, f.name))
+            elif isinstance(f, Apply):
+                nodes.append((Apply, f.conn, tuple(map(index, f.args))))
+            else:
+                nodes.append((type(f), index(f.sub)))
+        return _build, (tuple(nodes),)
+
+    def __repr__(self):
+        # the dataclass repr, written from a stack: a str on it is output,
+        # a node is replaced by its parts
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts: list = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                parts.append(f"{', ' if i else ''}{name}=")
+                if isinstance(value, tuple):
+                    parts.append("(")
+                    for j, arg in enumerate(value):
+                        if j:
+                            parts.append(", ")
+                        parts.append(arg if isinstance(arg, _Node) else repr(arg))
+                    parts.append(",)" if len(value) == 1 else ")")
+                else:
+                    parts.append(value if isinstance(value, _Node) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Var(_Node):
     name: str
 
@@ -156,7 +216,7 @@ class Var(_Node):
         return _intern(cls, name)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Apply(_Node):
     conn: str
     args: tuple["Formula", ...]
@@ -165,7 +225,7 @@ class Apply(_Node):
         return _intern(cls, conn, tuple(args))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Box(_Node):
     sub: "Formula"
 
@@ -173,7 +233,7 @@ class Box(_Node):
         return _intern(cls, sub)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Diamond(_Node):
     sub: "Formula"
 

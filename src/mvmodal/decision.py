@@ -84,6 +84,17 @@ that same world count and returns its first countermodel, so the
 witness is the first in enumeration order, as without the rooted pass.
 One and two worlds are searched exhaustively only: there the rooted
 frames are too large a share of all frames to pay for a second pass.
+
+A process keeps two tables of relations once it has generated them
+(_kept_relations, by the one rule of _kept): every class's relations on
+one and two worlds, for the exhaustive pass, at most 18 per class and 75
+over the eight classes; and every class's rooted frames on three and
+four worlds, at most 136 and 6,752 per class and about 1 MB over all
+classes.  Both are filled by the first search that walks them, not at
+import, and are immutable tuples shared by every caller, as are the edge
+masks of their chunks (_kept_edge_masks).  The exhaustive pass from
+three worlds up, and the rooted pass from five, generate their relations
+lazily, so that a ceiling abort also stops their generation.
 """
 
 from __future__ import annotations
@@ -103,11 +114,11 @@ from .semantics import (
     KripkeModel,
     _checked_connective,
     _members,
+    _refuted,
     edge_set,
     frame_check,
     frame_predicate,
-    model_satisfies,
-    satisfies_sequent,
+    label_vectors,
 )
 
 ENUM_CEILING_VAR = "MVK_ENUM_CEILING"
@@ -125,8 +136,7 @@ _FEW_LABELS = 64
 #: World counts from this one up are searched over rooted frames first.
 _ROOTED_FROM = 3
 
-#: Rooted frames on up to this many worlds are kept once generated: at
-#: most 6,752 relations per class, about 1 MB over all seven classes.
+#: The rooted pass keeps its frames up to this many worlds (_kept).
 _ROOTED_KEPT_UP_TO = 4
 
 
@@ -197,8 +207,12 @@ def filtration_bound(hypotheses: Iterable[Sequent], goal: Sequent, n: int) -> in
     labels on the closure, so no filtration has more classes than there
     are vectors.
     """
-    return n ** len(closure_order(f for s in (goal, *hypotheses)
-                                  for f in s.formulas()))
+    return n ** len(_closure(hypotheses, goal))
+
+
+def _closure(hypotheses: Iterable[Sequent], goal: Sequent) -> tuple[Formula, ...]:
+    """The closure_order of the goal's and the hypotheses' formulas."""
+    return closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
 
 
 def _relations(world_count: int, frame_class: FrameClass
@@ -238,25 +252,35 @@ def _extensions(world_count: int, holds: Callable[[Sequence[int]], bool]
                     yield candidate
 
 
+def _kept(world_count: int, rooted: bool) -> bool:
+    """Whether a pass of the search on `world_count` worlds reads its
+    relations from _kept_relations and its edge masks from
+    _kept_edge_masks: the exhaustive pass below _ROOTED_FROM worlds, the
+    only pass there, and the rooted pass up to _ROOTED_KEPT_UP_TO."""
+    return world_count < _ROOTED_FROM or rooted and world_count <= _ROOTED_KEPT_UP_TO
+
+
+@lru_cache(maxsize=None)
+def _kept_relations(world_count: int, frame_class: FrameClass, rooted: bool
+                    ) -> tuple[tuple[int, ...], ...]:
+    """The relations of one pass (_rooted_relations or _relations),
+    generated once per process and shared by every caller."""
+    return tuple(_rooted_filter(world_count, frame_class) if rooted
+                 else _relations(world_count, frame_class))
+
+
 def _rooted_relations(world_count: int, frame_class: FrameClass
                       ) -> Iterator[tuple[int, ...]]:
     """Successor rows of one relation per isomorphism class fixing world 0
     among the class's relations on `world_count` worlds in which world 0
     reaches every world, in _relations' order.
 
-    Up to _ROOTED_KEPT_UP_TO worlds the relations are filtered once per
-    process and kept; from there up they are filtered lazily, so that a
+    Kept as _kept says; from there up they are filtered lazily, so that a
     ceiling abort also stops their generation.
     """
-    if world_count <= _ROOTED_KEPT_UP_TO:
-        return iter(_kept_rooted_relations(world_count, frame_class))
+    if _kept(world_count, rooted=True):
+        return iter(_kept_relations(world_count, frame_class, True))
     return _rooted_filter(world_count, frame_class)
-
-
-@lru_cache(maxsize=None)
-def _kept_rooted_relations(world_count: int, frame_class: FrameClass
-                           ) -> tuple[tuple[int, ...], ...]:
-    return tuple(_rooted_filter(world_count, frame_class))
 
 
 def _rooted_filter(world_count: int, frame_class: FrameClass
@@ -445,9 +469,8 @@ def _edge_masks(chunk: Sequence[tuple[int, ...]], count: int, world_count: int
     return tuple((d, sel * block) for d, sel in by_offset.items())
 
 
-#: _edge_masks of chunks of the rooted frames kept up to _ROOTED_KEPT_UP_TO
-#: worlds and of every relation on up to two worlds: each query asks for
-#: the same chunks again.
+#: _edge_masks of the chunks of the passes whose relations are kept
+#: (_kept): each query asks for the same chunks again.
 _kept_edge_masks = lru_cache(maxsize=64)(_edge_masks)
 
 
@@ -539,18 +562,27 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     `ceiling` counts the models examined over all world counts and both
     passes: every copy up to a countermodel's, or the whole chunk.
     """
-    order = closure_order(f for s in (goal, *hypotheses) for f in s.formulas())
+    return _search(sig, hypotheses, goal, frame_class, bound, ceiling,
+                   _closure(hypotheses, goal))
+
+
+def _search(sig: Signature, hypotheses: tuple[Sequent, ...], goal: Sequent,
+            frame_class: FrameClass, bound: int, ceiling: Optional[int],
+            order: Sequence[Formula]) -> Optional[Countermodel]:
+    """search_countermodel, given the closure_order of the goal's and the
+    hypotheses' formulas."""
     atoms = sorted((f for f in order if isinstance(f, Var)),
                    key=attrgetter("name"))
     budget = _Budget.of(ceiling)
 
     def first(world_count: int, rooted: bool) -> Optional[Countermodel]:
+        kept = _kept(world_count, rooted)
         if rooted:
             relations = _rooted_relations(world_count, frame_class)
-            kept = world_count <= _ROOTED_KEPT_UP_TO
+        elif kept:
+            relations = iter(_kept_relations(world_count, frame_class, False))
         else:
             relations = _relations(world_count, frame_class)
-            kept = world_count <= 2
         edge_masks = _kept_edge_masks if kept else _edge_masks
         slots = [(u, a.name) for u in range(world_count) for a in atoms]
         whole_copy = (1 << world_count) - 1
@@ -580,7 +612,8 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
             r, i = divmod(copy, count)
             model = KripkeModel(world_count, edge_set(chunk[r]),
                                 zip(slots, _labelling(start + i, top, len(slots))))
-            _verify_countermodel(sig, model, world, hypotheses, goal, frame_class)
+            _verify_countermodel(sig, model, world, hypotheses, goal,
+                                 frame_class, order)
             return Countermodel(model, world)
         return None
 
@@ -599,13 +632,15 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
 
 def _verify_countermodel(sig: Signature, model: KripkeModel, world: int,
                          hypotheses: tuple[Sequent, ...], goal: Sequent,
-                         frame_class: FrameClass) -> None:
-    # Independent re-check by the single-model evaluator before the result escapes.
+                         frame_class: FrameClass, order: Sequence[Formula]) -> None:
+    # Independent re-check by the single-model evaluator before the result
+    # escapes: one label_vectors pass over the search's closure_order.
     if not frame_check(model, frame_class):
         raise AssertionError("countermodel left the frame class")
-    if hypotheses and not model_satisfies(sig, model, hypotheses):
+    vectors = label_vectors(sig, model, order)
+    if any(_refuted(vectors, model.worlds, h) for h in hypotheses):
         raise AssertionError("countermodel does not satisfy the hypotheses")
-    if satisfies_sequent(sig, model, world, goal):
+    if not _refuted(vectors, (world,), goal):
         raise AssertionError("countermodel fails to refute the goal")
 
 
@@ -621,13 +656,21 @@ def decide(sig: Signature, hypotheses: Iterable[Sequent], goal: Sequent,
     at min(bound, filtration_bound): the first countermodel and the
     verdict are those of the full search, and the ceiling counts only
     the models actually examined.
+
+    The closure of the goal and hypotheses is computed once, for the
+    filtration bound, the search and the countermodel's re-check.  The
+    relations on one and two worlds of every class, and the rooted
+    frames on three and four, are generated by the first query that
+    walks them and kept for the process (module docstring), so repeated
+    calls skip rebuilding them; no ceiling count changes.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     hypotheses = tuple(hypotheses)
-    complete = filtration_bound(hypotheses, goal, sig.n)
-    found = search_countermodel(sig, hypotheses, goal, logic.frame_class,
-                                min(bound, complete), ceiling)
+    order = _closure(hypotheses, goal)
+    complete = sig.n ** len(order)  # filtration_bound
+    found = _search(sig, hypotheses, goal, logic.frame_class,
+                    min(bound, complete), ceiling, order)
     if found is not None:
         return found
     if bound >= complete:

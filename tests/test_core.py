@@ -198,8 +198,11 @@ class TestFormulaHash:
         assert hash(box) == hash(Box(Var("p")))
 
     def test_pickle_rebuilds_through_init(self):
+        # the closure_order, flat, each subformula by its index in it
         f = Box(Apply("imp", (p, Diamond(q))))
-        assert f.__reduce__() == (Box, (f.sub,))
+        assert f.__reduce__() == (core._build, (((Var, "q"), (Diamond, 0),
+                                                 (Var, "p"), (Apply, "imp", (2, 1)),
+                                                 (Box, 3)),))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             restored = pickle.loads(pickle.dumps(f, protocol))
             assert restored is f
@@ -228,6 +231,13 @@ class TestInterning:
     def test_copies_are_the_node(self):
         f = Box(Apply("imp", (p, Diamond(q))))
         assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+    def test_repr_is_the_dataclass_repr(self):
+        f = Box(Apply("imp", (p, Diamond(Apply("neg", (q,))))))
+        assert repr(f) == str(f) == (
+            "Box(sub=Apply(conn='imp', args=(Var(name='p'), "
+            "Diamond(sub=Apply(conn='neg', args=(Var(name='q'),))))))")
+        assert repr(Apply("top", ())) == "Apply(conn='top', args=())"
 
     def test_every_way_of_construction_interns(self):
         f = Apply("imp", (p, q))

@@ -5,7 +5,7 @@ from operator import attrgetter
 import pytest
 from helpers import oracle_decide, oracle_models, rand_sequent, rooted_classes
 
-from mvmodal import decision
+from mvmodal import decision, semantics
 from mvmodal.core import (
     Apply,
     Box,
@@ -182,6 +182,30 @@ class TestDecide:
         assert isinstance(out, Countermodel)
         assert frame_check(out.model, FrameClass.ANY)
         assert not satisfies_sequent(luk3, out.model, out.world, goal)
+
+    @pytest.mark.parametrize("sigma, goal, bound, expected", [
+        ("(p, 1) ->", "(Dia p, 2), (p, 3) ->", 2, Countermodel),
+        ("", "(Box p, 2) -> (Dia p, 2), (Dia p, 3)", 3, ValidUpTo),
+    ], ids=["refuted-with-a-hypothesis", "valid"])
+    def test_one_closure_per_query(self, luk3, sigma, goal, bound, expected,
+                                   monkeypatch):
+        # the filtration bound, the search and the countermodel's re-check
+        # share one closure_order
+        calls = []
+        closure_order = decision.closure_order
+
+        def counting(formulas):
+            calls.append(1)
+            return closure_order(formulas)
+
+        hypotheses = [parse_sequent(sigma, luk3)] if sigma else []
+        goal = parse_sequent(goal, luk3)
+        for module in (decision, semantics):
+            monkeypatch.setattr(module, "closure_order", counting)
+        out = decide(luk3, hypotheses, goal, LogicId.MV_K, bound)
+        assert isinstance(out, expected) and len(calls) == 1
+        if expected is Countermodel:
+            assert out.model.world_count == 2
 
     def test_antitone_in_logic_strength(self, luk3):
         goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
@@ -597,13 +621,49 @@ class TestRootedSearch:
         count = (sum(1 for w in (1, 2)
                      for _ in oracle_models(["p"], 3, w, frame_class))
                  + len(rooted_classes(3, frame_class)) * 3 ** 3)
-        decision._kept_rooted_relations.cache_clear()
+        decision._kept_relations.cache_clear()
         for _ in range(2):
             assert decide(luk3, (), goal, logic, 3, ceiling=count) == ValidUpTo(3)
             with pytest.raises(EnumerationCeilingError) as caught:
                 decide(luk3, (), goal, logic, 3, ceiling=count - 1)
             assert caught.value.examined == count - 1
-        assert decision._kept_rooted_relations.cache_info().currsize == 1
+        # the exhaustive pass's relations on 1 and 2 worlds, the rooted
+        # frames on 3
+        assert decision._kept_relations.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("logic", list(LogicId))
+    def test_kept_relations_repeat_the_query(self, luk3, logic, monkeypatch):
+        # the first decide generates the relations on 1 and 2 worlds and
+        # keeps them, the second reads them without generating or testing
+        # any relation: the same verdict at the same ceiling boundary
+        goal = Sequent([lf(Box(p), 2)], up_set(lf(Diamond(p), 2), 3))
+        frame_class = logic.frame_class
+        count = sum(1 for w in (1, 2)
+                    for _ in oracle_models(["p"], 3, w, frame_class))
+        every, predicate = decision._relations, decision.frame_predicate
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        decision._kept_relations.cache_clear()
+        for query in range(2):
+            if query:
+                monkeypatch.setattr(decision, "_relations",
+                                    counting("_relations", every))
+                monkeypatch.setattr(decision, "frame_predicate",
+                                    counting("frame_predicate", predicate))
+            assert decide(luk3, (), goal, logic, 2, ceiling=count) == ValidUpTo(2)
+            with pytest.raises(EnumerationCeilingError) as caught:
+                decide(luk3, (), goal, logic, 2, ceiling=count - 1)
+            assert caught.value.examined == count - 1
+        assert calls == []
+        for world_count in (1, 2):
+            assert (decision._kept_relations(world_count, frame_class, False)
+                    == tuple(every(world_count, frame_class)))
 
     def test_rooted_frames_on_five_worlds_stay_lazy(self, monkeypatch):
         # the first rooted frame comes after 31 relations, not 2^25

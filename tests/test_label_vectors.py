@@ -8,6 +8,8 @@ search's bit-sliced kernel (decision._bitsliced), and formulas over a
 signature with a constant (0-ary connective).
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -347,8 +349,7 @@ def test_sequent_of_chains_sharing_all_but_the_last_level():
 
 def test_every_layer_takes_a_formula_3000_levels_deep():
     # Box, Dia and imp levels in turn; the modal-free layers get an imp
-    # chain.  pickle, copy.deepcopy, repr and str of such a formula still
-    # recurse (ROADMAP item 8)
+    # chain
     levels = (Box, Diamond, lambda f: Apply("imp", (Var("q"), f)))
     mixed, chain = P, P
     for level in range(DEPTH):
@@ -358,6 +359,11 @@ def test_every_layer_takes_a_formula_3000_levels_deep():
     order = closure_order([mixed])
     assert len(order) == DEPTH + 2 and order[-1] is mixed
     assert formula_key(mixed) != formula_key(Box(mixed))
+    assert pickle.loads(pickle.dumps(mixed)) is mixed
+    assert copy.deepcopy(mixed) is mixed
+    # Box( or Diamond( a level, Apply(, args=( and Var( an imp level, and
+    # the Var( of p
+    assert str(mixed) == repr(mixed) and repr(mixed).count("(") == 5 * DEPTH // 3 + 1
     assert render_formula(mixed).count("(") == DEPTH // 3
     vectors = label_vectors(SIG, m, order)
     assert vectors[mixed] == [evaluate(SIG, m, w, mixed) for w in m.worlds]
