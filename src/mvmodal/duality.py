@@ -19,9 +19,9 @@ order of their bitmask, valuations of p in itertools.product order
 diamond claim before the box claim at a world.  A table's first failure
 in that order is therefore at the first occurrence of the first of its
 failing sets.  Where each set first occurs has a closed form, so the
-scan builds each first occurrence (_first_sets, at most 2^n of them) and
-checks every table against that list.  It walks no models, and builds
-one only for a witness (_witness_model).
+scan builds each first occurrence (_first_sets) and checks tables
+against that list.  It walks no models, and builds one only for a
+witness (_witness_model).
 
 The empty set first occurs in model 1 (one world, no edge, p = 1), at
 world 0.  A set S = {s_0 < ... < s_(k-1)} of k values, 1 <= k <=
@@ -49,12 +49,41 @@ values in ascending order.  Three facts give it:
 So the counts ascend in the order: the empty set, then by size, then
 lexicographically within a size, and a limit on the count cuts the list
 at the first set above it.
+
+uniqueness_scan settles the n^n tables by a depth-first walk over
+partial tables, in the backtrack scheme of Knuth (TAOCP 4B, 7.2.2).  A
+set's check (_break) reads t on S, then t at min t[S] and, if the
+diamond claim holds, t at max t[S]: at most |S| + 2 entries.  The walk
+takes the sets in scan order.  When the check of a set reads an entry
+not yet assigned, the walk branches on that entry over 1..n and checks
+the set again.  Once every entry the check reads is assigned, the check
+gives the same answer on every completion of the partial table, and so
+does the check of each earlier set, which the partial table passed on
+fewer entries.  So a set that breaks with f entries still free is the
+first failing set of all n^f completions, and a partial table that
+passes every set stands for n^f survivors.  The walk charges the first
+count times n^f, and the second the whole scan n^f times: term by term
+what a scan of the tables one by one charges.  The budget only grows,
+so whether the total passes the ceiling does not depend on the order of
+the walk, and the survivors, sorted, come in product order.
+
+With bound >= 1, the empty set and every singleton come first among the
+sets, and a partial table passing a singleton {k} has assigned t(k), so
+a partial table passing them all is complete.  Only a ceiling can cut
+the list short, at a set whose count exceeds it; the whole scan counts
+at least as many models, so a partial table passing a cut list breaks
+the ceiling.  Every leaf of the walk thus charges at least one model,
+and the ceiling bounds the walk at any n.  A settled count is formed
+only up to one factor of n past what the ceiling leaves
+(_spend_settled), and the partial table holds only assigned entries.
+With bound 0 no set is checked and no model counted, so nothing bounds
+the n^n survivors, and n > 6 stays a ValueError there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .core import (
@@ -174,11 +203,24 @@ def _first_break(table: UnaryTable, n: int, firsts: Iterable[_FirstSet]
     return None
 
 
-def _spend_whole_scan(budget: _Budget, n: int, bound: int) -> None:
-    """Count every model on 1..bound worlds, one world count at a time, so
-    that a bound far past the ceiling stops at the first count past it."""
+def _spend_settled(budget: _Budget, count: int, n: int, free: int) -> None:
+    """Spend `count` models for each of the n^free completions of a partial
+    table.  The product is formed only while it stays within what the
+    ceiling leaves, so a product past it is at most n times the rest."""
+    left = budget.ceiling - budget.examined
+    for _ in range(free):
+        if count > left:
+            break
+        count *= n
+    budget.spend(count)
+
+
+def _spend_whole_scan(budget: _Budget, n: int, bound: int, free: int = 0) -> None:
+    """Count every model on 1..bound worlds for each of n^free tables, one
+    world count at a time, so that a bound far past the ceiling stops at
+    the first count past it."""
     for world_count in range(1, bound + 1):
-        budget.spend(_models_on(n, world_count))
+        _spend_settled(budget, _models_on(n, world_count), n, free)
 
 
 def duality_holds(table: UnaryTable, n: int, bound: int,
@@ -232,38 +274,78 @@ def _verify_witness(sig: Signature, witness: DualityWitness) -> None:
         raise AssertionError("duality witness does not break the claim")
 
 
-def uniqueness_scan(n: int, bound: int,
-                    ceiling: Optional[int] = None) -> tuple[UnaryTable, ...]:
-    """All n^n unary tables passing duality_holds at the given bound, in order.
+class _Unassigned(LookupError):
+    """The walk's check read an entry of the table not assigned yet."""
 
-    The first occurrences of the sets of successor values are built once
-    and every table is checked against them (see the module docstring).
-    When the empty set is among them, it is the first, in model 1, and
-    every table with t(1) != n or t(n) != 1 breaks there: those
-    n^n - n^(n-2) tables are counted at once, and only the tables
-    (n, ..., 1) are checked.  `ceiling` counts the models examined over
-    the whole scan, as duality_holds counts them for each table in turn;
-    the count only grows, so whether it passes the ceiling does not
-    depend on the order in which the tables are counted.
+
+class _PartialTable(dict):
+    """The entries assigned so far, by 0-based position; reading another
+    raises _Unassigned with its position, so _break reads a partial table
+    as it reads a tuple."""
+
+    __slots__ = ()
+
+    def __missing__(self, position: int):
+        raise _Unassigned(position)
+
+
+def uniqueness_scan(n: int, bound: int,
+                    ceiling: Union[int, _Budget, None] = None
+                    ) -> tuple[UnaryTable, ...]:
+    """All n^n unary tables passing duality_holds at the given bound, in
+    product order.
+
+    A depth-first walk over partial tables settles the tables by the
+    sets of successor values at their first occurrences, taken lazily in
+    scan order (see the module docstring): a partial table that breaks a
+    set is counted with all its completions at once, and one that passes
+    every set lists its completions as survivors.  `ceiling` counts the
+    models examined over the whole scan, as duality_holds counts them for
+    each table in turn; the count only grows, so whether it passes the
+    ceiling does not depend on the order in which the tables are counted.
+    At bound 0 nothing is checked and all n^n tables survive, so n > 6
+    is a ValueError there.
     """
-    if n > 6:
-        raise ValueError(f"scan over {n}^{n} tables is above desk scale")
     TruthDomain(n)  # the domain check of duality_holds: n >= 2
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    if bound == 0 and n > 6:
+        raise ValueError(f"scan over {n}^{n} tables is above desk scale")
     budget = _Budget.of(ceiling)
-    firsts = list(_first_sets(n, bound, budget.ceiling))
-    if firsts:  # the empty set, in model 1
-        budget.spend(n ** n - n ** (n - 2))
-        tables = ((n, *mid, 1) for mid in product(range(1, n + 1), repeat=n - 2))
-    else:
-        tables = product(range(1, n + 1), repeat=n)
-    survivors = []
-    for table in tables:
-        broken = _first_break(table, n, firsts)
-        if broken is None:
-            _spend_whole_scan(budget, n, bound)
-            survivors.append(table)
-        else:
-            budget.spend(broken[0].count)
-    return tuple(survivors)
+    sets = _first_sets(n, bound, budget.ceiling - budget.examined)
+    firsts: list[_FirstSet] = []  # the sets drawn so far
+    table = _PartialTable()
+    branched: list[tuple[int, int]] = []  # (position, set index), in order
+    survivors: list[UnaryTable] = []
+    at = 0  # index of the set being checked
+    while True:
+        if at == len(firsts):
+            firsts.extend(islice(sets, 1))
+        if at < len(firsts):
+            first = firsts[at]
+            try:
+                broken = _break(table, n, first.values)
+            except _Unassigned as unassigned:
+                position = unassigned.args[0]
+                table[position] = 1
+                branched.append((position, at))
+                continue
+            if broken is None:
+                at += 1
+                continue
+            _spend_settled(budget, first.count, n, n - len(table))
+        else:  # the partial table passes every set
+            _spend_whole_scan(budget, n, bound, n - len(table))
+            free = [k for k in range(n) if k not in table]
+            for fill in product(range(1, n + 1), repeat=len(free)):
+                table.update(zip(free, fill))
+                survivors.append(tuple(table[k] for k in range(n)))
+            for k in free:
+                del table[k]
+        while branched and table[branched[-1][0]] == n:
+            del table[branched.pop()[0]]
+        if not branched:
+            survivors.sort()
+            return tuple(survivors)
+        position, at = branched[-1]
+        table[position] += 1

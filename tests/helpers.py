@@ -400,17 +400,18 @@ def oracle_duality_holds(table: UnaryTable, n: int, bound: int,
 
 
 # ---------------------------------------------------------------------------
-# Oracle: uniqueness_scan before it counted the tables that break on the
-# empty set at once, its per-table loop kept verbatim but for its name
-# and a shared budget.
+# Oracle: uniqueness_scan as a loop over all n^n tables, before it walked
+# partial tables.  Each table is checked against every set of successor
+# values, the empty set included, and charged the count of its first
+# failing set or, for a survivor, the whole scan.  Kept verbatim but for
+# its name, a shared budget and no limit on n: it takes about a second
+# at n = 7.
 # ---------------------------------------------------------------------------
 
 
 def oracle_uniqueness_scan(n: int, bound: int,
                            ceiling: Union[int, decision._Budget, None] = None
                            ) -> tuple[UnaryTable, ...]:
-    if n > 6:
-        raise ValueError(f"scan over {n}^{n} tables is above desk scale")
     TruthDomain(n)  # the domain check of duality_holds: n >= 2
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")

@@ -341,6 +341,27 @@ class TestHugeSizesNamedByTheInput:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "aborted: ceiling\n", "")
 
+    @pytest.mark.parametrize("ceiling", [None, "1000000000000", "0"])
+    def test_neg_scan_over_a_huge_domain(self, monkeypatch, ceiling):
+        # the walk keeps its partial table sparse, draws the sets of values
+        # lazily and forms no count of tables past the ceiling: the first
+        # table it settles stands for 10^9^(10^9 - 2) tables
+        monkeypatch.delenv("MVK_ENUM_CEILING", raising=False)
+        argv = ["neg-scan", "--n", "1000000000", "--bound", "2"]
+        if ceiling is not None:
+            argv += ["--ceiling", ceiling]
+        proc = run_capped(2 * 2 ** 30, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "aborted: ceiling\n", "")
+
+    def test_neg_scan_at_bound_zero_over_a_huge_domain(self):
+        # bound 0 checks nothing, so every table would be listed
+        proc = run_capped(2 * 2 ** 30, "neg-scan", "--n", "1000000000",
+                          "--bound", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: scan over 1000000000^1000000000 tables is above "
+                   "desk scale\n")
+
 
 class TestFilter:
     def test_emits_classes_and_model(self, ws, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -158,6 +159,15 @@ class TestScanAgainstThePerTableLoop:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("bound", [0, 1, 2, 3])
     def test_survivors_count_and_ceiling(self, n, bound):
+        self.check(n, bound)
+
+    # the oracle takes about a second for each of its three full scans
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_seven_values(self, bound):
+        self.check(7, bound)
+
+    @staticmethod
+    def check(n, bound):
         whole = decision._Budget(10 ** 9)
         oracle_uniqueness_scan(n, bound, whole)
         total = whole.examined
@@ -171,6 +181,52 @@ class TestScanAgainstThePerTableLoop:
                     outcomes.append(("aborted", caught.examined))
             assert outcomes[0] == outcomes[1], ceiling
             assert (outcomes[0][0] == "aborted") == (ceiling < total), ceiling
+
+
+#: A000085(n - 2): the involutions of the n - 2 middle values.
+MIDDLE_INVOLUTIONS = {7: 26, 8: 76, 9: 232, 10: 764, 11: 2620, 12: 9496}
+
+
+class TestScanPastSixValues:
+    """uniqueness_scan beyond the oracle's reach, against closed forms.
+    The default ceiling of 10^7 models aborts every scan here."""
+
+    @pytest.mark.parametrize("n", sorted(MIDDLE_INVOLUTIONS))
+    def test_two_worlds_leave_the_reversal(self, n):
+        assert uniqueness_scan(n, 2, ceiling=10 ** 60) == (reversal_negation(n),)
+
+    @pytest.mark.parametrize("n", sorted(MIDDLE_INVOLUTIONS))
+    def test_one_world_leaves_the_involutions_fixing_the_ends(self, n):
+        # the empty set forces t(n) = 1 and t(1) = n; a singleton {k}
+        # asks t(t(k)) = k of both claims
+        survivors = uniqueness_scan(n, 1, ceiling=10 ** 60)
+        assert len(survivors) == MIDDLE_INVOLUTIONS[n]
+        assert list(survivors) == sorted(set(survivors))
+        for table in survivors:
+            assert table[0] == n and table[n - 1] == 1
+            assert all(table[table[k] - 1] == k + 1 for k in range(n))
+
+    def test_zero_bound_keeps_the_desk_scale_limit(self):
+        # bound 0 checks nothing and would list all 7^7 tables
+        with pytest.raises(ValueError, match="above desk scale"):
+            uniqueness_scan(7, 0, ceiling=10 ** 60)
+
+    def test_the_walk_does_not_recurse(self):
+        # a walk that recursed once per assigned entry would need twelve
+        # frames more than the scan's own few
+        def headroom():
+            try:
+                return 1 + headroom()
+            except RecursionError:
+                return 0
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit - headroom() + 10)
+        try:
+            survivors = uniqueness_scan(12, 2, ceiling=10 ** 60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert survivors == (reversal_negation(12),)
 
 
 class TestUniquenessScan:
