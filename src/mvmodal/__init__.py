@@ -35,7 +35,6 @@ from .decision import (
     ProvedValid,
     ValidUpTo,
     decide,
-    enumerate_models,
     filtration_bound,
     search_countermodel,
 )

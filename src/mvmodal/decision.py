@@ -7,11 +7,19 @@ outright: any countermodel filters down to one of at most that many
 worlds, so the bounded search is complete, and decide searches no
 further than that.
 
-The search builds only relations of the frame class, generated per
-class as enumerate_models describes and carried as bitmask successor
-rows (semantics.successor_rows); the classes are defined once, in
-semantics' frame-class table.  Edge sets are built from the rows
-(semantics.edge_set) only for a model that is returned.
+Enumeration order.  World counts ascend; the models on w worlds come
+relation by relation, each relation's valuations in itertools.product
+order over the labels, slots (u, p) u-major over the sorted variables.
+Relations of ANY come in the order of their bitmask over the pairs
+(u, v), u major; those of SERIAL as the product of the non-empty
+successor rows, world 0's slowest; those of the other six classes,
+universal properties closed under restriction to the first worlds,
+depth-first by world as _extensions grows them, kept where the class's
+frame predicate (semantics.frame_predicate) holds.  Every search of
+this package counts models in this order.  The search builds only the
+class's relations, as bitmask successor rows (semantics.successor_rows);
+the classes are defined once, in semantics' frame-class table, and edge
+sets are built (semantics.edge_set) only for a model that is returned.
 
 The search evaluates many labelled models at once, bit-sliced.  The
 models of one world count w are cut into chunks (_chunks): `count`
@@ -104,7 +112,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Apply, Box, Diamond, Formula, Sequent, Signature, Var, closure_order
 from .proofs import LogicId
@@ -163,16 +171,9 @@ def default_ceiling() -> int:
 class _Budget:
     __slots__ = ("ceiling", "examined")
 
-    def __init__(self, ceiling: int):
-        self.ceiling = ceiling
+    def __init__(self, ceiling: Optional[int]):
+        self.ceiling = default_ceiling() if ceiling is None else ceiling
         self.examined = 0
-
-    @classmethod
-    def of(cls, ceiling: Union[int, _Budget, None]) -> _Budget:
-        """A fresh budget for a model count, or the given budget to share."""
-        if isinstance(ceiling, _Budget):
-            return ceiling
-        return cls(default_ceiling() if ceiling is None else ceiling)
 
     def spend(self, count: int = 1) -> None:
         """Count `count` more models; past the ceiling, stop at it."""
@@ -218,7 +219,7 @@ def _closure(hypotheses: Iterable[Sequent], goal: Sequent) -> tuple[Formula, ...
 def _relations(world_count: int, frame_class: FrameClass
                ) -> Iterator[tuple[int, ...]]:
     """Successor rows of every relation on `world_count` worlds in the
-    frame class, lazily, in the order enumerate_models describes."""
+    frame class, lazily, in enumeration order (module docstring)."""
     if not _FRAME_PROPERTIES[frame_class]:
         # the masks over the pairs (u, v), u major, in order: row 0 fastest
         for rows in product(range(1 << world_count), repeat=world_count):
@@ -320,42 +321,6 @@ def _relabellings(world_count: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
         source = tuple(sorted(range(world_count), key=perm.__getitem__))
         out.append((image, source))
     return tuple(out)
-
-
-def enumerate_models(variables: Iterable[str], n: int, world_count: int,
-                     frame_class: FrameClass,
-                     ceiling: Union[int, _Budget, None] = None
-                     ) -> Iterator[KripkeModel]:
-    """Every model with exactly `world_count` worlds in the frame class.
-
-    Relations come from a generator per class, and nothing outside the
-    class is built.  ANY runs through every subset of the world square
-    in the order of its bitmask over the pairs (u, v), u major.  SERIAL
-    is the product of the non-empty successor rows, world 0's slowest.
-    The other six classes are universal properties, closed under
-    restriction to the first k worlds, so each member on w worlds is a
-    member on w - 1 worlds extended by the last world's in-column,
-    out-row and loop: these are generated depth-first by world and kept
-    when the class's frame predicate (semantics.frame_predicate) holds.
-    Valuations range over all label assignments to (world, variable)
-    pairs for each relation, (world, variable) u-major over the sorted
-    variables, in itertools.product order.  The order is deterministic,
-    and it is the order in which the searches of this package walk the
-    models.  Every
-    model is built, and validated, by the KripkeModel constructor.
-    Drawing more than `ceiling` models raises EnumerationCeilingError.
-    """
-    if world_count < 1:
-        raise ValueError("world_count must be >= 1")
-    budget = _Budget.of(ceiling)
-    slots = [(u, p) for u in range(world_count) for p in sorted(set(variables))]
-    for rows in _relations(world_count, frame_class):
-        edges = edge_set(rows)
-        # labels from 1..min(n, R + 1), as in the search (module docstring)
-        top = min(n, budget.ceiling - budget.examined + 1)
-        for labels in product(range(1, top + 1), repeat=len(slots)):
-            budget.spend()
-            yield KripkeModel(world_count, edges, zip(slots, labels))
 
 
 #: The bitsets of one formula over a chunk: each label it takes, to the
@@ -553,8 +518,8 @@ def search_countermodel(sig: Signature, hypotheses: tuple[Sequent, ...],
     """First model (in enumeration order) satisfying the hypotheses and
     refuting the goal at some world, searching world counts 1..bound.
 
-    Models come in enumerate_models' order, a chunk at a time (_chunks),
-    bit-sliced as the module docstring describes.  From _ROOTED_FROM
+    Models come in enumeration order, a chunk at a time (_chunks),
+    bit-sliced, both as the module docstring describes.  From _ROOTED_FROM
     worlds up, each world count is first searched over the rooted frames
     alone, with the goal tested at world 0 of each copy; only when that
     pass finds a countermodel are all the relations on that many worlds
@@ -573,7 +538,7 @@ def _search(sig: Signature, hypotheses: tuple[Sequent, ...], goal: Sequent,
     hypotheses' formulas."""
     atoms = sorted((f for f in order if isinstance(f, Var)),
                    key=attrgetter("name"))
-    budget = _Budget.of(ceiling)
+    budget = _Budget(ceiling)
 
     def first(world_count: int, rooted: bool) -> Optional[Countermodel]:
         kept = _kept(world_count, rooted)

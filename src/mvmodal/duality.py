@@ -12,16 +12,16 @@ world's successors.  With t the table:
     Box p = min S (n when empty),       neg Dia neg p = t(max t[S]) (t(1) when empty).
 
 So a table breaks a claim at a world exactly when it breaks it on that
-world's successor-value set.  Models come in enumerate_models' order
-over FrameClass.ANY: world counts 1 up to the bound, relations in the
-order of their bitmask, valuations of p in itertools.product order
-(world 0's label slowest), then each model's worlds in order, the
-diamond claim before the box claim at a world.  A table's first failure
-in that order is therefore at the first occurrence of the first of its
-failing sets.  Where each set first occurs has a closed form, so the
-scan builds each first occurrence (_first_sets) and checks tables
-against that list.  It walks no models, and builds one only for a
-witness (_witness_model).
+world's successor-value set.  Models come in the enumeration order of
+the decision module's docstring over FrameClass.ANY: world counts 1 up
+to the bound, relations in the order of their bitmask, valuations of p
+in itertools.product order (world 0's label slowest), then each model's
+worlds in order, the diamond claim before the box claim at a world.  A
+table's first failure in that order is therefore at the first
+occurrence of the first of its failing sets.  Where each set first
+occurs has a closed form, so the scan builds each first occurrence
+(_first_sets) and checks tables against that list.  It walks no
+models, and builds one only for a witness (_witness_model).
 
 The empty set first occurs in model 1 (one world, no edge, p = 1), at
 world 0.  A set S = {s_0 < ... < s_(k-1)} of k values, 1 <= k <=
@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     Apply,
@@ -224,7 +224,7 @@ def _spend_whole_scan(budget: _Budget, n: int, bound: int, free: int = 0) -> Non
 
 
 def duality_holds(table: UnaryTable, n: int, bound: int,
-                  ceiling: Union[int, _Budget, None] = None) -> DualityReport:
+                  ceiling: Optional[int] = None) -> DualityReport:
     """Exhaustively test the two dual claims on all models up to `bound` worlds.
 
     One propositional variable suffices: the claims are value identities,
@@ -232,8 +232,9 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
     bound 0 no model is checked and every table passes vacuously; a
     negative bound is a ValueError.
 
-    The witness is the first world, in enumerate_models' order and the
-    diamond claim before the box claim at a world, where a claim fails.
+    The witness is the first world, in the decision module's enumeration
+    order and the diamond claim before the box claim at a world, where a
+    claim fails.
     Both claims at a world read only its successors' values, so the table
     is checked against each set of successor values at its first
     occurrence, built from the module docstring's closed form, and the
@@ -250,9 +251,8 @@ def duality_holds(table: UnaryTable, n: int, bound: int,
         raise ValueError(f"not a unary table over 1..{n}: {table}") from None
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    budget = _Budget.of(ceiling)
-    broken = _first_break(table, n, _first_sets(n, bound,
-                                                budget.ceiling - budget.examined))
+    budget = _Budget(ceiling)
+    broken = _first_break(table, n, _first_sets(n, bound, budget.ceiling))
     if broken is None:
         _spend_whole_scan(budget, n, bound)
         return DualityReport(True)
@@ -290,8 +290,7 @@ class _PartialTable(dict):
 
 
 def uniqueness_scan(n: int, bound: int,
-                    ceiling: Union[int, _Budget, None] = None
-                    ) -> tuple[UnaryTable, ...]:
+                    ceiling: Optional[int] = None) -> tuple[UnaryTable, ...]:
     """All n^n unary tables passing duality_holds at the given bound, in
     product order.
 
@@ -311,8 +310,8 @@ def uniqueness_scan(n: int, bound: int,
         raise ValueError(f"bound must be >= 0, got {bound}")
     if bound == 0 and n > 6:
         raise ValueError(f"scan over {n}^{n} tables is above desk scale")
-    budget = _Budget.of(ceiling)
-    sets = _first_sets(n, bound, budget.ceiling - budget.examined)
+    budget = _Budget(ceiling)
+    sets = _first_sets(n, bound, budget.ceiling)
     firsts: list[_FirstSet] = []  # the sets drawn so far
     table = _PartialTable()
     branched: list[tuple[int, int]] = []  # (position, set index), in order

@@ -121,18 +121,18 @@ def _class_relation(model: KripkeModel, logic: LogicId,
 
 
 def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],
-                 logic: LogicId, representative: Representative = "least",
-                 check_frame: bool = True) -> Filtered:
+                 logic: LogicId, representative: Representative = "least"
+                 ) -> Filtered:
     """Quotient the model through phi with the logic's class relation.
 
-    The model must lie in the logic's frame class (disable with
-    check_frame for diagnostic uses).  Class valuations copy the value of
-    each variable of phi at any member; other variables default to 1.
+    The model must lie in the logic's frame class.  Class valuations copy
+    the value of each variable of phi at any member; other variables
+    default to 1.
     """
     if representative not in get_args(Representative):
         raise ValueError(f"unknown representative {representative!r}")
     order = _validated_closure(phi)
-    if check_frame and not frame_check(model, logic.frame_class):
+    if not frame_check(model, logic.frame_class):
         raise ValueError(f"model is not in the {logic.frame_class.value} frame class")
     val = label_vectors(sig, model, order)
     classes = _partition(model, order, val)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import compress
+from operator import index
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -52,7 +53,9 @@ class KripkeModel:
     no explicit entry take label 1 everywhere, so the valuation is total.
     Models are immutable after construction.
 
-    The constructor validates the edges and the valuation.
+    The constructor validates the edges and the valuation.  The world
+    count, world indices and labels go through operator.index, so any
+    int-like value is stored as an int and a float is a TypeError.
     """
 
     world_count: int
@@ -63,18 +66,24 @@ class KripkeModel:
                  edges: Iterable[tuple[int, int]] = (),
                  vals: Union[Mapping[tuple[int, str], int],
                              Iterable[tuple[tuple[int, str], int]]] = ()):
+        world_count = index(world_count)
         if world_count < 1:
             raise ValueError("a model needs at least one world")
-        edge_set = frozenset((int(u), int(v)) for u, v in edges)
+        edge_set = frozenset((index(u), index(v)) for u, v in edges)
         for u, v in edge_set:
             if not (0 <= u < world_count and 0 <= v < world_count):
                 raise ValueError(f"edge ({u}, {v}) references an undeclared world")
-        val_map = dict(vals.items() if isinstance(vals, Mapping) else vals)
-        for (u, p), k in val_map.items():
-            if not 0 <= u < world_count:
-                raise ValueError(f"valuation of {p!r} at undeclared world {u}")
+        val_map: dict[tuple[int, str], int] = {}
+        for key, k in (vals.items() if isinstance(vals, Mapping) else vals):
+            u, p = key
+            world, k = index(u), index(k)
+            if not 0 <= world < world_count:
+                raise ValueError(f"valuation of {p!r} at undeclared world {world}")
             if k < 1:
                 raise ValueError(f"valuation label must be >= 1, got {k}")
+            # an int world keeps the caller's key: a fresh tuple per valuation
+            # makes the garbage collector run more often on large models
+            val_map[key if type(u) is int else (world, p)] = k
         object.__setattr__(self, "world_count", world_count)
         object.__setattr__(self, "edges", edge_set)
         object.__setattr__(self, "vals", tuple(sorted(val_map.items())))

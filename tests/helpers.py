@@ -342,10 +342,20 @@ def oracle_decide(sig: Signature, hypotheses: tuple[Sequent, ...],
     return ValidUpTo(bound)
 
 
+def shared_budget(ceiling: Union[int, decision._Budget, None]) -> decision._Budget:
+    """A fresh budget for an int ceiling, or the given budget, so that the
+    oracles below can count one scan's models together."""
+    if isinstance(ceiling, decision._Budget):
+        return ceiling
+    return decision._Budget(ceiling)
+
+
 # ---------------------------------------------------------------------------
-# Oracle: enumerate_models before each relation's later valuations
-# reused its validated model, kept verbatim but for its name, the
-# module of _Budget and _relations, and the edges of _relations' rows.
+# Oracle: decision.enumerate_models, the model-by-model enumeration the
+# bit-sliced search replaced, as it was before each relation's later
+# valuations reused its validated model; kept verbatim but for its name,
+# the module of _Budget and _relations, the edges of _relations' rows,
+# and shared_budget.
 # ---------------------------------------------------------------------------
 
 
@@ -356,13 +366,37 @@ def oracle_models(variables: Iterable[str], n: int, world_count: int,
     if world_count < 1:
         raise ValueError("world_count must be >= 1")
     variables = sorted(set(variables))
-    budget = decision._Budget.of(ceiling)
+    budget = shared_budget(ceiling)
     slots = [(u, p) for u in range(world_count) for p in variables]
     for rows in decision._relations(world_count, frame_class):
         edges = edges_of(rows)
         for labels in product(range(1, n + 1), repeat=len(slots)):
             budget.spend()
             yield KripkeModel(world_count, edges, dict(zip(slots, labels)))
+
+
+# ---------------------------------------------------------------------------
+# The search's models one at a time: the chunks decision._chunks cuts
+# from decision._relations, copy i of each chunk relation carrying
+# labelling start + i (decision._labelling).  Each model is counted as it
+# is drawn, so a ceiling aborts where a model-by-model enumeration would.
+# ---------------------------------------------------------------------------
+
+
+def search_models(variables: Iterable[str], n: int, world_count: int,
+                  frame_class: FrameClass, ceiling: Optional[int] = None
+                  ) -> Iterator[KripkeModel]:
+    budget = decision._Budget(ceiling)
+    slots = [(u, p) for u in range(world_count) for p in sorted(set(variables))]
+    relations = decision._relations(world_count, frame_class)
+    for chunk, start, count, top in decision._chunks(relations, world_count,
+                                                     len(slots), n, budget):
+        for rows in chunk:
+            edges = edges_of(rows)
+            for number in range(start, start + count):
+                budget.spend()
+                labels = decision._labelling(number, top, len(slots))
+                yield KripkeModel(world_count, edges, zip(slots, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +417,7 @@ def oracle_duality_holds(table: UnaryTable, n: int, bound: int,
         raise ValueError(f"not a unary table over 1..{n}: {table}") from None
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    budget = decision._Budget.of(ceiling)
+    budget = shared_budget(ceiling)
     for world_count in range(1, bound + 1):
         for model in oracle_models(["p"], n, world_count, FrameClass.ANY,
                                    ceiling=budget):
@@ -415,7 +449,7 @@ def oracle_uniqueness_scan(n: int, bound: int,
     TruthDomain(n)  # the domain check of duality_holds: n >= 2
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    budget = decision._Budget.of(ceiling)
+    budget = shared_budget(ceiling)
     firsts = list(_first_sets(n, bound, budget.ceiling))
     survivors = []
     for table in product(range(1, n + 1), repeat=n):

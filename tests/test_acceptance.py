@@ -8,7 +8,7 @@ criterion also carries a wall-clock budget.
 import random
 import time
 
-from helpers import label_mutations, rand_formula, rand_sequent
+from helpers import label_mutations, oracle_models, rand_formula, rand_sequent
 from mvmodal.core import (
     Apply,
     Box,
@@ -27,7 +27,6 @@ from mvmodal.decision import (
     Countermodel,
     ValidUpTo,
     decide,
-    enumerate_models,
     search_countermodel,
 )
 from mvmodal.derivations import (
@@ -258,7 +257,7 @@ def test_criterion_7_intuitionistic_embedding(luk3):
     sequents = [Sequent([] if a is None else [a], [] if b is None else [b])
                 for a in pool for b in pool]
     preorders = [m for w in (1, 2)
-                 for m in enumerate_models(["p"], 2, w, FrameClass.PREORDER)]
+                 for m in oracle_models(["p"], 2, w, FrameClass.PREORDER)]
     interpretations = [m for m in preorders if is_mvil_interpretation(m)]
 
     def mvil_satisfies(model, sequent):

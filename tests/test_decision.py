@@ -3,7 +3,13 @@ from itertools import groupby, product, zip_longest
 from operator import attrgetter
 
 import pytest
-from helpers import oracle_decide, oracle_models, rand_sequent, rooted_classes
+from helpers import (
+    oracle_decide,
+    oracle_models,
+    rand_sequent,
+    rooted_classes,
+    search_models,
+)
 
 from mvmodal import decision, semantics
 from mvmodal.core import (
@@ -28,7 +34,6 @@ from mvmodal.decision import (
     ValidUpTo,
     _relations,
     decide,
-    enumerate_models,
     filtration_bound,
     search_countermodel,
 )
@@ -63,39 +68,43 @@ class TestFiltrationBound:
 
 
 class TestEnumerateModels:
+    """The models of the search's chunks, drawn one at a time through
+    helpers.search_models: counts, class membership, the ceiling and the
+    labels it cuts."""
+
     def test_counts_one_world(self):
-        models = list(enumerate_models(["p"], 2, 1, FrameClass.ANY))
+        models = list(search_models(["p"], 2, 1, FrameClass.ANY))
         assert len(models) == 4  # 2 relations x 2 valuations
 
     def test_serial_single_world_needs_loop(self):
-        models = list(enumerate_models(["p"], 2, 1, FrameClass.SERIAL))
+        models = list(search_models(["p"], 2, 1, FrameClass.SERIAL))
         assert len(models) == 2
         assert all(m.edges == {(0, 0)} for m in models)
 
     def test_counts_two_worlds(self):
-        one_var = list(enumerate_models(["p"], 3, 2, FrameClass.ANY))
+        one_var = list(search_models(["p"], 3, 2, FrameClass.ANY))
         assert len(one_var) == 16 * 9
-        two_vars = list(enumerate_models(["p", "q"], 3, 2, FrameClass.ANY))
+        two_vars = list(search_models(["p", "q"], 3, 2, FrameClass.ANY))
         assert len(two_vars) == 16 * 81 == 1296
 
     def test_deterministic_and_duplicate_free(self):
-        first = list(enumerate_models(["p"], 2, 2, FrameClass.ANY))
-        second = list(enumerate_models(["p"], 2, 2, FrameClass.ANY))
+        first = list(search_models(["p"], 2, 2, FrameClass.ANY))
+        second = list(search_models(["p"], 2, 2, FrameClass.ANY))
         assert first == second
         assert len(set(first)) == len(first)
 
     def test_all_in_class(self):
-        for m in enumerate_models([], 2, 2, FrameClass.PREORDER):
+        for m in search_models([], 2, 2, FrameClass.PREORDER):
             assert frame_check(m, FrameClass.PREORDER)
 
     def test_ceiling(self):
         with pytest.raises(EnumerationCeilingError):
-            list(enumerate_models(["p"], 3, 2, FrameClass.ANY, ceiling=10))
+            list(search_models(["p"], 3, 2, FrameClass.ANY, ceiling=10))
 
     def test_ceiling_bounds_the_labels_of_a_huge_domain(self):
         # the search stops before it would draw a label above ceiling + 1,
         # so the 10^9 labels are never listed
-        models = enumerate_models(["p"], 10 ** 9, 1, FrameClass.ANY, ceiling=5)
+        models = search_models(["p"], 10 ** 9, 1, FrameClass.ANY, ceiling=5)
         drawn = [next(models) for _ in range(5)]
         with pytest.raises(EnumerationCeilingError):
             next(models)
@@ -106,25 +115,29 @@ class TestEnumerateModels:
         # the abort are those of the uncut enumeration
         full = list(oracle_models(["p", "q"], 5, 2, FrameClass.ANY))
         for ceiling in range(40):
-            models = enumerate_models(["p", "q"], 5, 2, FrameClass.ANY,
-                                      ceiling=ceiling)
+            models = search_models(["p", "q"], 5, 2, FrameClass.ANY,
+                                   ceiling=ceiling)
             drawn = [next(models) for _ in range(ceiling)]
             with pytest.raises(EnumerationCeilingError):
                 next(models)
             assert drawn == full[:ceiling]
 
-    def test_ceiling_from_environment(self, monkeypatch):
+
+class TestDecide:
+    def test_ceiling_from_environment(self, luk3, monkeypatch):
         from mvmodal.decision import default_ceiling
 
         monkeypatch.setenv("MVK_ENUM_CEILING", "7")
         assert default_ceiling() == 7
-        with pytest.raises(EnumerationCeilingError):
-            list(enumerate_models(["p"], 3, 2, FrameClass.ANY))
+        # valid under mv-T: 3 models on one world, 36 on two
+        goal = Sequent([lf(Box(p), 3)], [lf(p, 3)])
+        with pytest.raises(EnumerationCeilingError) as caught:
+            decide(luk3, (), goal, LogicId.MV_T, 2)
+        assert caught.value.examined == 7
         monkeypatch.delenv("MVK_ENUM_CEILING")
         assert default_ceiling() == 10_000_000
+        assert decide(luk3, (), goal, LogicId.MV_T, 2) == ValidUpTo(2)
 
-
-class TestDecide:
     def test_box_projection_fails_in_minimal_logic(self, luk3):
         goal = Sequent([lf(Box(p), 3)], [lf(p, 3)])
         out = decide(luk3, (), goal, LogicId.MV_K, 1)
@@ -253,8 +266,8 @@ def _observed(model):
 
 
 class TestModelsOfOneRelation:
-    """enumerate_models against helpers.oracle_models, which builds every
-    model in full.
+    """helpers.search_models, the search's chunks decoded model by model,
+    against helpers.oracle_models, which builds every model in full.
 
     Models are compared a relation at a time, after all of the relation's
     models are drawn, so a later valuation that shares an earlier model's
@@ -271,8 +284,8 @@ class TestModelsOfOneRelation:
             if (n, world_count, len(variables)) == (3, 3, 2):
                 continue
             by_relation = attrgetter("edges")
-            ours = groupby(enumerate_models(variables, n, world_count,
-                                            frame_class), by_relation)
+            ours = groupby(search_models(variables, n, world_count,
+                                         frame_class), by_relation)
             theirs = groupby(oracle_models(variables, n, world_count,
                                            frame_class), by_relation)
             for mine, oracle in zip_longest(ours, theirs):
@@ -283,18 +296,18 @@ class TestModelsOfOneRelation:
                 assert list(map(_observed, mine)) == list(map(_observed, oracle))
 
     def test_models_per_relation(self):
-        models = list(enumerate_models(["p"], 3, 2, FrameClass.ANY))
+        models = list(search_models(["p"], 3, 2, FrameClass.ANY))
         assert len(models) == 16 * 9
         for frame_class in FrameClass:
             for world_count in (1, 2, 3):
-                count = sum(1 for _ in enumerate_models(["p"], 2, world_count,
-                                                        frame_class))
+                count = sum(1 for _ in search_models(["p"], 2, world_count,
+                                                     frame_class))
                 relations = list(_relations(world_count, frame_class))
                 assert count == len(relations) * 2 ** world_count
 
     def test_ceiling_stops_inside_a_relation(self):
         # 9 valuations per relation: the 12th model is the second relation's third
-        models = enumerate_models(["p"], 3, 2, FrameClass.ANY, ceiling=11)
+        models = search_models(["p"], 3, 2, FrameClass.ANY, ceiling=11)
         drawn = [next(models) for _ in range(11)]
         with pytest.raises(EnumerationCeilingError) as caught:
             next(models)

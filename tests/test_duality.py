@@ -98,6 +98,22 @@ def built_from_its_set(witness):
                        {(u, "p"): k for u, k in enumerate(labels)})
 
 
+def against_the_oracle(table, n, bound):
+    """(duality_holds's report, oracle_duality_holds's) for one table,
+    after checking that a ceiling of the oracle's model count c gives the
+    oracle's report and that c - 1 aborts there."""
+    counted = decision._Budget(10 ** 7)
+    expected = oracle_duality_holds(table, n, bound, counted)
+    c = counted.examined
+    report = duality_holds(table, n, bound, ceiling=c)
+    assert report == expected, table
+    if c:
+        with pytest.raises(EnumerationCeilingError) as caught:
+            duality_holds(table, n, bound, ceiling=c - 1)
+        assert caught.value.examined == c - 1, table
+    return report, expected
+
+
 class TestAgainstTheModelByModelScan:
     """duality_holds against helpers.oracle_duality_holds, which builds
     every model in full and checks it world by world.
@@ -110,16 +126,12 @@ class TestAgainstTheModelByModelScan:
 
     @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2), (3, 3)])
     def test_reports_and_counts_match_the_oracle(self, n, bound):
-        ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
         for table in product(range(1, n + 1), repeat=n):
-            report = duality_holds(table, n, bound, ours)
-            expected = oracle_duality_holds(table, n, bound, theirs)
-            assert report == expected, table
+            report, expected = against_the_oracle(table, n, bound)
             if not expected.holds:
                 assert report.witness.model.vals == expected.witness.model.vals
                 assert expected.witness.world == 0, table
                 assert expected.witness.model == built_from_its_set(expected.witness)
-            assert ours.examined == theirs.examined, table
 
 
 class TestAgainstTheOracleAtLargerSizes:
@@ -128,15 +140,11 @@ class TestAgainstTheOracleAtLargerSizes:
     ceiling of the whole scan at the oracle's total count."""
 
     def test_every_table_at_four_values(self):
-        ours, theirs = decision._Budget(10 ** 7), decision._Budget(10 ** 7)
         for table in product(range(1, 5), repeat=4):
-            report = duality_holds(table, 4, 2, ours)
-            expected = oracle_duality_holds(table, 4, 2, theirs)
-            assert report == expected, table
+            report, expected = against_the_oracle(table, 4, 2)
             if not expected.holds:
                 assert report.witness.model.vals == expected.witness.model.vals
                 assert expected.witness.model == built_from_its_set(expected.witness)
-            assert ours.examined == theirs.examined, table
 
     @pytest.mark.parametrize("n, bound", [(2, 3), (3, 2), (4, 2)])
     def test_scan_ceiling_boundary_is_the_oracle_total(self, n, bound):
@@ -174,9 +182,8 @@ class TestScanAgainstThePerTableLoop:
         for ceiling in sorted({0, 1, max(total - 1, 0), total}):
             outcomes = []
             for scan in (uniqueness_scan, oracle_uniqueness_scan):
-                budget = decision._Budget(ceiling)
                 try:
-                    outcomes.append((scan(n, bound, budget), budget.examined))
+                    outcomes.append(("survivors", scan(n, bound, ceiling)))
                 except EnumerationCeilingError as caught:
                     outcomes.append(("aborted", caught.examined))
             assert outcomes[0] == outcomes[1], ceiling

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -174,11 +175,16 @@ class TestVerify:
         # apply the order-comparison rule of one logic while claiming the
         # symmetric one: the report must name a witness
         rng = random.Random(37)
+        ordered, bottom_up = tuple(sorted(PHI, key=formula_key)), closure_order(PHI)
         failures = several = 0
         for _ in range(200):
             m = random_model(rng, ["p", "q"], 3, 4, FrameClass.SYMMETRIC)
-            filtered = filter_model(luk3, m, PHI, LogicId.MV_S4,
-                                    check_frame=False)
+            right = filter_model(luk3, m, PHI, LogicId.MV_B)
+            edges = class_relation(m, LogicId.MV_S4, ordered, right.classes,
+                                   right.representatives,
+                                   label_vectors(luk3, m, bottom_up))
+            filtered = replace(right, model=KripkeModel(
+                right.model.world_count, edges, right.model.vals))
             report = verify_filtration(luk3, m, PHI, LogicId.MV_B,
                                        filtered=filtered)
             if not report.ok:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import rand_formula
+from helpers import oracle_models, rand_formula
 from mvmodal import intuitionistic, semantics
 from mvmodal.core import (
     Apply,
@@ -17,7 +17,6 @@ from mvmodal.core import (
     min_connective,
     reversal_connective,
 )
-from mvmodal.decision import enumerate_models
 from mvmodal.intuitionistic import (
     eval_mvil,
     godel_translate,
@@ -289,7 +288,7 @@ class TestEntailmentTransfer:
         sequents = [Sequent([] if a is None else [a], [] if b is None else [b])
                     for a in pool for b in pool]
         preorders = [m for w in (1, 2)
-                     for m in enumerate_models(["p"], 2, w, FrameClass.PREORDER)]
+                     for m in oracle_models(["p"], 2, w, FrameClass.PREORDER)]
         interpretations = [m for m in preorders if is_mvil_interpretation(m)]
 
         def mvil_entails(sigma, goal):

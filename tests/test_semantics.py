@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import rand_formula, rand_sequent
+from helpers import oracle_models, rand_formula, rand_sequent
 from mvmodal import semantics
 from mvmodal.core import (
     Apply,
@@ -54,6 +54,31 @@ class TestModel:
     def test_default_valuation(self):
         m = KripkeModel(1)
         assert m.value(0, "p") == 1
+
+    @pytest.mark.parametrize("args", [
+        (2, [(0, 1.7)]),  # int() would truncate it to the edge (0, 1)
+        (1, (), {(0, "p"): 2.5}),  # a label no table has a row for
+        (1, (), {(0.0, "p"): 2}),
+        (2.0,),
+    ])
+    def test_non_integral_worlds_and_labels_are_rejected(self, args):
+        with pytest.raises(TypeError):
+            KripkeModel(*args)
+
+    def test_int_like_worlds_and_labels_are_stored_as_ints(self):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        m = KripkeModel(Index(2), [(Index(0), Index(1))], {(Index(1), "p"): Index(3)})
+        (u, v), = m.edges
+        ((world, _), label), = m.vals
+        assert [type(x) for x in (m.world_count, u, v, world, label)] == [int] * 5
+        assert (m.world_count, m.edges, m.vals) == (2, {(0, 1)}, (((1, "p"), 3),))
+        assert m.value(1, "p") == 3
 
 
 class TestEvaluate:
@@ -118,12 +143,10 @@ class TestSatisfaction:
     def test_box_below_diamond_exhaustive(self, luk3):
         # (Box p, k) -> (Dia p, k)^+ holds at every world of every model
         # with up to two worlds, for k below the top label
-        from mvmodal.decision import enumerate_models
-
         for k in (1, 2):
             goal = Sequent([lf(Box(p), k)], up_set(lf(Diamond(p), k), 3))
             for w in (1, 2):
-                for m in enumerate_models(["p"], 3, w, FrameClass.ANY):
+                for m in oracle_models(["p"], 3, w, FrameClass.ANY):
                     assert all(satisfies_sequent(luk3, m, u, goal)
                                for u in m.worlds)
 
