@@ -47,6 +47,7 @@ from .intuitionistic import (
     hat_model,
     is_mvil_interpretation,
     monotone_connective,
+    mvil_vector,
     translate_sequent,
 )
 from .parser import (

@@ -7,6 +7,14 @@ verdict, witnesses follow in the standard file formats.  A closed
 stdout and running out of memory are errors too: one line on stderr and
 status 2.
 
+A process holds at most 4 (`_MODEL_MEMO_SIZE`) parsed model files, one
+per text whatever the signature, the most recently used kept.  `eval`,
+`sat`, `filter` and `frame-check` on a file that an earlier call of the
+process read do not parse it again.  Each call still reads the file, so
+an edited file is parsed again, and an error is never held.  Answers,
+exit statuses and messages are unchanged; on the error path a malformed
+file is parsed twice.
+
 argv is read without argparse when argparse would accept it unchanged: a
 subcommand, then that subcommand's exact option strings, each at most
 once, each value not beginning with "-" (a sequent beginning with "->"
@@ -21,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import OrderedDict
 from functools import cache
 from typing import NamedTuple, Optional
 
@@ -51,7 +60,13 @@ from .parser import (
     render_sequent,
 )
 from .proofs import LogicId, check_derivation
-from .semantics import FrameClass, evaluate, frame_check, refuting_worlds
+from .semantics import (
+    FrameClass,
+    KripkeModel,
+    evaluate,
+    frame_check,
+    refuting_worlds,
+)
 
 
 class UsageError(Exception):
@@ -69,6 +84,43 @@ def _read(path: str) -> str:
 
 def _signature(args) -> Signature:
     return parse_signature(_read(args.sig))
+
+
+#: frame-check's signature: only the relation matters there, and labels
+#: up to 2^31 are read.  Every model file is first parsed under it.
+PERMISSIVE = Signature(TruthDomain(2 ** 31), {})
+
+#: How many parsed model files a process holds.
+_MODEL_MEMO_SIZE = 4
+
+#: Parsed model files by text, least recently used first: each model
+#: with its largest label.
+_models: OrderedDict[str, tuple[KripkeModel, int]] = OrderedDict()
+
+
+def _model(args, sig: Signature) -> KripkeModel:
+    """`parse_model(text, sig)` of the file `args.model`, from the memo.
+
+    A text is parsed once under `PERMISSIVE` and held with its largest
+    label.  A model with a label above `sig.n`, and a text that does not
+    parse under `PERMISSIVE`, is parsed again under `sig`: that raises
+    the error and span of a fresh parse, or, in a domain wider than
+    2^31, reads the model, which is not held.
+    """
+    text = _read(args.model)
+    held = _models.get(text)
+    if held is None:
+        try:
+            model = parse_model(text, PERMISSIVE)
+        except ParseError:
+            return parse_model(text, sig)
+        held = _models[text] = model, max((k for _, k in model.vals), default=1)
+        if len(_models) > _MODEL_MEMO_SIZE:
+            _models.popitem(last=False)
+    else:
+        _models.move_to_end(text)
+    model, top = held
+    return model if top <= sig.n else parse_model(text, sig)
 
 
 def _logic(name: str) -> LogicId:
@@ -97,7 +149,7 @@ def _sigma(args, sig: Signature):
 
 def cmd_eval(args) -> int:
     sig = _signature(args)
-    model = parse_model(_read(args.model), sig)
+    model = _model(args, sig)
     formula = parse_formula(args.formula, sig)
     if not 0 <= args.world < model.world_count:
         raise UsageError(f"world {args.world} not in the model")
@@ -107,7 +159,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sat(args) -> int:
     sig = _signature(args)
-    model = parse_model(_read(args.model), sig)
+    model = _model(args, sig)
     sequent = parse_sequent(args.sequent, sig)
     if args.world is not None and not 0 <= args.world < model.world_count:
         raise UsageError(f"world {args.world} not in the model")
@@ -161,7 +213,7 @@ def cmd_check_proof(args) -> int:
 
 def cmd_filter(args) -> int:
     sig = _signature(args)
-    model = parse_model(_read(args.model), sig)
+    model = _model(args, sig)
     logic = _logic(args.logic)
     phi = parse_formulas(_read(args.phi), sig)
     filtered = filter_model(sig, model, subformula_closure(phi), logic)
@@ -198,9 +250,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_frame_check(args) -> int:
-    # only the relation matters here, so labels are left unconstrained
-    permissive = Signature(TruthDomain(2 ** 31), {})
-    model = parse_model(_read(args.model), permissive)
+    # only the relation matters here; a label above 2^31 is still an error
+    model = _model(args, PERMISSIVE)
     if frame_check(model, _frame_class(args.frame_class)):
         print("yes")
         return 0

@@ -5,7 +5,8 @@ valuation grows along the accessibility relation.  Compound formulas are
 evaluated as the infimum, over the successors, of the connective applied
 to the arguments there; reflexivity keeps that set nonempty.  That is
 the modal value of the formula with a necessity operator in front of
-every connective, which is how eval_mvil computes it.
+every connective, which is how mvil_vector computes it at every world
+and eval_mvil at one.
 
 Translating a modal-free formula by inserting a necessity operator in
 front of every subformula, variables included, turns intuitionistic
@@ -47,17 +48,16 @@ def is_mvil_interpretation(model: KripkeModel) -> bool:
                for p in model.variables() for (u, v) in model.edges)
 
 
-def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
-    """Intuitionistic value of a modal-free formula at a world.
+def mvil_vector(sig: Signature, model: KripkeModel, formula: Formula) -> list[int]:
+    """Intuitionistic value of a modal-free formula at every world, by
+    world index.
 
-    The modal value of the embedding, with Box in front of every
+    The modal label vector of the embedding, with Box in front of every
     connective and the variables left bare.  One fold over the closure,
     in closure order, checks each subformula and builds its embedding:
     Box or Dia raises ValueError ("no modal"), and so does a connective
-    when any world of the model has no successor, whether or not it is
-    reached ("not reflexive").
+    when any world of the model has no successor ("not reflexive").
     """
-    _check_world(model, world)
     dead_ends = [w for w in model.worlds if not model.successors(w)]
 
     def bare(f: Formula) -> bool:
@@ -69,7 +69,15 @@ def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula) 
         return isinstance(f, Var)
 
     embedded = _boxed(formula, bare)
-    return label_vectors(sig, model, closure_order((embedded,)))[embedded][world]
+    return label_vectors(sig, model, closure_order((embedded,)))[embedded]
+
+
+def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
+    """Intuitionistic value of a modal-free formula at a world: entry
+    `world` of `mvil_vector`, with its errors whether or not a dead end
+    is reached from `world`."""
+    _check_world(model, world)
+    return mvil_vector(sig, model, formula)[world]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,15 @@ from mvmodal.core import (
     make_signature,
     reversal_connective,
 )
+from mvmodal import cli
 from mvmodal import derivations as D
+
+
+@pytest.fixture(autouse=True)
+def _no_held_models():
+    """Each test starts with no parsed model file held by the CLI, so a
+    test that replaces `cli.parse_model` sees every read go through it."""
+    cli._models.clear()
 
 
 @pytest.fixture(scope="session")

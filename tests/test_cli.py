@@ -506,6 +506,122 @@ class TestFrameCheck:
         assert code == 0 and out.strip() == "yes"
 
 
+class TestModelMemo:
+    """A process parses each model file text once: a repeat query answers
+    as a fresh parse would, with the same output, status and message."""
+
+    MODEL = ("worlds 3\nedge 0 1\nedge 0 2\nedge 1 1\nedge 2 2\n"
+             "val 1 p 3\nval 2 p 2\nval 0 q 2\n")
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The signature size of each call to `parse_model` by the CLI."""
+        calls = []
+
+        def counting(text, sig):
+            calls.append(sig.n)
+            return parse_model(text, sig)
+
+        monkeypatch.setattr(cli, "parse_model", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["eval", "sat", "filter"])
+    def test_a_repeat_query_parses_once(self, ws, capsys, parses, command):
+        (ws / "m.mvk").write_text(self.MODEL)
+        (ws / "phi.mvk").write_text("Box p\nimp(p, q)\n")
+        argv = {"eval": ["eval", "--world", "0", "Box imp(q, p)"],
+                "sat": ["sat", "(Box p, 2) -> (Dia p, 3)"],
+                "filter": ["filter", "--phi", str(ws / "phi.mvk")]}[command]
+        argv[1:1] = ["--sig", str(ws / "sig.mvk"), "--model", str(ws / "m.mvk")]
+        cold = run(capsys, *argv)
+        assert cold[0] in (0, 1) and cold[2] == ""
+        assert run(capsys, *argv) == cold
+        assert len(parses) == 1
+        cli._models.clear()
+        assert run(capsys, *argv) == cold
+        assert len(parses) == 2
+
+    def test_a_rewritten_file_is_parsed_again(self, ws, capsys, parses):
+        argv = ["eval", "--sig", str(ws / "sig.mvk"), "--model",
+                str(ws / "m.mvk"), "--world", "0", "p"]
+        for label in ("2", "3", "2"):
+            (ws / "m.mvk").write_text(f"worlds 1\nval 0 p {label}\n")
+            assert run(capsys, *argv) == (0, label + "\n", "")
+        assert len(parses) == 2  # the first text is held again by the third
+
+    @pytest.mark.parametrize("first", ["eval", "frame-check"])
+    def test_a_label_above_the_domain(self, ws, capsys, first):
+        (ws / "m.mvk").write_text("worlds 1\nedge 0 0\nval 0 p 7\n")
+        argvs = {"eval": ["eval", "--sig", str(ws / "sig.mvk"), "--model",
+                          str(ws / "m.mvk"), "--world", "0", "p"],
+                 "frame-check": ["frame-check", "--model", str(ws / "m.mvk"),
+                                 "reflexive"]}
+        outcomes = {"eval": (2, "", "error: line 3, column 9: label 7 out of 1..3\n"),
+                    "frame-check": (0, "yes\n", "")}
+        second = "frame-check" if first == "eval" else "eval"
+        for command in (first, second, first, second):
+            assert run(capsys, *argvs[command]) == outcomes[command], command
+
+    def test_a_label_error_before_a_grammar_error(self, ws, capsys):
+        # the label error comes first under the domain, the grammar error
+        # first under frame-check's
+        (ws / "m.mvk").write_text("worlds 1\nval 0 p 7\nedge 0 x\n")
+        eval_argv = ["eval", "--sig", str(ws / "sig.mvk"), "--model",
+                     str(ws / "m.mvk"), "--world", "0", "p"]
+        code, out, err = run(capsys, *eval_argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2, column 9: label 7 out of 1..3")
+        code, _, check_err = run(capsys, "frame-check", "--model",
+                                 str(ws / "m.mvk"), "any")
+        assert code == 2 and check_err.startswith("error: line 3, column 8: ")
+        assert run(capsys, *eval_argv) == (code, out, err)
+
+    def test_a_malformed_file_is_never_held(self, ws, capsys, parses):
+        (ws / "m.mvk").write_text("worlds 2\nedge 0 5\n")
+        argv = ["sat", "--sig", str(ws / "sig.mvk"), "--model",
+                str(ws / "m.mvk"), "(p, 1) ->"]
+        first = run(capsys, *argv)
+        assert first[:2] == (2, "") and first[2].startswith("error: line 2, ")
+        for _ in range(2):
+            assert run(capsys, *argv) == first
+        assert not cli._models
+        assert len(parses) == 6  # under frame-check's signature, then the file's
+
+    def test_labels_above_two_to_the_31(self, tmp_path, capsys):
+        (tmp_path / "wide.sig").write_text("domain 3000000000\n")
+        (tmp_path / "m.mvk").write_text("worlds 1\nval 0 p 3000000000\n")
+        argv = ["eval", "--sig", str(tmp_path / "wide.sig"), "--model",
+                str(tmp_path / "m.mvk"), "--world", "0", "p"]
+        for _ in range(2):
+            assert run(capsys, *argv) == (0, "3000000000\n", "")
+        code, _, err = run(capsys, "frame-check", "--model",
+                           str(tmp_path / "m.mvk"), "any")
+        assert code == 2 and "label 3000000000 out of 1..2147483648" in err
+
+    def test_the_memo_holds_at_most_its_bound(self, ws, capsys, parses):
+        size = cli._MODEL_MEMO_SIZE
+        paths = []
+        for i in range(size + 2):
+            paths.append(ws / f"m{i}.mvk")
+            paths[-1].write_text(f"worlds {i + 1}\n")
+
+        def check(path):
+            code, out, _ = run(capsys, "frame-check", "--model", str(path), "any")
+            assert (code, out) == (0, "yes\n")
+
+        for path in paths[:size]:
+            check(path)
+        check(paths[0])  # the least recently used is now paths[1]
+        check(paths[size])
+        assert len(cli._models) == size and len(parses) == size + 1
+        check(paths[0])
+        check(paths[1])
+        assert len(parses) == size + 2
+        for path in paths:
+            check(path)
+        assert len(cli._models) == size
+
+
 class TestByteOrderMark:
     """A file saved with a UTF-8 byte-order mark reads as it does without."""
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import oracle_models, rand_formula
+from helpers import _eval_mvil, oracle_models, rand_formula
 from mvmodal import intuitionistic, semantics
 from mvmodal.core import (
     Apply,
@@ -24,6 +24,7 @@ from mvmodal.intuitionistic import (
     hat_model,
     is_mvil_interpretation,
     monotone_connective,
+    mvil_vector,
     translate_sequent,
 )
 from mvmodal.sampling import random_model
@@ -109,6 +110,39 @@ class TestEvalMvil:
             eval_mvil(luk3, m, w, f)
             # one walk of the formula's closure, one of its embedding's
             assert len(walks) == 2
+
+
+class TestMvilVector:
+    def test_equals_eval_mvil_at_every_world(self, luk3):
+        # and the recursive oracle, which shares no code with either
+        rng = random.Random(54)
+        for _ in range(60):
+            m = hat_model(luk3, random_model(rng, ["p", "q"], 3, 1 + rng.randrange(6),
+                                             FrameClass.PREORDER))
+            f = rand_formula(rng, luk3, ["p", "q"], 3, modal=False)
+            oracle = {}
+            assert (mvil_vector(luk3, m, f)
+                    == [eval_mvil(luk3, m, w, f) for w in m.worlds]
+                    == [_eval_mvil(luk3, m, w, f, oracle) for w in m.worlds])
+
+    @pytest.mark.parametrize("edges, formula, message", [
+        ({(0, 0), (1, 1)}, Box(p), "no modal"),
+        ({(0, 0), (1, 1)}, Apply("imp", (p, Box(q))), "no modal"),
+        # world 1 is a dead end, though world 0 does not reach it
+        ({(0, 0)}, Apply("imp", (p, q)), "world 1 has no successors; "
+                                         "interpretation is not reflexive"),
+        ({(0, 0)}, Box(Apply("imp", (p, q))), "world 1 has no successors"),
+    ])
+    def test_raises_the_errors_of_eval_mvil(self, luk3, edges, formula, message):
+        m = KripkeModel(2, edges)
+        for call in (lambda: mvil_vector(luk3, m, formula),
+                     lambda: eval_mvil(luk3, m, 0, formula)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_a_bare_variable_needs_no_successors(self, luk3):
+        m = KripkeModel(2, (), {(1, "p"): 3})
+        assert mvil_vector(luk3, m, p) == [1, 3]
 
 
 class TestMonotoneConnective:
