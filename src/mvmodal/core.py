@@ -3,6 +3,19 @@
 Truth values are identified with the integer labels 1..n, ordered as
 integers (label k stands for the k-th truth value in the chain).  All
 values here are immutable and safe to share; equal formulas are one object.
+
+The formula nodes are dataclasses.  Every other value type of the
+package (domains, signatures, labelled formulas, sequents, models,
+verdicts, reports and proof steps) is a Record: a frozen value record
+that behaves as @dataclass(frozen=True) did, with none of the code
+generation that costs the decorator most of a module's import time.  A
+record class lists its fields in __match_args__ and writes its own
+__init__, which checks and normalises its arguments and stores each
+field through _set_field.  Record gives it the rest: equality on the
+exact class and the tuple of fields, a hash of that tuple, the
+dataclass repr, and dataclasses.FrozenInstanceError on assignment and
+deletion.  Instances keep their __dict__, so copy and pickle handle
+them as they handle any plain object.
 """
 
 from __future__ import annotations
@@ -10,57 +23,110 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
+from operator import attrgetter, index
 from typing import Iterable, Mapping
 
 #: Names that may never be used as connective names.
 RESERVED_NAMES = frozenset({"Box", "Dia"})
 
+#: Stores a field of a record in its __init__, past Record.__setattr__.
+_set_field = object.__setattr__
 
-@dataclass(frozen=True)
-class TruthDomain:
+
+class Record:
+    """A frozen value record; see the module docstring."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__match_args__
+        if len(names) > 1:
+            fields = attrgetter(*names)
+        elif names:
+            get = attrgetter(names[0])
+            fields = lambda self: (get(self),)  # noqa: E731
+        else:
+            fields = lambda self: ()  # noqa: E731
+        #: The record's fields as a tuple, in __match_args__ order.
+        cls._fields = staticmethod(fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class TruthDomain(Record):
     """A linearly ordered set of n >= 2 truth values, as labels 1..n."""
 
+    __match_args__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"truth domain needs at least 2 values, got {self.n}")
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValueError(f"truth domain needs at least 2 values, got {n}")
+        _set_field(self, "n", n)
 
     @property
     def labels(self) -> range:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class Connective:
+class Connective(Record):
     """A truth-table connective of fixed arity (arity 0 = constant)."""
 
+    __match_args__ = ("name", "arity", "table")
     name: str
     arity: int
     table: Mapping[tuple[int, ...], int]
 
-    def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError(f"negative arity for connective {self.name!r}")
+    def __init__(self, name: str, arity: int, table: Mapping[tuple[int, ...], int]):
+        if arity < 0:
+            raise ValueError(f"negative arity for connective {name!r}")
+        _set_field(self, "name", name)
+        _set_field(self, "arity", arity)
+        _set_field(self, "table", table)
 
     def __hash__(self):
         return hash((self.name, self.arity))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """A truth domain together with named truth-table connectives.
 
     Construction validates that every table is total on the domain and
     that no connective reuses a reserved modal keyword.
     """
 
+    __match_args__ = ("domain", "connectives")
     domain: TruthDomain
     connectives: Mapping[str, Connective]
 
+    def __init__(self, domain: TruthDomain, connectives: Mapping[str, Connective]):
+        _set_field(self, "domain", domain)
+        _set_field(self, "connectives", connectives)
+        self.__post_init__()
+
     def __post_init__(self):
+        # the validation, a method of its own: tests/test_duality.py counts
+        # the signatures built through it
         n = self.domain.n
         for name, conn in self.connectives.items():
             if name != conn.name:
@@ -313,24 +379,39 @@ def is_modal_free(formula: Formula) -> bool:
     return not any(isinstance(f, (Box, Diamond)) for f in closure_order((formula,)))
 
 
-@dataclass(frozen=True)
-class LabelledFormula:
-    """A formula paired with the label of the truth value it takes."""
+class LabelledFormula(Record):
+    """A formula paired with the label of the truth value it takes.
 
+    The label goes through operator.index, so any int-like value is
+    stored as an int and a float is a TypeError.
+    """
+
+    __match_args__ = ("formula", "label")
     formula: Formula
     label: int
 
-    def __post_init__(self):
-        if self.label < 1:
-            raise ValueError(f"label must be >= 1, got {self.label}")
+    def __init__(self, formula: Formula, label: int):
+        label = index(label)
+        if label < 1:
+            raise ValueError(f"label must be >= 1, got {label}")
+        _set_field(self, "formula", formula)
+        _set_field(self, "label", label)
+
+    # Record's methods, written out: sequent sides are sets of these
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.formula, self.label) == (other.formula, other.label)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.formula, self.label))
 
 
 def labelled_key(lf: LabelledFormula):
     return (formula_key(lf.formula), lf.label)
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record):
     """A pair of finite sets of labelled formulas.
 
     Each side is a frozenset, so equal sets of members give equal
@@ -338,13 +419,24 @@ class Sequent:
     canonical order is applied only when a sequent is written as text.
     """
 
+    __match_args__ = ("antecedent", "succedent")
     antecedent: frozenset[LabelledFormula]
     succedent: frozenset[LabelledFormula]
 
     def __init__(self, antecedent: Iterable[LabelledFormula] = (),
                  succedent: Iterable[LabelledFormula] = ()):
-        object.__setattr__(self, "antecedent", frozenset(antecedent))
-        object.__setattr__(self, "succedent", frozenset(succedent))
+        _set_field(self, "antecedent", frozenset(antecedent))
+        _set_field(self, "succedent", frozenset(succedent))
+
+    # Record's methods, written out: the proof checker compares sequents
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.antecedent, self.succedent)
+                    == (other.antecedent, other.succedent))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.antecedent, self.succedent))
 
     def formulas(self) -> frozenset[Formula]:
         return frozenset(lf.formula for lf in self.antecedent | self.succedent)

@@ -108,19 +108,30 @@ lazily, so that a ceiling abort also stops their generation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import Apply, Box, Diamond, Formula, Sequent, Signature, Var, closure_order
+from .core import (
+    Apply,
+    Box,
+    Diamond,
+    Formula,
+    Record,
+    Sequent,
+    Signature,
+    Var,
+    _set_field,
+    closure_order,
+)
 from .proofs import LogicId
 from .semantics import (
     _FRAME_PROPERTIES,
     FrameClass,
     KripkeModel,
     _checked_connective,
+    _checked_labels,
     _members,
     _refuted,
     edge_set,
@@ -182,20 +193,30 @@ class _Budget:
             raise EnumerationCeilingError(self.ceiling, self.ceiling)
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(Record):
+    __match_args__ = ("model", "world")
     model: KripkeModel
     world: int
 
+    def __init__(self, model: KripkeModel, world: int):
+        _set_field(self, "model", model)
+        _set_field(self, "world", world)
 
-@dataclass(frozen=True)
-class ValidUpTo:
+
+class ValidUpTo(Record):
+    __match_args__ = ("bound",)
     bound: int
 
+    def __init__(self, bound: int):
+        _set_field(self, "bound", bound)
 
-@dataclass(frozen=True)
-class ProvedValid:
+
+class ProvedValid(Record):
+    __match_args__ = ("bound",)
     bound: int
+
+    def __init__(self, bound: int):
+        _set_field(self, "bound", bound)
 
 
 DecisionOutcome = Countermodel | ValidUpTo | ProvedValid
@@ -536,6 +557,7 @@ def _search(sig: Signature, hypotheses: tuple[Sequent, ...], goal: Sequent,
             order: Sequence[Formula]) -> Optional[Countermodel]:
     """search_countermodel, given the closure_order of the goal's and the
     hypotheses' formulas."""
+    _checked_labels(sig, (goal, *hypotheses))
     atoms = sorted((f for f in order if isinstance(f, Var)),
                    key=attrgetter("name"))
     budget = _Budget(ceiling)

@@ -82,7 +82,6 @@ the n^n survivors, and n > 6 stays a ValueError there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -91,9 +90,11 @@ from .core import (
     Box,
     Connective,
     Diamond,
+    Record,
     Signature,
     TruthDomain,
     Var,
+    _set_field,
     closure_order,
 )
 from .decision import _Budget
@@ -120,18 +121,28 @@ def negation_connective(table: UnaryTable, name: str = "neg") -> Connective:
     return Connective(name, 1, {(k,): v for k, v in enumerate(table, start=1)})
 
 
-@dataclass(frozen=True)
-class DualityWitness:
+class DualityWitness(Record):
+    __match_args__ = ("model", "world", "label", "side")
     model: KripkeModel
     world: int
     label: int
     side: str  # "diamond" or "box": which of the two dual claims failed
 
+    def __init__(self, model: KripkeModel, world: int, label: int, side: str):
+        _set_field(self, "model", model)
+        _set_field(self, "world", world)
+        _set_field(self, "label", label)
+        _set_field(self, "side", side)
 
-@dataclass(frozen=True)
-class DualityReport:
+
+class DualityReport(Record):
+    __match_args__ = ("holds", "witness")
     holds: bool
-    witness: Optional[DualityWitness] = None
+    witness: Optional[DualityWitness]
+
+    def __init__(self, holds: bool, witness: Optional[DualityWitness] = None):
+        _set_field(self, "holds", holds)
+        _set_field(self, "witness", witness)
 
     def __bool__(self):
         return self.holds

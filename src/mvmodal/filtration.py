@@ -8,15 +8,16 @@ modal values so the filtered model stays inside the frame class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Optional, get_args
 
 from .core import (
     Box,
     Diamond,
     Formula,
+    Record,
     Signature,
     Var,
+    _set_field,
     closure_order,
     formula_key,
 )
@@ -27,8 +28,7 @@ from .semantics import FrameClass, KripkeModel, LabelVectors, frame_check, label
 Representative = Literal["least", "greatest"]
 
 
-@dataclass(frozen=True)
-class Filtered:
+class Filtered(Record):
     """A filtration: class partition, representatives, and filtered model.
 
     `classes` lists each equivalence class as a sorted tuple of original
@@ -37,16 +37,22 @@ class Filtered:
     label the class takes on each formula of the closed set.
     """
 
+    __match_args__ = ("classes", "representatives", "model", "values")
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     model: KripkeModel
     values: Mapping[tuple[int, Formula], int]
-    _class_index: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_class_index",
-                           {w: idx for idx, members in enumerate(self.classes)
-                            for w in members})
+    def __init__(self, classes: tuple[tuple[int, ...], ...],
+                 representatives: tuple[int, ...], model: KripkeModel,
+                 values: Mapping[tuple[int, Formula], int]):
+        _set_field(self, "classes", classes)
+        _set_field(self, "representatives", representatives)
+        _set_field(self, "model", model)
+        _set_field(self, "values", values)
+        # not a field: left out of ==, hash and repr
+        _set_field(self, "_class_index", {w: idx for idx, members in enumerate(classes)
+                                          for w in members})
 
     def class_of(self, world: int) -> int:
         if world not in self._class_index:
@@ -146,12 +152,19 @@ def filter_model(sig: Signature, model: KripkeModel, phi: Iterable[Formula],
     return Filtered(classes, reps, KripkeModel(len(classes), edges, vals), values)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(Record):
+    __match_args__ = ("ok", "frame_ok", "frame_class", "value_mismatches")
     ok: bool
     frame_ok: bool
     frame_class: FrameClass
     value_mismatches: tuple[tuple[int, Formula, int, int], ...]
+
+    def __init__(self, ok: bool, frame_ok: bool, frame_class: FrameClass,
+                 value_mismatches: tuple[tuple[int, Formula, int, int], ...]):
+        _set_field(self, "ok", ok)
+        _set_field(self, "frame_ok", frame_ok)
+        _set_field(self, "frame_class", frame_class)
+        _set_field(self, "value_mismatches", value_mismatches)
 
     def __str__(self):
         if self.ok:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 import string
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Optional, Union
@@ -44,9 +43,11 @@ from .core import (
     Formula,
     LabelledFormula,
     RESERVED_NAMES,
+    Record,
     Sequent,
     Signature,
     Var,
+    _set_field,
     all_entries,
     labelled_key,
     make_signature,
@@ -77,11 +78,16 @@ from .proofs import (
 from .semantics import KripkeModel
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
+    __match_args__ = ("line", "column", "offset")
     line: int
     column: int
     offset: int
+
+    def __init__(self, line: int, column: int, offset: int):
+        _set_field(self, "line", line)
+        _set_field(self, "column", column)
+        _set_field(self, "offset", offset)
 
 
 def _quote(text: str) -> str:

@@ -15,10 +15,9 @@ checking that each side lies between the sides of the two extreme readings.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     Apply,
@@ -26,9 +25,11 @@ from .core import (
     Diamond,
     Formula,
     LabelledFormula,
+    Record,
     Sequent,
     Signature,
     _gamma_cross_size,
+    _set_field,
     _interval_size,
     complement_interval,
     gamma_cross,
@@ -114,97 +115,122 @@ def _scheme_label(scheme: int, label: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
+    __match_args__ = ("index",)
     index: int  # 0-based position in the derivation's hypothesis list
 
+    def __init__(self, index: int):
+        _set_field(self, "index", index)
 
-@dataclass(frozen=True)
-class AxiomIdentity:
+
+class AxiomIdentity(Record):
     pass
 
 
-@dataclass(frozen=True)
-class AxiomTable:
+class AxiomTable(Record):
+    __match_args__ = ("conn", "entry")
     conn: str
     entry: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entry", tuple(self.entry))
+    def __init__(self, conn: str, entry: tuple[int, ...]):
+        _set_field(self, "conn", conn)
+        _set_field(self, "entry", tuple(entry))
 
 
-@dataclass(frozen=True)
-class RuleBox:
+class RuleBox(Record):
     pass
 
 
-@dataclass(frozen=True)
-class RuleDiamond:
+class RuleDiamond(Record):
     pass
 
 
-@dataclass(frozen=True)
-class LeftShift:
+class LeftShift(Record):
+    __match_args__ = ("label",)
     label: int
 
+    def __init__(self, label: int):
+        _set_field(self, "label", label)
 
-@dataclass(frozen=True)
-class RightShift:
+
+class RightShift(Record):
+    __match_args__ = ("from_label", "to_label")
     from_label: int
     to_label: int
 
+    def __init__(self, from_label: int, to_label: int):
+        _set_field(self, "from_label", from_label)
+        _set_field(self, "to_label", to_label)
 
-@dataclass(frozen=True)
-class LeftWeaken:
+
+class LeftWeaken(Record):
+    __match_args__ = ("added",)
     added: LabelledFormula
 
+    def __init__(self, added: LabelledFormula):
+        _set_field(self, "added", added)
 
-@dataclass(frozen=True)
-class RightWeaken:
+
+class RightWeaken(Record):
+    __match_args__ = ("added",)
     added: LabelledFormula
 
+    def __init__(self, added: LabelledFormula):
+        _set_field(self, "added", added)
 
-@dataclass(frozen=True)
-class Cut:
+
+class Cut(Record):
+    __match_args__ = ("cut",)
     cut: LabelledFormula
 
+    def __init__(self, cut: LabelledFormula):
+        _set_field(self, "cut", cut)
 
-@dataclass(frozen=True)
-class Resolution:
+
+class Resolution(Record):
+    __match_args__ = ("formula", "first_label", "second_label")
     formula: Formula
     first_label: int
     second_label: int
 
+    def __init__(self, formula: Formula, first_label: int, second_label: int):
+        _set_field(self, "formula", formula)
+        _set_field(self, "first_label", first_label)
+        _set_field(self, "second_label", second_label)
 
-@dataclass(frozen=True)
-class MultiShift:
+
+class MultiShift(Record):
+    __match_args__ = ("formula", "labels")
     formula: Formula
     labels: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", frozenset(self.labels))
+    def __init__(self, formula: Formula, labels: Iterable[int]):
+        _set_field(self, "formula", formula)
+        _set_field(self, "labels", frozenset(labels))
 
 
-@dataclass(frozen=True)
-class SuperMultiShift:
+class SuperMultiShift(Record):
+    __match_args__ = ("formulas", "label_sets")
     formulas: tuple[Formula, ...]
     label_sets: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "formulas", tuple(self.formulas))
-        object.__setattr__(self, "label_sets",
-                           tuple(frozenset(s) for s in self.label_sets))
+    def __init__(self, formulas: Iterable[Formula],
+                 label_sets: Iterable[Iterable[int]]):
+        _set_field(self, "formulas", tuple(formulas))
+        _set_field(self, "label_sets", tuple(frozenset(s) for s in label_sets))
 
 
-@dataclass(frozen=True)
-class ExtensionAxiom:
+class ExtensionAxiom(Record):
+    __match_args__ = ("scheme", "formula", "label")
     scheme: int
     formula: Formula
-    label: int = 1
+    label: int
 
-    def __post_init__(self):
-        if self.scheme == 20:  # the serial scheme has no label parameter
-            object.__setattr__(self, "label", 1)
+    def __init__(self, scheme: int, formula: Formula, label: int = 1):
+        _set_field(self, "scheme", scheme)
+        _set_field(self, "formula", formula)
+        # the serial scheme has no label parameter
+        _set_field(self, "label", 1 if scheme == 20 else label)
 
 
 Justification = (
@@ -213,25 +239,30 @@ Justification = (
     | MultiShift | SuperMultiShift | ExtensionAxiom)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
+    __match_args__ = ("conclusion", "justification", "premises")
     conclusion: Sequent
     justification: Justification
-    premises: tuple[int, ...] = ()  # 0-based indices of earlier steps
+    premises: tuple[int, ...]  # 0-based indices of earlier steps
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
+    def __init__(self, conclusion: Sequent, justification: Justification,
+                 premises: Iterable[int] = ()):
+        _set_field(self, "conclusion", conclusion)
+        _set_field(self, "justification", justification)
+        _set_field(self, "premises", tuple(premises))
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
+    __match_args__ = ("logic", "hypotheses", "steps")
     logic: LogicId
     hypotheses: tuple[Sequent, ...]
     steps: tuple[Step, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, logic: LogicId, hypotheses: Iterable[Sequent],
+                 steps: Iterable[Step]):
+        _set_field(self, "logic", logic)
+        _set_field(self, "hypotheses", tuple(hypotheses))
+        _set_field(self, "steps", tuple(steps))
 
     def conclusion(self) -> Sequent:
         if not self.steps:
@@ -257,11 +288,16 @@ class DerivationBuilder:
         return Derivation(self.logic, self.hypotheses, tuple(self.steps))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
+    __match_args__ = ("step", "rule", "reason")
     step: int  # 1-based, matching script numbering
     rule: str
     reason: str
+
+    def __init__(self, step: int, rule: str, reason: str):
+        _set_field(self, "step", step)
+        _set_field(self, "rule", rule)
+        _set_field(self, "reason", reason)
 
     def __str__(self):
         return f"step {self.step} ({self.rule}): {self.reason}"

@@ -9,7 +9,6 @@ are no successors).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import compress
 from operator import index
 from random import Random
@@ -22,9 +21,11 @@ from .core import (
     Diamond,
     Formula,
     LabelledFormula,
+    Record,
     Sequent,
     Signature,
     Var,
+    _set_field,
     closure_order,
 )
 
@@ -45,8 +46,7 @@ def _check_world(model: KripkeModel, world: int) -> None:
         raise ValueError(f"unknown world {world}")
 
 
-@dataclass(frozen=True, init=False)
-class KripkeModel:
+class KripkeModel(Record):
     """Worlds 0..world_count-1, an edge set, and an explicit valuation.
 
     The valuation maps (world, variable) pairs to labels; variables with
@@ -58,6 +58,7 @@ class KripkeModel:
     int-like value is stored as an int and a float is a TypeError.
     """
 
+    __match_args__ = ("world_count", "edges", "vals")
     world_count: int
     edges: frozenset[tuple[int, int]]
     vals: tuple[tuple[tuple[int, str], int], ...]
@@ -84,14 +85,14 @@ class KripkeModel:
             # an int world keeps the caller's key: a fresh tuple per valuation
             # makes the garbage collector run more often on large models
             val_map[key if type(u) is int else (world, p)] = k
-        object.__setattr__(self, "world_count", world_count)
-        object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "vals", tuple(sorted(val_map.items())))
+        _set_field(self, "world_count", world_count)
+        _set_field(self, "edges", edge_set)
+        _set_field(self, "vals", tuple(sorted(val_map.items())))
         succ: list[set[int]] = [set() for _ in range(world_count)]
         for u, v in edge_set:
             succ[u].add(v)
-        object.__setattr__(self, "_succ", tuple(frozenset(s) for s in succ))
-        object.__setattr__(self, "_val_map", val_map)
+        _set_field(self, "_succ", tuple(frozenset(s) for s in succ))
+        _set_field(self, "_val_map", val_map)
 
     @property
     def worlds(self) -> range:
@@ -169,6 +170,20 @@ def _checked_connective(sig: Signature, f: Apply) -> Connective:
     return conn
 
 
+def _checked_labels(sig: Signature, sequents: tuple[Sequent, ...]) -> None:
+    """Reject sequents with a member labelled above the domain, naming the
+    largest such label; a label below 1 is LabelledFormula's error."""
+    n = sig.n
+    # plain loops: a generator under max() costs a small query about 1 µs
+    for s in sequents:
+        for side in (s.antecedent, s.succedent):
+            for lf in side:
+                if lf.label > n:
+                    top = max(lf.label for s in sequents
+                              for side in (s.antecedent, s.succedent) for lf in side)
+                    raise ValueError(f"label {top} out of 1..{n}")
+
+
 def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
     """The label of `formula` at `world`, read from its label vector."""
     _check_world(model, world)
@@ -204,6 +219,7 @@ def refuting_worlds(sig: Signature, model: KripkeModel,
                     sequent: Sequent) -> Iterator[int]:
     """The worlds, in order, where every antecedent member holds and no
     succedent member does."""
+    _checked_labels(sig, (sequent,))
     vectors = label_vectors(sig, model, closure_order(sequent.formulas()))
     return iter(_refuted(vectors, model.worlds, sequent))
 
@@ -223,6 +239,7 @@ def model_satisfies(sig: Signature, model: KripkeModel,
     evaluates each shared subformula once.
     """
     sequents = (sequents,) if isinstance(sequents, Sequent) else tuple(sequents)
+    _checked_labels(sig, sequents)
     vectors = label_vectors(sig, model,
                             closure_order(f for s in sequents for f in s.formulas()))
     return not any(_refuted(vectors, model.worlds, s) for s in sequents)

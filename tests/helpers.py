@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from operator import index
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from hypothesis import strategies as st
 
@@ -1063,3 +1065,271 @@ def oracle_parse_proof(text: str, sig: Signature, logic: LogicId = LogicId.MV_K,
         positions[idx] = len(steps)
         steps.append(Step(sequent, justification, tuple(premises)))
     return Derivation(logic, tuple(hypotheses), tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the package's record types as the frozen dataclasses they were,
+# with their __post_init__ checks and normalisations, and the
+# LabelledFormula label through operator.index.  Each twin has the
+# qualified name of its record, so the two reprs compare as text.
+# ---------------------------------------------------------------------------
+
+
+class DataclassTwins:
+    @dataclass(frozen=True)
+    class TruthDomain:
+        n: int
+
+        def __post_init__(self):
+            if self.n < 2:
+                raise ValueError(f"truth domain needs at least 2 values, got {self.n}")
+
+    @dataclass(frozen=True)
+    class Connective:
+        name: str
+        arity: int
+        table: Mapping[tuple[int, ...], int]
+
+        def __post_init__(self):
+            if self.arity < 0:
+                raise ValueError(f"negative arity for connective {self.name!r}")
+
+        def __hash__(self):
+            return hash((self.name, self.arity))
+
+    @dataclass(frozen=True)
+    class Signature:
+        domain: TruthDomain
+        connectives: Mapping[str, Connective]
+
+        def __post_init__(self):
+            n = self.domain.n
+            for name, conn in self.connectives.items():
+                if name != conn.name:
+                    raise ValueError(f"connective {conn.name!r} registered under {name!r}")
+                if name in RESERVED_NAMES:
+                    raise ValueError(f"connective name {name!r} is reserved")
+                expected = n ** conn.arity
+                if len(conn.table) != expected:
+                    raise ValueError(
+                        f"connective {name!r}: table has {len(conn.table)} entries, "
+                        f"needs {expected}"
+                    )
+                for entry, out in conn.table.items():
+                    if len(entry) != conn.arity:
+                        raise ValueError(f"connective {name!r}: entry {entry} has wrong arity")
+                    if any(k < 1 or k > n for k in entry) or out < 1 or out > n:
+                        raise ValueError(f"connective {name!r}: label out of 1..{n} "
+                                         f"in {entry} = {out}")
+
+    @dataclass(frozen=True)
+    class LabelledFormula:
+        formula: Formula
+        label: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "label", index(self.label))
+            if self.label < 1:
+                raise ValueError(f"label must be >= 1, got {self.label}")
+
+    @dataclass(frozen=True)
+    class Sequent:
+        antecedent: frozenset[LabelledFormula]
+        succedent: frozenset[LabelledFormula]
+
+        def __init__(self, antecedent: Iterable[LabelledFormula] = (),
+                     succedent: Iterable[LabelledFormula] = ()):
+            object.__setattr__(self, "antecedent", frozenset(antecedent))
+            object.__setattr__(self, "succedent", frozenset(succedent))
+
+    @dataclass(frozen=True, init=False)
+    class KripkeModel:
+        world_count: int
+        edges: frozenset[tuple[int, int]]
+        vals: tuple[tuple[tuple[int, str], int], ...]
+
+        def __init__(self, world_count: int,
+                     edges: Iterable[tuple[int, int]] = (),
+                     vals: Union[Mapping[tuple[int, str], int],
+                                 Iterable[tuple[tuple[int, str], int]]] = ()):
+            world_count = index(world_count)
+            if world_count < 1:
+                raise ValueError("a model needs at least one world")
+            edge_set = frozenset((index(u), index(v)) for u, v in edges)
+            for u, v in edge_set:
+                if not (0 <= u < world_count and 0 <= v < world_count):
+                    raise ValueError(f"edge ({u}, {v}) references an undeclared world")
+            val_map: dict[tuple[int, str], int] = {}
+            for (u, p), k in (vals.items() if isinstance(vals, Mapping) else vals):
+                world, k = index(u), index(k)
+                if not 0 <= world < world_count:
+                    raise ValueError(f"valuation of {p!r} at undeclared world {world}")
+                if k < 1:
+                    raise ValueError(f"valuation label must be >= 1, got {k}")
+                val_map[world, p] = k
+            object.__setattr__(self, "world_count", world_count)
+            object.__setattr__(self, "edges", edge_set)
+            object.__setattr__(self, "vals", tuple(sorted(val_map.items())))
+
+    @dataclass(frozen=True)
+    class Countermodel:
+        model: KripkeModel
+        world: int
+
+    @dataclass(frozen=True)
+    class ValidUpTo:
+        bound: int
+
+    @dataclass(frozen=True)
+    class ProvedValid:
+        bound: int
+
+    @dataclass(frozen=True)
+    class DualityWitness:
+        model: KripkeModel
+        world: int
+        label: int
+        side: str
+
+    @dataclass(frozen=True)
+    class DualityReport:
+        holds: bool
+        witness: Optional[DualityWitness] = None
+
+    @dataclass(frozen=True)
+    class Filtered:
+        classes: tuple[tuple[int, ...], ...]
+        representatives: tuple[int, ...]
+        model: KripkeModel
+        values: Mapping[tuple[int, Formula], int]
+        _class_index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "_class_index",
+                               {w: idx for idx, members in enumerate(self.classes)
+                                for w in members})
+
+    @dataclass(frozen=True)
+    class FiltrationReport:
+        ok: bool
+        frame_ok: bool
+        frame_class: FrameClass
+        value_mismatches: tuple[tuple[int, Formula, int, int], ...]
+
+    @dataclass(frozen=True)
+    class SourceSpan:
+        line: int
+        column: int
+        offset: int
+
+    @dataclass(frozen=True)
+    class Hypothesis:
+        index: int
+
+    @dataclass(frozen=True)
+    class AxiomIdentity:
+        pass
+
+    @dataclass(frozen=True)
+    class AxiomTable:
+        conn: str
+        entry: tuple[int, ...]
+
+        def __post_init__(self):
+            object.__setattr__(self, "entry", tuple(self.entry))
+
+    @dataclass(frozen=True)
+    class RuleBox:
+        pass
+
+    @dataclass(frozen=True)
+    class RuleDiamond:
+        pass
+
+    @dataclass(frozen=True)
+    class LeftShift:
+        label: int
+
+    @dataclass(frozen=True)
+    class RightShift:
+        from_label: int
+        to_label: int
+
+    @dataclass(frozen=True)
+    class LeftWeaken:
+        added: LabelledFormula
+
+    @dataclass(frozen=True)
+    class RightWeaken:
+        added: LabelledFormula
+
+    @dataclass(frozen=True)
+    class Cut:
+        cut: LabelledFormula
+
+    @dataclass(frozen=True)
+    class Resolution:
+        formula: Formula
+        first_label: int
+        second_label: int
+
+    @dataclass(frozen=True)
+    class MultiShift:
+        formula: Formula
+        labels: frozenset[int]
+
+        def __post_init__(self):
+            object.__setattr__(self, "labels", frozenset(self.labels))
+
+    @dataclass(frozen=True)
+    class SuperMultiShift:
+        formulas: tuple[Formula, ...]
+        label_sets: tuple[frozenset[int], ...]
+
+        def __post_init__(self):
+            object.__setattr__(self, "formulas", tuple(self.formulas))
+            object.__setattr__(self, "label_sets",
+                               tuple(frozenset(s) for s in self.label_sets))
+
+    @dataclass(frozen=True)
+    class ExtensionAxiom:
+        scheme: int
+        formula: Formula
+        label: int = 1
+
+        def __post_init__(self):
+            if self.scheme == 20:
+                object.__setattr__(self, "label", 1)
+
+    @dataclass(frozen=True)
+    class Step:
+        conclusion: Sequent
+        justification: Justification
+        premises: tuple[int, ...] = ()
+
+        def __post_init__(self):
+            object.__setattr__(self, "premises", tuple(self.premises))
+
+    @dataclass(frozen=True)
+    class Derivation:
+        logic: LogicId
+        hypotheses: tuple[Sequent, ...]
+        steps: tuple[Step, ...]
+
+        def __post_init__(self):
+            object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+            object.__setattr__(self, "steps", tuple(self.steps))
+
+    @dataclass(frozen=True)
+    class Violation:
+        step: int
+        rule: str
+        reason: str
+
+
+#: Each twin by the name of its record.
+TWINS: dict[str, type] = {}
+for _name, _twin in vars(DataclassTwins).items():
+    if isinstance(_twin, type):
+        _twin.__qualname__ = _name
+        TWINS[_name] = _twin

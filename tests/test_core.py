@@ -388,3 +388,26 @@ class TestSequent:
     def test_label_must_be_positive(self):
         with pytest.raises(ValueError):
             lf(p, 0)
+
+
+class TestLabelledFormula:
+    def test_label_goes_through_index(self, luk3):
+        class Index:
+            def __index__(self):
+                return 2
+
+        built = lf(Box(p), Index())
+        assert type(built.label) is int and built == lf(Box(p), 2)
+        assert hash(built) == hash(lf(Box(p), 2))
+        assert parse_sequent(render_sequent(Sequent([built], [])), luk3) == \
+            Sequent([lf(Box(p), 2)], [])
+        for label in (2.5, 2.0, "2", None):
+            with pytest.raises(TypeError):
+                lf(Box(p), label)
+
+    def test_numpy_int_label_is_stored_as_an_int(self):
+        numpy = pytest.importorskip("numpy")
+        built = lf(p, numpy.int64(3))
+        assert type(built.label) is int and repr(built) == repr(lf(p, 3))
+        with pytest.raises(TypeError):
+            lf(p, numpy.float64(3))

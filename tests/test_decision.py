@@ -124,6 +124,27 @@ class TestEnumerateModels:
 
 
 class TestDecide:
+    @pytest.mark.parametrize("goal, hypotheses", [
+        (Sequent([lf(Box(p), 4)], []), ()),
+        (Sequent([], [lf(p, 4)]), ()),
+        (Sequent([lf(p, 1)], [lf(p, 1)]), (Sequent([lf(q, 4)], []),)),
+    ], ids=["antecedent", "succedent", "hypothesis"])
+    def test_label_above_the_domain_is_rejected(self, luk3, goal, hypotheses,
+                                                monkeypatch):
+        checks = []
+
+        def counting(sig, sequents):
+            checks.append(None)
+            semantics._checked_labels(sig, sequents)
+
+        monkeypatch.setattr(decision, "_checked_labels", counting)
+        with pytest.raises(ValueError, match=r"^label 4 out of 1\.\.3$"):
+            decide(luk3, hypotheses, goal, LogicId.MV_K, 3)
+        with pytest.raises(ValueError, match=r"^label 4 out of 1\.\.3$"):
+            search_countermodel(luk3, hypotheses, goal, FrameClass.ANY, 3)
+        assert len(checks) == 2  # once per call, not once per model
+        assert decide(lukasiewicz_signature(4), hypotheses, goal, LogicId.MV_K, 1)
+
     def test_ceiling_from_environment(self, luk3, monkeypatch):
         from mvmodal.decision import default_ceiling
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from mvmodal.core import (
     subformula_closure,
 )
 from mvmodal.filtration import (
+    Filtered,
     equiv_classes,
     filter_model,
     verify_filtration,
@@ -183,8 +183,8 @@ class TestVerify:
             edges = class_relation(m, LogicId.MV_S4, ordered, right.classes,
                                    right.representatives,
                                    label_vectors(luk3, m, bottom_up))
-            filtered = replace(right, model=KripkeModel(
-                right.model.world_count, edges, right.model.vals))
+            filtered = Filtered(right.classes, right.representatives, KripkeModel(
+                right.model.world_count, edges, right.model.vals), right.values)
             report = verify_filtration(luk3, m, PHI, LogicId.MV_B,
                                        filtered=filtered)
             if not report.ok:

@@ -194,6 +194,20 @@ class TestSatisfaction:
             assert verdicts[-1] == expected
         assert 20 < sum(verdicts) < 180
 
+    @pytest.mark.parametrize("sequent", [Sequent([lf(Box(p), 4)], []),
+                                         Sequent([], [lf(p, 4)]),
+                                         Sequent([lf(p, 1), lf(q, 9)], [lf(p, 4)])],
+                             ids=["antecedent", "succedent", "both"])
+    def test_label_above_the_domain_is_rejected(self, luk3, sequent):
+        top = max(x.label for x in sequent.antecedent | sequent.succedent)
+        m = KripkeModel(2, {(0, 1)}, {(1, "p"): 3})
+        for check in (lambda: satisfies_sequent(luk3, m, 0, sequent),
+                      lambda: model_satisfies(luk3, m, sequent),
+                      lambda: model_satisfies(luk3, m, [Sequent(), sequent]),
+                      lambda: refuting_worlds(luk3, m, sequent)):
+            with pytest.raises(ValueError, match=rf"^label {top} out of 1\.\.3$"):
+                check()
+
     def test_antecedent_antitone_succedent_monotone(self, luk3):
         rng = random.Random(7)
         for _ in range(150):
