@@ -66,6 +66,7 @@ from .semantics import (
     evaluate,
     frame_check,
     refuting_worlds,
+    satisfies_sequent,
 )
 
 
@@ -93,34 +94,32 @@ PERMISSIVE = Signature(TruthDomain(2 ** 31), {})
 #: How many parsed model files a process holds.
 _MODEL_MEMO_SIZE = 4
 
-#: Parsed model files by text, least recently used first: each model
-#: with its largest label.
-_models: OrderedDict[str, tuple[KripkeModel, int]] = OrderedDict()
+#: Parsed model files by text, least recently used first.
+_models: OrderedDict[str, KripkeModel] = OrderedDict()
 
 
 def _model(args, sig: Signature) -> KripkeModel:
     """`parse_model(text, sig)` of the file `args.model`, from the memo.
 
-    A text is parsed once under `PERMISSIVE` and held with its largest
-    label.  A model with a label above `sig.n`, and a text that does not
-    parse under `PERMISSIVE`, is parsed again under `sig`: that raises
-    the error and span of a fresh parse, or, in a domain wider than
-    2^31, reads the model, which is not held.
+    A text is parsed once under `PERMISSIVE`.  A model with a label above
+    `sig.n` (the largest label a model records), and a text that does
+    not parse under `PERMISSIVE`, is parsed again under `sig`: that
+    raises the error and span of a fresh parse, or, in a domain wider
+    than 2^31, reads the model, which is not held.
     """
     text = _read(args.model)
-    held = _models.get(text)
-    if held is None:
+    model = _models.get(text)
+    if model is None:
         try:
             model = parse_model(text, PERMISSIVE)
         except ParseError:
             return parse_model(text, sig)
-        held = _models[text] = model, max((k for _, k in model.vals), default=1)
+        _models[text] = model
         if len(_models) > _MODEL_MEMO_SIZE:
             _models.popitem(last=False)
     else:
         _models.move_to_end(text)
-    model, top = held
-    return model if top <= sig.n else parse_model(text, sig)
+    return model if model._top <= sig.n else parse_model(text, sig)
 
 
 def _logic(name: str) -> LogicId:
@@ -163,8 +162,11 @@ def cmd_sat(args) -> int:
     sequent = parse_sequent(args.sequent, sig)
     if args.world is not None and not 0 <= args.world < model.world_count:
         raise UsageError(f"world {args.world} not in the model")
-    witness = next((w for w in refuting_worlds(sig, model, sequent)
-                    if args.world in (None, w)), None)
+    if args.world is None:
+        witness = next(refuting_worlds(sig, model, sequent), None)
+    else:
+        witness = (None if satisfies_sequent(sig, model, args.world, sequent)
+                   else args.world)
     if witness is None:
         print("satisfied")
         return 0

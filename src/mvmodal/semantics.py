@@ -4,15 +4,37 @@ Worlds are dense 0-based indices.  Necessity evaluates to the minimum of
 the operand over the successor set (label n when there are no
 successors); possibility evaluates to the maximum (label 1 when there
 are no successors).
+
+The semantics is local: Box and Dia at a world read only its
+successors, so a formula of modal depth d at world w depends only on
+the worlds within d steps of w (the generated-submodel lemma).  A
+question about one world (`evaluate`, `satisfies_labelled`,
+`satisfies_sequent`) is therefore answered by a label_vectors pass
+rooted there, which evaluates each formula only on the worlds within
+its modal height of the root.  Two rooted questions take the
+whole-model pass instead: on a model with a label above the domain,
+whose error names the first such world by index, and when the worlds
+within reach are every world.  Questions about every world
+(`refuting_worlds`, `model_satisfies`) and the other layers' calls
+evaluate the whole model.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import compress
+from itertools import compress, islice
 from operator import index
 from random import Random
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .core import (
     Apply,
@@ -46,6 +68,19 @@ def _check_world(model: KripkeModel, world: int) -> None:
         raise ValueError(f"unknown world {world}")
 
 
+def _exact_successors(world_count: int,
+                      edge_set: frozenset[tuple[int, int]]) -> Optional[list[set[int]]]:
+    """Each world's successors, or None unless every end is an exact int
+    within the worlds."""
+    succ: list[set[int]] = [set() for _ in range(world_count)]
+    for u, v in edge_set:
+        if not (type(u) is int and type(v) is int
+                and 0 <= u < world_count and 0 <= v < world_count):
+            return None
+        succ[u].add(v)
+    return succ
+
+
 class KripkeModel(Record):
     """Worlds 0..world_count-1, an edge set, and an explicit valuation.
 
@@ -70,10 +105,18 @@ class KripkeModel(Record):
         world_count = index(world_count)
         if world_count < 1:
             raise ValueError("a model needs at least one world")
-        edge_set = frozenset((index(u), index(v)) for u, v in edges)
-        for u, v in edge_set:
-            if not (0 <= u < world_count and 0 <= v < world_count):
-                raise ValueError(f"edge ({u}, {v}) references an undeclared world")
+        pairs = tuple(edges)
+        try:  # exact int pairs within the worlds, as parse_model gives
+            edge_set = frozenset(pairs)
+            succ = _exact_successors(world_count, edge_set)
+        except (TypeError, ValueError):  # an unhashable pair or one of another length
+            succ = None
+        if succ is None:  # any other pair goes through operator.index, end by end
+            edge_set = frozenset((index(u), index(v)) for u, v in pairs)
+            for u, v in edge_set:
+                if not (0 <= u < world_count and 0 <= v < world_count):
+                    raise ValueError(f"edge ({u}, {v}) references an undeclared world")
+            succ = _exact_successors(world_count, edge_set)
         val_map: dict[tuple[int, str], int] = {}
         for key, k in (vals.items() if isinstance(vals, Mapping) else vals):
             u, p = key
@@ -88,11 +131,11 @@ class KripkeModel(Record):
         _set_field(self, "world_count", world_count)
         _set_field(self, "edges", edge_set)
         _set_field(self, "vals", tuple(sorted(val_map.items())))
-        succ: list[set[int]] = [set() for _ in range(world_count)]
-        for u, v in edge_set:
-            succ[u].add(v)
         _set_field(self, "_succ", tuple(frozenset(s) for s in succ))
         _set_field(self, "_val_map", val_map)
+        #: The largest label: a rooted label_vectors pass reads the
+        #: valuation only where it reaches, so it checks the labels here.
+        _set_field(self, "_top", max(val_map.values(), default=1))
 
     @property
     def worlds(self) -> range:
@@ -116,12 +159,13 @@ class KripkeModel(Record):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-#: Label vectors by formula: entry w of a vector is the label at world w.
+#: Label vectors by formula: entry w of a vector is the label at world w
+#: (for a pass rooted at a world, see label_vectors).
 LabelVectors = dict[Formula, list[int]]
 
 
-def label_vectors(sig: Signature, model: KripkeModel,
-                  order: Iterable[Formula]) -> LabelVectors:
+def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
+                  root: Optional[int] = None) -> LabelVectors:
     """The label vector of each formula of `order`, in one bottom-up pass.
 
     `order` lists every formula after its subformulas (closure_order), so
@@ -134,12 +178,33 @@ def label_vectors(sig: Signature, model: KripkeModel,
     at once by its own bit-sliced kernel (decision._bitsliced), and this
     evaluator re-checks each countermodel it returns, independently of
     that kernel.
+
+    With a `root`, the call is about that world alone, and entry 0 of
+    each vector is the label there.  Box and Dia at a world read only its
+    successors, so a formula under h modal operators of the formulas
+    queried (its modal height) is read only at the worlds within h steps
+    of the root (the generated-submodel lemma).  The pass numbers those
+    worlds in breadth-first order from the root, and each formula's
+    vector covers the worlds within its modal height.  Two rooted calls
+    take the whole-model pass and return its entries at the root: a
+    model with a label above the domain, so that the error is the
+    whole-model pass's, and a root whose depth-bounded reach is every
+    world.
     """
-    vectors: LabelVectors = {}
-    succ = model._succ
-    worlds = model.worlds
     n = sig.n
+    succ, worlds = model._succ, model.worlds
+    layers = None
+    if root is not None:
+        _check_world(model, root)
+        order = tuple(order)
+        rooted = _rooted_layers(model, root, order) if model._top <= n else None
+        if rooted is None:
+            return {f: [vec[root]] for f, vec in label_vectors(sig, model, order).items()}
+        heights, layers = rooted
+    vectors: LabelVectors = {}
     for f in order:
+        if layers is not None:
+            worlds, succ = layers[heights[f]]
         if isinstance(f, Var):
             name, val_map = f.name, model._val_map
             vec = [val_map.get((w, name), 1) for w in worlds]
@@ -150,6 +215,8 @@ def label_vectors(sig: Signature, model: KripkeModel,
         elif isinstance(f, Apply):
             conn = _checked_connective(sig, f)
             rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * len(worlds)
+            if layers is not None:  # an argument also read deeper runs longer
+                rows = islice(rows, len(worlds))
             vec = list(map(conn.table.__getitem__, rows))
         elif isinstance(f, (Box, Diamond)):
             pick, default = (min, n) if isinstance(f, Box) else (max, 1)
@@ -159,6 +226,55 @@ def label_vectors(sig: Signature, model: KripkeModel,
             raise TypeError(f"not a formula: {f!r}")
         vectors[f] = vec
     return vectors
+
+
+#: A rooted pass's layout: each formula's modal height, and for each
+#: height the worlds within it of the root in breadth-first order, with
+#: their successor lists in that numbering.
+_Layers = tuple[dict[Formula, int], list[tuple[list[int], list[list[int]]]]]
+
+
+def _rooted_layers(model: KripkeModel, root: int,
+                   order: Sequence[Formula]) -> Optional[_Layers]:
+    """The layout of a pass over `order` rooted at `root`, or None when
+    the worlds within the largest modal height are every world.
+
+    Heights run top-down over `order` reversed, so each formula's parents
+    come first, and the breadth-first search stops at the largest height
+    or at a layer that adds no world; neither recurses.  A formula at the
+    largest height is not modal, so the deepest layer's worlds need no
+    successor lists.
+    """
+    heights: dict[Formula, int] = {}
+    for f in reversed(order):
+        h = heights.setdefault(f, 0)
+        if isinstance(f, (Box, Diamond)):
+            if heights.get(f.sub, -1) <= h:
+                heights[f.sub] = h + 1
+        elif isinstance(f, Apply):
+            for a in f.args:
+                if heights.get(a, -1) < h:
+                    heights[a] = h
+    depth = max(heights.values(), default=0)
+    succ = model._succ
+    local, position, local_succ, within = [root], {root: 0}, [], [1]
+    while len(within) <= depth:
+        for u in local[len(local_succ):]:
+            row = []
+            for v in succ[u]:
+                if v not in position:
+                    position[v] = len(local)
+                    local.append(v)
+                row.append(position[v])
+            local_succ.append(row)
+        if len(local) == within[-1]:
+            break
+        within.append(len(local))
+    if len(local) == model.world_count:
+        return None
+    layers = [(local[:k], local_succ[:k]) for k in within]
+    layers += layers[-1:] * (depth + 1 - len(layers))
+    return heights, layers
 
 
 def _checked_connective(sig: Signature, f: Apply) -> Connective:
@@ -185,9 +301,8 @@ def _checked_labels(sig: Signature, sequents: tuple[Sequent, ...]) -> None:
 
 
 def evaluate(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
-    """The label of `formula` at `world`, read from its label vector."""
-    _check_world(model, world)
-    return label_vectors(sig, model, closure_order((formula,)))[formula][world]
+    """The label of `formula` at `world`, from a pass rooted there."""
+    return label_vectors(sig, model, closure_order((formula,)), world)[formula][0]
 
 
 def satisfies_labelled(sig: Signature, model: KripkeModel, world: int,
@@ -226,9 +341,12 @@ def refuting_worlds(sig: Signature, model: KripkeModel,
 
 def satisfies_sequent(sig: Signature, model: KripkeModel, world: int,
                       sequent: Sequent) -> bool:
-    """True iff satisfying every antecedent member forces some succedent member."""
+    """True iff satisfying every antecedent member forces some succedent
+    member, from a pass rooted at the world."""
     _check_world(model, world)
-    return world not in refuting_worlds(sig, model, sequent)
+    _checked_labels(sig, (sequent,))
+    vectors = label_vectors(sig, model, closure_order(sequent.formulas()), world)
+    return not _refuted(vectors, (0,), sequent)
 
 
 def model_satisfies(sig: Signature, model: KripkeModel,

@@ -128,6 +128,28 @@ def build(name, args, kwargs):
     return RECORDS[name](*args, **kwargs), TWINS[name](*args, **kwargs)
 
 
+def rendering(value) -> str:
+    """repr, with the members of each set in sorted order of their rendering.
+
+    copy.deepcopy and pickle rebuild a set by inserting its members in
+    iteration order, and two members whose hashes fall in one slot of the
+    table can then iterate the other way round.  Formula nodes hash by
+    identity, so whether they do depends on memory addresses: the repr of
+    a copied sequent side is not a function of its value, this is.
+    """
+    if isinstance(value, (set, frozenset)):
+        return f"{type(value).__name__}({sorted(map(rendering, value))})"
+    if isinstance(value, (tuple, list)):
+        return f"{type(value).__name__}({list(map(rendering, value))})"
+    if isinstance(value, dict):
+        return f"dict({[(rendering(k), rendering(v)) for k, v in value.items()]})"
+    if isinstance(value, Record) or dataclasses.is_dataclass(value):
+        fields = ", ".join(f"{name}={rendering(getattr(value, name))}"
+                           for name in value.__match_args__)
+        return f"{type(value).__qualname__}({fields})"
+    return repr(value)
+
+
 def hash_or_error(value):
     try:
         return hash(value)
@@ -185,9 +207,10 @@ class TestAgainstTheDataclass:
         for duplicate in (copy.copy(record), copy.deepcopy(record),
                           pickle.loads(pickle.dumps(record))):
             assert type(duplicate) is type(record)
-            assert duplicate == record and repr(duplicate) == repr(record)
+            # by value, not by repr text: see rendering
+            assert duplicate == record and rendering(duplicate) == rendering(record)
             assert vars(duplicate).keys() == vars(record).keys()
-        assert repr(copy.deepcopy(twin)) == repr(twin)
+        assert rendering(copy.deepcopy(twin)) == rendering(twin)
 
 
 @pytest.mark.parametrize("name, args", INVALID,

@@ -1,17 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import oracle_models, rand_formula, rand_sequent
 from mvmodal import semantics
 from mvmodal.core import (
     Apply,
     Box,
+    Connective,
     Diamond,
     LabelledFormula,
     Sequent,
     Var,
     closure_order,
+    lukasiewicz_implication,
+    make_signature,
+    reversal_connective,
     up_set,
 )
 from mvmodal.proofs import instantiate_scheme
@@ -21,6 +27,7 @@ from mvmodal.semantics import (
     KripkeModel,
     evaluate,
     frame_check,
+    label_vectors,
     model_satisfies,
     refuting_worlds,
     satisfies_labelled,
@@ -79,6 +86,20 @@ class TestModel:
         assert [type(x) for x in (m.world_count, u, v, world, label)] == [int] * 5
         assert (m.world_count, m.edges, m.vals) == (2, {(0, 1)}, (((1, "p"), 3),))
         assert m.value(1, "p") == 3
+
+
+    def test_edges_in_any_pair_form(self):
+        # exact int tuples are stored as given; lists, bools and a float
+        # after an out-of-range edge take the operator.index path as before
+        m = KripkeModel(3, [[0, 1], (True, 2), (2, 2)])
+        assert m.edges == {(0, 1), (1, 2), (2, 2)}
+        assert ({(type(e), type(u), type(v)) for e in m.edges for u, v in [e]}
+                == {(tuple, int, int)})
+        assert m.successors(1) == {2}
+        with pytest.raises(TypeError):
+            KripkeModel(2, [(0, 5), (0, 1.5)])
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) references an undeclared world$"):
+            KripkeModel(2, [(0, 1), (0, 5)])
 
 
 class TestEvaluate:
@@ -220,6 +241,116 @@ class TestSatisfaction:
                 if satisfies_sequent(luk3, m, u, s):
                     assert satisfies_sequent(luk3, m, u, wider)
                     assert satisfies_sequent(luk3, m, u, longer)
+
+
+#: A signature with a constant (0-ary connective), for the point evaluator.
+SIG = make_signature(3, [lukasiewicz_implication(3), reversal_connective(3),
+                         Connective("half", 0, {(): 2})])
+
+
+@st.composite
+def sparse_models(draw):
+    """Up to 9 worlds and at most one edge per world on average, so that
+    dead ends, self-loops and worlds a root never reaches are common."""
+    world_count = draw(st.integers(1, 9))
+    worlds = st.integers(0, world_count - 1)
+    edges = draw(st.sets(st.tuples(worlds, worlds), max_size=world_count))
+    vals = draw(st.dictionaries(st.tuples(worlds, st.sampled_from("pq")),
+                                st.integers(1, 3)))
+    return KripkeModel(world_count, edges, vals)
+
+
+def assert_points_match_the_whole_model(model, formulas, sequents):
+    """evaluate, satisfies_labelled and satisfies_sequent at every world
+    against one whole-model label_vectors pass and refuting_worlds."""
+    whole = label_vectors(SIG, model, closure_order(formulas))
+    refuting = [set(refuting_worlds(SIG, model, s)) for s in sequents]
+    for w in model.worlds:
+        for f in formulas:
+            assert evaluate(SIG, model, w, f) == whole[f][w]
+            for k in (1, 2, 3):
+                assert satisfies_labelled(SIG, model, w, lf(f, k)) == (whole[f][w] == k)
+        for s, worlds in zip(sequents, refuting):
+            assert satisfies_sequent(SIG, model, w, s) == (w not in worlds)
+
+
+class TestPointEvaluation:
+    """A question about one world reads a pass rooted there, which
+    evaluates each formula within its modal height of the root only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_models(), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_every_world_matches_the_whole_model_pass(self, model, seed, modal):
+        rng = random.Random(seed)
+        fs = [rand_formula(rng, SIG, ["p", "q"], rng.randint(0, 5), modal)
+              for _ in range(3)]
+        # fs[0] at two modal heights, and a constant among them
+        fs += [Apply("imp", (fs[0], Box(fs[0]))), Diamond(Apply("half", ()))]
+        sequents = [rand_sequent(rng, SIG, ["p", "q"], 3) for _ in range(2)]
+        sequents.append(Sequent([lf(fs[0], rng.randint(1, 3))],
+                                [lf(Box(fs[0]), rng.randint(1, 3))]))
+        assert_points_match_the_whole_model(model, fs, sequents)
+
+    def test_dead_ends_self_loops_and_a_chain(self):
+        # 0 -> 1 -> ... -> 9, a dead end, with a self-loop at 4; 10 and 11
+        # are never reached from below
+        edges = {(u, u + 1) for u in range(9)} | {(4, 4), (10, 11), (11, 10)}
+        m = KripkeModel(12, edges, {(u, "p"): u % 3 + 1 for u in range(12)})
+        chains = [p]
+        for level in range(12):
+            chains.append((Box, Diamond)[level % 2](chains[-1]))
+        shared = [Apply("imp", (p, Box(p))), Apply("neg", (Diamond(Box(p)),))]
+        sequents = [Sequent([lf(p, 2)], [lf(Box(p), 2)]),
+                    Sequent([lf(Box(Box(p)), 3)], [lf(Apply("half", ()), 2)]),
+                    Sequent()]
+        assert_points_match_the_whole_model(m, chains + shared, sequents)
+
+    def test_each_formula_is_evaluated_within_its_modal_height(self):
+        # 0 -> 1 -> 2 -> 3: a modal-free formula is read at the root alone,
+        # and p, read under one Box and under none, at worlds 0 and 1
+        m = KripkeModel(4, {(0, 1), (1, 2), (2, 3)}, {(0, "p"): 3, (3, "q"): 2})
+        free = Apply("imp", (q, Apply("neg", (p,))))
+        shared = Apply("imp", (p, Box(p)))
+        for f, lengths in ((free, {free: 1, q: 1, p: 1, Apply("neg", (p,)): 1}),
+                           (shared, {shared: 1, Box(p): 1, p: 2})):
+            vectors = label_vectors(SIG, m, closure_order([f]), 0)
+            assert {g: len(vec) for g, vec in vectors.items()} == lengths
+            assert_points_match_the_whole_model(m, [f], [Sequent([lf(f, 1)], [])])
+
+    def test_a_formula_3000_levels_deep(self):
+        f = p
+        for level in range(3000):
+            f = (Box, Diamond, lambda g: Apply("imp", (q, g)))[level % 3](f)
+        # world 2 is never reached from 0 or 1
+        m = KripkeModel(3, {(0, 1), (1, 1), (2, 0)}, {(1, "p"): 3, (0, "q"): 2})
+        assert_points_match_the_whole_model(m, [f], [Sequent([lf(f, 3)], [])])
+
+    @pytest.mark.parametrize("call", [
+        lambda m: evaluate(SIG, m, 0, Box(q)),
+        lambda m: evaluate(SIG, m, 0, Apply("imp", (Apply("neg", (p,)), q))),
+        lambda m: satisfies_labelled(SIG, m, 0, lf(q, 1)),
+        lambda m: satisfies_sequent(SIG, m, 0, Sequent([lf(Box(q), 1)], [])),
+    ], ids=["box", "neg", "labelled", "sequent"])
+    def test_a_label_above_the_domain_the_root_never_reaches(self, call):
+        # the whole-model pass's error, naming the first variable in
+        # closure order with such a label, and its first such world
+        m = KripkeModel(3, {(0, 1)}, {(2, "q"): 7, (2, "p"): 9})
+        with pytest.raises(ValueError) as err:
+            call(m)
+        assert str(err.value) == ("valuation gives 'q' label 7 at world 2, "
+                                  "above the domain's 3")
+
+    @pytest.mark.parametrize("world", [-1, 3, 10 ** 6])
+    @pytest.mark.parametrize("call", [
+        lambda m, w: evaluate(SIG, m, w, Box(p)),
+        lambda m, w: satisfies_labelled(SIG, m, w, lf(p, 1)),
+        lambda m, w: satisfies_sequent(SIG, m, w, Sequent([lf(p, 1)], [])),
+        lambda m, w: label_vectors(SIG, m, [p], w),
+    ], ids=["evaluate", "labelled", "sequent", "label_vectors"])
+    def test_a_world_outside_the_model(self, call, world):
+        m = KripkeModel(3, {(0, 1)})
+        with pytest.raises(ValueError, match=f"^unknown world {world}$"):
+            call(m, world)
 
 
 class TestFrameCheck:
