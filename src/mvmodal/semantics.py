@@ -11,10 +11,9 @@ the worlds within d steps of w (the generated-submodel lemma).  A
 question about one world (`evaluate`, `satisfies_labelled`,
 `satisfies_sequent`) is therefore answered by a label_vectors pass
 rooted there, which evaluates each formula only on the worlds within
-its modal height of the root.  Two rooted questions take the
-whole-model pass instead: on a model with a label above the domain,
-whose error names the first such world by index, and when the worlds
-within reach are every world.  Questions about every world
+its modal height of the root.  A rooted question on a model with a
+label above the domain takes the whole-model pass instead, whose error
+names the first such world by index.  Questions about every world
 (`refuting_worlds`, `model_satisfies`) and the other layers' calls
 evaluate the whole model.
 """
@@ -68,15 +67,20 @@ def _check_world(model: KripkeModel, world: int) -> None:
         raise ValueError(f"unknown world {world}")
 
 
-def _exact_successors(world_count: int,
-                      edge_set: frozenset[tuple[int, int]]) -> Optional[list[set[int]]]:
-    """Each world's successors, or None unless every end is an exact int
-    within the worlds."""
+def _successors(world_count: int, edge_set: frozenset[tuple[int, int]],
+                exact: bool) -> Optional[list[set[int]]]:
+    """Each world's successors.  An end outside the worlds is a
+    ValueError; with `exact`, an edge that is not a pair of exact ints
+    within the worlds gives None instead, so that the caller's
+    operator.index raises a TypeError first."""
     succ: list[set[int]] = [set() for _ in range(world_count)]
     for u, v in edge_set:
-        if not (type(u) is int and type(v) is int
-                and 0 <= u < world_count and 0 <= v < world_count):
+        if exact and not (type(u) is int and type(v) is int):
             return None
+        if not (0 <= u < world_count and 0 <= v < world_count):
+            if exact:
+                return None
+            raise ValueError(f"edge ({u}, {v}) references an undeclared world")
         succ[u].add(v)
     return succ
 
@@ -108,15 +112,12 @@ class KripkeModel(Record):
         pairs = tuple(edges)
         try:  # exact int pairs within the worlds, as parse_model gives
             edge_set = frozenset(pairs)
-            succ = _exact_successors(world_count, edge_set)
+            succ = _successors(world_count, edge_set, exact=True)
         except (TypeError, ValueError):  # an unhashable pair or one of another length
             succ = None
         if succ is None:  # any other pair goes through operator.index, end by end
             edge_set = frozenset((index(u), index(v)) for u, v in pairs)
-            for u, v in edge_set:
-                if not (0 <= u < world_count and 0 <= v < world_count):
-                    raise ValueError(f"edge ({u}, {v}) references an undeclared world")
-            succ = _exact_successors(world_count, edge_set)
+            succ = _successors(world_count, edge_set, exact=False)
         val_map: dict[tuple[int, str], int] = {}
         for key, k in (vals.items() if isinstance(vals, Mapping) else vals):
             u, p = key
@@ -185,22 +186,21 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     queried (its modal height) is read only at the worlds within h steps
     of the root (the generated-submodel lemma).  The pass numbers those
     worlds in breadth-first order from the root, and each formula's
-    vector covers the worlds within its modal height.  Two rooted calls
-    take the whole-model pass and return its entries at the root: a
-    model with a label above the domain, so that the error is the
-    whole-model pass's, and a root whose depth-bounded reach is every
-    world.
+    vector covers the worlds within its modal height.  A rooted call on a
+    model with a label above the domain takes the whole-model pass and
+    returns its entries at the root, so that the error is the
+    whole-model pass's.
     """
     n = sig.n
     succ, worlds = model._succ, model.worlds
     layers = None
     if root is not None:
+        root = index(root)
         _check_world(model, root)
         order = tuple(order)
-        rooted = _rooted_layers(model, root, order) if model._top <= n else None
-        if rooted is None:
+        if model._top > n:
             return {f: [vec[root]] for f, vec in label_vectors(sig, model, order).items()}
-        heights, layers = rooted
+        heights, layers = _rooted_layers(model, root, order)
     vectors: LabelVectors = {}
     for f in order:
         if layers is not None:
@@ -234,10 +234,8 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
 _Layers = tuple[dict[Formula, int], list[tuple[list[int], list[list[int]]]]]
 
 
-def _rooted_layers(model: KripkeModel, root: int,
-                   order: Sequence[Formula]) -> Optional[_Layers]:
-    """The layout of a pass over `order` rooted at `root`, or None when
-    the worlds within the largest modal height are every world.
+def _rooted_layers(model: KripkeModel, root: int, order: Sequence[Formula]) -> _Layers:
+    """The layout of a pass over `order` rooted at `root`.
 
     Heights run top-down over `order` reversed, so each formula's parents
     come first, and the breadth-first search stops at the largest height
@@ -270,8 +268,6 @@ def _rooted_layers(model: KripkeModel, root: int,
         if len(local) == within[-1]:
             break
         within.append(len(local))
-    if len(local) == model.world_count:
-        return None
     layers = [(local[:k], local_succ[:k]) for k in within]
     layers += layers[-1:] * (depth + 1 - len(layers))
     return heights, layers

@@ -352,6 +352,21 @@ class TestPointEvaluation:
         with pytest.raises(ValueError, match=f"^unknown world {world}$"):
             call(m, world)
 
+    @pytest.mark.parametrize("call", [
+        lambda m, w: evaluate(SIG, m, w, p),
+        lambda m, w: satisfies_labelled(SIG, m, w, lf(p, 1)),
+        lambda m, w: satisfies_sequent(SIG, m, w, Sequent([lf(p, 1)], [])),
+        lambda m, w: label_vectors(SIG, m, [p], w),
+    ], ids=["evaluate", "labelled", "sequent", "label_vectors"])
+    def test_a_world_that_is_not_an_index(self, call):
+        # a modal-free formula reads no successor list, and still a
+        # float world is a TypeError, as a world everywhere else is
+        m = KripkeModel(3, {(0, 1)}, {(1, "p"): 2})
+        for world in (1.5, 1.0):
+            with pytest.raises(TypeError):
+                call(m, world)
+        assert evaluate(SIG, m, True, p) == 2
+
 
 class TestFrameCheck:
     def test_identity_relation(self):
