@@ -122,22 +122,13 @@ def _model(args, sig: Signature) -> KripkeModel:
     return model if model._top <= sig.n else parse_model(text, sig)
 
 
-def _logic(name: str) -> LogicId:
+def _member(kind: type, name: str, what: str):
+    """The member of `kind` whose value is `name`; `what` names the kind."""
     try:
-        return LogicId(name)
+        return kind(name)
     except ValueError:
-        raise UsageError(
-            f"unknown logic {name!r}; choose from "
-            + ", ".join(l.value for l in LogicId)) from None
-
-
-def _frame_class(name: str) -> FrameClass:
-    try:
-        return FrameClass(name)
-    except ValueError:
-        raise UsageError(
-            f"unknown frame class {name!r}; choose from "
-            + ", ".join(c.value for c in FrameClass)) from None
+        raise UsageError(f"unknown {what} {name!r}; choose from "
+                         + ", ".join(m.value for m in kind)) from None
 
 
 def _sigma(args, sig: Signature):
@@ -179,13 +170,8 @@ def cmd_decide(args) -> int:
     sig = _signature(args)
     sigma = _sigma(args, sig)
     goal = parse_sequent(args.sequent, sig)
-    logic = _logic(args.logic)
-    try:
-        outcome = decide(sig, sigma, goal, logic, args.bound,
-                         ceiling=args.ceiling)
-    except EnumerationCeilingError:
-        print("aborted: ceiling")
-        return 2
+    logic = _member(LogicId, args.logic, "logic")
+    outcome = decide(sig, sigma, goal, logic, args.bound, ceiling=args.ceiling)
     if isinstance(outcome, Countermodel):
         print("countermodel")
         print(f"world {outcome.world}")
@@ -202,7 +188,7 @@ def cmd_decide(args) -> int:
 def cmd_check_proof(args) -> int:
     sig = _signature(args)
     sigma = _sigma(args, sig)
-    logic = _logic(args.logic)
+    logic = _member(LogicId, args.logic, "logic")
     derivation = parse_proof(_read(args.proof), sig, logic, sigma)
     violation = check_derivation(derivation, sig)
     if violation is None:
@@ -216,7 +202,7 @@ def cmd_check_proof(args) -> int:
 def cmd_filter(args) -> int:
     sig = _signature(args)
     model = _model(args, sig)
-    logic = _logic(args.logic)
+    logic = _member(LogicId, args.logic, "logic")
     phi = parse_formulas(_read(args.phi), sig)
     filtered = filter_model(sig, model, subformula_closure(phi), logic)
     print("filtered")
@@ -229,11 +215,7 @@ def cmd_filter(args) -> int:
 def cmd_neg_scan(args) -> int:
     if args.n < 2:
         raise UsageError("the domain needs at least 2 values")
-    try:
-        survivors = uniqueness_scan(args.n, args.bound, ceiling=args.ceiling)
-    except EnumerationCeilingError:
-        print("aborted: ceiling")
-        return 2
+    survivors = uniqueness_scan(args.n, args.bound, ceiling=args.ceiling)
     print(f"survivors {len(survivors)}")
     for table in survivors:
         print("table " + " ".join(map(str, table)))
@@ -254,7 +236,7 @@ def cmd_translate(args) -> int:
 def cmd_frame_check(args) -> int:
     # only the relation matters here; a label above 2^31 is still an error
     model = _model(args, PERMISSIVE)
-    if frame_check(model, _frame_class(args.frame_class)):
+    if frame_check(model, _member(FrameClass, args.frame_class, "frame class")):
         print("yes")
         return 0
     print("no")
@@ -459,6 +441,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 2 if exc.code else 0
     try:
         return args.func(args)
+    except EnumerationCeilingError:  # decide and neg-scan
+        print("aborted: ceiling")
+        return 2
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

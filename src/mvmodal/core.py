@@ -9,13 +9,14 @@ package (domains, signatures, labelled formulas, sequents, models,
 verdicts, reports and proof steps) is a Record: a frozen value record
 that behaves as @dataclass(frozen=True) did, with none of the code
 generation that costs the decorator most of a module's import time.  A
-record class lists its fields in __match_args__ and writes its own
-__init__, which checks and normalises its arguments and stores each
-field through _set_field.  Record gives it the rest: equality on the
-exact class and the tuple of fields, a hash of that tuple, the
-dataclass repr, and dataclasses.FrozenInstanceError on assignment and
-deletion.  Instances keep their __dict__, so copy and pickle handle
-them as they handle any plain object.
+record class lists its fields in __match_args__.  Record stores the
+fields, binding its arguments to those names as a Python signature of
+them would; a record that checks or normalises writes its own __init__,
+which stores each field through _set_field.  Record gives every record
+the rest: equality on the exact class and the tuple of fields, a hash
+of that tuple, the dataclass repr, and dataclasses.FrozenInstanceError
+on assignment and deletion.  Instances keep their __dict__, so copy and
+pickle handle them as they handle any plain object.
 """
 
 from __future__ import annotations
@@ -52,6 +53,31 @@ class Record:
             fields = lambda self: ()  # noqa: E731
         #: The record's fields as a tuple, in __match_args__ order.
         cls._fields = staticmethod(fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The fields' values in order, from arguments bound to the
+        field names as a Python signature of those parameters binds them."""
+        names, cls = self.__match_args__, self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} positional argument"
+                            f"{'s' * (len(names) != 1)} but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+        return [values[name] for name in names]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -122,13 +148,8 @@ class Signature(Record):
     def __init__(self, domain: TruthDomain, connectives: Mapping[str, Connective]):
         _set_field(self, "domain", domain)
         _set_field(self, "connectives", connectives)
-        self.__post_init__()
-
-    def __post_init__(self):
-        # the validation, a method of its own: tests/test_duality.py counts
-        # the signatures built through it
-        n = self.domain.n
-        for name, conn in self.connectives.items():
+        n = domain.n
+        for name, conn in connectives.items():
             if name != conn.name:
                 raise ValueError(f"connective {conn.name!r} registered under {name!r}")
             if name in RESERVED_NAMES:
@@ -520,15 +541,18 @@ def subformula_closure(formulas: Iterable[Formula]) -> frozenset[Formula]:
     return frozenset(closure_order(formulas))
 
 
+def _checked_connective(sig: Signature, name: str, count: int) -> Connective:
+    """The signature's connective `name`, checked against `count` arguments."""
+    conn = sig.connective(name)
+    if count != conn.arity:
+        raise ValueError(f"connective {name!r} expects {conn.arity} arguments, got {count}")
+    return conn
+
+
 def apply_connective(sig: Signature, name: str, args: tuple[int, ...]) -> int:
     """Look up a connective's truth table on a tuple of labels."""
-    conn = sig.connective(name)
     args = tuple(args)
-    if len(args) != conn.arity:
-        raise ValueError(
-            f"connective {name!r} expects {conn.arity} arguments, got {len(args)}"
-        )
-    return conn.table[args]
+    return _checked_connective(sig, name, len(args)).table[args]
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ from .core import (
     Sequent,
     Signature,
     Var,
-    _set_field,
+    _checked_connective,
     closure_order,
 )
 from .proofs import LogicId
@@ -130,7 +130,6 @@ from .semantics import (
     _FRAME_PROPERTIES,
     FrameClass,
     KripkeModel,
-    _checked_connective,
     _checked_labels,
     _members,
     _refuted,
@@ -198,25 +197,15 @@ class Countermodel(Record):
     model: KripkeModel
     world: int
 
-    def __init__(self, model: KripkeModel, world: int):
-        _set_field(self, "model", model)
-        _set_field(self, "world", world)
-
 
 class ValidUpTo(Record):
     __match_args__ = ("bound",)
     bound: int
 
-    def __init__(self, bound: int):
-        _set_field(self, "bound", bound)
-
 
 class ProvedValid(Record):
     __match_args__ = ("bound",)
     bound: int
-
-    def __init__(self, bound: int):
-        _set_field(self, "bound", bound)
 
 
 DecisionOutcome = Countermodel | ValidUpTo | ProvedValid
@@ -481,7 +470,7 @@ def _bitsliced(sig: Signature, order: Sequence[Formula], atoms: dict[Var, _Bits]
         if isinstance(f, Var):
             vectors[f] = atoms[f]
         elif isinstance(f, Apply):
-            table = _checked_connective(sig, f).table
+            table = _checked_connective(sig, f.conn, len(f.args)).table
             rows = [((), full)]
             for arg in f.args:
                 rows = [(labels + (k,), both) for labels, bits in rows

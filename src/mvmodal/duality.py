@@ -128,12 +128,6 @@ class DualityWitness(Record):
     label: int
     side: str  # "diamond" or "box": which of the two dual claims failed
 
-    def __init__(self, model: KripkeModel, world: int, label: int, side: str):
-        _set_field(self, "model", model)
-        _set_field(self, "world", world)
-        _set_field(self, "label", label)
-        _set_field(self, "side", side)
-
 
 class DualityReport(Record):
     __match_args__ = ("holds", "witness")

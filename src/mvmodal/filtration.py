@@ -159,13 +159,6 @@ class FiltrationReport(Record):
     frame_class: FrameClass
     value_mismatches: tuple[tuple[int, Formula, int, int], ...]
 
-    def __init__(self, ok: bool, frame_ok: bool, frame_class: FrameClass,
-                 value_mismatches: tuple[tuple[int, Formula, int, int], ...]):
-        _set_field(self, "ok", ok)
-        _set_field(self, "frame_ok", frame_ok)
-        _set_field(self, "frame_class", frame_class)
-        _set_field(self, "value_mismatches", value_mismatches)
-
     def __str__(self):
         if self.ok:
             return "filtration verified"

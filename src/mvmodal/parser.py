@@ -47,7 +47,6 @@ from .core import (
     Sequent,
     Signature,
     Var,
-    _set_field,
     all_entries,
     labelled_key,
     make_signature,
@@ -83,11 +82,6 @@ class SourceSpan(Record):
     line: int
     column: int
     offset: int
-
-    def __init__(self, line: int, column: int, offset: int):
-        _set_field(self, "line", line)
-        _set_field(self, "column", column)
-        _set_field(self, "offset", offset)
 
 
 def _quote(text: str) -> str:

@@ -119,9 +119,6 @@ class Hypothesis(Record):
     __match_args__ = ("index",)
     index: int  # 0-based position in the derivation's hypothesis list
 
-    def __init__(self, index: int):
-        _set_field(self, "index", index)
-
 
 class AxiomIdentity(Record):
     pass
@@ -149,42 +146,26 @@ class LeftShift(Record):
     __match_args__ = ("label",)
     label: int
 
-    def __init__(self, label: int):
-        _set_field(self, "label", label)
-
 
 class RightShift(Record):
     __match_args__ = ("from_label", "to_label")
     from_label: int
     to_label: int
 
-    def __init__(self, from_label: int, to_label: int):
-        _set_field(self, "from_label", from_label)
-        _set_field(self, "to_label", to_label)
-
 
 class LeftWeaken(Record):
     __match_args__ = ("added",)
     added: LabelledFormula
-
-    def __init__(self, added: LabelledFormula):
-        _set_field(self, "added", added)
 
 
 class RightWeaken(Record):
     __match_args__ = ("added",)
     added: LabelledFormula
 
-    def __init__(self, added: LabelledFormula):
-        _set_field(self, "added", added)
-
 
 class Cut(Record):
     __match_args__ = ("cut",)
     cut: LabelledFormula
-
-    def __init__(self, cut: LabelledFormula):
-        _set_field(self, "cut", cut)
 
 
 class Resolution(Record):
@@ -192,11 +173,6 @@ class Resolution(Record):
     formula: Formula
     first_label: int
     second_label: int
-
-    def __init__(self, formula: Formula, first_label: int, second_label: int):
-        _set_field(self, "formula", formula)
-        _set_field(self, "first_label", first_label)
-        _set_field(self, "second_label", second_label)
 
 
 class MultiShift(Record):
@@ -293,11 +269,6 @@ class Violation(Record):
     step: int  # 1-based, matching script numbering
     rule: str
     reason: str
-
-    def __init__(self, step: int, rule: str, reason: str):
-        _set_field(self, "step", step)
-        _set_field(self, "rule", rule)
-        _set_field(self, "reason", reason)
 
     def __str__(self):
         return f"step {self.step} ({self.rule}): {self.reason}"

@@ -11,11 +11,11 @@ the worlds within d steps of w (the generated-submodel lemma).  A
 question about one world (`evaluate`, `satisfies_labelled`,
 `satisfies_sequent`) is therefore answered by a label_vectors pass
 rooted there, which evaluates each formula only on the worlds within
-its modal height of the root.  A rooted question on a model with a
-label above the domain takes the whole-model pass instead, whose error
-names the first such world by index.  Questions about every world
+its modal height of the root.  Questions about every world
 (`refuting_worlds`, `model_satisfies`) and the other layers' calls
-evaluate the whole model.
+evaluate the whole model.  A variable labelled above the domain is an
+error either way, naming the first such world by index, even one the
+rooted pass never reaches.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import (
 from .core import (
     Apply,
     Box,
-    Connective,
     Diamond,
     Formula,
     LabelledFormula,
@@ -46,6 +45,7 @@ from .core import (
     Sequent,
     Signature,
     Var,
+    _checked_connective,
     _set_field,
     closure_order,
 )
@@ -134,8 +134,8 @@ class KripkeModel(Record):
         _set_field(self, "vals", tuple(sorted(val_map.items())))
         _set_field(self, "_succ", tuple(frozenset(s) for s in succ))
         _set_field(self, "_val_map", val_map)
-        #: The largest label: a rooted label_vectors pass reads the
-        #: valuation only where it reaches, so it checks the labels here.
+        #: The largest label: label_vectors checks a variable's labels
+        #: against the domain only when this is above it.
         _set_field(self, "_top", max(val_map.values(), default=1))
 
     @property
@@ -186,10 +186,12 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
     queried (its modal height) is read only at the worlds within h steps
     of the root (the generated-submodel lemma).  The pass numbers those
     worlds in breadth-first order from the root, and each formula's
-    vector covers the worlds within its modal height.  A rooted call on a
-    model with a label above the domain takes the whole-model pass and
-    returns its entries at the root, so that the error is the
-    whole-model pass's.
+    vector covers the worlds within its modal height.
+
+    A variable labelled above the domain at some world is a ValueError
+    naming the first such world by index, rooted or not: the check reads
+    every world of the model, and runs only when the model holds such a
+    label.
     """
     n = sig.n
     succ, worlds = model._succ, model.worlds
@@ -198,8 +200,6 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
         root = index(root)
         _check_world(model, root)
         order = tuple(order)
-        if model._top > n:
-            return {f: [vec[root]] for f, vec in label_vectors(sig, model, order).items()}
         heights, layers = _rooted_layers(model, root, order)
     vectors: LabelVectors = {}
     for f in order:
@@ -207,13 +207,14 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
             worlds, succ = layers[heights[f]]
         if isinstance(f, Var):
             name, val_map = f.name, model._val_map
+            if model._top > n:  # the model's own check knows no signature
+                for w in model.worlds:
+                    if (k := val_map.get((w, name), 1)) > n:
+                        raise ValueError(f"valuation gives {name!r} label {k} at "
+                                         f"world {w}, above the domain's {n}")
             vec = [val_map.get((w, name), 1) for w in worlds]
-            if max(vec) > n:  # the model's own check knows no signature
-                w = next(w for w in worlds if vec[w] > n)
-                raise ValueError(f"valuation gives {name!r} label {vec[w]} at "
-                                 f"world {w}, above the domain's {n}")
         elif isinstance(f, Apply):
-            conn = _checked_connective(sig, f)
+            conn = _checked_connective(sig, f.conn, len(f.args))
             rows = zip(*[vectors[a] for a in f.args]) if f.args else [()] * len(worlds)
             if layers is not None:  # an argument also read deeper runs longer
                 rows = islice(rows, len(worlds))
@@ -271,15 +272,6 @@ def _rooted_layers(model: KripkeModel, root: int, order: Sequence[Formula]) -> _
     layers = [(local[:k], local_succ[:k]) for k in within]
     layers += layers[-1:] * (depth + 1 - len(layers))
     return heights, layers
-
-
-def _checked_connective(sig: Signature, f: Apply) -> Connective:
-    """The signature's connective of `f`, checked against its arguments."""
-    conn = sig.connective(f.conn)
-    if len(f.args) != conn.arity:
-        raise ValueError(f"connective {f.conn!r} expects {conn.arity} "
-                         f"arguments, got {len(f.args)}")
-    return conn
 
 
 def _checked_labels(sig: Signature, sequents: tuple[Sequent, ...]) -> None:

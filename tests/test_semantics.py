@@ -340,6 +340,30 @@ class TestPointEvaluation:
         assert str(err.value) == ("valuation gives 'q' label 7 at world 2, "
                                   "above the domain's 3")
 
+    def test_a_label_above_the_domain_on_a_variable_never_read(self, monkeypatch):
+        # only the variables read are checked, so each question is answered,
+        # and by the one rooted pass
+        m = KripkeModel(3, {(0, 1), (1, 2)}, {(1, "p"): 3, (2, "q"): 7})
+        f = Box(Apply("neg", (p,)))
+        sequent = Sequent([lf(f, 1)], [lf(p, 2)])
+        whole = label_vectors(SIG, m, closure_order([f]))[f]
+        refuted = set(refuting_worlds(SIG, m, sequent))
+        calls = []
+        real = semantics.label_vectors
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semantics, "label_vectors", counting)
+        for w in m.worlds:
+            calls.clear()
+            assert evaluate(SIG, m, w, f) == whole[w]
+            assert len(calls) == 1
+            calls.clear()
+            assert satisfies_sequent(SIG, m, w, sequent) == (w not in refuted)
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("world", [-1, 3, 10 ** 6])
     @pytest.mark.parametrize("call", [
         lambda m, w: evaluate(SIG, m, w, Box(p)),
