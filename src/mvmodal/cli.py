@@ -15,13 +15,16 @@ an edited file is parsed again, and an error is never held.  Answers,
 exit statuses and messages are unchanged; on the error path a malformed
 file is parsed twice.
 
-argv is read without argparse when argparse would accept it unchanged: a
-subcommand, then that subcommand's exact option strings, each at most
-once, each value not beginning with "-" (a sequent beginning with "->"
-is a value), every required option and as many positionals as it takes.
-Every other argv, such as help, "--", an abbreviated or "="-joined
-option, a negative number or any error, goes to argparse, so its
-messages and exit status are argparse's own.
+Each subcommand and its options are declared once, in `_COMMANDS`;
+the argparse parser is built from that table, and so is the argv reader
+that stands in for it.  argv is read without argparse when argparse
+would accept it unchanged: a subcommand, then that subcommand's exact
+option strings, each at most once, each value not beginning with "-" (a
+sequent beginning with "->" is a value), every required option and as
+many positionals as it takes.  Every other argv, such as help, "--", an
+abbreviated or "="-joined option, a negative number or any error, goes
+to argparse, so its messages and exit status are argparse's own; the
+parser is built only then, once per process.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import os
 import sys
 from collections import OrderedDict
 from functools import cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import Signature, TruthDomain, is_modal_free, subformula_closure
 from .decision import (
@@ -264,121 +267,85 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+#: Each subcommand, declared once: its handler, its help line and its
+#: arguments in declaration order, each option string or positional name
+#: with the keywords of its add_argument call.  build_parser and the argv
+#: reader both read this table; "store_true" is the one action declared.
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate a formula at a world", {
+        "--sig": {"required": True},
+        "--model": {"required": True},
+        "--world": {"type": int, "required": True},
+        "formula": {},
+    }),
+    "sat": (cmd_sat, "check sequent satisfaction on a model", {
+        "--sig": {"required": True},
+        "--model": {"required": True},
+        "--world": {"type": int},
+        "sequent": {},
+    }),
+    "decide": (cmd_decide, "bounded countermodel search", {
+        "--sig": {"required": True},
+        "--sigma": {},
+        "--logic": {"default": "mv-K"},
+        "--bound": {"type": int, "default": 2},
+        "--ceiling": {"type": _ceiling,
+                      "help": f"models examined over the whole search (default "
+                              f"{ENUM_CEILING_VAR} or {DEFAULT_ENUM_CEILING})"},
+        "sequent": {},
+    }),
+    "check-proof": (cmd_check_proof, "check a proof script", {
+        "--sig": {"required": True},
+        "--sigma": {},
+        "--logic": {"default": "mv-K"},
+        "proof": {},
+    }),
+    "filter": (cmd_filter, "filter a model through formulas", {
+        "--sig": {"required": True},
+        "--model": {"required": True},
+        "--logic": {"default": "mv-K"},
+        "--phi": {"required": True,
+                  "help": "file of formulas; their closure is used"},
+    }),
+    "neg-scan": (cmd_neg_scan, "scan unary tables for modal duality", {
+        "--n": {"type": int, "required": True},
+        "--bound": {"type": int, "required": True},
+        "--ceiling": {"type": _ceiling,
+                      "help": "models examined over the whole scan"},
+    }),
+    "translate": (cmd_translate,
+                  "insert necessity operators into a modal-free sequent", {
+        "--sig": {"required": True},
+        "--optimized": {"action": "store_true",
+                        "help": "skip the box on monotone connectives"},
+        "sequent": {"help": "file containing one sequent"},
+    }),
+    "frame-check": (cmd_frame_check, "test a frame property", {
+        "--model": {"required": True},
+        "frame_class": {},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="mvmodal",
         description="Many-valued modal logic: evaluation, decision, proofs")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (func, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        return p
-
-    p = add("eval", cmd_eval, help="evaluate a formula at a world")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--world", type=int, required=True)
-    p.add_argument("formula")
-
-    p = add("sat", cmd_sat, help="check sequent satisfaction on a model")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--world", type=int)
-    p.add_argument("sequent")
-
-    p = add("decide", cmd_decide, help="bounded countermodel search")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--sigma")
-    p.add_argument("--logic", default="mv-K")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--ceiling", type=_ceiling, default=None,
-                   help=f"models examined over the whole search (default "
-                        f"{ENUM_CEILING_VAR} or {DEFAULT_ENUM_CEILING})")
-    p.add_argument("sequent")
-
-    p = add("check-proof", cmd_check_proof, help="check a proof script")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--sigma")
-    p.add_argument("--logic", default="mv-K")
-    p.add_argument("proof")
-
-    p = add("filter", cmd_filter, help="filter a model through formulas")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--logic", default="mv-K")
-    p.add_argument("--phi", required=True,
-                   help="file of formulas; their closure is used")
-
-    p = add("neg-scan", cmd_neg_scan,
-            help="scan unary tables for modal duality")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--ceiling", type=_ceiling, default=None,
-                   help="models examined over the whole scan")
-
-    p = add("translate", cmd_translate,
-            help="insert necessity operators into a modal-free sequent")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--optimized", action="store_true",
-                   help="skip the box on monotone connectives")
-    p.add_argument("sequent", help="file containing one sequent")
-
-    p = add("frame-check", cmd_frame_check, help="test a frame property")
-    p.add_argument("--model", required=True)
-    p.add_argument("frame_class")
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
     return top
 
 
-# Built on the first call to main and reused: parsing leaves no state in
-# the parser, and building it costs about as much as a small query.  Its
-# actions are also the only declaration of the options: the argv reader's
-# table below is built from them.
-_shared_parser = cache(build_parser)
-
-
-class _Command(NamedTuple):
-    """What the argv reader needs of one subcommand's parser."""
-    options: dict[str, argparse.Action]  # each exact option string
-    positionals: tuple[argparse.Action, ...]
-    required: frozenset[argparse.Action]
-    defaults: dict[str, object]  # the namespace before any argument
-
-
-def _command(parser: argparse.ArgumentParser) -> Optional[_Command]:
-    """The table of `parser`, or None when it has an action whose effect
-    the reader does not repeat: such a subcommand is left to argparse."""
-    options, positionals, defaults = {}, [], {}
-    for action in parser._actions:
-        if type(action) is argparse._HelpAction:
-            continue  # its option strings are unknown to the reader
-        kind = type(action)
-        if action.default is argparse.SUPPRESS or not (
-                kind is argparse._StoreTrueAction
-                or kind is argparse._StoreAction
-                and action.nargs is None and action.choices is None
-                # argparse passes a string default through the type
-                and not (isinstance(action.default, str) and action.type)):
-            return None
-        options.update(dict.fromkeys(action.option_strings, action))
-        if not action.option_strings:
-            positionals.append(action)
-        defaults[action.dest] = action.default
-    if parser._mutually_exclusive_groups:
-        return None
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    required = frozenset(a for a in options.values() if a.required)
-    return _Command(options, tuple(positionals), required, defaults)
-
-
 @cache
-def _commands() -> tuple[str, dict[str, _Command]]:
-    """The subcommands' dest and, by name, each subcommand's table."""
-    (sub,) = (a for a in _shared_parser()._actions
-              if type(a) is argparse._SubParsersAction)
-    tables = {name: _command(parser) for name, parser in sub.choices.items()}
-    return sub.dest, {name: t for name, t in tables.items() if t is not None}
+def _shared_parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built for the first argv the reader declines and
+    reused: parsing leaves no state in the parser, and building it costs
+    about as much as a small query."""
+    return build_parser()
 
 
 def _plain(arg: str) -> bool:
@@ -390,44 +357,60 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     """The namespace argparse would return for `argv`, or None to leave
     `argv` to argparse.
 
-    Reads only argv that argparse accepts unchanged: a subcommand, then
-    its exact option strings, each at most once and each value plain
-    (see `_plain`), every required option and the positionals' count.
-    Everything else, from help and `--` to every error, is declined, so
-    argparse writes every message and chooses every exit status.
+    Reads only argv that argparse accepts unchanged: a subcommand of
+    `_COMMANDS`, then its exact option strings, each at most once and
+    each value plain (see `_plain`), every required option and the
+    positionals' count.  Everything else, from help and `--` to every
+    error, is declined, so argparse writes every message and chooses
+    every exit status.
     """
-    dest, commands = _commands()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
         return None
-    values = {dest: argv[0], **command.defaults}
-    seen: set[argparse.Action] = set()
-    plain = []
+    func, _, arguments = entry
+    given, plain = {}, []
     args = iter(argv[1:])
-    try:
-        for arg in args:
-            if _plain(arg):
-                plain.append(arg)
-                continue
-            action = command.options.get(arg)
-            if action is None or action in seen:
-                return None
-            seen.add(action)
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                continue
-            value = next(args, "-")  # a missing value is declined
-            if not _plain(value):
-                return None
-            values[action.dest] = action.type(value) if action.type else value
-        if (len(plain) != len(command.positionals)
-                or not command.required <= seen):
+    for arg in args:
+        if _plain(arg):
+            plain.append(arg)
+            continue
+        keywords = arguments.get(arg)
+        if keywords is None or arg in given:
             return None
-        for action, value in zip(command.positionals, plain):
-            values[action.dest] = action.type(value) if action.type else value
+        if "action" in keywords:  # a flag
+            given[arg] = True
+            continue
+        value = next(args, "-")  # a missing value is declined
+        if not _plain(value):
+            return None
+        given[arg] = value
+    values = {"command": argv[0]}
+    positionals = iter(plain)
+    try:
+        for argument, keywords in arguments.items():
+            if argument[0] == "-":
+                dest = argument.lstrip("-").replace("-", "_")
+                if argument not in given:
+                    if "required" in keywords:
+                        return None
+                    # a flag's default is False
+                    values[dest] = "action" not in keywords and keywords.get("default")
+                    continue
+                value = given[argument]
+            else:
+                dest, value = argument, next(positionals, None)
+                if value is None:
+                    return None
+            convert = keywords.get("type")
+            values[dest] = convert(value) if convert else value
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None  # argparse reports the value
-    return argparse.Namespace(**values)
+    if next(positionals, None) is not None:
+        return None
+    values["func"] = func
+    namespace = argparse.Namespace()
+    vars(namespace).update(values)  # in argparse's order, without a setattr each
+    return namespace
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -119,6 +119,7 @@ class KripkeModel(Record):
             edge_set = frozenset((index(u), index(v)) for u, v in pairs)
             succ = _successors(world_count, edge_set, exact=False)
         val_map: dict[tuple[int, str], int] = {}
+        tops: dict[str, int] = {}
         for key, k in (vals.items() if isinstance(vals, Mapping) else vals):
             u, p = key
             world, k = index(u), index(k)
@@ -129,14 +130,19 @@ class KripkeModel(Record):
             # an int world keeps the caller's key: a fresh tuple per valuation
             # makes the garbage collector run more often on large models
             val_map[key if type(u) is int else (world, p)] = k
+        for (_, p), k in val_map.items():  # where a repeated pair holds its last label
+            if k > tops.get(p, 0):
+                tops[p] = k
         _set_field(self, "world_count", world_count)
         _set_field(self, "edges", edge_set)
         _set_field(self, "vals", tuple(sorted(val_map.items())))
         _set_field(self, "_succ", tuple(frozenset(s) for s in succ))
         _set_field(self, "_val_map", val_map)
-        #: The largest label: label_vectors checks a variable's labels
-        #: against the domain only when this is above it.
-        _set_field(self, "_top", max(val_map.values(), default=1))
+        #: Each valued variable's largest label: label_vectors checks a
+        #: variable's labels against the domain only when this is above it.
+        _set_field(self, "_tops", tops)
+        #: The largest label of the model.
+        _set_field(self, "_top", max(tops.values(), default=1))
 
     @property
     def worlds(self) -> range:
@@ -153,7 +159,7 @@ class KripkeModel(Record):
         return self._val_map.get((world, variable), 1)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({p for (_, p) in self._val_map}))
+        return tuple(sorted(self._tops))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +196,8 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
 
     A variable labelled above the domain at some world is a ValueError
     naming the first such world by index, rooted or not: the check reads
-    every world of the model, and runs only when the model holds such a
-    label.
+    every world of the model, and runs only for a variable that holds
+    such a label.
     """
     n = sig.n
     succ, worlds = model._succ, model.worlds
@@ -207,7 +213,7 @@ def label_vectors(sig: Signature, model: KripkeModel, order: Iterable[Formula],
             worlds, succ = layers[heights[f]]
         if isinstance(f, Var):
             name, val_map = f.name, model._val_map
-            if model._top > n:  # the model's own check knows no signature
+            if model._tops.get(name, 1) > n:  # the model's own check knows no signature
                 for w in model.worlds:
                     if (k := val_map.get((w, name), 1)) > n:
                         raise ValueError(f"valuation gives {name!r} label {k} at "

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvmodal import cli
-from mvmodal.cli import _commands, _read_argv, _shared_parser, main
+from mvmodal.cli import _COMMANDS, _read_argv, _shared_parser, main
 from mvmodal.derivations import box_modus_ponens_lukasiewicz
 from mvmodal.parser import (
     MAX_FORMULA_DEPTH,
@@ -887,14 +887,24 @@ class TestArgvReader:
         assert declined
 
     def test_every_subcommand_has_a_table(self):
-        assert set(_commands()[1]) == set(self.WELL_FORMED)
+        (sub,) = (a for a in _shared_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        assert list(_COMMANDS) == list(self.WELL_FORMED) == list(sub.choices)
+        # so test_agrees_with_argparse reads every declared option
+        for name, (_, _, arguments) in _COMMANDS.items():
+            assert ({group[0] for group in self.WELL_FORMED[name]
+                     if group[0].startswith("--")}
+                    == {a for a in arguments if a.startswith("--")}), name
 
-    def test_readme_examples_skip_argparse(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def readme_examples(tmp_path):
+        """Each `mvmodal ...` line of README.md as an argv, its files
+        written to `tmp_path`."""
         readme = Path(__file__).resolve().parent.parent / "README.md"
         examples = [shlex.split(line)[1:] for line in
                     readme.read_text(encoding="utf-8").splitlines()
                     if line.startswith("mvmodal ")]
-        assert {argv[0] for argv in examples} == set(self.WELL_FORMED)
+        assert {argv[0] for argv in examples} == set(TestArgvReader.WELL_FORMED)
         files = {"sig.mvk": LUK3,
                  "m.mvk": "worlds 2\nedge 0 0\nedge 0 1\nedge 1 1\nval 1 p 3\n",
                  "proof.mvk": render_proof(box_modus_ponens_lukasiewicz()),
@@ -902,16 +912,40 @@ class TestArgvReader:
                  "sequent.mvk": "(imp(p, q), 3) -> (p, 1)\n"}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
+        return [[str(tmp_path / a) if a in files else a for a in argv]
+                for argv in examples]
 
+    def test_readme_examples_skip_argparse(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("argparse was called")
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
-        for argv in examples:
-            argv = [str(tmp_path / a) if a in files else a for a in argv]
+        for argv in self.readme_examples(tmp_path):
             code = main(argv)
             out, err = capsys.readouterr()
             assert code in (0, 1) and out and err == "", (argv, err)
+
+    # A fresh process holds no parser that an earlier call built.
+    NO_PARSER = ("import contextlib, io, json, sys\n"
+                 "from mvmodal import cli\n"
+                 "def refuse():\n"
+                 "    raise AssertionError('argparse was built')\n"
+                 "cli.build_parser = refuse\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                 "        code = cli.main(argv)\n"
+                 "    assert code in (0, 1) and out.getvalue(), argv\n"
+                 "assert cli._shared_parser.cache_info().currsize == 0\n")
+
+    def test_readme_examples_build_no_parser(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.NO_PARSER,
+             json.dumps(self.readme_examples(tmp_path))],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _nested(kind, depth):

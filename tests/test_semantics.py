@@ -364,6 +364,26 @@ class TestPointEvaluation:
             assert satisfies_sequent(SIG, m, w, sequent) == (w not in refuted)
             assert len(calls) == 1
 
+    def test_a_label_above_the_domain_keeps_other_variables_local(self):
+        # the stray q label is checked for q alone: reading p at world 0
+        # and its successor stays within the root's modal depth
+        W = 10_000
+        m = KripkeModel(W, [(u, (u + 1) % W) for u in range(W)],
+                        {**{(u, "p"): u % 3 + 1 for u in range(W)}, (5, "q"): 7})
+        reads = []
+
+        class CountingReads(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        object.__setattr__(m, "_val_map", CountingReads(m._val_map))
+        assert evaluate(SIG, m, 0, Box(p)) == 2
+        assert satisfies_sequent(SIG, m, 0, Sequent([lf(Box(p), 3)], []))
+        assert len(reads) == 4
+        with pytest.raises(ValueError, match="'q' label 7 at world 5"):
+            evaluate(SIG, m, 0, q)
+
     @pytest.mark.parametrize("world", [-1, 3, 10 ** 6])
     @pytest.mark.parametrize("call", [
         lambda m, w: evaluate(SIG, m, w, Box(p)),
