@@ -7,13 +7,21 @@ verdict, witnesses follow in the standard file formats.  A closed
 stdout and running out of memory are errors too: one line on stderr and
 status 2.
 
-A process holds at most 4 (`_MODEL_MEMO_SIZE`) parsed model files, one
-per text whatever the signature, the most recently used kept.  `eval`,
-`sat`, `filter` and `frame-check` on a file that an earlier call of the
-process read do not parse it again.  Each call still reads the file, so
-an edited file is parsed again, and an error is never held.  Answers,
-exit statuses and messages are unchanged; on the error path a malformed
-file is parsed twice.
+A process holds parsed input files in one memo, `_parsed`, the least
+recently used dropped first once the texts its keys hold pass
+`MEMO_BUDGET` (8 MiB) characters; a longer text is answered and not
+held.  A `--model` file is keyed on its text alone, parsed under
+`PERMISSIVE` whatever the signature; a `--phi`, `--sigma` or `translate`
+sequent file on its text and the signature file's text; a `check-proof`
+script also on the logic and the sigma file's text, which a derivation
+holds.  So what is held is at most what parses of 8 MiB of text take:
+about 14 bytes a character for a model (the 7.5 MB text of a
+100,000-world model parses to 103 MB), up to about 70 for a formula file
+of distinct formulas, or about 560 MB.  Signature files and the formulas
+and sequents given in argv are parsed on every call.  Each call still
+reads every file, so an edited file is parsed again, and an error is
+never held.  Answers, exit statuses and messages are unchanged; on the
+error path a malformed model file is parsed twice.
 
 Each subcommand and its options are declared once, in `_COMMANDS`;
 the argparse parser is built from that table, and so is the argv reader
@@ -34,9 +42,9 @@ import os
 import sys
 from collections import OrderedDict
 from functools import cache
-from typing import Optional
+from typing import Callable, Optional
 
-from .core import Signature, TruthDomain, is_modal_free, subformula_closure
+from .core import Sequent, Signature, TruthDomain, is_modal_free, subformula_closure
 from .decision import (
     DEFAULT_ENUM_CEILING,
     ENUM_CEILING_VAR,
@@ -86,43 +94,81 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _signature(args) -> Signature:
-    return parse_signature(_read(args.sig))
+def _signature(args) -> tuple[Signature, str]:
+    """The signature of the file `args.sig`, and its text."""
+    text = _read(args.sig)
+    return parse_signature(text), text
 
 
 #: frame-check's signature: only the relation matters there, and labels
 #: up to 2^31 are read.  Every model file is first parsed under it.
 PERMISSIVE = Signature(TruthDomain(2 ** 31), {})
 
-#: How many parsed model files a process holds.
-_MODEL_MEMO_SIZE = 4
+#: How many characters of file text the memo of parsed files holds.
+MEMO_BUDGET = 8 * 2 ** 20
 
-#: Parsed model files by text, least recently used first.
-_models: OrderedDict[str, KripkeModel] = OrderedDict()
+
+class _ParsedFiles:
+    """Parsed input files, least recently used first, by key.
+
+    A key is the kind of parse, the tuple of file texts the parse read,
+    and anything else it read, such as a logic.  The texts of the keys
+    held add up to at most `budget` characters.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict[tuple, object] = OrderedDict()
+        self.length = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.length = 0
+
+    def __call__(self, key: tuple, parse: Callable, *args):
+        """The value held under `key`, or `parse(*args)`, held under
+        `key` unless its texts alone are longer than the budget.  An
+        error is raised and never held."""
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+            return value
+        value = parse(*args)
+        length = sum(map(len, key[1]))
+        if length <= self.budget:
+            self.entries[key] = value
+            self.length += length
+            while self.length > self.budget:
+                old, _ = self.entries.popitem(last=False)
+                self.length -= sum(map(len, old[1]))
+        return value
+
+
+_parsed = _ParsedFiles(MEMO_BUDGET)
 
 
 def _model(args, sig: Signature) -> KripkeModel:
     """`parse_model(text, sig)` of the file `args.model`, from the memo.
 
-    A text is parsed once under `PERMISSIVE`.  A model with a label above
-    `sig.n` (the largest label a model records), and a text that does
-    not parse under `PERMISSIVE`, is parsed again under `sig`: that
-    raises the error and span of a fresh parse, or, in a domain wider
-    than 2^31, reads the model, which is not held.
+    A text is parsed once under `PERMISSIVE`, whatever the signature.  A
+    model with a label above `sig.n` (the largest label a model records),
+    and a text that does not parse under `PERMISSIVE`, is parsed again
+    under `sig`: that raises the error and span of a fresh parse, or, in
+    a domain wider than 2^31, reads the model, which is not held.
     """
     text = _read(args.model)
-    model = _models.get(text)
-    if model is None:
-        try:
-            model = parse_model(text, PERMISSIVE)
-        except ParseError:
-            return parse_model(text, sig)
-        _models[text] = model
-        if len(_models) > _MODEL_MEMO_SIZE:
-            _models.popitem(last=False)
-    else:
-        _models.move_to_end(text)
+    try:
+        model = _parsed(("model", (text,)), parse_model, text, PERMISSIVE)
+    except ParseError:
+        return parse_model(text, sig)
     return model if model._top <= sig.n else parse_model(text, sig)
+
+
+def _file(kind: str, path: str, parse: Callable, sig: Signature, sig_text: str):
+    """`parse(text, sig)` of the file `path`, from the memo, keyed on its
+    text and the signature file's text; and its text."""
+    text = _read(path)
+    return _parsed((kind, (text, sig_text)), parse, text, sig), text
 
 
 def _member(kind: type, name: str, what: str):
@@ -134,14 +180,16 @@ def _member(kind: type, name: str, what: str):
                          + ", ".join(m.value for m in kind)) from None
 
 
-def _sigma(args, sig: Signature):
-    if getattr(args, "sigma", None):
-        return parse_sequents(_read(args.sigma), sig)
-    return ()
+def _sigma(args, sig: Signature, sig_text: str) -> tuple[tuple[Sequent, ...], str]:
+    """The sequents of the file `args.sigma`, and its text; with no file,
+    none and "", as an empty file gives."""
+    if not args.sigma:
+        return (), ""
+    return _file("sequents", args.sigma, parse_sequents, sig, sig_text)
 
 
 def cmd_eval(args) -> int:
-    sig = _signature(args)
+    sig, _ = _signature(args)
     model = _model(args, sig)
     formula = parse_formula(args.formula, sig)
     if not 0 <= args.world < model.world_count:
@@ -151,7 +199,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    sig = _signature(args)
+    sig, _ = _signature(args)
     model = _model(args, sig)
     sequent = parse_sequent(args.sequent, sig)
     if args.world is not None and not 0 <= args.world < model.world_count:
@@ -170,8 +218,8 @@ def cmd_sat(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    sig = _signature(args)
-    sigma = _sigma(args, sig)
+    sig, sig_text = _signature(args)
+    sigma, _ = _sigma(args, sig, sig_text)
     goal = parse_sequent(args.sequent, sig)
     logic = _member(LogicId, args.logic, "logic")
     outcome = decide(sig, sigma, goal, logic, args.bound, ceiling=args.ceiling)
@@ -189,10 +237,13 @@ def cmd_decide(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    sig = _signature(args)
-    sigma = _sigma(args, sig)
+    sig, sig_text = _signature(args)
+    sigma, sigma_text = _sigma(args, sig, sig_text)
     logic = _member(LogicId, args.logic, "logic")
-    derivation = parse_proof(_read(args.proof), sig, logic, sigma)
+    text = _read(args.proof)
+    # a derivation holds its logic and hypotheses as well as its steps
+    derivation = _parsed(("proof", (text, sig_text, sigma_text), logic),
+                         parse_proof, text, sig, logic, sigma)
     violation = check_derivation(derivation, sig)
     if violation is None:
         print("accepted")
@@ -203,10 +254,10 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    sig = _signature(args)
+    sig, sig_text = _signature(args)
     model = _model(args, sig)
     logic = _member(LogicId, args.logic, "logic")
-    phi = parse_formulas(_read(args.phi), sig)
+    phi, _ = _file("formulas", args.phi, parse_formulas, sig, sig_text)
     filtered = filter_model(sig, model, subformula_closure(phi), logic)
     print("filtered")
     for idx, members in enumerate(filtered.classes):
@@ -226,8 +277,8 @@ def cmd_neg_scan(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    sig = _signature(args)
-    sequent = parse_sequent(_read(args.sequent), sig)
+    sig, sig_text = _signature(args)
+    sequent, _ = _file("sequent", args.sequent, parse_sequent, sig, sig_text)
     if not all(is_modal_free(lf.formula)
                for lf in sequent.antecedent | sequent.succedent):
         raise UsageError("input sequent must be modal-free")

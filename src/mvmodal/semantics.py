@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from itertools import compress, islice
-from operator import index
+from operator import index, itemgetter
 from random import Random
 from typing import (
     Callable,
@@ -122,20 +122,26 @@ class KripkeModel(Record):
         tops: dict[str, int] = {}
         for key, k in (vals.items() if isinstance(vals, Mapping) else vals):
             u, p = key
-            world, k = index(u), index(k)
-            if not 0 <= world < world_count:
-                raise ValueError(f"valuation of {p!r} at undeclared world {world}")
+            # an exact int world keeps the caller's key: a fresh tuple per
+            # valuation makes the garbage collector run more often on large
+            # models; any other world or label goes through operator.index
+            if type(u) is not int:
+                u = index(u)
+                key = (u, p)
+            if type(k) is not int:
+                k = index(k)
+            if not 0 <= u < world_count:
+                raise ValueError(f"valuation of {p!r} at undeclared world {u}")
             if k < 1:
                 raise ValueError(f"valuation label must be >= 1, got {k}")
-            # an int world keeps the caller's key: a fresh tuple per valuation
-            # makes the garbage collector run more often on large models
-            val_map[key if type(u) is int else (world, p)] = k
+            val_map[key] = k
         for (_, p), k in val_map.items():  # where a repeated pair holds its last label
             if k > tops.get(p, 0):
                 tops[p] = k
         _set_field(self, "world_count", world_count)
         _set_field(self, "edges", edge_set)
-        _set_field(self, "vals", tuple(sorted(val_map.items())))
+        # the keys are distinct, so sorting by them alone gives the same order
+        _set_field(self, "vals", tuple(sorted(val_map.items(), key=itemgetter(0))))
         _set_field(self, "_succ", tuple(frozenset(s) for s in succ))
         _set_field(self, "_val_map", val_map)
         #: Each valued variable's largest label: label_vectors checks a

@@ -27,10 +27,10 @@ from mvmodal import derivations as D
 
 
 @pytest.fixture(autouse=True)
-def _no_held_models():
-    """Each test starts with no parsed model file held by the CLI, so a
-    test that replaces `cli.parse_model` sees every read go through it."""
-    cli._models.clear()
+def _no_held_files():
+    """Each test starts with no parsed input file held by the CLI, so a
+    test that replaces a parser in `cli` sees every read go through it."""
+    cli._parsed.clear()
 
 
 @pytest.fixture(scope="session")

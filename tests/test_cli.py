@@ -20,6 +20,8 @@ from mvmodal.parser import (
     parse_model,
     parse_signature,
     render_proof,
+    render_sequents,
+    render_signature,
 )
 
 LUK3 = """\
@@ -507,39 +509,89 @@ class TestFrameCheck:
 
 
 class TestModelMemo:
-    """A process parses each model file text once: a repeat query answers
-    as a fresh parse would, with the same output, status and message."""
+    """A process parses each input file once per key: a repeat query
+    answers as a fresh parse would, with the same output, status and
+    message.  A model is keyed on its text; a formula, sequent or sigma
+    file on its text and the signature file's; a proof script also on
+    the logic and the sigma file's text."""
 
     MODEL = ("worlds 3\nedge 0 1\nedge 0 2\nedge 1 1\nedge 2 2\n"
              "val 1 p 3\nval 2 p 2\nval 0 q 2\n")
+    #: valid under mv-T with SIGMA as its hypothesis, and nothing less
+    PROOF = ("1: (Box p, 1) -> (p, 1), (p, 2), (p, 3) ; ext-21 p 1\n"
+             "2: (p, 2) -> (q, 3) ; hyp 1\n")
+    SIGMA = "(p, 2) -> (q, 3)\n"
+    #: a second signature: two labels and no imp, so each file above that
+    #: parses under LUK3 is an error under it
+    TWO = "domain 2\nconn neg 1\nneg 1 = 2\nneg 2 = 1\n"
+    PARSERS = ("parse_model", "parse_formulas", "parse_sequent",
+               "parse_sequents", "parse_proof")
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The signature size of each call to `parse_model` by the CLI."""
+        """(parser name, signature size) of each call the CLI makes to a
+        parser of model, formula, sequent or proof text."""
         calls = []
 
-        def counting(text, sig):
-            calls.append(sig.n)
-            return parse_model(text, sig)
+        def counting(name):
+            parse = getattr(cli, name)
 
-        monkeypatch.setattr(cli, "parse_model", counting)
+            def counted(text, sig, *args):
+                calls.append((name, sig.n))
+                return parse(text, sig, *args)
+            return counted
+
+        for name in self.PARSERS:
+            monkeypatch.setattr(cli, name, counting(name))
         return calls
 
-    @pytest.mark.parametrize("command", ["eval", "sat", "filter"])
-    def test_a_repeat_query_parses_once(self, ws, capsys, parses, command):
-        (ws / "m.mvk").write_text(self.MODEL)
-        (ws / "phi.mvk").write_text("Box p\nimp(p, q)\n")
-        argv = {"eval": ["eval", "--world", "0", "Box imp(q, p)"],
-                "sat": ["sat", "(Box p, 2) -> (Dia p, 3)"],
-                "filter": ["filter", "--phi", str(ws / "phi.mvk")]}[command]
-        argv[1:1] = ["--sig", str(ws / "sig.mvk"), "--model", str(ws / "m.mvk")]
+    @staticmethod
+    def count(parses, name):
+        return sum(1 for called, _ in parses if called == name)
+
+    @pytest.fixture
+    def files(self, ws):
+        """Writes each named file of the queries below into `ws`."""
+        texts = {"m.mvk": self.MODEL, "phi.mvk": "Box p\nimp(p, q)\n",
+                 "proof.mvk": self.PROOF, "sigma.mvk": self.SIGMA,
+                 "seq.mvk": "(imp(p, q), 3) -> (p, 1)\n", "two.sig": self.TWO}
+        for name, text in texts.items():
+            (ws / name).write_text(text)
+        return ws
+
+    def argv(self, ws, command, sig="sig.mvk"):
+        """The argv of `command`, each file in `ws`."""
+        argv = {
+            "eval": ["eval", "--model", "m.mvk", "--world", "0", "Box imp(q, p)"],
+            "sat": ["sat", "--model", "m.mvk", "(Box p, 2) -> (Dia p, 3)"],
+            "filter": ["filter", "--model", "m.mvk", "--phi", "phi.mvk"],
+            "check-proof": ["check-proof", "--logic", "mv-T", "--sigma",
+                            "sigma.mvk", "proof.mvk"],
+            "decide": ["decide", "--sigma", "sigma.mvk", "(p, 2) -> (q, 2), (q, 3)"],
+            "translate": ["translate", "seq.mvk"],
+        }[command]
+        argv[1:1] = ["--sig", sig]
+        return [str(ws / arg) if arg.endswith((".mvk", ".sig")) else arg
+                for arg in argv]
+
+    #: the parsers each command calls on its files
+    READS = {"eval": ["parse_model"], "sat": ["parse_model"],
+             "filter": ["parse_model", "parse_formulas"],
+             "check-proof": ["parse_sequents", "parse_proof"],
+             "decide": ["parse_sequents"], "translate": ["parse_sequent"]}
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_a_repeat_query_parses_once(self, files, capsys, parses, command):
+        argv = self.argv(files, command)
         cold = run(capsys, *argv)
         assert cold[0] in (0, 1) and cold[2] == ""
         assert run(capsys, *argv) == cold
-        assert len(parses) == 1
-        cli._models.clear()
+        for name in self.READS[command]:
+            assert self.count(parses, name) == 1, name
+        cli._parsed.clear()
         assert run(capsys, *argv) == cold
-        assert len(parses) == 2
+        for name in self.READS[command]:
+            assert self.count(parses, name) == 2, name
 
     def test_a_rewritten_file_is_parsed_again(self, ws, capsys, parses):
         argv = ["eval", "--sig", str(ws / "sig.mvk"), "--model",
@@ -548,6 +600,89 @@ class TestModelMemo:
             (ws / "m.mvk").write_text(f"worlds 1\nval 0 p {label}\n")
             assert run(capsys, *argv) == (0, label + "\n", "")
         assert len(parses) == 2  # the first text is held again by the third
+
+    # command: (file, its parser, two texts and the first stdout line of each)
+    REWRITES = {
+        "filter": ("phi.mvk", "parse_formulas",
+                   ("p\n", "filtered\n"), ("Box p\n", "filtered\n")),
+        "decide": ("sigma.mvk", "parse_sequents",
+                   ("(p, 2) -> (q, 3)\n", "valid-up-to 2\n"),
+                   ("(p, 3) -> (q, 3)\n", "countermodel\n")),
+        "check-proof": ("proof.mvk", "parse_proof", (PROOF, "accepted\n"),
+                        (PROOF.replace("hyp 1", "ax-id"),
+                         "violation at step 2: ax-id: ")),
+        "translate": ("seq.mvk", "parse_sequent",
+                      ("(p, 3) -> (q, 1)\n", "(Box p, 3) -> (Box q, 1)\n"),
+                      ("-> (Box p, 2)\n", "error: ")),
+    }
+
+    @pytest.mark.parametrize("command", list(REWRITES))
+    def test_an_edited_input_file_is_parsed_again(self, files, capsys, parses,
+                                                  command):
+        name, parser, *texts = self.REWRITES[command]
+        argv = self.argv(files, command)
+        outcomes = {}
+        for text, first_line in texts + texts[:1]:
+            (files / name).write_text(text)
+            code, out, err = run(capsys, *argv)
+            assert (out or err).startswith(first_line)
+            assert outcomes.setdefault(text, (code, out, err)) == (code, out, err)
+        # the first text is held again by the third; an error is not held
+        assert self.count(parses, parser) == 2
+
+    # (file, text) that does not parse, per command
+    MALFORMED = {
+        "filter": ("phi.mvk", "Box\n"),
+        "decide": ("sigma.mvk", "(p, 2) -> (q, 4)\n"),
+        "check-proof": ("proof.mvk", "1: (p, 1) -> (p, 1) ; ax-id from 7\n"),
+        "translate": ("seq.mvk", "(p, 1) -> (q\n"),
+    }
+
+    @pytest.mark.parametrize("command", list(MALFORMED))
+    def test_a_malformed_input_file_is_never_held(self, files, capsys, parses,
+                                                  command):
+        name, text = self.MALFORMED[command]
+        (files / name).write_text(text)
+        argv = self.argv(files, command)
+        first = run(capsys, *argv)
+        assert first[:2] == (2, "") and first[2].startswith("error: line 1, ")
+        assert run(capsys, *argv) == first
+        parser = self.REWRITES[command][1]
+        assert self.count(parses, parser) == 2
+        assert all(key[0] != parser.removeprefix("parse_") for key in cli._parsed.entries)
+
+    # each query of the key test below, as (logic, with sigma, signature)
+    PROOF_RUNS = list(itertools.product(["mv-T", "mv-K"], [True, False],
+                                        ["sig.mvk", "two.sig"]))
+
+    def test_the_key_holds_what_a_parse_reads(self, files, capsys):
+        """One process gives what a fresh process gives, for one proof
+        under two logics, with and without a sigma file and under two
+        signature files, and for one phi, sigma and sequent file under
+        two signature files; each order first holds what a key without
+        that field would wrongly serve next."""
+        (files / "two.model").write_text("worlds 2\nedge 0 1\nval 1 p 2\n")
+        (files / "phi.mvk").write_text("imp(p, neg(p))\n")
+        argvs = []
+        for logic, sigma, sig in self.PROOF_RUNS:
+            argv = ["check-proof", "--sig", str(files / sig), "--logic", logic]
+            if sigma:
+                argv += ["--sigma", str(files / "sigma.mvk")]
+            argvs.append(argv + [str(files / "proof.mvk")])
+        argvs += [["filter", "--sig", str(files / sig), "--model",
+                   str(files / "two.model"), "--phi", str(files / "phi.mvk")]
+                  for sig in ("sig.mvk", "two.sig")]
+        argvs += [self.argv(files, command, sig) for command in ("decide", "translate")
+                  for sig in ("sig.mvk", "two.sig")]
+        fresh = [run_capped(2 ** 31, *argv) for argv in argvs]
+        fresh = [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+        # the proof's answers tell every field of its key apart
+        assert len(set(fresh[:8])) == 5 and fresh[0] == (0, "accepted\n", "")
+        assert all(code == 2 for code, _, _ in fresh[1::2])
+        for order in (argvs, argvs[::-1]):
+            cli._parsed.clear()
+            outcomes = [run(capsys, *argv) for argv in order]
+            assert outcomes == (fresh if order is argvs else fresh[::-1])
 
     @pytest.mark.parametrize("first", ["eval", "frame-check"])
     def test_a_label_above_the_domain(self, ws, capsys, first):
@@ -584,8 +719,9 @@ class TestModelMemo:
         assert first[:2] == (2, "") and first[2].startswith("error: line 2, ")
         for _ in range(2):
             assert run(capsys, *argv) == first
-        assert not cli._models
-        assert len(parses) == 6  # under frame-check's signature, then the file's
+        assert not cli._parsed.entries and cli._parsed.length == 0
+        # under frame-check's signature, then the file's
+        assert parses == [("parse_model", 2 ** 31), ("parse_model", 3)] * 3
 
     def test_labels_above_two_to_the_31(self, tmp_path, capsys):
         (tmp_path / "wide.sig").write_text("domain 3000000000\n")
@@ -598,28 +734,78 @@ class TestModelMemo:
                            str(tmp_path / "m.mvk"), "any")
         assert code == 2 and "label 3000000000 out of 1..2147483648" in err
 
-    def test_the_memo_holds_at_most_its_bound(self, ws, capsys, parses):
-        size = cli._MODEL_MEMO_SIZE
-        paths = []
-        for i in range(size + 2):
-            paths.append(ws / f"m{i}.mvk")
-            paths[-1].write_text(f"worlds {i + 1}\n")
+    def test_the_memo_holds_at_most_its_bound(self, ws, capsys, parses,
+                                              monkeypatch):
+        assert cli._parsed.budget == cli.MEMO_BUDGET == 8 * 2 ** 20
+        monkeypatch.setattr(cli, "_parsed", cli._ParsedFiles(30))
 
-        def check(path):
+        def check(name, text=None):
+            path = ws / name
+            if text is not None:
+                path.write_text(text)
             code, out, _ = run(capsys, "frame-check", "--model", str(path), "any")
             assert (code, out) == (0, "yes\n")
 
-        for path in paths[:size]:
-            check(path)
-        check(paths[0])  # the least recently used is now paths[1]
-        check(paths[size])
-        assert len(cli._models) == size and len(parses) == size + 1
-        check(paths[0])
-        check(paths[1])
-        assert len(parses) == size + 2
-        for path in paths:
-            check(path)
-        assert len(cli._models) == size
+        def held():
+            texts = [key[1][0] for key in cli._parsed.entries]
+            assert cli._parsed.length == sum(map(len, texts)) <= 30
+            return [text.split()[1] for text in texts]
+
+        for i in range(1, 4):  # 9 characters each
+            check(f"m{i}.mvk", f"worlds {i}\n")
+        assert held() == ["1", "2", "3"] and len(parses) == 3
+        check("m1.mvk")  # the least recently used is now m2
+        check("m4.mvk", "worlds 4\n")
+        assert held() == ["3", "1", "4"] and len(parses) == 4
+        check("m5.mvk", "worlds 5\n" + "#" * 11 + "\n")  # 21 characters
+        assert held() == ["4", "5"]
+        check("m6.mvk", "worlds 6\n" + "#" * 21 + "\n")  # 31: answered, not held
+        assert held() == ["4", "5"] and len(parses) == 6
+        check("m6.mvk")
+        assert held() == ["4", "5"] and len(parses) == 7
+        check("m4.mvk")
+        assert len(parses) == 7
+
+    def test_a_warm_process_answers_as_a_cold_one(self, fixtures, tmp_path, capsys):
+        """Each kind of query, run twice over in one process, gives what it
+        gives with nothing held."""
+        name, sig, derivation = fixtures[-2]  # a stock proof with hypotheses
+        files = {"sig.mvk": render_signature(sig),
+                 "m.mvk": "worlds 4\nedge 0 1\nedge 1 2\nedge 2 0\nedge 3 3\n"
+                          "val 0 p 3\nval 1 p 2\nval 2 q 3\nval 3 q 2\n",
+                 "f.mvk": "worlds 3\nedge 0 1\nedge 1 1\nedge 2 0\n",
+                 "phi.mvk": "Dia imp(p, q)\nneg(Box p)\n",
+                 "proof.mvk": render_proof(derivation),
+                 "mutant.mvk": render_proof(derivation).replace("hyp 1", "hyp 2", 1),
+                 "sigma.mvk": render_sequents(derivation.hypotheses),
+                 "seq.mvk": "(imp(p, q), 3), (neg(q), 2) -> (p, 1)\n"}
+        for file_name, text in files.items():
+            (tmp_path / file_name).write_text(text)
+        path = {file_name: str(tmp_path / file_name) for file_name in files}
+        sig_model = ["--sig", path["sig.mvk"], "--model", path["m.mvk"]]
+        argvs = [
+            ["eval", *sig_model, "--world", "1", "Box imp(p, Dia q)"],
+            ["sat", *sig_model, "(Box p, 2) -> (Dia q, 3), (p, 1)"],
+            ["sat", *sig_model, "--world", "3", "(q, 2) -> (Box q, 2)"],
+            *[["filter", *sig_model, "--logic", logic, "--phi", path["phi.mvk"]]
+              for logic in ("mv-K", "mv-D")],
+            *[["check-proof", "--sig", path["sig.mvk"], "--sigma", path["sigma.mvk"],
+               path[proof]] for proof in ("proof.mvk", "mutant.mvk")],
+            ["check-proof", "--sig", path["sig.mvk"], path["proof.mvk"]],
+            ["translate", "--sig", path["sig.mvk"], path["seq.mvk"]],
+            ["translate", "--sig", path["sig.mvk"], "--optimized", path["seq.mvk"]],
+            *[["frame-check", "--model", path["f.mvk"], frame_class]
+              for frame_class in ("serial", "reflexive")],
+        ]
+        cold = []
+        for argv in argvs:
+            cli._parsed.clear()
+            cold.append(run(capsys, *argv))
+        assert {outcome[0] for outcome in cold} == {0, 1}
+        assert all(err == "" for _, _, err in cold)
+        cli._parsed.clear()
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in argvs] == cold
 
 
 class TestByteOrderMark:

@@ -101,6 +101,43 @@ class TestModel:
         with pytest.raises(ValueError, match=r"^edge \(0, 5\) references an undeclared world$"):
             KripkeModel(2, [(0, 1), (0, 5)])
 
+    def test_valuations_in_any_form(self):
+        # exact int worlds and labels are stored as given, the caller's key
+        # kept; bools and Index objects go through operator.index as before
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        key = (0, "p")
+        m = KripkeModel(3, (), {key: 2, (True, "q"): True, (Index(2), "r"): Index(3)})
+        assert m.vals == (((0, "p"), 2), ((1, "q"), 1), ((2, "r"), 3))
+        assert ({(type(w), type(k)) for (w, _), k in m.vals} == {(int, int)})
+        assert next(iter(m._val_map)) is key
+        assert (m._tops, m._top) == ({"p": 2, "q": 1, "r": 3}, 3)
+        # pairs in order: a repeated key holds its last label
+        repeated = KripkeModel(1, (), [((0, "p"), 3), ((0, "p"), 2)])
+        assert (repeated.vals, repeated._top) == ((((0, "p"), 2),), 2)
+
+    @pytest.mark.parametrize("vals, error, message", [
+        ({(0, "p"): 2.5}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({(0.0, "p"): 2}, TypeError, "'float' object cannot be interpreted as an integer"),
+        # the label is read before the world's range is checked
+        ({(5, "p"): 2.5}, TypeError, "'float' object cannot be interpreted as an integer"),
+        ({(5, "p"): 2}, ValueError, "valuation of 'p' at undeclared world 5"),
+        ({(-1, "p"): True}, ValueError, "valuation of 'p' at undeclared world -1"),
+        ({(0, "p"): 0}, ValueError, "valuation label must be >= 1, got 0"),
+        ({(True, "p"): False}, ValueError, "valuation label must be >= 1, got 0"),
+        ({(0,): 2}, ValueError, "not enough values to unpack (expected 2, got 1)"),
+        ([([0, "p"], 2)], TypeError, "unhashable type: 'list'"),
+    ])
+    def test_valuation_errors(self, vals, error, message):
+        with pytest.raises(error) as raised:
+            KripkeModel(2, (), vals)
+        assert str(raised.value) == message
+
 
 class TestEvaluate:
     def test_dead_end_modalities(self, luk3):
