@@ -43,16 +43,33 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        # Equality and hash close over the class's field getter, so a
+        # call looks nothing up to find the fields; a class that writes
+        # its own keeps it.
         names = cls.__match_args__
-        if len(names) > 1:
-            fields = attrgetter(*names)
-        elif names:
-            get = attrgetter(names[0])
-            fields = lambda self: (get(self),)  # noqa: E731
+        if len(names) != 1:
+            fields = attrgetter(*names) if names else (lambda self: ())
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return fields(self) == fields(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(fields(self))
         else:
-            fields = lambda self: ()  # noqa: E731
-        #: The record's fields as a tuple, in __match_args__ order.
-        cls._fields = staticmethod(fields)
+            get = attrgetter(names[0])
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return (get(self),) == (get(other),)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash((get(self),))
+        for method in (__eq__, __hash__):
+            if method.__name__ not in cls.__dict__:
+                setattr(cls, method.__name__, method)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
@@ -78,14 +95,6 @@ class Record:
             if name not in values:
                 raise TypeError(f"{cls}() missing required argument {name!r}")
         return [values[name] for name in names]
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields(self) == other._fields(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

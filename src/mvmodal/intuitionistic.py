@@ -4,9 +4,12 @@ An intuitionistic interpretation is a preordered model whose variable
 valuation grows along the accessibility relation.  Compound formulas are
 evaluated as the infimum, over the successors, of the connective applied
 to the arguments there; reflexivity keeps that set nonempty.  That is
-the modal value of the formula with a necessity operator in front of
-every connective, which is how mvil_vector computes it at every world
-and eval_mvil at one.
+the modal value of the formula's embedding, the formula with a necessity
+operator in front of every connective, which is how mvil_vector computes
+it at every world and eval_mvil at one.  The embedding and its closure
+order depend on the formula alone, so each is built once per formula per
+process and held in a bounded memo (EMBEDDINGS entries); a call checks
+the model and makes one pass over it.
 
 Translating a modal-free formula by inserting a necessity operator in
 front of every subformula, variables included, turns intuitionistic
@@ -16,6 +19,8 @@ preordered model.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import index
 from typing import Callable, Optional
 
 from .core import (
@@ -53,31 +58,53 @@ def mvil_vector(sig: Signature, model: KripkeModel, formula: Formula) -> list[in
     world index.
 
     The modal label vector of the embedding, with Box in front of every
-    connective and the variables left bare.  One fold over the closure,
-    in closure order, checks each subformula and builds its embedding:
-    Box or Dia raises ValueError ("no modal"), and so does a connective
-    when any world of the model has no successor ("not reflexive").
+    connective and the variables left bare, from one pass over the
+    model.  The embedding comes from the memo; the errors are those of
+    the first offending subformula in closure order: Box or Dia raises
+    ValueError ("no modal"), and so does a connective when any world of
+    the model has no successor ("not reflexive").
     """
-    dead_ends = [w for w in model.worlds if not model.successors(w)]
-
-    def bare(f: Formula) -> bool:
-        if isinstance(f, (Box, Diamond)):
-            raise ValueError("intuitionistic formulas admit no modal connectives")
-        if isinstance(f, Apply) and dead_ends:
-            raise ValueError(f"world {dead_ends[0]} has no successors; "
+    embedded, order, connective_first = _embedding(formula)
+    if connective_first:
+        dead_end = next((w for w in model.worlds if not model.successors(w)), None)
+        if dead_end is not None:
+            raise ValueError(f"world {dead_end} has no successors; "
                              "interpretation is not reflexive")
-        return isinstance(f, Var)
-
-    embedded = _boxed(formula, bare)
-    return label_vectors(sig, model, closure_order((embedded,)))[embedded]
+    if embedded is None:
+        raise ValueError("intuitionistic formulas admit no modal connectives")
+    return label_vectors(sig, model, order)[embedded]
 
 
 def eval_mvil(sig: Signature, model: KripkeModel, world: int, formula: Formula) -> int:
     """Intuitionistic value of a modal-free formula at a world: entry
     `world` of `mvil_vector`, with its errors whether or not a dead end
-    is reached from `world`."""
+    is reached from `world`.  The world goes through operator.index
+    first, so a float is a TypeError."""
+    world = index(world)
     _check_world(model, world)
     return mvil_vector(sig, model, formula)[world]
+
+
+#: How many formulas' embeddings a process holds, least recently used
+#: dropped first.
+EMBEDDINGS = 128
+
+
+@lru_cache(maxsize=EMBEDDINGS)
+def _embedding(formula: Formula
+               ) -> tuple[Optional[Formula], tuple[Formula, ...], bool]:
+    """What mvil_vector reads of `formula` on every model: its embedding
+    (None when it has a Box or Dia), the embedding's closure order, and
+    whether a connective comes before any Box or Dia in the formula's
+    closure order, so that a dead end in the model is the error."""
+    closure = closure_order((formula,))
+    modal = next((i for i, f in enumerate(closure)
+                  if isinstance(f, (Box, Diamond))), None)
+    connective_first = any(isinstance(f, Apply) for f in closure[:modal])
+    if modal is not None:
+        return None, (), connective_first
+    embedded = _boxed(closure, lambda f: isinstance(f, Var))
+    return embedded, closure_order((embedded,)), connective_first
 
 
 # ---------------------------------------------------------------------------
@@ -104,29 +131,28 @@ def godel_translate(formula: Formula) -> Formula:
     """Insert a necessity operator before every subformula."""
     if not is_modal_free(formula):
         raise ValueError("translation applies to modal-free formulas")
-    return _boxed(formula, lambda f: False)
+    return _boxed(closure_order((formula,)), lambda f: False)
 
 
 def godel_translate_optimized(formula: Formula, sig: Signature) -> Formula:
     """As godel_translate, but skips the outer box on monotone connectives."""
     if not is_modal_free(formula):
         raise ValueError("translation applies to modal-free formulas")
-    return _boxed(formula, lambda f: isinstance(f, Apply) and
+    return _boxed(closure_order((formula,)), lambda f: isinstance(f, Apply) and
                   monotone_connective(sig.connective(f.conn)))
 
 
-def _boxed(formula: Formula, unboxed: Callable[[Formula], bool]) -> Formula:
-    """`formula` with a necessity operator before each subformula for
-    which `unboxed` is false, folded bottom-up over closure_order.
-    `unboxed` sees each subformula before its embedding is built, so it
-    may reject one by raising."""
+def _boxed(closure: tuple[Formula, ...], unboxed: Callable[[Formula], bool]
+           ) -> Formula:
+    """The last formula of `closure`, a modal-free closure order, with a
+    necessity operator before each subformula for which `unboxed` is
+    false, folded bottom-up."""
     out: dict[Formula, Formula] = {}
-    for f in closure_order((formula,)):
-        keep_bare = unboxed(f)
+    for f in closure:
         body = (f if isinstance(f, Var)
                 else Apply(f.conn, tuple(out[a] for a in f.args)))
-        out[f] = body if keep_bare else Box(body)
-    return out[formula]
+        out[f] = body if unboxed(f) else Box(body)
+    return out[closure[-1]]
 
 
 def translate_labelled(lf: LabelledFormula, sig: Optional[Signature] = None

@@ -22,15 +22,17 @@ from mvmodal.core import (
     make_signature,
     reversal_connective,
 )
-from mvmodal import cli
+from mvmodal import cli, intuitionistic
 from mvmodal import derivations as D
 
 
 @pytest.fixture(autouse=True)
-def _no_held_files():
-    """Each test starts with no parsed input file held by the CLI, so a
-    test that replaces a parser in `cli` sees every read go through it."""
+def _nothing_held():
+    """Each test starts with no parsed input file held by the CLI and no
+    embedding held by `intuitionistic`, so a test that replaces a parser
+    in `cli`, or closure_order, sees every call go through it."""
     cli._parsed.clear()
+    intuitionistic._embedding.cache_clear()
 
 
 @pytest.fixture(scope="session")

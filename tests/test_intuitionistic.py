@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import _eval_mvil, oracle_models, rand_formula
 from mvmodal import intuitionistic, semantics
 from mvmodal.core import (
     Apply,
     Box,
+    Diamond,
     LabelledFormula,
     Sequent,
     Var,
@@ -104,12 +107,109 @@ class TestEvalMvil:
         monkeypatch.setattr(semantics, "closure_order", counting)
         m = KripkeModel(3, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)},
                         {(1, "p"): 2, (2, "q"): 3})
+        other = KripkeModel(2, {(0, 0), (1, 1), (1, 0)}, {(0, "q"): 2})
         f = Apply("imp", (p, q))
-        for w in (0, 1, 2, 0):
+        eval_mvil(luk3, m, 0, f)
+        # one walk of the formula's closure, one of its embedding's
+        assert len(walks) == 2
+        for model, w in ((m, 1), (m, 2), (other, 1), (m, 0)):
             walks.clear()
-            eval_mvil(luk3, m, w, f)
-            # one walk of the formula's closure, one of its embedding's
-            assert len(walks) == 2
+            eval_mvil(luk3, model, w, f)
+            mvil_vector(luk3, model, f)
+            assert walks == []
+
+    @pytest.mark.parametrize("world", [1.5, 1.0])
+    def test_a_float_world_is_a_type_error(self, luk3, world):
+        m = KripkeModel(2, {(0, 0), (1, 1)}, {(1, "p"): 3})
+        for f in (p, Apply("imp", (p, q)), Box(p)):
+            with pytest.raises(TypeError, match="'float' object cannot be "
+                                                "interpreted as an integer"):
+                eval_mvil(luk3, m, world, f)
+
+    def test_a_bool_world_is_an_index(self, luk3):
+        m = KripkeModel(2, {(0, 0), (1, 1)}, {(1, "p"): 3})
+        assert eval_mvil(luk3, m, True, p) == 3
+        assert eval_mvil(luk3, m, False, Apply("imp", (p, q))) == 3
+
+
+class TestEmbeddingMemo:
+    """The memo holds what mvil_vector reads of a formula alone; every
+    check of the model runs on every call."""
+
+    reflexive = KripkeModel(2, {(0, 0), (1, 1), (0, 1)}, {(1, "p"): 3})
+    dead_end = KripkeModel(2, {(0, 0)}, {(1, "p"): 3})
+
+    def test_a_dead_end_is_checked_on_every_call(self, luk3):
+        f = Apply("imp", (q, p))
+        assert mvil_vector(luk3, self.reflexive, f) == [3, 3]
+        for call in (lambda: mvil_vector(luk3, self.dead_end, f),
+                     lambda: eval_mvil(luk3, self.dead_end, 0, f)):
+            with pytest.raises(ValueError, match="world 1 has no successors"):
+                call()
+        assert eval_mvil(luk3, self.reflexive, 0, f) == 3
+        # a bare variable reads no successors, on either model
+        assert mvil_vector(luk3, self.dead_end, p) == [1, 3]
+
+    def test_a_modal_formula_fails_on_every_call(self, luk3):
+        f = Apply("imp", (p, Diamond(q)))
+        for model in (self.reflexive, self.reflexive, self.dead_end, self.reflexive):
+            with pytest.raises(ValueError, match="no modal"):
+                mvil_vector(luk3, model, f)
+            with pytest.raises(ValueError, match="no modal"):
+                eval_mvil(luk3, model, 1, f)
+
+    @pytest.mark.parametrize("formula, message", [
+        (Box(p), "intuitionistic formulas admit no modal connectives"),
+        (Apply("imp", (Box(p), q)), "intuitionistic formulas admit no modal connectives"),
+        (Box(Apply("imp", (p, q))),
+         "world 1 has no successors; interpretation is not reflexive"),
+        # a formula's later arguments come first in closure order
+        (Apply("imp", (Apply("imp", (p, q)), Box(q))),
+         "intuitionistic formulas admit no modal connectives"),
+        (Apply("imp", (Box(q), Apply("imp", (p, q)))),
+         "world 1 has no successors; interpretation is not reflexive"),
+        (Apply("imp", (p, q)),
+         "world 1 has no successors; interpretation is not reflexive"),
+    ])
+    def test_errors_are_the_same_cold_and_warm(self, luk3, formula, message):
+        # the first call finds the memo empty (conftest clears it)
+        for _ in range(3):
+            with pytest.raises(ValueError) as raised:
+                eval_mvil(luk3, self.dead_end, 0, formula)
+            assert str(raised.value) == message
+            with pytest.raises(ValueError) as raised:
+                mvil_vector(luk3, self.dead_end, formula)
+            assert str(raised.value) == message
+
+    def test_the_memo_holds_at_most_its_bound(self, luk3):
+        bound = intuitionistic.EMBEDDINGS
+        assert intuitionistic._embedding.cache_info().maxsize == bound
+        f = p
+        for i in range(2 * bound + 5):
+            f = Apply("imp", (f, q) if i % 2 else (q, f))
+            assert eval_mvil(luk3, self.reflexive, 0, f) == mvil_vector(
+                luk3, self.reflexive, f)[0]
+            assert intuitionistic._embedding.cache_info().currsize <= bound
+        assert intuitionistic._embedding.cache_info().currsize == bound
+
+
+_modal_free = st.recursive(
+    st.sampled_from([p, q]),
+    lambda c: st.builds(lambda a, b: Apply("imp", (a, b)), c, c),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_modal_free, min_size=1, max_size=4),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=6))
+def test_formulas_reused_across_preorders_match_the_oracle(luk3, formulas, seeds):
+    for seed in seeds:
+        m = random_model(random.Random(seed), ["p", "q"], 3, 5, FrameClass.PREORDER)
+        oracle = {}
+        for f in formulas:
+            expected = [_eval_mvil(luk3, m, w, f, oracle) for w in m.worlds]
+            assert mvil_vector(luk3, m, f) == expected
+            assert [eval_mvil(luk3, m, w, f) for w in m.worlds] == expected
 
 
 class TestMvilVector:
