@@ -4,8 +4,8 @@ Truth values are identified with the integer labels 1..n, ordered as
 integers (label k stands for the k-th truth value in the chain).  All
 values here are immutable and safe to share; equal formulas are one object.
 
-The formula nodes are dataclasses.  Every other value type of the
-package (domains, signatures, labelled formulas, sequents, models,
+The package has one record system.  Every value type but the formula
+nodes (domains, signatures, labelled formulas, sequents, models,
 verdicts, reports and proof steps) is a Record: a frozen value record
 that behaves as @dataclass(frozen=True) did, with none of the code
 generation that costs the decorator most of a module's import time.  A
@@ -17,6 +17,13 @@ the rest: equality on the exact class and the tuple of fields, a hash
 of that tuple, the dataclass repr, and dataclasses.FrozenInstanceError
 on assignment and deletion.  Instances keep their __dict__, so copy and
 pickle handle them as they handle any plain object.
+
+The formula nodes (Var, Apply, Box, Diamond) list their fields in
+__match_args__ too, and share Record's repr and its frozen
+__setattr__ and __delattr__; they are not Records, because they are
+interned: equal formulas are one object, compared and hashed by
+identity.  No module of the package imports dataclasses at start-up;
+Record imports FrozenInstanceError only when it raises it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from operator import attrgetter, index
 from typing import Iterable, Mapping
@@ -97,15 +103,46 @@ class Record:
         return [values[name] for name in names]
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({fields})"
+        # the dataclass repr, written from a stack so that a formula
+        # nested thousands deep prints: a str on it is output, a value
+        # that prints through this method is replaced by its parts
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts: list = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                parts.append(f"{', ' if i else ''}{name}=")
+                if type(value) is tuple:
+                    parts.append("(")
+                    for j, arg in enumerate(value):
+                        if j:
+                            parts.append(", ")
+                        parts.append(_part(arg))
+                    parts.append(",)" if len(value) == 1 else ")")
+                else:
+                    parts.append(_part(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # here: start-up loads no dataclasses
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError  # here: start-up loads no dataclasses
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _part(value):
+    """A field value as Record.__repr__ stacks it: itself if it prints
+    through that method, to be expanded in place, else its repr."""
+    return value if type(value).__repr__ is Record.__repr__ else repr(value)
 
 
 class TruthDomain(Record):
@@ -253,9 +290,14 @@ def _build(nodes: tuple) -> "Formula":
 
 
 class _Node:
-    """What every formula node shares: it is its own copy, and it pickles
-    and prints without recursing, so a formula nested thousands deep
-    does both."""
+    """What every formula node shares: Record's repr and frozen rule; it
+    is its own copy, and it pickles and prints without recursing, so a
+    formula nested thousands deep does both.  Equality and hash stay
+    object's, by identity, as interning makes equal formulas one object."""
+
+    __repr__ = Record.__repr__
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __copy__(self):
         return self
@@ -276,44 +318,17 @@ class _Node:
                 nodes.append((type(f), index(f.sub)))
         return _build, (tuple(nodes),)
 
-    def __repr__(self):
-        # the dataclass repr, written from a stack: a str on it is output,
-        # a node is replaced by its parts
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            parts: list = [f"{type(item).__qualname__}("]
-            for i, name in enumerate(item.__match_args__):
-                value = getattr(item, name)
-                parts.append(f"{', ' if i else ''}{name}=")
-                if isinstance(value, tuple):
-                    parts.append("(")
-                    for j, arg in enumerate(value):
-                        if j:
-                            parts.append(", ")
-                        parts.append(arg if isinstance(arg, _Node) else repr(arg))
-                    parts.append(",)" if len(value) == 1 else ")")
-                else:
-                    parts.append(value if isinstance(value, _Node) else repr(value))
-            parts.append(")")
-            stack.extend(reversed(parts))
-        return "".join(out)
 
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Var(_Node):
+    __match_args__ = ("name",)
     name: str
 
     def __new__(cls, name: str):
         return _intern(cls, name)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Apply(_Node):
+    __match_args__ = ("conn", "args")
     conn: str
     args: tuple["Formula", ...]
 
@@ -321,16 +336,16 @@ class Apply(_Node):
         return _intern(cls, conn, tuple(args))
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Box(_Node):
+    __match_args__ = ("sub",)
     sub: "Formula"
 
     def __new__(cls, sub: "Formula"):
         return _intern(cls, sub)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Diamond(_Node):
+    __match_args__ = ("sub",)
     sub: "Formula"
 
     def __new__(cls, sub: "Formula"):

@@ -4,6 +4,7 @@ import gc
 import pickle
 import random
 import threading
+from collections import namedtuple
 
 import pytest
 
@@ -243,8 +244,6 @@ class TestInterning:
         f = Apply("imp", (p, q))
         assert Var(name="p") is p
         assert Apply("imp", [p, q]) is f and Apply(conn="imp", args=[p, q]) is f
-        assert dataclasses.replace(f, args=[q, p]) is Apply("imp", (q, p))
-        assert dataclasses.replace(p) is p
         for build in (lambda: Var(), lambda: Var("p", "q"), lambda: Box(),
                       lambda: Diamond(p, q), lambda: Apply("imp")):
             with pytest.raises(TypeError):
@@ -278,6 +277,47 @@ class TestInterning:
         assert len(built) == 8
         for other in built[1:]:
             assert all(a is b for a, b in zip(built[0], other))
+
+
+class TestNodes:
+    """The formula nodes are plain classes that share Record's repr and
+    frozen rule, and keep object's identity equality and hash."""
+
+    def test_match_destructures_each_node(self):
+        f = Diamond(Box(Apply("imp", (p, q))))
+        match f:
+            case Diamond(Box(Apply(conn, (Var(name), second)))):
+                assert (conn, name, second) == ("imp", "p", q)
+            case _:
+                pytest.fail("no case matched")
+        assert [Var.__match_args__, Apply.__match_args__, Box.__match_args__,
+                Diamond.__match_args__] == [("name",), ("conn", "args"), ("sub",), ("sub",)]
+
+    @pytest.mark.parametrize("cls", [Var, Apply, Box, Diamond])
+    def test_identity_equality_and_hash(self, cls):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+
+    @pytest.mark.parametrize("node", [p, Apply("imp", (p, q)), Box(p), Diamond(q)],
+                             ids=["Var", "Apply", "Box", "Diamond"])
+    def test_fields_are_frozen_with_the_record_message(self, node):
+        for attr in (*node.__match_args__, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot assign to field {attr!r}$"):
+                setattr(node, attr, None)
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot delete field {attr!r}$"):
+                delattr(node, attr)
+        assert type(node).__setattr__ is core.Record.__setattr__
+        assert type(node).__delattr__ is core.Record.__delattr__
+        assert type(node).__repr__ is core.Record.__repr__
+
+    def test_a_tuple_subclass_keeps_its_repr(self):
+        class Holder(core.Record):
+            __match_args__ = ("value",)
+
+        point, name = namedtuple("Point", "x y")(p, 2), Holder.__qualname__
+        assert repr(Holder(point)) == f"{name}(value=Point(x=Var(name='p'), y=2))"
+        assert repr(Holder((point,))) == f"{name}(value=(Point(x=Var(name='p'), y=2),))"
 
 
 class TestFormulaKey:

@@ -368,6 +368,8 @@ def test_every_layer_takes_a_formula_3000_levels_deep():
     vectors = label_vectors(SIG, m, order)
     assert vectors[mixed] == [evaluate(SIG, m, w, mixed) for w in m.worlds]
     goal = Sequent([LabelledFormula(mixed, 1)], [])
+    assert repr(goal) == (f"Sequent(antecedent=frozenset({{LabelledFormula(formula="
+                          f"{mixed!r}, label=1)}}), succedent=frozenset())")
     outcome = decide(SIG, (), goal, LogicId.MV_K, 1)
     assert isinstance(outcome, Countermodel) and outcome.model.world_count == 1
     filtered = filter_model(SIG, m, subformula_closure([mixed]), LogicId.MV_K)

@@ -3,14 +3,19 @@
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import mvmodal
 from helpers import TWINS
+from mvmodal import core
 from mvmodal.core import (
     Apply,
     Box,
@@ -143,7 +148,7 @@ def rendering(value) -> str:
         return f"{type(value).__name__}({list(map(rendering, value))})"
     if isinstance(value, dict):
         return f"dict({[(rendering(k), rendering(v)) for k, v in value.items()]})"
-    if isinstance(value, Record) or dataclasses.is_dataclass(value):
+    if isinstance(value, (Record, core._Node)):
         fields = ", ".join(f"{name}={rendering(getattr(value, name))}"
                            for name in value.__match_args__)
         return f"{type(value).__qualname__}({fields})"
@@ -163,9 +168,33 @@ def test_every_record_has_a_twin():
     assert {name for name, _, _ in CASES} == set(TWINS)
 
 
-def test_only_the_formula_nodes_are_dataclasses():
-    assert {cls for cls in package_classes()
-            if dataclasses.is_dataclass(cls)} == {Var, Apply, Box, Diamond}
+def test_no_package_class_is_a_dataclass():
+    assert {Var, Apply, Box, Diamond} <= package_classes()
+    assert not any(map(dataclasses.is_dataclass, package_classes()))
+
+
+#: Imports the package in a fresh process, then assigns to a node field.
+FRESH_IMPORT = """\
+import sys
+import mvmodal, mvmodal.cli
+print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+try:
+    mvmodal.Var("p").name = "q"
+except Exception as error:
+    print(type(error).__module__, type(error).__qualname__, error)
+"""
+
+
+def test_start_up_imports_no_dataclasses():
+    # the frozen rule imports FrozenInstanceError only when it raises
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[]", "dataclasses FrozenInstanceError cannot assign to field 'name'"]
 
 
 @pytest.mark.parametrize("name, args, kwargs", CASES,
