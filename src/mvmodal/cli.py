@@ -7,32 +7,27 @@ verdict, witnesses follow in the standard file formats.  A closed
 stdout and running out of memory are errors too: one line on stderr and
 status 2.
 
-A process holds parsed input files in one memo, `_parsed`, the least
-recently used dropped first once the texts its keys hold pass
-`MEMO_BUDGET` (8 MiB) characters; a longer text is answered and not
-held.  A `--model` file is keyed on its text alone, parsed under
-`PERMISSIVE` whatever the signature; a `--phi`, `--sigma` or `translate`
-sequent file on its text and the signature file's text; a `check-proof`
-script also on the logic and the sigma file's text, which a derivation
-holds.  So what is held is at most what parses of 8 MiB of text take:
-about 14 bytes a character for a model (the 7.5 MB text of a
-100,000-world model parses to 103 MB), up to about 70 for a formula file
-of distinct formulas, or about 560 MB.  Signature files and the formulas
-and sequents given in argv are parsed on every call.  Each call still
-reads every file, so an edited file is parsed again, and an error is
-never held.  Answers, exit statuses and messages are unchanged; on the
-error path a malformed model file is parsed twice.
+A process holds parsed input files and the command lines it has read
+in one memo, `_parsed`, the least recently used dropped first once the
+texts its keys hold pass `MEMO_BUDGET` (8 MiB) characters; a longer text
+is answered and not held.  A command line is keyed on its arguments and
+holds argparse's namespace.  A `--model` file is keyed on its text
+alone, parsed under `PERMISSIVE` whatever the signature; a `--phi`,
+`--sigma` or `translate` sequent file on its text and the signature
+file's text; a `check-proof` script also on the logic and the sigma
+file's text, which a derivation holds.  So what is held is at most what
+parses of 8 MiB of text take: about 14 bytes a character for a model
+(the 7.5 MB text of a 100,000-world model parses to 103 MB), up to
+about 70 for a formula file of distinct formulas, or about 560 MB.
+Signature files and the formulas and sequents given in argv are parsed
+on every call.  Each call still reads every file, so an edited file is
+parsed again, and an error is never held: help and usage errors go
+through argparse on every call, with its messages and exit status.
+Answers, exit statuses and messages are unchanged; on the error path a
+malformed model file is parsed twice.
 
-Each subcommand and its options are declared once, in `_COMMANDS`;
-the argparse parser is built from that table, and so is the argv reader
-that stands in for it.  argv is read without argparse when argparse
-would accept it unchanged: a subcommand, then that subcommand's exact
-option strings, each at most once, each value not beginning with "-" (a
-sequent beginning with "->" is a value), every required option and as
-many positionals as it takes.  Every other argv, such as help, "--", an
-abbreviated or "="-joined option, a negative number or any error, goes
-to argparse, so its messages and exit status are argparse's own; the
-parser is built only then, once per process.
+Each subcommand and its options are declared once, in `_COMMANDS`,
+and the argparse parser is built from that table once per process.
 """
 
 from __future__ import annotations
@@ -104,16 +99,18 @@ def _signature(args) -> tuple[Signature, str]:
 #: up to 2^31 are read.  Every model file is first parsed under it.
 PERMISSIVE = Signature(TruthDomain(2 ** 31), {})
 
-#: How many characters of file text the memo of parsed files holds.
+#: How many characters of file text and argv the memo of parsed inputs holds.
 MEMO_BUDGET = 8 * 2 ** 20
 
 
 class _ParsedFiles:
-    """Parsed input files, least recently used first, by key.
+    """Parsed input files and command lines, least recently used first,
+    by key.
 
-    A key is the kind of parse, the tuple of file texts the parse read,
-    and anything else it read, such as a logic.  The texts of the keys
-    held add up to at most `budget` characters.
+    A key is the kind of parse, the tuple of texts the parse read (file
+    texts, or a command line's arguments), and anything else it read,
+    such as a logic.  The texts of the keys held add up to at most
+    `budget` characters.
     """
 
     def __init__(self, budget: int):
@@ -297,6 +294,16 @@ def cmd_frame_check(args) -> int:
     return 1
 
 
+def _integer(text: str) -> int:
+    """`int(text)`; a value int() does not read gets argparse's own
+    message, the value cut after 32 characters as `--ceiling`'s is."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_quote(text)}") from None
+
+
 def _ceiling(text: str) -> int:
     if text.isdecimal():
         try:
@@ -320,26 +327,25 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 #: Each subcommand, declared once: its handler, its help line and its
 #: arguments in declaration order, each option string or positional name
-#: with the keywords of its add_argument call.  build_parser and the argv
-#: reader both read this table; "store_true" is the one action declared.
+#: with the keywords of its add_argument call, which build_parser reads.
 _COMMANDS = {
     "eval": (cmd_eval, "evaluate a formula at a world", {
         "--sig": {"required": True},
         "--model": {"required": True},
-        "--world": {"type": int, "required": True},
+        "--world": {"type": _integer, "required": True},
         "formula": {},
     }),
     "sat": (cmd_sat, "check sequent satisfaction on a model", {
         "--sig": {"required": True},
         "--model": {"required": True},
-        "--world": {"type": int},
+        "--world": {"type": _integer},
         "sequent": {},
     }),
     "decide": (cmd_decide, "bounded countermodel search", {
         "--sig": {"required": True},
         "--sigma": {},
         "--logic": {"default": "mv-K"},
-        "--bound": {"type": int, "default": 2},
+        "--bound": {"type": _integer, "default": 2},
         "--ceiling": {"type": _ceiling,
                       "help": f"models examined over the whole search (default "
                               f"{ENUM_CEILING_VAR} or {DEFAULT_ENUM_CEILING})"},
@@ -359,8 +365,8 @@ _COMMANDS = {
                   "help": "file of formulas; their closure is used"},
     }),
     "neg-scan": (cmd_neg_scan, "scan unary tables for modal duality", {
-        "--n": {"type": int, "required": True},
-        "--bound": {"type": int, "required": True},
+        "--n": {"type": _integer, "required": True},
+        "--bound": {"type": _integer, "required": True},
         "--ceiling": {"type": _ceiling,
                       "help": "models examined over the whole scan"},
     }),
@@ -393,86 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """`build_parser()`, built for the first argv the reader declines and
-    reused: parsing leaves no state in the parser, and building it costs
-    about as much as a small query."""
+    """`build_parser()`, built once and reused: parsing leaves no state
+    in the parser, and building it costs about as much as a small query."""
     return build_parser()
-
-
-def _plain(arg: str) -> bool:
-    """Whether argparse reads `arg` as a value and never as an option."""
-    return not arg.startswith("-") or arg.startswith("->")
-
-
-def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace argparse would return for `argv`, or None to leave
-    `argv` to argparse.
-
-    Reads only argv that argparse accepts unchanged: a subcommand of
-    `_COMMANDS`, then its exact option strings, each at most once and
-    each value plain (see `_plain`), every required option and the
-    positionals' count.  Everything else, from help and `--` to every
-    error, is declined, so argparse writes every message and chooses
-    every exit status.
-    """
-    entry = _COMMANDS.get(argv[0]) if argv else None
-    if entry is None:
-        return None
-    func, _, arguments = entry
-    given, plain = {}, []
-    args = iter(argv[1:])
-    for arg in args:
-        if _plain(arg):
-            plain.append(arg)
-            continue
-        keywords = arguments.get(arg)
-        if keywords is None or arg in given:
-            return None
-        if "action" in keywords:  # a flag
-            given[arg] = True
-            continue
-        value = next(args, "-")  # a missing value is declined
-        if not _plain(value):
-            return None
-        given[arg] = value
-    values = {"command": argv[0]}
-    positionals = iter(plain)
-    try:
-        for argument, keywords in arguments.items():
-            if argument[0] == "-":
-                dest = argument.lstrip("-").replace("-", "_")
-                if argument not in given:
-                    if "required" in keywords:
-                        return None
-                    # a flag's default is False
-                    values[dest] = "action" not in keywords and keywords.get("default")
-                    continue
-                value = given[argument]
-            else:
-                dest, value = argument, next(positionals, None)
-                if value is None:
-                    return None
-            convert = keywords.get("type")
-            values[dest] = convert(value) if convert else value
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None  # argparse reports the value
-    if next(positionals, None) is not None:
-        return None
-    values["func"] = func
-    namespace = argparse.Namespace()
-    vars(namespace).update(values)  # in argparse's order, without a setattr each
-    return namespace
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            args = _shared_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 2 if exc.code else 0
+    try:
+        args = _parsed(("argv", tuple(argv)), _shared_parser().parse_args, argv)
+    except SystemExit as exc:  # help or a usage error, never held
+        return 2 if exc.code else 0
     try:
         return args.func(args)
     except EnumerationCeilingError:  # decide and neg-scan

@@ -125,6 +125,7 @@ from .core import (
     _checked_connective,
     closure_order,
 )
+from .parser import _quote
 from .proofs import LogicId
 from .semantics import (
     _FRAME_PROPERTIES,
@@ -172,10 +173,13 @@ def default_ceiling() -> int:
     raw = os.environ.get(ENUM_CEILING_VAR)
     if not raw:
         return DEFAULT_ENUM_CEILING
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{ENUM_CEILING_VAR} must be a non-negative integer, "
-                         f"got {raw!r}")
-    return int(raw)
+    if raw.strip().isdecimal():
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise ValueError(f"{ENUM_CEILING_VAR} must be a non-negative integer, "
+                     f"got {_quote(raw)}")
 
 
 class _Budget:

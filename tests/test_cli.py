@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvmodal import cli
-from mvmodal.cli import _COMMANDS, _read_argv, _shared_parser, main
+from mvmodal.cli import _COMMANDS, _shared_parser, build_parser, main
 from mvmodal.derivations import box_modus_ponens_lukasiewicz
 from mvmodal.parser import (
     MAX_FORMULA_DEPTH,
@@ -48,22 +48,7 @@ def ws(tmp_path):
     return tmp_path
 
 
-def read_as_argparse(argv):
-    """Checks that the argv reader declines `argv`, or reads it as
-    argparse does and argparse accepts it; returns what the reader read."""
-    fast = _read_argv(argv)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            slow = vars(_shared_parser().parse_args(argv))
-        except SystemExit:
-            slow = None
-    assert fast is None or vars(fast) == slow, argv
-    return fast
-
-
 def run(capsys, *argv):
-    read_as_argparse(list(argv))
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -79,7 +64,6 @@ CAPPED = ("import resource, runpy, sys\n"
 
 
 def run_capped(cap_bytes, *argv):
-    read_as_argparse(list(argv))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
@@ -719,7 +703,8 @@ class TestModelMemo:
         assert first[:2] == (2, "") and first[2].startswith("error: line 2, ")
         for _ in range(2):
             assert run(capsys, *argv) == first
-        assert not cli._parsed.entries and cli._parsed.length == 0
+        # the argv is held, the model never
+        assert all(key[0] != "model" for key in cli._parsed.entries)
         # under frame-check's signature, then the file's
         assert parses == [("parse_model", 2 ** 31), ("parse_model", 3)] * 3
 
@@ -1006,6 +991,46 @@ class TestCeiling:
                             f"integer, got '{'9' * 32}'... (5000 characters)\n")
         assert len(err) < 1000
 
+    # past int()'s digit limit, or long and not a number: the variable
+    # named, its value cut
+    @pytest.mark.parametrize("value", ["9" * 5000, "x" * 5000],
+                             ids=["digits", "letters"])
+    @pytest.mark.parametrize("argv", [
+        ["neg-scan", "--n", "2", "--bound", "1"],
+        ["decide", "--sig", "SIG", "--bound", "1", "-> (p, 1)"],
+    ])
+    def test_environment_ceiling_past_the_digit_limit(self, ws, capsys, monkeypatch,
+                                                      argv, value):
+        monkeypatch.setenv("MVK_ENUM_CEILING", value)
+        argv = [str(ws / "sig.mvk") if a == "SIG" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: MVK_ENUM_CEILING must be a non-negative integer, "
+                       f"got '{value[:32]}'... (5000 characters)\n")
+
+    # --world, --bound and --n read an int as argparse's int does, and
+    # past int()'s digit limit cut the value as --ceiling does
+    @pytest.mark.parametrize("option", ["--world", "--bound", "--n"])
+    def test_integer_option_past_the_digit_limit(self, ws, capsys, option):
+        def argv(value):
+            return {"--world": ["eval", "--sig", str(ws / "sig.mvk"), "--model",
+                                str(ws / "model.mvk"), "--world", value, "p"],
+                    "--bound": ["decide", "--sig", str(ws / "sig.mvk"),
+                                "--bound", value, "-> (p, 1)"],
+                    "--n": ["neg-scan", "--n", value, "--bound", "1"]}[option]
+
+        code, out, err = run(capsys, *argv("9" * 5000))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument {option}: invalid int value: "
+                            f"'{'9' * 32}'... (5000 characters)\n")
+        assert len(err) < 1000
+        code, out, err = run(capsys, *argv("x"))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument {option}: invalid int value: 'x'\n")
+        # a negative value is read, and the command rejects it
+        code, out, err = run(capsys, *argv("-1"))
+        assert (code, out) == (2, "") and err.startswith("error: "), err
+
     @pytest.mark.parametrize("argv", [
         ["neg-scan", "--n", "2", "--bound", "1"],
         ["decide", "--sig", "SIG", "--bound", "1", "-> (p, 1)"],
@@ -1020,8 +1045,10 @@ class TestCeiling:
 
 
 class TestArgvReader:
-    """`cli._read_argv` reads an argv only where argparse would accept it,
-    and then reads it as argparse does; it declines every other argv."""
+    """`cli.main` reads each argv with argparse, through the memo of
+    parsed inputs: a repeated argv is parsed once and answered as its
+    first call was; help and every usage error go to argparse on every
+    call and are never held."""
 
     # one well-formed argv per subcommand, in groups: an option and its
     # value, a flag, or a positional
@@ -1061,16 +1088,87 @@ class TestArgvReader:
             yield joined(groups[:i] + [["-h"]] + groups[i:])
         yield joined(groups) + ["-h"]
 
+    @staticmethod
+    def held(argv):
+        return cli._parsed.entries.get(("argv", tuple(argv)))
+
     @pytest.mark.parametrize("command", list(WELL_FORMED))
-    def test_agrees_with_argparse(self, command):
+    def test_agrees_with_argparse(self, command, tmp_path, capsys, monkeypatch):
+        """Each order of a well-formed argv and each variant answers the
+        same twice; the namespace held is a fresh parser's, and an argv
+        that parser rejects is not held."""
+        monkeypatch.chdir(tmp_path)  # the files named are missing
+        fresh = build_parser()
         groups = self.WELL_FORMED[command]
-        for order in itertools.permutations(groups):
-            argv = [command, *itertools.chain(*order)]
-            assert read_as_argparse(argv) is not None, argv
-        declined = 0
-        for variant in self.variants(groups):
-            declined += read_as_argparse([command, *variant]) is None
-        assert declined
+        argvs = [[command, *itertools.chain(*order)]
+                 for order in itertools.permutations(groups)]
+        argvs += [[command, *variant] for variant in self.variants(groups)]
+        rejected = 0
+        for argv in argvs:
+            first = run(capsys, *argv)
+            assert run(capsys, *argv) == first, argv
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    expected = vars(fresh.parse_args(argv))
+                except SystemExit:
+                    expected = None
+            held = self.held(argv)
+            assert (None if held is None else vars(held)) == expected, argv
+            rejected += expected is None
+        assert 0 < rejected < len(argvs)
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        """The argv of each call to argparse's parse_args."""
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(parser, args=None, namespace=None):
+            calls.append(args)
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        return calls
+
+    def test_a_repeated_argv_is_parsed_once(self, ws, capsys, parse_calls):
+        argv = ["decide", "--sig", str(ws / "sig.mvk"), "--logic", "mv-T",
+                "--bound", "2", "(Box p, 3) -> (p, 3)"]
+        for _ in range(3):
+            assert run(capsys, *argv) == (0, "valid-up-to 2\n", "")
+        assert parse_calls == [argv]
+        cli._parsed.clear()
+        assert run(capsys, *argv) == (0, "valid-up-to 2\n", "")
+        assert parse_calls == [argv, argv]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["-h"], ["--help"], ["decide", "-h"],
+        ["neg-scan", "--n", "2"], ["neg-scan", "--n", "x", "--bound", "1"],
+        ["eval", "--world", "0", "p"], ["decide", "--sig"],
+        ["decide", "--sig", "s.mvk", "--bogus", "-> (p, 1)"],
+    ])
+    def test_help_and_usage_errors_are_never_held(self, capsys, parse_calls,
+                                                  argv):
+        outcomes = [run(capsys, *argv) for _ in range(3)]
+        assert outcomes == outcomes[:1] * 3
+        code, out, err = outcomes[0]
+        if "-h" in argv or "--help" in argv:
+            assert code == 0 and out.startswith("usage: ") and err == ""
+        else:
+            assert code == 2 and out == "" and err.startswith("usage: ")
+        assert parse_calls == [argv] * 3
+        assert not cli._parsed.entries and cli._parsed.length == 0
+
+    def test_an_argv_past_the_budget_is_answered_and_not_held(
+            self, capsys, monkeypatch, parse_calls):
+        monkeypatch.setattr(cli, "_parsed", cli._ParsedFiles(30))
+        short = ["neg-scan", "--n", "2", "--bound", "1"]  # 20 characters
+        long = [*short, "--ceiling", "1" + "0" * 20]  # 50 characters
+        for argv in (short, long, long, short):
+            assert run(capsys, *argv) == (0, "survivors 1\ntable 2 1\n", "")
+        assert list(cli._parsed.entries) == [("argv", tuple(short))]
+        assert cli._parsed.length == 20
+        assert parse_calls == [short, long, long]
 
     def test_every_subcommand_has_a_table(self):
         (sub,) = (a for a in _shared_parser()._actions
@@ -1101,37 +1199,16 @@ class TestArgvReader:
         return [[str(tmp_path / a) if a in files else a for a in argv]
                 for argv in examples]
 
-    def test_readme_examples_skip_argparse(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("argparse was called")
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    def test_readme_examples_answer_twice(self, tmp_path, capsys):
+        # the second call reads its namespace from the memo, and no call
+        # changes what is held
         for argv in self.readme_examples(tmp_path):
-            code = main(argv)
-            out, err = capsys.readouterr()
-            assert code in (0, 1) and out and err == "", (argv, err)
-
-    # A fresh process holds no parser that an earlier call built.
-    NO_PARSER = ("import contextlib, io, json, sys\n"
-                 "from mvmodal import cli\n"
-                 "def refuse():\n"
-                 "    raise AssertionError('argparse was built')\n"
-                 "cli.build_parser = refuse\n"
-                 "for argv in json.loads(sys.argv[1]):\n"
-                 "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-                 "        code = cli.main(argv)\n"
-                 "    assert code in (0, 1) and out.getvalue(), argv\n"
-                 "assert cli._shared_parser.cache_info().currsize == 0\n")
-
-    def test_readme_examples_build_no_parser(self, tmp_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.NO_PARSER,
-             json.dumps(self.readme_examples(tmp_path))],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, "")
+            first = run(capsys, *argv)
+            assert first[0] in (0, 1) and first[1] and first[2] == "", (argv, first)
+            held = self.held(argv)
+            before = dict(vars(held))
+            assert run(capsys, *argv) == first
+            assert self.held(argv) is held and vars(held) == before, argv
 
 
 def _nested(kind, depth):
@@ -1234,8 +1311,6 @@ class TestOutputIndependence:
                    ["neg-scan", "--n", "3", "--bound", "2"],
                    ["neg-scan", "--n", "4", "--bound", "2"],
                    ["check-proof", *sig, str(ws / "smshift.mvk")]]
-        for argv in corpus:
-            assert read_as_argparse(argv) is not None
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for seed in ("0", "1"):
